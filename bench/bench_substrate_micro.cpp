@@ -76,10 +76,12 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_EventQueuePushPop);
 
 void BM_FootprintTracker(benchmark::State& state) {
+  mem::FootprintTable table(/*conflict_shift=*/6);
+  table.cover(64 * 3);
   mem::FootprintTracker tracker;
-  tracker.configure(model::CacheGeometry{64, 64, 8}, 4096);
+  tracker.configure(table, model::CacheGeometry{64, 64, 8}, 4096);
   for (auto _ : state) {
-    tracker.reset();
+    tracker.begin_attempt();
     for (mem::LineId l = 0; l < 64; ++l) {
       benchmark::DoNotOptimize(tracker.add_write(l * 3));
     }

@@ -549,7 +549,7 @@ class StmExecutor final : public StagedExecutor {
     //    does (on BGQ that is the machine-wide L2 gap — the serialization
     //    a compute-only charge would silently bypass);
     //  * a global version-clock load at begin and CAS at commit.
-    engine_.atomically([&](htm::StmTxn& tx) {
+    engine_.atomically(txn_, [&](htm::StmTxn& tx) {
       stage.clear();
       writes.clear();
       loads = 0;
@@ -589,6 +589,12 @@ class StmExecutor final : public StagedExecutor {
   std::span<std::uint32_t> clock_;
   std::vector<std::vector<const void*>> writes_;
   htm::StmEngine engine_;
+  /// The transaction context of every batch, cleared at each begin. The
+  /// software transaction runs synchronously inside one DES dispatch, so
+  /// the simulated threads' transactions never overlap on the host and
+  /// one context serves them all; per-thread contexts would each keep
+  /// their grown buffers alive.
+  htm::StmTxn txn_{engine_};
 };
 
 // --------------------------------------------------------------------------

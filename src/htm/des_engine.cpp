@@ -99,6 +99,15 @@ void ThreadCtx::stage_transaction(TxnBody body, TxnDone done) {
 // DesMachine
 // ---------------------------------------------------------------------------
 
+namespace {
+std::uint32_t log2_granularity(std::uint32_t gran) {
+  AAM_CHECK(gran >= 8 && (gran & (gran - 1)) == 0);
+  std::uint32_t shift = 0;
+  while ((1u << shift) < gran) ++shift;
+  return shift;
+}
+}  // namespace
+
 DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
                        int num_threads, mem::SimHeap& heap, std::uint64_t seed,
                        int num_domains)
@@ -107,18 +116,13 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
       costs_(config.htm(kind)),
       heap_(heap),
       stripes_(heap.num_lines()),
-      backoff_(costs_.backoff_base_ns, costs_.backoff_max_ns) {
+      backoff_(costs_.backoff_base_ns, costs_.backoff_max_ns),
+      conflict_shift_(log2_granularity(costs_.conflict_granularity_bytes)),
+      footprints_(conflict_shift_) {
   AAM_CHECK(num_threads >= 1);
   AAM_CHECK(num_domains >= 1 && num_threads % num_domains == 0);
   AAM_CHECK_MSG(num_threads / num_domains <= config.max_threads(),
                 "per-node thread count exceeds the machine's hardware threads");
-  conflict_shift_ = 6;
-  {
-    std::uint32_t gran = costs_.conflict_granularity_bytes;
-    AAM_CHECK(gran >= 8 && (gran & (gran - 1)) == 0);
-    conflict_shift_ = 0;
-    while ((1u << conflict_shift_) < gran) ++conflict_shift_;
-  }
   unit_stamps_.assign((heap.capacity_bytes() >> conflict_shift_) + 1, 0);
   domains_.resize(static_cast<std::size_t>(num_domains));
   threads_per_domain_ =
@@ -137,8 +141,8 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
     ts->ctx.machine_ = this;
     ts->ctx.tid_ = static_cast<std::uint32_t>(t);
     ts->ctx.rng_ = root.fork(static_cast<std::uint64_t>(t) + 1);
-    ts->tracker.configure(costs_.write_capacity, costs_.read_capacity_lines,
-                          conflict_shift_);
+    ts->tracker.configure(footprints_, costs_.write_capacity,
+                          costs_.read_capacity_lines);
     ts->txn.machine_ = this;
     ts->txn.tid_ = static_cast<std::uint32_t>(t);
     threads_.push_back(std::move(ts));
@@ -477,6 +481,19 @@ void DesMachine::on_next(std::uint32_t tid) {
   }
 }
 
+void DesMachine::begin_footprint(ThreadState& ts) {
+  ts.write_buffer.clear();
+  footprints_.cover(heap_.used_bytes());
+  ts.tracker.begin_attempt();
+}
+
+void DesMachine::cover_heap_address(std::uintptr_t addr) {
+  AAM_CHECK_MSG(heap_.contains(reinterpret_cast<const void*>(addr)),
+                "transactional access to memory outside the SimHeap");
+  // Allocated after the attempt began.
+  footprints_.cover(heap_.used_bytes());
+}
+
 void DesMachine::attempt_speculative(std::uint32_t tid) {
   auto& ts = *threads_[tid];
   const double start = ts.ctx.clock_;
@@ -499,8 +516,7 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
   ts.spec_start = start;
   ts.start_stamp = commit_stamp_;
   ts.txn_duration = costs_.begin_ns;
-  ts.write_buffer.clear();
-  ts.tracker.reset();
+  begin_footprint(ts);
   // Subscribe to the domain's fallback lock word (lazy subscription).
   ts.tracker.add_read(heap_.offset_of(dom.lock));
   ts.txn.start_ = start;
@@ -693,8 +709,7 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
 
   ts.spec_start = start;
   ts.txn_duration = costs_.serialize_acquire_ns;
-  ts.write_buffer.clear();
-  ts.tracker.reset();
+  begin_footprint(ts);
   ts.txn.start_ = start;
   ts.txn.serialized_ = true;
 
@@ -893,7 +908,6 @@ void DesMachine::restore_core(util::BlobReader& r) {
     ts.capacity_aborts_this_txn = 0;
     ts.escalated_this_txn = false;
     ts.write_buffer.clear();
-    ts.tracker.reset();
   }
 
   const std::uint64_t num_domains = r.get<std::uint64_t>();

@@ -73,10 +73,13 @@ class Txn {
   void store(T& ref, T value) {
     static_assert(sizeof(T) <= 8 && std::is_trivially_copyable_v<T>);
     const std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(&ref);
-    std::uint64_t word = peek_word_for_store(addr);
+    const std::uint64_t offset = checked_offset(addr);
+    // Fetch the containing word without charging a transactional read:
+    // the cost of a store already covers bringing the line into the buffer.
+    std::uint64_t word = current_word(offset, addr);
     const std::size_t off = addr & 7u;
     std::memcpy(reinterpret_cast<char*>(&word) + off, &value, sizeof(T));
-    store_word(addr, word);
+    store_word(offset, addr, word);
   }
 
   /// Read-modify-write convenience (costs one load + one store).
@@ -102,9 +105,14 @@ class Txn {
 
   // Defined inline at the bottom of this header (they need DesMachine):
   // they run once per modelled transactional access.
+  /// Heap offset of `addr`; aborts when the address is off-heap.
+  std::uint64_t checked_offset(std::uintptr_t addr) const;
   std::uint64_t load_word(std::uintptr_t addr);
-  std::uint64_t peek_word_for_store(std::uintptr_t addr);
-  void store_word(std::uintptr_t addr, std::uint64_t word);
+  /// The word containing `addr` as this attempt sees it (own buffered
+  /// write, else committed memory), with no footprint or cost.
+  std::uint64_t current_word(std::uint64_t offset, std::uintptr_t addr) const;
+  void store_word(std::uint64_t offset, std::uintptr_t addr,
+                  std::uint64_t word);
 
   DesMachine* machine_ = nullptr;
   std::uint32_t tid_ = 0;
@@ -456,6 +464,11 @@ class DesMachine {
   void enter_serialized(std::uint32_t tid, double ready_time);
   void on_serial_commit(std::uint32_t tid);
   void finish_txn(std::uint32_t tid, bool serialized, double end_time);
+  /// Starts `ts`'s attempt on an empty write buffer and footprint.
+  void begin_footprint(ThreadState& ts);
+  /// Cold path of Txn::checked_offset for an address past the footprint
+  /// table's cover: aborts when it is off-heap, else extends the cover.
+  void cover_heap_address(std::uintptr_t addr);
 
   // Word-granularity committed-memory access helpers for Txn.
   std::uint64_t read_committed_word(std::uintptr_t addr) const {
@@ -513,6 +526,11 @@ class DesMachine {
   void bump_unit(std::uint64_t unit) {
     unit_stamps_[unit] = ++commit_stamp_;
   }
+  /// First-touch dedup for every thread's tracker, covering the heap's
+  /// used prefix from the first attempt on. One table serves the whole
+  /// machine because attempt_speculative() and enter_serialized() run
+  /// each body synchronously, one at a time.
+  mem::FootprintTable footprints_;
 
   mem::WriteObserver* write_observer_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
@@ -538,16 +556,25 @@ class DesMachine {
 
 // ---------------------------------------------------------------------------
 // Accessor hot paths, inline so operator bodies compile down to straight
-// hash-probe-and-charge sequences with no cross-TU calls.
+// table-index-and-charge sequences with no cross-TU calls.
 // ---------------------------------------------------------------------------
+
+inline std::uint64_t Txn::checked_offset(std::uintptr_t addr) const {
+  DesMachine& m = *machine_;
+  // An address below the heap wraps to a huge offset: one compare covers
+  // both ends.
+  const std::uint64_t offset =
+      addr - reinterpret_cast<std::uintptr_t>(m.heap_.raw_bytes().data());
+  if (offset >= m.footprints_.covered_bytes()) [[unlikely]] {
+    m.cover_heap_address(addr);
+  }
+  return offset;
+}
 
 inline std::uint64_t Txn::load_word(std::uintptr_t addr) {
   DesMachine& m = *machine_;
   auto& ts = *m.threads_[tid_];
-  AAM_CHECK_MSG(m.heap_.contains(reinterpret_cast<const void*>(addr)),
-                "transactional access to memory outside the SimHeap");
-  const std::uint64_t offset =
-      m.heap_.offset_of(reinterpret_cast<const void*>(addr));
+  const std::uint64_t offset = checked_offset(addr);
 
   if (serialized_) {
     ts.txn_duration += m.config_.atomics.load_ns;
@@ -559,35 +586,29 @@ inline std::uint64_t Txn::load_word(std::uintptr_t addr) {
       throw TxAbort{AbortReason::kCapacity};
     }
   }
+  return current_word(offset, addr);
+}
+
+inline std::uint64_t Txn::current_word(std::uint64_t offset,
+                                       std::uintptr_t addr) const {
+  // Every buffered word lies in a unit this attempt wrote (store_word
+  // records the write before buffering), so an unwritten unit skips the
+  // write-buffer probe.
+  DesMachine& m = *machine_;
+  auto& ts = *m.threads_[tid_];
   const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
   std::uint64_t word;
-  if (!ts.write_buffer.lookup(word_addr, word)) {
+  if (!ts.tracker.wrote_unit(offset) ||
+      !ts.write_buffer.lookup(word_addr, word)) {
     word = m.read_committed_word(word_addr);
   }
   return word;
 }
 
-inline std::uint64_t Txn::peek_word_for_store(std::uintptr_t addr) {
-  // Fetch the containing word without charging a transactional read: the
-  // cost of a store already covers bringing the line into the buffer.
+inline void Txn::store_word(std::uint64_t offset, std::uintptr_t addr,
+                            std::uint64_t word) {
   DesMachine& m = *machine_;
   auto& ts = *m.threads_[tid_];
-  const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
-  std::uint64_t word;
-  if (!ts.write_buffer.lookup(word_addr, word)) {
-    word = m.read_committed_word(word_addr);
-  }
-  return word;
-}
-
-inline void Txn::store_word(std::uintptr_t addr, std::uint64_t word) {
-  DesMachine& m = *machine_;
-  auto& ts = *m.threads_[tid_];
-  AAM_CHECK_MSG(m.heap_.contains(reinterpret_cast<const void*>(addr)),
-                "transactional access to memory outside the SimHeap");
-  const std::uint64_t offset =
-      m.heap_.offset_of(reinterpret_cast<const void*>(addr));
-
   if (serialized_) {
     ts.txn_duration += m.config_.atomics.store_ns;
     ts.tracker.add_write(offset);

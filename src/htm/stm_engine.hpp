@@ -21,10 +21,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "htm/abort.hpp"
 #include "mem/footprint.hpp"
+#include "util/check.hpp"
 
 namespace aam::htm {
 
@@ -67,9 +69,13 @@ class StmTxn {
 
   bool serialized() const { return false; }
 
+  /// A reusable context for `engine`'s transactions: atomically(txn, body)
+  /// clears it at every begin, so one context can serve a thread's
+  /// transactions back to back without reallocating its buffers.
+  explicit StmTxn(StmEngine& engine) : engine_(engine) {}
+
  private:
   friend class StmEngine;
-  explicit StmTxn(StmEngine& engine) : engine_(engine) {}
 
   std::uint64_t load_word(std::uintptr_t word_addr);
   void store_word(std::uintptr_t word_addr, std::uint64_t word);
@@ -97,8 +103,16 @@ class StmEngine {
   /// chose to do nothing); this matches May-Fail operator usage.
   template <typename F>
   TxnOutcome atomically(F&& body) {
-    TxnOutcome outcome;
     StmTxn txn(*this);
+    return atomically(txn, std::forward<F>(body));
+  }
+
+  /// Same, running in the caller's context `txn` (created for this
+  /// engine, used by one thread at a time) instead of a fresh one.
+  template <typename F>
+  TxnOutcome atomically(StmTxn& txn, F&& body) {
+    AAM_DCHECK(&txn.engine_ == this);
+    TxnOutcome outcome;
     for (int attempt = 0;; ++attempt) {
       begin(txn);
       try {

@@ -1,5 +1,7 @@
 #include "mem/footprint.hpp"
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace aam::mem {
@@ -49,39 +51,57 @@ void WordMap::grow() {
   }
 }
 
+// --------------------------------------------------------- FootprintTable
+
+void FootprintTable::cover(std::size_t heap_bytes) {
+  if (heap_bytes <= covered_bytes_) return;
+  covered_bytes_ = heap_bytes;
+  unit_tags_.resize((heap_bytes >> conflict_shift_) + 1, 0);
+  line_tags_.resize(heap_bytes / kLineBytes + 1, 0);
+}
+
+std::uint64_t FootprintTable::begin_attempt() {
+  const std::uint64_t id = attempt_ % kAttemptsPerWrap + 1;
+  if (id == 1 && attempt_ != 0) {
+    // The 15-bit id wrapped: tags of old attempts would alias new ones.
+    std::fill(unit_tags_.begin(), unit_tags_.end(), 0);
+    std::fill(line_tags_.begin(), line_tags_.end(), 0);
+  }
+  read_tag_ = static_cast<std::uint16_t>(id << 1);
+  return ++attempt_;
+}
+
 // ------------------------------------------------------- FootprintTracker
 
-void FootprintTracker::configure(const model::CacheGeometry& write_geometry,
-                                 std::uint32_t read_capacity_lines,
-                                 std::uint32_t conflict_shift) {
+void FootprintTracker::configure(FootprintTable& table,
+                                 const model::CacheGeometry& write_geometry,
+                                 std::uint32_t read_capacity_lines) {
+  table_ = &table;
+  shift_ = table.conflict_shift();
+  attempt_ = 0;
+  read_tag_ = 0;
   write_geom_ = write_geometry;
   read_capacity_lines_ = read_capacity_lines;
-  conflict_shift_ = conflict_shift;
   set_count_.assign(write_geom_.sets, 0);
   set_epoch_.assign(write_geom_.sets, 0);
   epoch_ = 1;
-  reset();
-}
-
-void FootprintTracker::reset() {
-  written_units_.clear();
-  read_units_set_.clear();
-  written_lines_.clear();
-  read_lines_set_.clear();
   write_units_.clear();
   read_units_.clear();
   write_lines_ = 0;
   read_lines_ = 0;
-  last_write_valid_ = false;
-  last_read_valid_ = false;
+}
+
+void FootprintTracker::begin_attempt() {
+  attempt_ = table_->begin_attempt();
+  read_tag_ = table_->read_tag_;
+  write_units_.clear();
+  read_units_.clear();
+  write_lines_ = 0;
+  read_lines_ = 0;
   ++epoch_;
 }
 
-FootprintTracker::Add FootprintTracker::add_write_slow(std::uint64_t unit,
-                                                       LineId line) {
-  if (written_units_.insert(unit)) write_units_.push_back(unit);
-
-  if (!written_lines_.insert(line)) return Add::kDuplicate;
+FootprintTracker::Add FootprintTracker::count_write_line(LineId line) {
   ++write_lines_;
   if (write_lines_ > write_geom_.capacity_lines()) {
     return Add::kOverflow;
@@ -96,18 +116,6 @@ FootprintTracker::Add FootprintTracker::add_write_slow(std::uint64_t unit,
   if (++set_count_[set] > write_geom_.ways) {
     return Add::kOverflow;  // associativity eviction of speculative state
   }
-  return Add::kOk;
-}
-
-FootprintTracker::Add FootprintTracker::add_read_slow(std::uint64_t unit,
-                                                      LineId line) {
-  if (!written_units_.contains(unit) && read_units_set_.insert(unit)) {
-    read_units_.push_back(unit);
-  }
-  if (written_lines_.contains(line)) return Add::kDuplicate;
-  if (!read_lines_set_.insert(line)) return Add::kDuplicate;
-  ++read_lines_;
-  if (read_lines_ > read_capacity_lines_) return Add::kOverflow;
   return Add::kOk;
 }
 

@@ -2,15 +2,17 @@
 
 // Transaction-local footprint data structures.
 //
-// A speculative transaction needs three things, all rebuilt from scratch on
-// every (re)execution, so they are designed for O(1) epoch-based clearing:
+// A speculative transaction rebuilds its footprint state from scratch on
+// every (re)execution, so each structure clears in O(1):
 //
 //  * WordMap   — the redo log: word-granularity speculative write buffer
 //                (address -> 8-byte value), iterable for commit.
-//  * EpochSet  — dedup of touched lines for read/write set construction.
-//  * FootprintTracker — maps the distinct lines into the cache geometry of
-//                the HTM variant and reports capacity overflows (the
-//                "buffer overflow" abort class of §5).
+//  * EpochSet  — a hashed u64 set: the STM engine's stripe sets and the
+//                checker's per-batch word sets.
+//  * FootprintTable / FootprintTracker — the distinct conflict units and
+//                cache lines of one HTM attempt, deduplicated through a
+//                machine-wide dense tag table, with capacity overflows
+//                (the "buffer overflow" abort class of §5).
 
 // The accessor hot paths (EpochSet/WordMap probes, FootprintTracker adds)
 // are defined inline here: they run several times per modelled memory
@@ -148,56 +150,116 @@ class WordMap {
   std::size_t mask_ = 0;
 };
 
-/// Tracks the distinct cache lines a transaction touches — for the
-/// capacity model (per-set associativity / total budget) — and separately
-/// the *conflict units* at the HTM variant's detection granularity (64B
-/// lines on Haswell, 8B words on BG/Q), for commit validation.
+/// Machine-wide first-touch table of transactional footprints: one 16-bit
+/// tag per conflict unit and one per 64-byte line of a heap prefix, stamped
+/// by the attempt that touched it. A tag packs the attempt's id (upper 15
+/// bits) with a written bit (bit 0), so "has this attempt read / written
+/// this unit?" is one array load and compare, with no hashing.
+///
+/// Sharing one table between all of a machine's trackers is sound only
+/// because transaction bodies run one at a time: the owner of the table is
+/// the attempt that called FootprintTracker::begin_attempt() last, and a
+/// tracker that records a first touch for any other attempt aborts the
+/// process. The tags cover only the heap prefix passed to cover() (a
+/// machine that never starts a transaction allocates none) and are zeroed
+/// when the id wraps.
+class FootprintTable {
+ public:
+  /// `conflict_shift` is log2 of the conflict-detection granularity.
+  explicit FootprintTable(std::uint32_t conflict_shift)
+      : conflict_shift_(conflict_shift) {}
+
+  FootprintTable(const FootprintTable&) = delete;
+  FootprintTable& operator=(const FootprintTable&) = delete;
+
+  /// Attempts between two id wraps (each wrap zeroes every tag).
+  static constexpr std::uint64_t kAttemptsPerWrap = 0x7fff;
+
+  /// Extends the tags to heap offsets [0, heap_bytes); never shrinks.
+  void cover(std::size_t heap_bytes);
+  /// Trackers may add offsets below this.
+  std::size_t covered_bytes() const { return covered_bytes_; }
+
+  std::uint32_t conflict_shift() const { return conflict_shift_; }
+
+ private:
+  friend class FootprintTracker;
+
+  /// Makes a new attempt the owner; returns its serial number.
+  std::uint64_t begin_attempt();
+
+  std::uint32_t conflict_shift_;
+  std::size_t covered_bytes_ = 0;
+  std::vector<std::uint16_t> unit_tags_;
+  std::vector<std::uint16_t> line_tags_;
+  std::uint64_t attempt_ = 0;  ///< serial of the owning attempt (0: none)
+  std::uint16_t read_tag_ = 0;  ///< the owner's tag; read_tag_ | 1 = written
+};
+
+/// The footprint of one transactional attempt: the distinct conflict units
+/// it read and wrote (commit validation and stamp bumping) and its distinct
+/// cache lines mapped into the HTM variant's cache geometry (capacity
+/// aborts, the "buffer overflow" class of §5). First-touch dedup lives in
+/// a FootprintTable shared with the machine's other trackers; the tracker
+/// keeps what outlives the body.
 class FootprintTracker {
  public:
   FootprintTracker() = default;
 
   /// Must be called before use and whenever the HTM variant changes.
-  /// `conflict_shift` is log2 of the conflict-detection granularity.
-  void configure(const model::CacheGeometry& write_geometry,
-                 std::uint32_t read_capacity_lines,
-                 std::uint32_t conflict_shift = 6);
+  /// `table` must outlive the tracker and cover every offset it adds.
+  void configure(FootprintTable& table,
+                 const model::CacheGeometry& write_geometry,
+                 std::uint32_t read_capacity_lines);
 
-  void reset();
+  /// Starts a new attempt: forgets the previous footprint and takes
+  /// ownership of the table. Every add must come between this call and
+  /// the next begin_attempt() on any tracker sharing the table.
+  void begin_attempt();
 
   enum class Add : std::uint8_t { kOk, kOverflow, kDuplicate };
 
   /// Records a write at heap offset `offset`; kOverflow = capacity abort.
   Add add_write(std::uint64_t offset) {
-    AAM_DCHECK(!set_count_.empty());  // configure() was called
-    const std::uint64_t unit = offset >> conflict_shift_;
-    const LineId line = offset / kLineBytes;
-    if (last_write_valid_ && unit == last_write_unit_ &&
-        line == last_write_line_) {
-      return Add::kDuplicate;
+    AAM_DCHECK(attempt_ != 0);  // configure() and begin_attempt() were called
+    AAM_DCHECK(offset < table_->covered_bytes());
+    const std::uint16_t written = read_tag_ | 1;
+    std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
+    if (unit_tag != written) {
+      check_owner();
+      unit_tag = written;
+      write_units_.push_back(offset >> shift_);
     }
-    // Every return of the slow path leaves `unit` in written_units_ and
-    // `line` in written_lines_, which is exactly what a memo hit asserts.
-    last_write_unit_ = unit;
-    last_write_line_ = line;
-    last_write_valid_ = true;
-    return add_write_slow(unit, line);
+    std::uint16_t& line_tag = table_->line_tags_[offset / kLineBytes];
+    if (line_tag == written) return Add::kDuplicate;
+    check_owner();
+    line_tag = written;
+    return count_write_line(offset / kLineBytes);
   }
 
-  /// Records a read (no associativity constraint, total budget only).
+  /// Records a read (no associativity constraint, total budget only). A
+  /// unit or line already written by this attempt is not re-tracked.
   Add add_read(std::uint64_t offset) {
-    const std::uint64_t unit = offset >> conflict_shift_;
-    const LineId line = offset / kLineBytes;
-    if (last_read_valid_ && unit == last_read_unit_ &&
-        line == last_read_line_) {
-      return Add::kDuplicate;
+    AAM_DCHECK(attempt_ != 0);
+    AAM_DCHECK(offset < table_->covered_bytes());
+    std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
+    if ((unit_tag | 1) != (read_tag_ | 1)) {
+      check_owner();
+      unit_tag = read_tag_;
+      read_units_.push_back(offset >> shift_);
     }
-    // Every return of the slow path leaves `unit` recorded (written or
-    // read side) and `line` present in written_lines_ or read_lines_set_ —
-    // a repeat call would return kDuplicate with no state change.
-    last_read_unit_ = unit;
-    last_read_line_ = line;
-    last_read_valid_ = true;
-    return add_read_slow(unit, line);
+    std::uint16_t& line_tag = table_->line_tags_[offset / kLineBytes];
+    if ((line_tag | 1) == (read_tag_ | 1)) return Add::kDuplicate;
+    check_owner();
+    line_tag = read_tag_;
+    if (++read_lines_ > read_capacity_lines_) return Add::kOverflow;
+    return Add::kOk;
+  }
+
+  /// True when this attempt wrote the conflict unit containing `offset`;
+  /// only then can the attempt's write buffer hold a word there.
+  bool wrote_unit(std::uint64_t offset) const {
+    return table_->unit_tags_[offset >> shift_] == (read_tag_ | 1);
   }
 
   /// Distinct conflict units written / read (validation + stamp bumping).
@@ -210,17 +272,21 @@ class FootprintTracker {
   std::size_t distinct_read_lines() const { return read_lines_; }
 
  private:
-  Add add_write_slow(std::uint64_t unit, LineId line);
-  Add add_read_slow(std::uint64_t unit, LineId line);
+  /// The interleaving guard: a first touch must come from the attempt
+  /// that owns the table, or it would stamp another body's footprint.
+  void check_owner() const {
+    AAM_CHECK_MSG(attempt_ == table_->attempt_,
+                  "footprint add from an attempt that does not own the table");
+  }
+  Add count_write_line(LineId line);
 
+  FootprintTable* table_ = nullptr;
+  std::uint32_t shift_ = 6;  ///< table_->conflict_shift(), kept hot
+  std::uint64_t attempt_ = 0;
+  std::uint16_t read_tag_ = 0;
   model::CacheGeometry write_geom_;
   std::uint32_t read_capacity_lines_ = 0;
-  std::uint32_t conflict_shift_ = 6;
 
-  EpochSet written_units_;
-  EpochSet read_units_set_;
-  EpochSet written_lines_;
-  EpochSet read_lines_set_;
   std::vector<std::uint64_t> write_units_;
   std::vector<std::uint64_t> read_units_;
   std::size_t write_lines_ = 0;
@@ -230,20 +296,6 @@ class FootprintTracker {
   std::vector<std::uint32_t> set_count_;
   std::vector<std::uint64_t> set_epoch_;
   std::uint64_t epoch_ = 1;
-
-  // Hot-path memo: the (conflict unit, line) of the previous add_write /
-  // add_read. Operator loops touch the same word or line repeatedly
-  // (parent[w] re-reads, accumulator read-modify-write), and a repeat of
-  // the immediately preceding access is by construction already present in
-  // every set, so it can answer kDuplicate without hashing. Invalidated by
-  // reset()/configure() only — an interleaved access to another address
-  // never falsifies what a memo asserts about its own (unit, line).
-  std::uint64_t last_write_unit_ = 0;
-  std::uint64_t last_write_line_ = 0;
-  bool last_write_valid_ = false;
-  std::uint64_t last_read_unit_ = 0;
-  std::uint64_t last_read_line_ = 0;
-  bool last_read_valid_ = false;
 };
 
 }  // namespace aam::mem

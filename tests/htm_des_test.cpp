@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "htm/des_engine.hpp"
 
 namespace aam::htm {
@@ -78,6 +80,81 @@ TEST(DesMachine, TxnWritesAreBufferedUntilCommit) {
   m.run();
   EXPECT_TRUE(saw_own_write);
   EXPECT_EQ(*x, 42u);
+}
+
+TEST(DesMachine, ReadYourOwnWritesThroughWriteBufferFilter) {
+  // A load consults the write buffer only when this attempt wrote the
+  // load's conflict unit. Store word A, then load A (buffered value) and
+  // its neighbour B in the same 64 B line (committed value): B shares A's
+  // unit on Haswell (64 B units) and not on BG/Q (8 B units). Both paths
+  // run the same accessors, so cover the speculative and the serialized.
+  struct Case {
+    const model::MachineConfig* config;
+    HtmKind kind;
+    std::uint32_t conflict_shift;
+    bool serialized;
+  };
+  const Case cases[] = {{&model::has_c(), HtmKind::kRtm, 6, false},
+                        {&model::has_c(), HtmKind::kRtm, 6, true},
+                        {&model::bgq(), HtmKind::kBgqShort, 3, false},
+                        {&model::bgq(), HtmKind::kBgqShort, 3, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(model::to_string(c.kind)) +
+                 (c.serialized ? " serialized" : " speculative"));
+    mem::SimHeap heap(1 << 16);
+    DesMachine m(*c.config, c.kind, 1, heap);
+    ASSERT_EQ(m.conflict_shift(), c.conflict_shift);
+    auto words = heap.alloc<std::uint64_t>(8);  // A and B share a line
+    ASSERT_EQ(heap.line_of(&words[0]), heap.line_of(&words[1]));
+    words[0] = 1;
+    words[1] = 2;
+    std::uint64_t seen_a = 0;
+    std::uint64_t seen_b = 0;
+    bool ran_serialized = false;
+    RepeatTxnWorker w(1, [&](Txn& tx) {
+      // Explicit aborts exhaust the retry budget and force serialization.
+      if (c.serialized && !tx.serialized()) tx.abort();
+      tx.store(words[0], std::uint64_t{10});
+      seen_a = tx.load(words[0]);
+      seen_b = tx.load(words[1]);
+      ran_serialized = tx.serialized();
+    });
+    m.set_worker(0, &w);
+    m.run();
+    EXPECT_EQ(ran_serialized, c.serialized);
+    EXPECT_EQ(seen_a, 10u);
+    EXPECT_EQ(seen_b, 2u);
+    EXPECT_EQ(words[0], 10u);
+    EXPECT_EQ(words[1], 2u);
+    EXPECT_EQ(m.stats().serialized, c.serialized ? 1u : 0u);
+  }
+}
+
+TEST(DesMachine, HeapAllocatedMidBodyIsTracked) {
+  // The footprint table covers the heap prefix in use when the attempt
+  // began; memory allocated inside the body extends it on first access.
+  mem::SimHeap heap(1 << 20);
+  DesMachine m(model::bgq(), HtmKind::kBgqShort, 1, heap);
+  std::uint64_t* late = nullptr;
+  RepeatTxnWorker w(1, [&](Txn& tx) {
+    late = heap.alloc<std::uint64_t>(4096, "late").data();
+    tx.store(late[4095], std::uint64_t{7});
+    EXPECT_EQ(tx.load(late[4095]), 7u);
+  });
+  m.set_worker(0, &w);
+  m.run();
+  EXPECT_EQ(late[4095], 7u);
+  EXPECT_EQ(m.thread_footprint(0).write_units().size(), 1u);
+}
+
+TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {
+  mem::SimHeap heap(1 << 16);
+  DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
+  heap.alloc<std::uint64_t>(8);
+  std::uint64_t off_heap = 0;
+  RepeatTxnWorker w(1, [&](Txn& tx) { (void)tx.load(off_heap); });
+  m.set_worker(0, &w);
+  EXPECT_DEATH(m.run(), "outside the SimHeap");
 }
 
 TEST(DesMachine, SubWordStoresSpliceCorrectly) {

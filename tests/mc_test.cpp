@@ -234,6 +234,13 @@ struct MutationCase {
   const char* minimized;  ///< exact canonical witness trace
 };
 
+// Without a printer gtest dumps the case's raw bytes, pointers included,
+// and gtest_discover_tests builds the test names from that dump — so the
+// names would change with every build and address-space layout.
+void PrintTo(const MutationCase& c, std::ostream* os) {
+  *os << c.workload << '-' << c.mechanism;
+}
+
 class McMutation : public ::testing::TestWithParam<MutationCase> {};
 
 TEST_P(McMutation, CaughtMinimizedAndReplayable) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
 #include "mem/footprint.hpp"
@@ -277,9 +279,24 @@ model::CacheGeometry small_geom() {
 
 constexpr std::uint64_t line_off(std::uint64_t line) { return line * 64; }
 
-TEST(FootprintTracker, TracksDistinctLines) {
+constexpr std::size_t kTableHeapBytes = 64 * 64;  // 64 lines
+
+/// A tracker with a table of its own, already inside its first attempt.
+struct Tracked {
+  explicit Tracked(std::uint32_t read_capacity_lines,
+                   std::uint32_t conflict_shift = 6)
+      : table(conflict_shift) {
+    table.cover(kTableHeapBytes);
+    t.configure(table, small_geom(), read_capacity_lines);
+    t.begin_attempt();
+  }
+  FootprintTable table;
   FootprintTracker t;
-  t.configure(small_geom(), 100);
+};
+
+TEST(FootprintTracker, TracksDistinctLines) {
+  Tracked f(100);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(line_off(1)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(line_off(1)), FootprintTracker::Add::kDuplicate);
   EXPECT_EQ(t.add_read(line_off(2)), FootprintTracker::Add::kOk);
@@ -291,8 +308,8 @@ TEST(FootprintTracker, TracksDistinctLines) {
 }
 
 TEST(FootprintTracker, AssociativityOverflow) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100);
+  Tracked f(100);
+  FootprintTracker& t = f.t;
   // Lines 0, 4, 8 all map to set 0 with 4 sets; 2 ways -> third overflows.
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(line_off(4)), FootprintTracker::Add::kOk);
@@ -300,8 +317,8 @@ TEST(FootprintTracker, AssociativityOverflow) {
 }
 
 TEST(FootprintTracker, SequentialLinesFillAllSets) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100);
+  Tracked f(100);
+  FootprintTracker& t = f.t;
   for (LineId l = 0; l < 8; ++l) {
     EXPECT_EQ(t.add_write(line_off(l)), FootprintTracker::Add::kOk) << l;
   }
@@ -309,8 +326,8 @@ TEST(FootprintTracker, SequentialLinesFillAllSets) {
 }
 
 TEST(FootprintTracker, ReadCapacityIsTotalOnly) {
-  FootprintTracker t;
-  t.configure(small_geom(), 5);
+  Tracked f(5);
+  FootprintTracker& t = f.t;
   // Reads have no associativity constraint: 5 lines in the same set are OK.
   for (LineId l = 0; l < 5; ++l) {
     EXPECT_EQ(t.add_read(line_off(l * 4)), FootprintTracker::Add::kOk);
@@ -319,11 +336,11 @@ TEST(FootprintTracker, ReadCapacityIsTotalOnly) {
 }
 
 TEST(FootprintTracker, ResetRestoresCapacity) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100);
+  Tracked f(100);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(line_off(4)), FootprintTracker::Add::kOk);
-  t.reset();
+  t.begin_attempt();
   EXPECT_EQ(t.distinct_write_lines(), 0u);
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(line_off(4)), FootprintTracker::Add::kOk);
@@ -333,28 +350,31 @@ TEST(FootprintTracker, ResetRestoresCapacity) {
 TEST(FootprintTracker, FineConflictUnitsWithinOneLine) {
   // BG/Q-style 8-byte conflict units: two words in one line are distinct
   // conflict units but a single capacity line.
-  FootprintTracker t;
-  t.configure(small_geom(), 100, /*conflict_shift=*/3);
+  Tracked f(100, /*conflict_shift=*/3);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(0), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(8), FootprintTracker::Add::kDuplicate);  // same line
   EXPECT_EQ(t.write_units().size(), 2u);
   EXPECT_EQ(t.distinct_write_lines(), 1u);
+  EXPECT_TRUE(t.wrote_unit(8));
+  EXPECT_FALSE(t.wrote_unit(16));  // same line, unwritten unit
 }
 
 TEST(FootprintTracker, CoarseUnitsMatchLines) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100, /*conflict_shift=*/6);
+  Tracked f(100, /*conflict_shift=*/6);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(0), FootprintTracker::Add::kOk);
   t.add_write(8);   // same 64B line and same unit
   EXPECT_EQ(t.write_units().size(), 1u);
   EXPECT_EQ(t.distinct_write_lines(), 1u);
+  EXPECT_TRUE(t.wrote_unit(56));
 }
 
 TEST(FootprintTracker, SequentialSameLineIsDuplicateWithoutSetGrowth) {
-  // The last-access memo: repeats of the immediately preceding access are
-  // kDuplicate and must not grow any set or unit list.
-  FootprintTracker t;
-  t.configure(small_geom(), 100, /*conflict_shift=*/6);
+  // Repeats of an access are kDuplicate and must not grow any unit list
+  // or line count.
+  Tracked f(100, /*conflict_shift=*/6);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(line_off(3)), FootprintTracker::Add::kOk);
   for (int i = 0; i < 5; ++i) {
     // Different word offsets within the same line and unit.
@@ -373,52 +393,242 @@ TEST(FootprintTracker, SequentialSameLineIsDuplicateWithoutSetGrowth) {
 }
 
 TEST(FootprintTracker, MemoDoesNotConfuseReadsWithWrites) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100);
-  // A read memo on a line must not short-circuit the first *write* to it:
-  // the write still has to enter the write sets and capacity model.
+  Tracked f(100);
+  FootprintTracker& t = f.t;
+  // A read of a line must not short-circuit the first *write* to it: the
+  // write still has to enter the write lists and the capacity model.
   EXPECT_EQ(t.add_read(line_off(1)), FootprintTracker::Add::kOk);
+  EXPECT_FALSE(t.wrote_unit(line_off(1)));
   EXPECT_EQ(t.add_write(line_off(1)), FootprintTracker::Add::kOk);
+  EXPECT_TRUE(t.wrote_unit(line_off(1)));
   EXPECT_EQ(t.distinct_write_lines(), 1u);
   EXPECT_EQ(t.write_units().size(), 1u);
   // And vice versa: after a write, the first read of that line reports
-  // kDuplicate (write set covers it) exactly as without the memo.
+  // kDuplicate (the write covers it).
   EXPECT_EQ(t.add_write(line_off(2)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_read(line_off(2)), FootprintTracker::Add::kDuplicate);
   EXPECT_EQ(t.read_units().size(), 1u);  // only line 1's unit
 }
 
 TEST(FootprintTracker, MemoClearedByReset) {
-  FootprintTracker t;
-  t.configure(small_geom(), 100);
+  // A new attempt forgets every tag of the previous one.
+  Tracked f(100);
+  FootprintTracker& t = f.t;
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kDuplicate);
-  t.reset();
-  // A stale memo would wrongly report kDuplicate here.
+  t.begin_attempt();
+  EXPECT_FALSE(t.wrote_unit(line_off(0)));
   EXPECT_EQ(t.add_write(line_off(0)), FootprintTracker::Add::kOk);
   EXPECT_EQ(t.add_read(line_off(9)), FootprintTracker::Add::kOk);
-  t.reset();
+  t.begin_attempt();
   EXPECT_EQ(t.add_read(line_off(9)), FootprintTracker::Add::kOk);
 }
 
 TEST(FootprintTracker, CapacityAbortCountsIdenticalWithInterleavedRepeats) {
   // Overflow must fire at exactly the same access whether or not repeated
-  // same-line touches (memo hits) are interleaved with the distinct ones.
-  FootprintTracker plain;
-  FootprintTracker noisy;
-  plain.configure(small_geom(), 100);
-  noisy.configure(small_geom(), 100);
+  // same-line touches are interleaved with the distinct ones.
+  Tracked plain(100);
+  Tracked noisy(100);
   for (LineId l = 0; l < 8; ++l) {
-    EXPECT_EQ(plain.add_write(line_off(l)), FootprintTracker::Add::kOk);
-    EXPECT_EQ(noisy.add_write(line_off(l)), FootprintTracker::Add::kOk);
-    EXPECT_EQ(noisy.add_write(line_off(l)), FootprintTracker::Add::kDuplicate);
-    EXPECT_EQ(noisy.add_write(line_off(l) + 8),
+    EXPECT_EQ(plain.t.add_write(line_off(l)), FootprintTracker::Add::kOk);
+    EXPECT_EQ(noisy.t.add_write(line_off(l)), FootprintTracker::Add::kOk);
+    EXPECT_EQ(noisy.t.add_write(line_off(l)),
+              FootprintTracker::Add::kDuplicate);
+    EXPECT_EQ(noisy.t.add_write(line_off(l) + 8),
               FootprintTracker::Add::kDuplicate);
   }
-  EXPECT_EQ(plain.add_write(line_off(8)), FootprintTracker::Add::kOverflow);
-  EXPECT_EQ(noisy.add_write(line_off(8)), FootprintTracker::Add::kOverflow);
-  EXPECT_EQ(plain.distinct_write_lines(), noisy.distinct_write_lines());
-  EXPECT_EQ(plain.write_units().size(), noisy.write_units().size());
+  EXPECT_EQ(plain.t.add_write(line_off(8)), FootprintTracker::Add::kOverflow);
+  EXPECT_EQ(noisy.t.add_write(line_off(8)), FootprintTracker::Add::kOverflow);
+  EXPECT_EQ(plain.t.distinct_write_lines(), noisy.t.distinct_write_lines());
+  EXPECT_EQ(plain.t.write_units().size(), noisy.t.write_units().size());
+}
+
+// Reference model of one attempt's footprint: the hashed-set semantics the
+// dense table replaces, written with std::set.
+class ReferenceFootprint {
+ public:
+  ReferenceFootprint(model::CacheGeometry geom, std::uint32_t read_capacity,
+                     std::uint32_t conflict_shift)
+      : geom_(geom), read_capacity_(read_capacity), shift_(conflict_shift) {}
+
+  void begin_attempt() {
+    *this = ReferenceFootprint(geom_, read_capacity_, shift_);
+  }
+
+  FootprintTracker::Add add_write(std::uint64_t offset) {
+    const std::uint64_t unit = offset >> shift_;
+    if (written_units_.insert(unit).second) write_units.push_back(unit);
+    const LineId line = offset / kLineBytes;
+    if (!written_lines_.insert(line).second) {
+      return FootprintTracker::Add::kDuplicate;
+    }
+    if (written_lines_.size() > geom_.capacity_lines() ||
+        ++set_count_[line % geom_.sets] > geom_.ways) {
+      return FootprintTracker::Add::kOverflow;
+    }
+    return FootprintTracker::Add::kOk;
+  }
+
+  FootprintTracker::Add add_read(std::uint64_t offset) {
+    const std::uint64_t unit = offset >> shift_;
+    if (!written_units_.contains(unit) && read_units_.insert(unit).second) {
+      read_units.push_back(unit);
+    }
+    const LineId line = offset / kLineBytes;
+    if (written_lines_.contains(line) || !read_lines_.insert(line).second) {
+      return FootprintTracker::Add::kDuplicate;
+    }
+    if (read_lines_.size() > read_capacity_) {
+      return FootprintTracker::Add::kOverflow;
+    }
+    return FootprintTracker::Add::kOk;
+  }
+
+  bool wrote_unit(std::uint64_t offset) const {
+    return written_units_.contains(offset >> shift_);
+  }
+
+  void expect_matches(const FootprintTracker& t) const {
+    EXPECT_EQ(t.write_units(), write_units);
+    EXPECT_EQ(t.read_units(), read_units);
+    EXPECT_EQ(t.distinct_write_lines(), written_lines_.size());
+    EXPECT_EQ(t.distinct_read_lines(), read_lines_.size());
+  }
+
+  std::vector<std::uint64_t> write_units;
+  std::vector<std::uint64_t> read_units;
+
+ private:
+  model::CacheGeometry geom_;
+  std::uint32_t read_capacity_;
+  std::uint32_t shift_;
+  std::set<std::uint64_t> written_units_;
+  std::set<std::uint64_t> read_units_;
+  std::set<LineId> written_lines_;
+  std::set<LineId> read_lines_;
+  std::map<std::size_t, std::uint32_t> set_count_;
+};
+
+/// Runs `ops` random adds on `t` and `ref` (offsets over `lines` lines, so
+/// repeats, read-after-write and write-after-read are common) and checks
+/// every result and the write-buffer filter against the model.
+void random_adds(util::Rng& rng, int ops, std::uint64_t lines,
+                 FootprintTracker& t, ReferenceFootprint& ref) {
+  for (int i = 0; i < ops; ++i) {
+    const std::uint64_t offset = rng.next_below(lines * kLineBytes) & ~7ULL;
+    if (rng.next_bool(0.4)) {
+      ASSERT_EQ(t.add_write(offset), ref.add_write(offset)) << offset;
+    } else {
+      ASSERT_EQ(t.add_read(offset), ref.add_read(offset)) << offset;
+    }
+    const std::uint64_t probe = rng.next_below(lines * kLineBytes);
+    ASSERT_EQ(t.wrote_unit(probe), ref.wrote_unit(probe)) << probe;
+  }
+}
+
+TEST(FootprintTracker, MatchesStdSetModelUnderRandomAdds) {
+  for (const std::uint32_t shift : {3u, 6u}) {
+    SCOPED_TRACE(shift);
+    FootprintTable table(shift);
+    table.cover(kTableHeapBytes);
+    FootprintTracker t;
+    // 8 write lines in 4x2 sets and 12 read lines: long attempts overflow.
+    t.configure(table, small_geom(), 12);
+    ReferenceFootprint ref(small_geom(), 12, shift);
+    util::Rng rng(0xf00d + shift);
+    std::uint64_t overflows = 0;
+    for (int attempt = 0; attempt < 400; ++attempt) {
+      t.begin_attempt();
+      ref.begin_attempt();
+      const int ops = static_cast<int>(rng.next_below(60)) + 1;
+      random_adds(rng, ops, /*lines=*/24, t, ref);
+      ref.expect_matches(t);
+      if (t.distinct_write_lines() > small_geom().capacity_lines() ||
+          t.distinct_read_lines() > 12) {
+        ++overflows;
+      }
+    }
+    EXPECT_GT(overflows, 0u);  // the capacity paths were exercised
+  }
+}
+
+TEST(FootprintTracker, TrackersSharingOneTableAlternate) {
+  // Two threads' trackers on one machine-wide table: each attempt owns the
+  // table in turn, and a tracker's lists outlive the next tracker's body.
+  for (const std::uint32_t shift : {3u, 6u}) {
+    SCOPED_TRACE(shift);
+    FootprintTable table(shift);
+    table.cover(kTableHeapBytes);
+    FootprintTracker a;
+    FootprintTracker b;
+    a.configure(table, small_geom(), 12);
+    b.configure(table, small_geom(), 12);
+    ReferenceFootprint ref_a(small_geom(), 12, shift);
+    ReferenceFootprint ref_b(small_geom(), 12, shift);
+    util::Rng rng(0xbeef + shift);
+    for (int round = 0; round < 200; ++round) {
+      a.begin_attempt();
+      ref_a.begin_attempt();
+      random_adds(rng, 20, /*lines=*/16, a, ref_a);
+      b.begin_attempt();
+      ref_b.begin_attempt();
+      random_adds(rng, 20, /*lines=*/16, b, ref_b);
+      // a's footprint survives b's attempt over the same lines.
+      ref_a.expect_matches(a);
+      ref_b.expect_matches(b);
+    }
+  }
+}
+
+TEST(FootprintTracker, AttemptIdWrapsKeepFirstTouchesExact) {
+  // More than two 15-bit id wraps: tags left by an attempt one wrap ago
+  // must never read as this attempt's.
+  FootprintTable table(/*conflict_shift=*/3);
+  table.cover(kTableHeapBytes);
+  FootprintTracker t;
+  t.configure(table, small_geom(), 12);
+  ReferenceFootprint ref(small_geom(), 12, 3);
+  util::Rng rng(7);
+  const std::uint64_t attempts = 2 * FootprintTable::kAttemptsPerWrap + 100;
+  for (std::uint64_t a = 0; a < attempts; ++a) {
+    t.begin_attempt();
+    ref.begin_attempt();
+    random_adds(rng, 3, /*lines=*/8, t, ref);
+    ref.expect_matches(t);
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+TEST(FootprintTracker, CoverGrowthKeepsTheAttemptsTags) {
+  FootprintTable table(/*conflict_shift=*/3);
+  table.cover(line_off(2));
+  FootprintTracker t;
+  t.configure(table, small_geom(), 12);
+  t.begin_attempt();
+  EXPECT_EQ(t.add_write(8), FootprintTracker::Add::kOk);
+  table.cover(line_off(16));
+  EXPECT_EQ(table.covered_bytes(), line_off(16));
+  EXPECT_TRUE(t.wrote_unit(8));
+  EXPECT_EQ(t.add_write(8), FootprintTracker::Add::kDuplicate);
+  EXPECT_EQ(t.add_read(line_off(15)), FootprintTracker::Add::kOk);
+  table.cover(line_off(4));  // never shrinks
+  EXPECT_EQ(table.covered_bytes(), line_off(16));
+}
+
+TEST(FootprintTrackerDeathTest, StaleTrackerIsCaught) {
+  // A tracker whose attempt no longer owns the table (another tracker
+  // began since) must not stamp first touches into it.
+  FootprintTable table(/*conflict_shift=*/6);
+  table.cover(kTableHeapBytes);
+  FootprintTracker stale;
+  FootprintTracker owner;
+  stale.configure(table, small_geom(), 12);
+  owner.configure(table, small_geom(), 12);
+  stale.begin_attempt();
+  EXPECT_EQ(stale.add_read(line_off(1)), FootprintTracker::Add::kOk);
+  owner.begin_attempt();
+  EXPECT_DEATH(stale.add_read(line_off(2)), "does not own the table");
+  EXPECT_DEATH(stale.add_write(line_off(1)), "does not own the table");
 }
 
 }  // namespace
