@@ -25,6 +25,10 @@ struct ColorState {
   std::vector<Vertex> worklist;
   core::ChunkCursor* cursor = nullptr;
   std::uint64_t recolor_requests = 0;
+  // pick_color() scratch, shared by all workers: they run on the machine's
+  // one host thread, and each call is done with it before it returns.
+  std::vector<std::uint32_t> neighbor_colors;
+  FirstFitScratch first_fit;
 };
 
 class ColorWorker : public htm::Worker {
@@ -64,7 +68,7 @@ class ColorWorker : public htm::Worker {
   // Checkpoint support. The worker RNG is part of the durable state: coin
   // flips after a restore must replay the original draws. batch_/coins_
   // are only live while a staged transaction is in flight (excluded at
-  // safe instants); used_ is transient within one pick_color call.
+  // safe instants).
   void save(util::BlobWriter& w) const {
     std::uint64_t rng_state[4];
     rng_.save_state(rng_state);
@@ -94,17 +98,12 @@ class ColorWorker : public htm::Worker {
   // (plain loads): the source of the inter-activity conflicts the failure
   // handler resolves.
   std::uint32_t pick_color(htm::ThreadCtx& ctx, Vertex v) {
-    used_.clear();
+    std::vector<std::uint32_t>& colors = state_.neighbor_colors;
+    colors.clear();
     for (Vertex w : state_.graph->neighbors(v)) {
-      used_.push_back(ctx.load(state_.color[w]));
+      colors.push_back(ctx.load(state_.color[w]));
     }
-    std::sort(used_.begin(), used_.end());
-    std::uint32_t candidate = 1;
-    for (std::uint32_t c : used_) {
-      if (c == candidate) ++candidate;
-      else if (c > candidate) break;
-    }
-    return candidate;
+    return first_fit_color(colors, state_.first_fit);
   }
 
   void visit(htm::ThreadCtx& ctx, std::size_t count) {
@@ -139,7 +138,6 @@ class ColorWorker : public htm::Worker {
   util::Rng rng_;
   std::vector<Tentative> pending_;
   std::vector<Tentative> batch_;
-  std::vector<std::uint32_t> used_;
   std::vector<bool> coins_;
   std::vector<Vertex> next_worklist_;
   bool done_scanning_ = false;
@@ -228,6 +226,24 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
   result.total_time_ns = machine.makespan();
   result.stats = machine.stats();
   return result;
+}
+
+std::uint32_t first_fit_color(std::span<const std::uint32_t> colors,
+                              FirstFitScratch& scratch) {
+  // The answer lies in [1, k + 1] for k colors, so larger ones are skipped.
+  const std::size_t bound = colors.size() + 1;
+  if (scratch.seen.size() <= bound) scratch.seen.resize(bound + 1, 0);
+  if (++scratch.stamp == 0) {
+    // The stamp wrapped: stale marks would alias the new one.
+    std::fill(scratch.seen.begin(), scratch.seen.end(), 0);
+    scratch.stamp = 1;
+  }
+  for (std::uint32_t c : colors) {
+    if (c <= bound) scratch.seen[c] = scratch.stamp;
+  }
+  std::uint32_t candidate = 1;
+  while (scratch.seen[candidate] == scratch.stamp) ++candidate;
+  return candidate;
 }
 
 bool validate_coloring(const graph::Graph& graph,

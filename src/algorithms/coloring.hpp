@@ -11,6 +11,7 @@
 // it on the next round's worklist. Rounds repeat until conflict-free.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -46,6 +47,19 @@ struct ColoringResult {
 ColoringResult run_boman_coloring(htm::DesMachine& machine,
                                   const graph::Graph& graph,
                                   const ColoringOptions& options);
+
+/// Reusable scratch of first_fit_color(): seen[c] == stamp marks color c
+/// as taken in the current call, so no call clears the array.
+struct FirstFitScratch {
+  std::vector<std::uint32_t> seen;
+  std::uint32_t stamp = 0;
+};
+
+/// Smallest color >= 1 not in `colors` (0, "uncolored", is ignored). Only
+/// colors up to colors.size() + 1 can block the answer, so the work is
+/// O(colors.size()) with no sort.
+std::uint32_t first_fit_color(std::span<const std::uint32_t> colors,
+                              FirstFitScratch& scratch);
 
 /// True iff no edge connects two equal non-zero colors and all vertices
 /// are colored.

@@ -40,6 +40,15 @@ std::string CrashDiagnostic::to_string() const {
 
 void Txn::abort() { throw TxAbort{AbortReason::kExplicit}; }
 
+void Txn::cover_heap_address(std::uintptr_t addr) {
+  DesMachine& m = *machine_;
+  AAM_CHECK_MSG(m.heap_.contains(reinterpret_cast<const void*>(addr)),
+                "transactional access to memory outside the SimHeap");
+  // Allocated after the attempt began.
+  m.footprints_.cover(m.heap_.used_bytes());
+  covered_bytes_ = m.footprints_.covered_bytes();
+}
+
 // ---------------------------------------------------------------------------
 // ThreadCtx
 // ---------------------------------------------------------------------------
@@ -141,10 +150,11 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
     ts->ctx.machine_ = this;
     ts->ctx.tid_ = static_cast<std::uint32_t>(t);
     ts->ctx.rng_ = root.fork(static_cast<std::uint64_t>(t) + 1);
-    ts->tracker.configure(footprints_, costs_.write_capacity,
-                          costs_.read_capacity_lines);
+    ts->txn.tracker_.configure(footprints_, costs_.write_capacity,
+                               costs_.read_capacity_lines);
     ts->txn.machine_ = this;
-    ts->txn.tid_ = static_cast<std::uint32_t>(t);
+    ts->txn.heap_base_ =
+        reinterpret_cast<std::uintptr_t>(heap_.raw_bytes().data());
     threads_.push_back(std::move(ts));
   }
 }
@@ -181,7 +191,7 @@ const HtmStats& DesMachine::thread_stats(std::uint32_t tid) const {
 const mem::FootprintTracker& DesMachine::thread_footprint(
     std::uint32_t tid) const {
   AAM_CHECK(tid < threads_.size());
-  return threads_[tid]->tracker;
+  return threads_[tid]->txn.tracker_;
 }
 
 void DesMachine::reset_clocks(double t, bool clear_stats) {
@@ -333,10 +343,10 @@ sim::ChoiceKind DesMachine::classify_choice(const sim::Event& e) const {
 bool DesMachine::commit_would_conflict(std::uint32_t tid) const {
   const auto& ts = *threads_[tid];
   AAM_CHECK_MSG(ts.txn_inflight, "commit_would_conflict without a txn");
-  for (std::uint64_t unit : ts.tracker.read_units()) {
+  for (std::uint64_t unit : ts.txn.tracker_.read_units()) {
     if (unit_stamps_[unit] > ts.start_stamp) return true;
   }
-  for (std::uint64_t unit : ts.tracker.write_units()) {
+  for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
     if (unit_stamps_[unit] > ts.start_stamp) return true;
   }
   return false;
@@ -481,17 +491,27 @@ void DesMachine::on_next(std::uint32_t tid) {
   }
 }
 
-void DesMachine::begin_footprint(ThreadState& ts) {
-  ts.write_buffer.clear();
+void DesMachine::begin_footprint(ThreadState& ts, double start,
+                                 bool serialized) {
+  Txn& tx = ts.txn;
+  tx.start_ = start;
+  tx.serialized_ = serialized;
+  // Each charge is the sum the path pays per access, added to the duration
+  // in one step.
+  const auto& a = config_.atomics;
+  if (serialized) {
+    tx.duration_ = costs_.serialize_acquire_ns;
+    tx.load_ns_ = a.load_ns;
+    tx.store_ns_ = a.store_ns;
+  } else {
+    tx.duration_ = costs_.begin_ns;
+    tx.load_ns_ = costs_.read_ns + a.load_ns;
+    tx.store_ns_ = costs_.write_ns + a.store_ns;
+  }
+  tx.write_buffer_.clear();
   footprints_.cover(heap_.used_bytes());
-  ts.tracker.begin_attempt();
-}
-
-void DesMachine::cover_heap_address(std::uintptr_t addr) {
-  AAM_CHECK_MSG(heap_.contains(reinterpret_cast<const void*>(addr)),
-                "transactional access to memory outside the SimHeap");
-  // Allocated after the attempt began.
-  footprints_.cover(heap_.used_bytes());
+  tx.covered_bytes_ = footprints_.covered_bytes();
+  tx.tracker_.begin_attempt();
 }
 
 void DesMachine::attempt_speculative(std::uint32_t tid) {
@@ -513,14 +533,10 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
   }
 
   ++ts.stats.started;
-  ts.spec_start = start;
   ts.start_stamp = commit_stamp_;
-  ts.txn_duration = costs_.begin_ns;
-  begin_footprint(ts);
+  begin_footprint(ts, start, /*serialized=*/false);
   // Subscribe to the domain's fallback lock word (lazy subscription).
-  ts.tracker.add_read(heap_.offset_of(dom.lock));
-  ts.txn.start_ = start;
-  ts.txn.serialized_ = false;
+  ts.txn.tracker_.add_read(heap_.offset_of(dom.lock));
 
   AbortReason reason{};
   bool aborted = false;
@@ -535,24 +551,24 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
     // Stragglers run their speculative work slower too, widening the
     // window in which they can be conflicted out.
     const double factor = fault_hook_->slowdown(tid, start);
-    if (factor > 1.0) ts.txn_duration *= factor;
+    if (factor > 1.0) ts.txn.duration_ *= factor;
   }
 
   if (aborted) {
     // The footprint accumulated up to the faulting access was paid for.
-    handle_abort(tid, reason, start + ts.txn_duration);
+    handle_abort(tid, reason, start + ts.txn.duration_);
     return;
   }
 
-  ts.txn_duration += costs_.commit_ns;
+  ts.txn.duration_ += costs_.commit_ns;
 
   // Injected faults come first, *before* the machine's own model, so every
   // injector fire maps to exactly one observed kOther abort (the injected
   // count and the stats delta must agree — abort.hpp's exactness contract).
   if (fault_hook_ != nullptr) {
     double frac = 0;
-    if (fault_hook_->inject_other_abort(tid, start, ts.txn_duration, frac)) {
-      handle_abort(tid, AbortReason::kOther, start + frac * ts.txn_duration);
+    if (fault_hook_->inject_other_abort(tid, start, ts.txn.duration_, frac)) {
+      handle_abort(tid, AbortReason::kOther, start + frac * ts.txn.duration_);
       return;
     }
   }
@@ -560,10 +576,10 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
   // Injected asynchronous aborts (interrupts etc.), duration-proportional.
   if (costs_.other_abort_per_us > 0) {
     const double p =
-        1.0 - std::exp(-costs_.other_abort_per_us * ts.txn_duration / 1e3);
+        1.0 - std::exp(-costs_.other_abort_per_us * ts.txn.duration_ / 1e3);
     if (ts.ctx.rng_.next_bool(p)) {
       const double frac = ts.ctx.rng_.next_double();
-      handle_abort(tid, AbortReason::kOther, start + frac * ts.txn_duration);
+      handle_abort(tid, AbortReason::kOther, start + frac * ts.txn.duration_);
       return;
     }
   }
@@ -575,14 +591,14 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
         static_cast<double>(threads_.size() - 1) /
         static_cast<double>(std::max(1, config_.max_threads() - 1));
     const double footprint =
-        static_cast<double>(ts.tracker.distinct_write_lines() +
-                            ts.tracker.distinct_read_lines());
+        static_cast<double>(ts.txn.tracker_.distinct_write_lines() +
+                            ts.txn.tracker_.distinct_read_lines());
     const double p = 1.0 - std::exp(-costs_.smt_evict_per_line * footprint *
                                     pressure);
     if (ts.ctx.rng_.next_bool(p)) {
       const double frac = ts.ctx.rng_.next_double();
       handle_abort(tid, AbortReason::kCapacity,
-                   start + frac * ts.txn_duration);
+                   start + frac * ts.txn.duration_);
       return;
     }
   }
@@ -591,7 +607,7 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
   // commit. A transaction whose footprint was overwritten early aborts at
   // the midpoint, wasting half the work — as on real HTM, where a
   // conflicting remote write invalidates the speculative line immediately.
-  queue_.push(start + ts.txn_duration * 0.5, tid, kCommit, /*probe=*/0);
+  queue_.push(start + ts.txn.duration_ * 0.5, tid, kCommit, /*probe=*/0);
 }
 
 void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
@@ -605,7 +621,7 @@ void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
   // a planted defect the model checker's mutation fixtures must catch.
   bool conflict = false;
   if (seeded_bug_ != SeededBug::kSkipReadValidation) {
-    for (std::uint64_t unit : ts.tracker.read_units()) {
+    for (std::uint64_t unit : ts.txn.tracker_.read_units()) {
       if (unit_stamps_[unit] > ts.start_stamp) {
         conflict = true;
         break;
@@ -613,7 +629,7 @@ void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
     }
   }
   if (!conflict) {
-    for (std::uint64_t unit : ts.tracker.write_units()) {
+    for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
       if (unit_stamps_[unit] > ts.start_stamp) {
         conflict = true;
         break;
@@ -626,14 +642,15 @@ void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
   }
   if (is_final == 0) {
     // Midpoint probe passed: proceed to the real commit point.
-    queue_.push(ts.spec_start + ts.txn_duration, tid, kCommit, 1);
+    queue_.push(ts.txn.start_ + ts.txn.duration_, tid, kCommit, 1);
     return;
   }
 
-  ts.write_buffer.for_each([this](std::uintptr_t addr, std::uint64_t word) {
-    write_committed_word(addr, word);
-  });
-  for (std::uint64_t unit : ts.tracker.write_units()) {
+  ts.txn.write_buffer_.for_each(
+      [this](std::uintptr_t addr, std::uint64_t word) {
+        write_committed_word(addr, word);
+      });
+  for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
     bump_unit(unit);
   }
   ++ts.stats.committed;
@@ -707,11 +724,7 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
   // this domain: they subscribed to this word and will fail validation.
   bump_addr(dom.lock);
 
-  ts.spec_start = start;
-  ts.txn_duration = costs_.serialize_acquire_ns;
-  begin_footprint(ts);
-  ts.txn.start_ = start;
-  ts.txn.serialized_ = true;
+  begin_footprint(ts, start, /*serialized=*/true);
 
   bool aborted = false;
   try {
@@ -722,16 +735,16 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
     AAM_CHECK_MSG(a.reason == AbortReason::kExplicit,
                   "non-explicit abort on the serialized path");
     aborted = true;
-    ts.write_buffer.clear();
+    ts.txn.write_buffer_.clear();
   }
   (void)aborted;
 
   if (fault_hook_ != nullptr) {
     const double factor = fault_hook_->slowdown(tid, start);
-    if (factor > 1.0) ts.txn_duration *= factor;
+    if (factor > 1.0) ts.txn.duration_ *= factor;
   }
 
-  const double end = start + ts.txn_duration;
+  const double end = start + ts.txn.duration_;
   dom.free_at = end;
   queue_.push(end, tid, kSerialCommit);
 }
@@ -739,10 +752,11 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
 void DesMachine::on_serial_commit(std::uint32_t tid) {
   auto& ts = *threads_[tid];
   const double end = now_;
-  ts.write_buffer.for_each([this](std::uintptr_t addr, std::uint64_t word) {
-    write_committed_word(addr, word);
-  });
-  for (std::uint64_t unit : ts.tracker.write_units()) {
+  ts.txn.write_buffer_.for_each(
+      [this](std::uintptr_t addr, std::uint64_t word) {
+        write_committed_word(addr, word);
+      });
+  for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
     bump_unit(unit);
   }
   SerialDomain& dom = domain_of(tid);
@@ -907,7 +921,7 @@ void DesMachine::restore_core(util::BlobReader& r) {
     ts.aborts_this_txn = 0;
     ts.capacity_aborts_this_txn = 0;
     ts.escalated_this_txn = false;
-    ts.write_buffer.clear();
+    ts.txn.write_buffer_.clear();
   }
 
   const std::uint64_t num_domains = r.get<std::uint64_t>();

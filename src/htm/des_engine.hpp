@@ -99,25 +99,42 @@ class Txn {
   /// Virtual time at which this attempt began.
   double start_time() const { return start_; }
 
+  Txn(const Txn&) = delete;
+  Txn& operator=(const Txn&) = delete;
+
  private:
   friend class DesMachine;
   Txn() = default;
 
-  // Defined inline at the bottom of this header (they need DesMachine):
-  // they run once per modelled transactional access.
+  // Defined inline at the bottom of this header: they run once per
+  // modelled transactional access and inline into the operator body.
   /// Heap offset of `addr`; aborts when the address is off-heap.
-  std::uint64_t checked_offset(std::uintptr_t addr) const;
+  std::uint64_t checked_offset(std::uintptr_t addr);
   std::uint64_t load_word(std::uintptr_t addr);
   /// The word containing `addr` as this attempt sees it (own buffered
   /// write, else committed memory), with no footprint or cost.
   std::uint64_t current_word(std::uint64_t offset, std::uintptr_t addr) const;
   void store_word(std::uint64_t offset, std::uintptr_t addr,
                   std::uint64_t word);
+  /// Cold path of checked_offset for an address past the cached cover:
+  /// aborts when it is off-heap, else extends the footprint table's cover
+  /// to memory allocated since the attempt began and refreshes the cache.
+  void cover_heap_address(std::uintptr_t addr);
 
   DesMachine* machine_ = nullptr;
-  std::uint32_t tid_ = 0;
+  std::uintptr_t heap_base_ = 0;
+
+  // The attempt's access path, set up by DesMachine::begin_footprint(): the
+  // per-access charges of its path (speculative or serialized), a copy of
+  // the footprint table's cover, and the attempt-scoped footprint.
   double start_ = 0;
   bool serialized_ = false;
+  std::size_t covered_bytes_ = 0;  ///< FootprintTable::covered_bytes() copy
+  double load_ns_ = 0;   ///< charge per load
+  double store_ns_ = 0;  ///< charge per store
+  double duration_ = 0;  ///< accumulated cost of the attempt
+  mem::WordMap write_buffer_;
+  mem::FootprintTracker tracker_;
 };
 
 using TxnBody = std::function<void(Txn&)>;
@@ -445,12 +462,8 @@ class DesMachine {
     int consec_aborts = 0;
     bool escalated_this_txn = false;
     double first_start = 0;   ///< time of the first speculative attempt
-    double spec_start = 0;    ///< time of the current attempt
     std::uint64_t start_stamp = 0;  ///< global commit stamp at attempt start
-    double txn_duration = 0;  ///< accumulated cost of the current attempt
-    mem::WordMap write_buffer;
-    mem::FootprintTracker tracker;
-    Txn txn;
+    Txn txn;  ///< the current attempt's access path and footprint
     HtmStats stats;
   };
 
@@ -464,18 +477,11 @@ class DesMachine {
   void enter_serialized(std::uint32_t tid, double ready_time);
   void on_serial_commit(std::uint32_t tid);
   void finish_txn(std::uint32_t tid, bool serialized, double end_time);
-  /// Starts `ts`'s attempt on an empty write buffer and footprint.
-  void begin_footprint(ThreadState& ts);
-  /// Cold path of Txn::checked_offset for an address past the footprint
-  /// table's cover: aborts when it is off-heap, else extends the cover.
-  void cover_heap_address(std::uintptr_t addr);
+  /// Starts `ts`'s attempt at `start` on an empty write buffer and
+  /// footprint, charging the costs of the speculative or serialized path.
+  void begin_footprint(ThreadState& ts, double start, bool serialized);
 
-  // Word-granularity committed-memory access helpers for Txn.
-  std::uint64_t read_committed_word(std::uintptr_t addr) const {
-    std::uint64_t word;
-    std::memcpy(&word, reinterpret_cast<const void*>(addr), 8);
-    return word;
-  }
+  /// Commit write-back of one buffered word.
   void write_committed_word(std::uintptr_t addr, std::uint64_t word) {
     std::memcpy(reinterpret_cast<void*>(addr), &word, 8);
     if (write_observer_ != nullptr) {
@@ -559,32 +565,24 @@ class DesMachine {
 // table-index-and-charge sequences with no cross-TU calls.
 // ---------------------------------------------------------------------------
 
-inline std::uint64_t Txn::checked_offset(std::uintptr_t addr) const {
-  DesMachine& m = *machine_;
+inline std::uint64_t Txn::checked_offset(std::uintptr_t addr) {
   // An address below the heap wraps to a huge offset: one compare covers
   // both ends.
-  const std::uint64_t offset =
-      addr - reinterpret_cast<std::uintptr_t>(m.heap_.raw_bytes().data());
-  if (offset >= m.footprints_.covered_bytes()) [[unlikely]] {
-    m.cover_heap_address(addr);
+  const std::uint64_t offset = addr - heap_base_;
+  if (offset >= covered_bytes_) [[unlikely]] {
+    cover_heap_address(addr);
   }
   return offset;
 }
 
 inline std::uint64_t Txn::load_word(std::uintptr_t addr) {
-  DesMachine& m = *machine_;
-  auto& ts = *m.threads_[tid_];
   const std::uint64_t offset = checked_offset(addr);
-
-  if (serialized_) {
-    ts.txn_duration += m.config_.atomics.load_ns;
-    // Track the unit (no capacity limits) so stamps bump at commit.
-    ts.tracker.add_read(offset);
-  } else {
-    ts.txn_duration += m.costs_.read_ns + m.config_.atomics.load_ns;
-    if (ts.tracker.add_read(offset) == mem::FootprintTracker::Add::kOverflow) {
-      throw TxAbort{AbortReason::kCapacity};
-    }
+  duration_ += load_ns_;
+  // The serialized path tracks the unit too (so stamps bump at commit) but
+  // has no capacity limit.
+  if (tracker_.add_read(offset) == mem::FootprintTracker::Add::kOverflow &&
+      !serialized_) [[unlikely]] {
+    throw TxAbort{AbortReason::kCapacity};
   }
   return current_word(offset, addr);
 }
@@ -594,32 +592,23 @@ inline std::uint64_t Txn::current_word(std::uint64_t offset,
   // Every buffered word lies in a unit this attempt wrote (store_word
   // records the write before buffering), so an unwritten unit skips the
   // write-buffer probe.
-  DesMachine& m = *machine_;
-  auto& ts = *m.threads_[tid_];
   const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
   std::uint64_t word;
-  if (!ts.tracker.wrote_unit(offset) ||
-      !ts.write_buffer.lookup(word_addr, word)) {
-    word = m.read_committed_word(word_addr);
+  if (!tracker_.wrote_unit(offset) ||
+      !write_buffer_.lookup(word_addr, word)) {
+    std::memcpy(&word, reinterpret_cast<const void*>(word_addr), 8);
   }
   return word;
 }
 
 inline void Txn::store_word(std::uint64_t offset, std::uintptr_t addr,
                             std::uint64_t word) {
-  DesMachine& m = *machine_;
-  auto& ts = *m.threads_[tid_];
-  if (serialized_) {
-    ts.txn_duration += m.config_.atomics.store_ns;
-    ts.tracker.add_write(offset);
-  } else {
-    ts.txn_duration += m.costs_.write_ns + m.config_.atomics.store_ns;
-    if (ts.tracker.add_write(offset) == mem::FootprintTracker::Add::kOverflow) {
-      throw TxAbort{AbortReason::kCapacity};
-    }
+  duration_ += store_ns_;
+  if (tracker_.add_write(offset) == mem::FootprintTracker::Add::kOverflow &&
+      !serialized_) [[unlikely]] {
+    throw TxAbort{AbortReason::kCapacity};
   }
-  const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
-  ts.write_buffer.insert_or_assign(word_addr, word);
+  write_buffer_.insert_or_assign(addr & ~std::uintptr_t{7}, word);
 }
 
 inline void ThreadCtx::charge_load() {

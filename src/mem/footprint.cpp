@@ -101,7 +101,19 @@ void FootprintTracker::begin_attempt() {
   ++epoch_;
 }
 
-FootprintTracker::Add FootprintTracker::count_write_line(LineId line) {
+FootprintTracker::Add FootprintTracker::first_write(std::uint64_t offset) {
+  const std::uint16_t written = read_tag_ | 1;
+  std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
+  if (unit_tag != written) {
+    check_owner();
+    unit_tag = written;
+    write_units_.push_back(offset >> shift_);
+  }
+  const LineId line = offset / kLineBytes;
+  std::uint16_t& line_tag = table_->line_tags_[line];
+  if (line_tag == written) return Add::kDuplicate;
+  check_owner();
+  line_tag = written;
   ++write_lines_;
   if (write_lines_ > write_geom_.capacity_lines()) {
     return Add::kOverflow;
@@ -116,6 +128,22 @@ FootprintTracker::Add FootprintTracker::count_write_line(LineId line) {
   if (++set_count_[set] > write_geom_.ways) {
     return Add::kOverflow;  // associativity eviction of speculative state
   }
+  return Add::kOk;
+}
+
+FootprintTracker::Add FootprintTracker::first_read(std::uint64_t offset) {
+  const std::uint16_t seen = read_tag_ | 1;
+  std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
+  if ((unit_tag | 1) != seen) {
+    check_owner();
+    unit_tag = read_tag_;
+    read_units_.push_back(offset >> shift_);
+  }
+  std::uint16_t& line_tag = table_->line_tags_[offset / kLineBytes];
+  if ((line_tag | 1) == seen) return Add::kDuplicate;
+  check_owner();
+  line_tag = read_tag_;
+  if (++read_lines_ > read_capacity_lines_) return Add::kOverflow;
   return Add::kOk;
 }
 

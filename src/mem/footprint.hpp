@@ -17,7 +17,8 @@
 // The accessor hot paths (EpochSet/WordMap probes, FootprintTracker adds)
 // are defined inline here: they run several times per modelled memory
 // access, and the cross-TU call overhead is measurable in end-to-end
-// throughput. Growth/rehash cold paths stay in the .cpp.
+// throughput. Growth/rehash and first-touch cold paths stay in the .cpp,
+// which keeps the inline parts small enough to inline into callers.
 
 #include <cstdint>
 #include <vector>
@@ -220,40 +221,31 @@ class FootprintTracker {
   enum class Add : std::uint8_t { kOk, kOverflow, kDuplicate };
 
   /// Records a write at heap offset `offset`; kOverflow = capacity abort.
+  /// Inline part: a unit and a line this attempt already wrote cost two
+  /// tag compares; any first touch takes the outlined first_write().
   Add add_write(std::uint64_t offset) {
     AAM_DCHECK(attempt_ != 0);  // configure() and begin_attempt() were called
     AAM_DCHECK(offset < table_->covered_bytes());
     const std::uint16_t written = read_tag_ | 1;
-    std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
-    if (unit_tag != written) {
-      check_owner();
-      unit_tag = written;
-      write_units_.push_back(offset >> shift_);
+    if (table_->unit_tags_[offset >> shift_] == written &&
+        table_->line_tags_[offset / kLineBytes] == written) [[likely]] {
+      return Add::kDuplicate;
     }
-    std::uint16_t& line_tag = table_->line_tags_[offset / kLineBytes];
-    if (line_tag == written) return Add::kDuplicate;
-    check_owner();
-    line_tag = written;
-    return count_write_line(offset / kLineBytes);
+    return first_write(offset);
   }
 
   /// Records a read (no associativity constraint, total budget only). A
   /// unit or line already written by this attempt is not re-tracked.
+  /// Inline part as in add_write(); first touches take first_read().
   Add add_read(std::uint64_t offset) {
     AAM_DCHECK(attempt_ != 0);
     AAM_DCHECK(offset < table_->covered_bytes());
-    std::uint16_t& unit_tag = table_->unit_tags_[offset >> shift_];
-    if ((unit_tag | 1) != (read_tag_ | 1)) {
-      check_owner();
-      unit_tag = read_tag_;
-      read_units_.push_back(offset >> shift_);
+    const std::uint16_t seen = read_tag_ | 1;
+    if ((table_->unit_tags_[offset >> shift_] | 1) == seen &&
+        (table_->line_tags_[offset / kLineBytes] | 1) == seen) [[likely]] {
+      return Add::kDuplicate;
     }
-    std::uint16_t& line_tag = table_->line_tags_[offset / kLineBytes];
-    if ((line_tag | 1) == (read_tag_ | 1)) return Add::kDuplicate;
-    check_owner();
-    line_tag = read_tag_;
-    if (++read_lines_ > read_capacity_lines_) return Add::kOverflow;
-    return Add::kOk;
+    return first_read(offset);
   }
 
   /// True when this attempt wrote the conflict unit containing `offset`;
@@ -278,7 +270,10 @@ class FootprintTracker {
     AAM_CHECK_MSG(attempt_ == table_->attempt_,
                   "footprint add from an attempt that does not own the table");
   }
-  Add count_write_line(LineId line);
+  // Cold halves of add_write()/add_read(): stamp the first-touched unit
+  // and line, list the unit, count the line against the capacity.
+  Add first_write(std::uint64_t offset);
+  Add first_read(std::uint64_t offset);
 
   FootprintTable* table_ = nullptr;
   std::uint32_t shift_ = 6;  ///< table_->conflict_shift(), kept hot

@@ -64,7 +64,7 @@ class BlobReader {
   template <typename T>
   T get() {
     static_assert(std::is_trivially_copyable_v<T>);
-    AAM_CHECK_MSG(pos_ + sizeof(T) <= len_, "truncated snapshot blob");
+    AAM_CHECK_MSG(sizeof(T) <= len_ - pos_, "truncated snapshot blob");
     T value;
     std::memcpy(&value, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -75,9 +75,11 @@ class BlobReader {
   std::vector<T> get_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = get<std::uint64_t>();
-    AAM_CHECK_MSG(pos_ + n * sizeof(T) <= len_, "truncated snapshot blob");
+    // Divide, not multiply: a hostile length prefix cannot wrap n * sizeof(T).
+    AAM_CHECK_MSG(n <= (len_ - pos_) / sizeof(T), "truncated snapshot blob");
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (n != 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -87,14 +89,14 @@ class BlobReader {
   void get_bytes_into(void* out, std::size_t expect) {
     const std::uint64_t n = get<std::uint64_t>();
     AAM_CHECK_MSG(n == expect, "snapshot byte-run length mismatch");
-    AAM_CHECK_MSG(pos_ + n <= len_, "truncated snapshot blob");
+    AAM_CHECK_MSG(n <= len_ - pos_, "truncated snapshot blob");
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
 
   std::string get_string() {
     const std::uint64_t n = get<std::uint64_t>();
-    AAM_CHECK_MSG(pos_ + n <= len_, "truncated snapshot blob");
+    AAM_CHECK_MSG(n <= len_ - pos_, "truncated snapshot blob");
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/boruvka.hpp"
@@ -281,6 +285,66 @@ TEST(Coloring, BipartiteUsesTwoColors) {
   const ColoringResult result = run_boman_coloring(machine, g, {});
   EXPECT_TRUE(validate_coloring(g, result.color));
   EXPECT_LE(result.colors_used, 3u);
+}
+
+/// The sort-based pick that first_fit_color() replaced: smallest color
+/// >= 1 absent from `colors`.
+std::uint32_t sorted_first_fit(std::vector<std::uint32_t> colors) {
+  std::sort(colors.begin(), colors.end());
+  std::uint32_t candidate = 1;
+  for (std::uint32_t c : colors) {
+    if (c == candidate) ++candidate;
+    else if (c > candidate) break;
+  }
+  return candidate;
+}
+
+TEST(FirstFitColor, MatchesSortedReference) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  FirstFitScratch scratch;  // shared by every case, as in the coloring run
+  const std::vector<std::vector<std::uint32_t>> fixed = {
+      {},
+      {0, 0, 0},
+      {1},
+      {1, 1, 2, 2, 3},
+      {3, 2, 1},
+      {2, 3, 4},
+      {1, 2, 3, 4},
+      {7, 8, 9},
+      {kMax},
+      {1, kMax, 2, kMax - 1, 0},
+  };
+  for (const auto& colors : fixed) {
+    EXPECT_EQ(first_fit_color(colors, scratch), sorted_first_fit(colors))
+        << ::testing::PrintToString(colors);
+  }
+  // Random multisets mixing uncolored (0), duplicates, values past
+  // degree + 1 and UINT32_MAX, at every size up to 40.
+  util::Rng rng(17);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<std::uint32_t> colors(rng.next_below(41));
+    const std::uint64_t range = colors.size() + 3;
+    for (std::uint32_t& c : colors) {
+      const std::uint64_t pick = rng.next_below(8);
+      if (pick == 0) c = 0;
+      else if (pick == 1) c = kMax;
+      else if (pick == 2) c = static_cast<std::uint32_t>(rng.next_below(kMax));
+      else c = static_cast<std::uint32_t>(1 + rng.next_below(range));
+    }
+    ASSERT_EQ(first_fit_color(colors, scratch), sorted_first_fit(colors))
+        << ::testing::PrintToString(colors);
+  }
+}
+
+TEST(FirstFitColor, SurvivesStampWrap) {
+  FirstFitScratch scratch;
+  const std::vector<std::uint32_t> colors = {1, 2, 4};
+  EXPECT_EQ(first_fit_color(colors, scratch), 3u);
+  // The next call wraps the stamp; marks from before must not leak in.
+  scratch.stamp = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(first_fit_color(std::vector<std::uint32_t>{2}, scratch), 1u);
+  EXPECT_EQ(scratch.stamp, 1u);
+  EXPECT_EQ(first_fit_color(colors, scratch), 3u);
 }
 
 // ---------------------------------------------------------------- Boruvka

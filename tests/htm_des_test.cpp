@@ -147,6 +147,138 @@ TEST(DesMachine, HeapAllocatedMidBodyIsTracked) {
   EXPECT_EQ(m.thread_footprint(0).write_units().size(), 1u);
 }
 
+/// `base` with kind's asynchronous "other" aborts switched off, so a body
+/// that fits its capacity commits on its first attempt.
+model::MachineConfig without_other_aborts(const model::MachineConfig& base,
+                                          HtmKind kind) {
+  model::MachineConfig config = base;
+  config.htm_costs_[static_cast<int>(kind)].other_abort_per_us = 0;
+  return config;
+}
+
+struct CostCase {
+  const model::MachineConfig* config;
+  HtmKind kind;
+  bool serialized;
+};
+
+std::string describe(const CostCase& c) {
+  return std::string(model::to_string(c.kind)) +
+         (c.serialized ? " serialized" : " speculative");
+}
+
+const CostCase kCostCases[] = {
+    {&model::bgq(), HtmKind::kBgqShort, false},
+    {&model::bgq(), HtmKind::kBgqShort, true},
+    {&model::has_c(), HtmKind::kRtm, false},
+    {&model::has_c(), HtmKind::kRtm, true}};
+
+TEST(DesMachine, AttemptCostIsExactSumOfAccessCharges) {
+  // n loads and m stores end an attempt at exactly
+  //   speculative: begin + n (read + load) + m (write + store) + commit
+  //   serialized:  acquire + n load + m store
+  // after its start, the charges added one access at a time, as the
+  // engine does. Part of the footprint lies in memory allocated inside
+  // the body, past the cover cached when the attempt began.
+  constexpr int kLoads = 37;
+  constexpr int kStores = 11;
+  for (const CostCase& c : kCostCases) {
+    SCOPED_TRACE(describe(c));
+    const model::MachineConfig config = without_other_aborts(*c.config, c.kind);
+    const model::HtmCosts& costs = config.htm(c.kind);
+    mem::SimHeap heap(1 << 20);
+    DesMachine m(config, c.kind, 1, heap);
+    auto early = heap.alloc<std::uint64_t>(64, "early");
+    std::span<std::uint64_t> late;
+    double start = -1;
+    RepeatTxnWorker w(1, [&](Txn& tx) {
+      if (c.serialized && !tx.serialized()) tx.abort();
+      start = tx.start_time();
+      if (late.empty()) late = heap.alloc<std::uint64_t>(4096, "late");
+      for (int i = 0; i < kLoads; ++i) {
+        // Alternate between the early and the late allocation, one line
+        // apart, so first touches and repeats both occur.
+        const std::size_t word = static_cast<std::size_t>(i / 2) * 8;
+        (void)tx.load(i % 2 == 0 ? early[word % 64] : late[word]);
+      }
+      for (int j = 0; j < kStores; ++j) {
+        tx.store(late[static_cast<std::size_t>(j) * 16 + 1],
+                 static_cast<std::uint64_t>(j + 1));
+      }
+    });
+    m.set_worker(0, &w);
+    m.run();
+
+    double expect = c.serialized ? costs.serialize_acquire_ns : costs.begin_ns;
+    const auto& a = config.atomics;
+    for (int i = 0; i < kLoads; ++i) {
+      expect += c.serialized ? a.load_ns : costs.read_ns + a.load_ns;
+    }
+    for (int j = 0; j < kStores; ++j) {
+      expect += c.serialized ? a.store_ns : costs.write_ns + a.store_ns;
+    }
+    if (!c.serialized) expect += costs.commit_ns;
+    // The attempt's end is the thread's clock; compared bit for bit.
+    EXPECT_EQ(m.makespan(), start + expect);
+
+    const HtmStats s = m.stats();
+    EXPECT_EQ(s.committed, c.serialized ? 0u : 1u);
+    EXPECT_EQ(s.serialized, c.serialized ? 1u : 0u);
+    EXPECT_EQ(s.aborts_capacity + s.aborts_conflict + s.aborts_other, 0u);
+    // The late memory is tracked after the cover refresh: every store is a
+    // written unit, and the stores landed at commit.
+    EXPECT_EQ(m.thread_footprint(0).write_units().size(),
+              static_cast<std::size_t>(kStores));
+    for (int j = 0; j < kStores; ++j) {
+      EXPECT_EQ(late[static_cast<std::size_t>(j) * 16 + 1],
+                static_cast<std::uint64_t>(j + 1));
+    }
+  }
+}
+
+TEST(DesMachine, ReadCapacityBindsSpeculationOnly) {
+  // A speculative attempt also reads its domain's fallback-lock line, so
+  // a body of capacity - 1 distinct lines fills the read budget exactly
+  // and one of `capacity` lines is one line over it. The serialized path
+  // tracks reads with no budget.
+  for (const CostCase& c : kCostCases) {
+    if (c.serialized) continue;
+    SCOPED_TRACE(describe(c));
+    const model::MachineConfig config = without_other_aborts(*c.config, c.kind);
+    const std::uint32_t capacity = config.htm(c.kind).read_capacity_lines;
+    for (const std::uint32_t body_lines : {capacity - 1, capacity}) {
+      SCOPED_TRACE(body_lines);
+      mem::SimHeap heap(std::size_t{1} << 21);
+      DesMachine m(config, c.kind, 1, heap);
+      auto data = heap.alloc<std::uint64_t>(std::size_t{body_lines} * 8);
+      std::uint32_t serialized_lines = 0;
+      RepeatTxnWorker w(1, [&](Txn& tx) {
+        for (std::uint32_t l = 0; l < body_lines; ++l) {
+          (void)tx.load(data[std::size_t{l} * 8]);
+        }
+        if (tx.serialized()) {
+          serialized_lines = static_cast<std::uint32_t>(
+              m.thread_footprint(0).distinct_read_lines());
+        }
+      });
+      m.set_worker(0, &w);
+      m.run();
+      const HtmStats s = m.stats();
+      if (body_lines < capacity) {
+        EXPECT_EQ(s.committed, 1u);
+        EXPECT_EQ(s.aborts_capacity, 0u);
+        EXPECT_EQ(m.thread_footprint(0).distinct_read_lines(), capacity);
+      } else {
+        EXPECT_EQ(s.committed, 0u);
+        EXPECT_GE(s.aborts_capacity, 1u);
+        EXPECT_EQ(s.serialized, 1u);
+        // The serialized body read every line without aborting.
+        EXPECT_EQ(serialized_lines, body_lines);
+      }
+    }
+  }
+}
+
 TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {
   mem::SimHeap heap(1 << 16);
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);

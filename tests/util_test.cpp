@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "util/blob.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -245,6 +248,47 @@ TEST(Format, Count) {
   EXPECT_EQ(format_count(999), "999");
   EXPECT_EQ(format_count(1000), "1,000");
   EXPECT_EQ(format_count(1234567), "1,234,567");
+}
+
+TEST(Blob, RoundTripsEmptyAndNonEmptyVectors) {
+  BlobWriter w;
+  w.put_vector(std::vector<std::uint32_t>{});
+  w.put_vector(std::vector<std::uint64_t>{7, 8, 9});
+  w.put_vector(std::vector<std::uint8_t>{});
+  BlobReader r(w.bytes());
+  EXPECT_TRUE(r.get_vector<std::uint32_t>().empty());
+  EXPECT_EQ(r.get_vector<std::uint64_t>(),
+            (std::vector<std::uint64_t>{7, 8, 9}));
+  EXPECT_TRUE(r.get_vector<std::uint8_t>().empty());
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BlobDeathTest, WrappingVectorLengthIsTruncation) {
+  // 2^61 + 1 elements of 8 bytes wrap n * 8 around to 8, which the one
+  // element that follows would satisfy if the check multiplied.
+  BlobWriter w;
+  w.put<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  w.put<std::uint64_t>(42);
+  const std::vector<std::uint8_t> bytes = w.take();
+  EXPECT_DEATH(
+      {
+        BlobReader r(bytes);
+        (void)r.get_vector<std::uint64_t>();
+      },
+      "truncated snapshot blob");
+}
+
+TEST(BlobDeathTest, ShortVectorIsTruncation) {
+  BlobWriter w;
+  w.put_vector(std::vector<std::uint64_t>{1, 2});
+  std::vector<std::uint8_t> bytes = w.take();
+  bytes.pop_back();
+  EXPECT_DEATH(
+      {
+        BlobReader r(bytes);
+        (void)r.get_vector<std::uint64_t>();
+      },
+      "truncated snapshot blob");
 }
 
 }  // namespace

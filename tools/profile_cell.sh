@@ -31,9 +31,15 @@ command -v gprof >/dev/null || { echo "$0: gprof not found" >&2; exit 1; }
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${PROFILE_BUILD_DIR:-$root/build-gprof}"
 
-if [[ ! -f "$build/CMakeCache.txt" ]]; then
+# Without the -fno-* flags GCC splits functions into .isra/.part/.constprop
+# clones, and gprof charges a clone's samples to whatever symbol precedes
+# it (a sort inlined into a clone showed up as a destructor).
+cxx_flags="-pg -fno-ipa-sra -fno-ipa-cp-clone -fno-partial-inlining"
+cached="$(sed -n 's/^CMAKE_CXX_FLAGS:STRING=//p' "$build/CMakeCache.txt" \
+  2>/dev/null || true)"
+if [[ "$cached" != "$cxx_flags" ]]; then
   cmake -S "$root" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >&2
+    "-DCMAKE_CXX_FLAGS=$cxx_flags" -DCMAKE_EXE_LINKER_FLAGS=-pg >&2
 fi
 cmake --build "$build" --target bench_throughput -j "$(nproc)" >&2
 
