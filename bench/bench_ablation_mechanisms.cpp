@@ -12,53 +12,18 @@
 // HTM at the M sweet spot beats atomics by amortizing that overhead.
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/conflict.hpp"
 #include "analysis/recommend.hpp"
 #include "bench_common.hpp"
 #include "core/auto_executor.hpp"
 #include "core/executor.hpp"
-#include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 #include "sim/host_pool.hpp"
 
-namespace {
-
 using namespace aam;
-
-struct RunResult {
-  double time_ns = 0;
-  htm::HtmStats stats;
-};
-
-using Runner = std::function<RunResult(htm::DesMachine&, core::Mechanism,
-                                       int batch,
-                                       core::ExecutorDecorator* decorator,
-                                       const core::AutoPolicy* policy)>;
-
-struct Algo {
-  std::string name;
-  bool weighted = false;  ///< runs on wg, so auto probes that workload
-  Runner run;
-};
-
-graph::Vertex second_endpoint(const graph::Graph& g, graph::Vertex s) {
-  for (graph::Vertex v = g.num_vertices(); v-- > 0;) {
-    if (v != s && !g.neighbors(v).empty()) return v;
-  }
-  return s;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
@@ -94,102 +59,12 @@ int main(int argc, char** argv) {
           "per-machine optimum M.");
 
   // Shared inputs: one unweighted power-law graph, one weighted graph.
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = scale;
-  params.edge_factor = edge_factor;
-  const graph::Graph g = graph::kronecker(params, rng);
-  const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-  const graph::Vertex st_t = second_endpoint(g, root);
-
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(1500, 0.01, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg =
-      graph::Graph::from_weighted_edges(1500, wedges, weights, true);
-  const double mst_ref = algorithms::mst_reference_weight(wg);
-
-  const std::vector<Algo> algos = {
-      {"bfs", false,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::BfsOptions o;
-         o.root = root;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_bfs(m, g, o);
-         AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-      {"pagerank", false,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::PageRankOptions o;
-         o.iterations = pr_iters;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_pagerank(m, g, o);
-         AAM_CHECK(!r.rank.empty());
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-      {"sssp", true,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::SsspOptions o;
-         o.source = 0;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_sssp(m, wg, o);
-         AAM_CHECK(r.relaxations > 0);
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-      {"coloring", false,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::ColoringOptions o;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.seed = seed;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_boman_coloring(m, g, o);
-         AAM_CHECK(algorithms::validate_coloring(g, r.color));
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-      {"st-conn", false,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::StConnOptions o;
-         o.s = root;
-         o.t = st_t;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_st_connectivity(m, g, o);
-         AAM_CHECK(r.vertices_colored > 0);
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-      {"boruvka", true,
-       [&](htm::DesMachine& m, core::Mechanism mech, int batch,
-           core::ExecutorDecorator* dec, const core::AutoPolicy* policy) {
-         algorithms::BoruvkaOptions o;
-         o.mechanism = mech;
-         o.batch = batch;
-         o.decorator = dec;
-         o.auto_policy = policy;
-         const auto r = algorithms::run_boruvka(m, wg, o);
-         AAM_CHECK(r.total_weight <= mst_ref * 1.0001 + 1.0);
-         return RunResult{r.total_time_ns, r.stats};
-       }},
-  };
+  // Every run's answer is validated (BFS tree, coloring, MST weight, ...).
+  algorithms::Inputs in = algorithms::make_inputs(
+      {.scale = scale, .edge_factor = edge_factor, .seed = seed,
+       .weighted_vertices = 1500, .weighted_p = 0.01});
+  in.pr_iterations = pr_iters;
+  const auto algos = algorithms::registry();
 
   struct Setup {
     const model::MachineConfig* config;
@@ -231,10 +106,10 @@ int main(int argc, char** argv) {
     // Static routing tables for the auto variant, one per input graph.
     const core::AutoPolicy policy_g = analysis::make_auto_policy(
         *setup.config, setup.kind,
-        analysis::workload_from_graph(g, setup.threads, setup.opt_m));
+        analysis::workload_from_graph(in.g, setup.threads, setup.opt_m));
     const core::AutoPolicy policy_wg = analysis::make_auto_policy(
         *setup.config, setup.kind,
-        analysis::workload_from_graph(wg, setup.threads, setup.opt_m));
+        analysis::workload_from_graph(in.wg, setup.threads, setup.opt_m));
 
     // Each (algorithm, variant) pair is an independent cell (own heap and
     // machine), so the sweep runs on the parallel DES backend. The "vs
@@ -244,12 +119,12 @@ int main(int argc, char** argv) {
     // verdict handling (ScopedChecker exits the process on a violation)
     // is not a per-shard effect.
     const std::size_t n_cells = algos.size() * variants.size();
-    std::vector<RunResult> slots(n_cells);
+    std::vector<algorithms::RunReport> slots(n_cells);
     sim::ShardRunner runner(check_cfg.enabled() ? 1 : host_threads);
     runner.run(n_cells, [&](sim::ShardId cell_id) {
-      const Algo& algo = algos[cell_id / variants.size()];
+      const algorithms::AlgorithmEntry& algo =
+          algos[cell_id / variants.size()];
       const Variant& v = variants[cell_id % variants.size()];
-      const int batch = v.batch == 0 ? setup.opt_m : v.batch;
       mem::SimHeap heap(heap_bytes);
       htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                               heap, seed);
@@ -264,8 +139,13 @@ int main(int argc, char** argv) {
       if (scoped.checker() != nullptr) {
         scoped.checker()->set_capacity_policy(policy);
       }
-      slots[cell_id] = algo.run(machine, v.mech, batch,
-                                scoped.decorator(), policy);
+      core::ExecConfig exec = algo.exec;
+      exec.batch = v.batch == 0 ? setup.opt_m : v.batch;
+      exec.mechanism = v.mech;
+      exec.decorator = scoped.decorator();
+      exec.auto_policy = policy;
+      slots[cell_id] = algo.run(machine, in, exec);
+      AAM_CHECK(slots[cell_id].valid);
     });
 
     util::Table table({"algorithm", "mechanism", "runtime", "vs atomics",
@@ -274,13 +154,13 @@ int main(int argc, char** argv) {
       double atomics_time = 0;
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
         const Variant& v = variants[vi];
-        const RunResult& r = slots[a * variants.size() + vi];
-        if (v.mech == core::Mechanism::kAtomicOps) atomics_time = r.time_ns;
+        const algorithms::RunReport& r = slots[a * variants.size() + vi];
+        if (v.mech == core::Mechanism::kAtomicOps) atomics_time = r.sim_ns;
         const std::string speedup =
-            atomics_time > 0 ? bench::speedup_str(atomics_time / r.time_ns) + "x"
+            atomics_time > 0 ? bench::speedup_str(atomics_time / r.sim_ns) + "x"
                              : "-";
         table.row().cell(algos[a].name).cell(v.label)
-            .cell(util::format_time_ns(r.time_ns)).cell(speedup)
+            .cell(util::format_time_ns(r.sim_ns)).cell(speedup)
             .cell(r.stats.committed).cell(r.stats.total_aborts())
             .cell(r.stats.atomic_cas).cell(r.stats.atomic_acc);
       }

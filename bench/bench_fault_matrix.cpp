@@ -6,7 +6,8 @@
 //
 // Because fault injection perturbs the schedule (retries, retransmits,
 // slowdowns), raw result vectors are not directly comparable; each
-// algorithm is reduced to its schedule-invariant semantic projection:
+// algorithm is reduced to its schedule-invariant semantic projection
+// (algorithms::RunReport::projection, built by the registry entry):
 //
 //   bfs       depth-per-vertex derived from the parent tree (level-
 //             synchronous BFS pins every depth) — exact
@@ -26,203 +27,23 @@
 // tools/fault_sweep.sh uses as the determinism oracle. Exit code: 0 when
 // every cell matches its baseline, 1 otherwise.
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
 #include "algorithms/pagerank_dist.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/conflict.hpp"
 #include "analysis/recommend.hpp"
 #include "bench_common.hpp"
 #include "core/auto_executor.hpp"
 #include "core/executor.hpp"
 #include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 #include "graph/partition.hpp"
 
 namespace {
 
 using namespace aam;
-
-// ---------------------------------------------------------------------------
-// Semantic projections.
-
-/// One algorithm's schedule-invariant answer: named scalar/vector slots,
-/// some compared exactly, some under a tolerance.
-struct Projection {
-  std::vector<std::uint64_t> exact;   ///< compared bit-for-bit
-  std::vector<double> approx;         ///< compared under `tolerance`
-  double tolerance = 0;
-};
-
-/// Depth of every vertex under the BFS tree `parent` (kInvalidVertex for
-/// unvisited vertices maps to a sentinel depth). Memoized chain walk.
-std::vector<std::uint64_t> bfs_depths(const std::vector<graph::Vertex>& parent,
-                                      graph::Vertex root) {
-  constexpr std::uint64_t kUnvisited = ~std::uint64_t{0};
-  std::vector<std::uint64_t> depth(parent.size(), kUnvisited);
-  if (root < parent.size()) depth[root] = 0;
-  for (graph::Vertex v = 0; v < parent.size(); ++v) {
-    if (parent[v] == graph::kInvalidVertex || depth[v] != kUnvisited) continue;
-    // Walk to a vertex of known depth, then unwind.
-    std::vector<graph::Vertex> chain;
-    graph::Vertex u = v;
-    while (depth[u] == kUnvisited) {
-      chain.push_back(u);
-      u = parent[u];
-    }
-    std::uint64_t d = depth[u];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      depth[*it] = ++d;
-    }
-  }
-  return depth;
-}
-
-/// True when `color` (1-based, 0 = uncolored) is a proper and complete
-/// coloring of `g`.
-bool coloring_valid(const graph::Graph& g,
-                    const std::vector<std::uint32_t>& color) {
-  for (graph::Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (color[v] == 0) return false;
-    for (const graph::Vertex u : g.neighbors(v)) {
-      if (u != v && color[u] == color[v]) return false;
-    }
-  }
-  return true;
-}
-
-struct Inputs {
-  graph::Graph g;
-  graph::Graph wg;
-  graph::Vertex root = 0;
-  graph::Vertex st_t = 0;
-};
-
-Inputs make_inputs(int scale, std::uint64_t seed) {
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = scale;
-  params.edge_factor = 4;
-  Inputs in;
-  in.g = graph::kronecker(params, rng);
-  in.root = graph::pick_nonisolated_vertex(in.g);
-  for (graph::Vertex v = in.g.num_vertices(); v-- > 0;) {
-    if (v != in.root && !in.g.neighbors(v).empty()) {
-      in.st_t = v;
-      break;
-    }
-  }
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(600, 0.02, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  in.wg = graph::Graph::from_weighted_edges(600, wedges, weights, true);
-  return in;
-}
-
-Projection run_cell(htm::DesMachine& machine, const Inputs& in,
-                    const std::string& algo, core::Mechanism mech,
-                    std::uint64_t seed, const core::AutoPolicy* policy) {
-  Projection p;
-  if (algo == "bfs") {
-    algorithms::BfsOptions o;
-    o.auto_policy = policy;
-    o.root = in.root;
-    o.mechanism = mech;
-    const auto r = algorithms::run_bfs(machine, in.g, o);
-    p.exact = bfs_depths(r.parent, in.root);
-    p.exact.push_back(r.vertices_visited);
-  } else if (algo == "pagerank") {
-    algorithms::PageRankOptions o;
-    o.auto_policy = policy;
-    o.iterations = 3;
-    o.mechanism = mech;
-    const auto r = algorithms::run_pagerank(machine, in.g, o);
-    p.approx = r.rank;
-    p.tolerance = 1e-9;
-  } else if (algo == "sssp") {
-    algorithms::SsspOptions o;
-    o.auto_policy = policy;
-    o.source = 0;
-    o.mechanism = mech;
-    const auto r = algorithms::run_sssp(machine, in.wg, o);
-    p.approx = r.distance;
-    p.tolerance = 1e-9;
-  } else if (algo == "coloring") {
-    algorithms::ColoringOptions o;
-    o.auto_policy = policy;
-    o.mechanism = mech;
-    o.seed = seed + 6;
-    const auto r = algorithms::run_boman_coloring(machine, in.g, o);
-    p.exact.push_back(coloring_valid(in.g, r.color) ? 1 : 0);
-  } else if (algo == "st-conn") {
-    algorithms::StConnOptions o;
-    o.auto_policy = policy;
-    o.s = in.root;
-    o.t = in.st_t;
-    o.mechanism = mech;
-    const auto r = algorithms::run_st_connectivity(machine, in.g, o);
-    p.exact.push_back(r.connected ? 1 : 0);
-  } else if (algo == "boruvka") {
-    algorithms::BoruvkaOptions o;
-    o.auto_policy = policy;
-    o.mechanism = mech;
-    const auto r = algorithms::run_boruvka(machine, in.wg, o);
-    p.exact.push_back(r.edges_in_forest);
-    p.approx.push_back(r.total_weight);
-    p.tolerance = 1e-6 * std::max(1.0, r.total_weight);
-  } else {
-    AAM_CHECK_MSG(false, "unknown algorithm in fault matrix");
-  }
-  return p;
-}
-
-/// Compares a faulted projection against its fault-free baseline; returns
-/// a human-readable diff description, or "" on a match.
-std::string compare(const Projection& base, const Projection& got) {
-  char buf[160];
-  if (base.exact.size() != got.exact.size() ||
-      base.approx.size() != got.approx.size()) {
-    return "projection shape differs";
-  }
-  for (std::size_t i = 0; i < base.exact.size(); ++i) {
-    if (base.exact[i] != got.exact[i]) {
-      std::snprintf(buf, sizeof(buf),
-                    "exact[%zu]: baseline=%llu faulted=%llu", i,
-                    static_cast<unsigned long long>(base.exact[i]),
-                    static_cast<unsigned long long>(got.exact[i]));
-      return buf;
-    }
-  }
-  const double tol = std::max(base.tolerance, got.tolerance);
-  for (std::size_t i = 0; i < base.approx.size(); ++i) {
-    const double a = base.approx[i];
-    const double b = got.approx[i];
-    const bool a_inf = std::isinf(a);
-    const bool b_inf = std::isinf(b);
-    if (a_inf || b_inf) {
-      if (a_inf == b_inf) continue;
-      std::snprintf(buf, sizeof(buf),
-                    "approx[%zu]: baseline=%g faulted=%g (infinity)", i, a, b);
-      return buf;
-    }
-    if (std::abs(a - b) > tol) {
-      std::snprintf(buf, sizeof(buf),
-                    "approx[%zu]: baseline=%.17g faulted=%.17g tol=%g", i, a,
-                    b, tol);
-      return buf;
-    }
-  }
-  return "";
-}
 
 // ---------------------------------------------------------------------------
 // Distributed pagerank cell (Cluster-backed; the network scenarios' target).
@@ -322,8 +143,6 @@ int main(int argc, char** argv) {
   const std::string only_mech =
       cli.get_choice("mechanism", "all", mech_choices);
   const std::string machine_filter = cli.get_string("machine", "all");
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
   cli.check_unknown();
 
   // Scenario list: every canned scenario except "none" (each is compared
@@ -360,9 +179,9 @@ int main(int argc, char** argv) {
   }
   AAM_CHECK_MSG(!setups.empty(), "unknown --machine (BGQ, Has-C, all)");
 
-  const std::vector<std::string> algos = {"bfs",      "pagerank", "sssp",
-                                          "coloring", "st-conn",  "boruvka"};
-  const Inputs in = make_inputs(scale, seed);
+  algorithms::Inputs in =
+      algorithms::make_inputs({.scale = scale, .seed = seed});
+  in.coloring_seed = seed + 6;
   util::Rng drng(seed + 17);
   const graph::Graph dg = graph::erdos_renyi(1 << 10, 0.01, drng);
 
@@ -392,18 +211,19 @@ int main(int argc, char** argv) {
     }
 
     // Shared-memory cells.
-    for (const std::string& algo : algos) {
-      if (algo_filter != "all" && algo_filter != algo) continue;
-      const bool weighted = algo == "sssp" || algo == "boruvka";
+    for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
+      if (algo_filter != "all" && algo_filter != algo.name) continue;
       for (const Cell& cell : mech_cells) {
-        const core::AutoPolicy* policy =
-            cell.is_auto ? (weighted ? &policy_wg : &policy_g) : nullptr;
-        Projection base;
+        core::ExecConfig exec = algo.exec;
+        exec.mechanism = cell.mech;
+        exec.auto_policy =
+            cell.is_auto ? (algo.weighted ? &policy_wg : &policy_g) : nullptr;
+        algorithms::Projection base;
         {
           mem::SimHeap heap((std::size_t{1} << 20) * 8);
           htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                   heap, seed);
-          base = run_cell(machine, in, algo, cell.mech, seed, policy);
+          base = algo.run(machine, in, exec).projection;
         }
         for (const std::string& scenario : scenarios) {
           ++cells;
@@ -411,9 +231,9 @@ int main(int argc, char** argv) {
           htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                   heap, seed);
           bench::ScopedFault fault(machine, scenario, seed);
-          const Projection got =
-              run_cell(machine, in, algo, cell.mech, seed, policy);
-          std::string diff = compare(base, got);
+          const algorithms::Projection got =
+              algo.run(machine, in, exec).projection;
+          std::string diff = algorithms::compare(base, got);
           if (diff.empty() && fault.recovery() != nullptr) {
             // Every injected crash-stop must have been recovered from.
             const auto& rec = fault.recovery()->stats();
@@ -433,7 +253,7 @@ int main(int argc, char** argv) {
               fault.recovery() != nullptr ? &fault.recovery()->stats()
                                           : nullptr);
           std::printf("%-5s %-8s %-13s %-12s %s%s%s%s\n",
-                      setup.config->name.c_str(), algo.c_str(), cell.label,
+                      setup.config->name.c_str(), algo.name, cell.label,
                       scenario.c_str(), ok ? "OK" : "MISMATCH",
                       ok ? "" : ": ", diff.c_str(), rec_suffix.c_str());
         }
@@ -450,12 +270,12 @@ int main(int argc, char** argv) {
             run_dist_cell(*setup.config, setup.kind, dg, scenario, seed);
         std::string diff = got.protocol_error;
         if (diff.empty()) {
-          Projection pb, pg;
+          algorithms::Projection pb, pg;
           pb.approx = base.rank;
           pg.approx = got.rank;
           // float32 message payloads + reordered accumulation.
           pb.tolerance = 1e-5;
-          diff = compare(pb, pg);
+          diff = algorithms::compare(pb, pg);
         }
         const bool ok = diff.empty();
         if (!ok) ++failures;

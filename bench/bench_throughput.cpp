@@ -35,20 +35,13 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
 #include "algorithms/pagerank_dist.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/conflict.hpp"
 #include "analysis/recommend.hpp"
 #include "bench_common.hpp"
 #include "core/auto_executor.hpp"
 #include "core/executor.hpp"
-#include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 #include "graph/partition.hpp"
 #include "sim/host_pool.hpp"
 
@@ -56,106 +49,6 @@ namespace {
 
 using namespace aam;
 using Clock = std::chrono::steady_clock;
-
-struct RunOutcome {
-  std::uint64_t elements = 0;  ///< deterministic work count for the run
-  double sim_time_ns = 0;
-  htm::HtmStats stats;
-};
-
-struct Algo {
-  std::string name;
-  bool weighted = false;  ///< runs on wg (workload probe must match)
-  RunOutcome (*run)(htm::DesMachine&, const graph::Graph& g,
-                    const graph::Graph& wg, graph::Vertex root,
-                    graph::Vertex st_t, core::Mechanism, int batch,
-                    std::uint64_t seed, const core::AutoPolicy* policy);
-};
-
-graph::Vertex second_endpoint(const graph::Graph& g, graph::Vertex s) {
-  for (graph::Vertex v = g.num_vertices(); v-- > 0;) {
-    if (v != s && !g.neighbors(v).empty()) return v;
-  }
-  return s;
-}
-
-const std::vector<Algo> kAlgos = {
-    {"bfs", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex root, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::BfsOptions o;
-       o.root = root;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_bfs(m, g, o);
-       return RunOutcome{r.edges_scanned, r.total_time_ns, r.stats};
-     }},
-    {"pagerank", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::PageRankOptions o;
-       o.iterations = 3;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_pagerank(m, g, o);
-       const std::uint64_t pushes = static_cast<std::uint64_t>(o.iterations) *
-                                    (g.num_edges() + g.num_vertices());
-       return RunOutcome{pushes, r.total_time_ns, r.stats};
-     }},
-    {"sssp", true,
-     [](htm::DesMachine& m, const graph::Graph&, const graph::Graph& wg,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::SsspOptions o;
-       o.source = 0;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_sssp(m, wg, o);
-       return RunOutcome{r.relaxations, r.total_time_ns, r.stats};
-     }},
-    {"coloring", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t seed, const core::AutoPolicy* policy) {
-       algorithms::ColoringOptions o;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.seed = seed;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_boman_coloring(m, g, o);
-       return RunOutcome{g.num_vertices() + r.recolor_requests,
-                         r.total_time_ns, r.stats};
-     }},
-    {"st-conn", false,
-     [](htm::DesMachine& m, const graph::Graph& g, const graph::Graph&,
-        graph::Vertex root, graph::Vertex st_t, core::Mechanism mech,
-        int batch, std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::StConnOptions o;
-       o.s = root;
-       o.t = st_t;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_st_connectivity(m, g, o);
-       return RunOutcome{r.vertices_colored, r.total_time_ns, r.stats};
-     }},
-    {"boruvka", true,
-     [](htm::DesMachine& m, const graph::Graph&, const graph::Graph& wg,
-        graph::Vertex, graph::Vertex, core::Mechanism mech, int batch,
-        std::uint64_t, const core::AutoPolicy* policy) {
-       algorithms::BoruvkaOptions o;
-       o.mechanism = mech;
-       o.batch = batch;
-       o.auto_policy = policy;
-       const auto r = algorithms::run_boruvka(m, wg, o);
-       return RunOutcome{r.edges_in_forest, r.total_time_ns, r.stats};
-     }},
-};
 
 std::string json_escape_double(double v) {
   char buf[64];
@@ -196,32 +89,21 @@ int main(int argc, char** argv) {
 
   // Shared inputs: a Kronecker graph for the traversal algorithms and a
   // smaller weighted graph for SSSP/Boruvka (matching the ablation bench).
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = scale;
-  params.edge_factor = edge_factor;
-  const graph::Graph g = graph::kronecker(params, rng);
-  const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-  const graph::Vertex st_t = second_endpoint(g, root);
-
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(1500, 0.01, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg =
-      graph::Graph::from_weighted_edges(1500, wedges, weights, true);
+  const algorithms::Inputs in = algorithms::make_inputs(
+      {.scale = scale, .edge_factor = edge_factor, .seed = seed,
+       .weighted_vertices = 1500, .weighted_p = 0.01});
 
   // Heap sized for the Kronecker graph state at this scale.
   const std::size_t heap_bytes =
       (std::size_t{1} << 20) * 16 +
-      static_cast<std::size_t>(g.num_vertices()) * 64;
+      static_cast<std::size_t>(in.g.num_vertices()) * 64;
 
   // Static routing tables for the --mechanism=auto rows, one per input
   // graph (the conflict model conditions on the workload it will run on).
   const core::AutoPolicy policy_g = analysis::make_auto_policy(
-      config, kind, analysis::workload_from_graph(g, threads, batch));
+      config, kind, analysis::workload_from_graph(in.g, threads, batch));
   const core::AutoPolicy policy_wg = analysis::make_auto_policy(
-      config, kind, analysis::workload_from_graph(wg, threads, batch));
+      config, kind, analysis::workload_from_graph(in.wg, threads, batch));
 
   std::string json = "{\n";
   json += "  \"schema\": \"aam-bench-wallclock-v5\",\n";
@@ -258,7 +140,7 @@ int main(int argc, char** argv) {
   // assembled in cell order — identical for every --host-threads value
   // while wall-clock drops with parallelism.
   struct Cell {
-    const Algo* algo = nullptr;  ///< nullptr = distributed-PageRank cell
+    const algorithms::AlgorithmEntry* algo = nullptr;  ///< nullptr = pr-dist
     Selection sel;
   };
   struct CellResult {
@@ -272,7 +154,7 @@ int main(int argc, char** argv) {
     recovery::RecoveryStats rec;  ///< zeroes unless the plan crashes
   };
   std::vector<Cell> cells;
-  for (const Algo& algo : kAlgos) {
+  for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
     if (algo_filter != "all" && algo_filter != algo.name) continue;
     for (const Selection& sel : selections) cells.push_back({&algo, sel});
   }
@@ -287,24 +169,30 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[cell_id];
     CellResult& res = slots[cell_id];
     if (cell.algo != nullptr) {
-      const Algo& algo = *cell.algo;
+      const algorithms::AlgorithmEntry& algo = *cell.algo;
       const Selection& sel = cell.sel;
       // Private policy copy: AutoTelemetry is mutable inside the shared
       // per-graph policy, so parallel auto cells each route via their own.
       core::AutoPolicy policy = algo.weighted ? policy_wg : policy_g;
+      core::ExecConfig exec = algo.exec;
+      exec.batch = batch;
+      exec.mechanism = sel.mech;
+      exec.auto_policy = sel.is_auto ? &policy : nullptr;
       double best_seconds = 0;
-      RunOutcome out;
+      algorithms::RunReport out;
       for (int rep = 0; rep < repeats; ++rep) {
         policy.telemetry = {};
         mem::SimHeap heap(heap_bytes);
         htm::DesMachine machine(config, kind, threads, heap, seed);
         machine.bind_shard(cell_id);
         bench::ScopedFault fault(machine, fault_spec, seed);
-        const auto t0 = Clock::now();
-        out = algo.run(machine, g, wg, root, st_t, sel.mech, batch, seed,
-                       sel.is_auto ? &policy : nullptr);
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
+        // Time the run_* call alone, not the report built after it.
+        double seconds = 0;
+        out = algo.run(machine, in, exec, [&](const auto& call) {
+          const auto t0 = Clock::now();
+          call();
+          seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+        });
         if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
         if (fault.recovery() != nullptr) res.rec = fault.recovery()->stats();
       }
@@ -312,7 +200,7 @@ int main(int argc, char** argv) {
       res.mechanism = sel.label;
       res.elements = out.elements;
       res.best_seconds = best_seconds;
-      res.sim_time_ns = out.sim_time_ns;
+      res.sim_time_ns = out.sim_ns;
       res.stats = out.stats;
       if (sel.is_auto) res.tele = policy.telemetry;
       return;
@@ -325,7 +213,7 @@ int main(int argc, char** argv) {
     algorithms::DistPrResult r;
     std::uint64_t elements = 0;
     for (int rep = 0; rep < repeats; ++rep) {
-      const graph::Block1D part(g.num_vertices(), nodes);
+      const graph::Block1D part(in.g.num_vertices(), nodes);
       mem::SimHeap heap(heap_bytes);
       net::Cluster cluster(config, kind, nodes, per_node, heap, seed);
       cluster.machine().bind_shard(cell_id);
@@ -334,13 +222,13 @@ int main(int argc, char** argv) {
       o.iterations = 3;
       o.local_batch = batch;
       const auto t0 = Clock::now();
-      r = algorithms::run_distributed_pagerank(cluster, g, part, o);
+      r = algorithms::run_distributed_pagerank(cluster, in.g, part, o);
       const double seconds =
           std::chrono::duration<double>(Clock::now() - t0).count();
       if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
       if (fault.recovery() != nullptr) res.rec = fault.recovery()->stats();
       elements = static_cast<std::uint64_t>(o.iterations) *
-                 (g.num_edges() + g.num_vertices());
+                 (in.g.num_edges() + in.g.num_vertices());
     }
     res.algorithm = "pagerank-dist";
     res.mechanism = "am";

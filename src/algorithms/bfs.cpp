@@ -176,10 +176,7 @@ BfsResult run_bfs(htm::DesMachine& machine, const graph::Graph& graph,
   state.graph = &graph;
   state.options = options;
   state.parent = machine.heap().alloc<Vertex>(n, "bfs.parent");
-  auto executor = core::make_executor(
-      options.mechanism, machine,
-      {.batch = options.batch, .decorator = options.decorator,
-       .auto_policy = options.auto_policy});
+  auto executor = core::make_executor(machine, options);
   state.executor = executor.get();
   core::ChunkCursor cursor(machine.heap());
   state.cursor = &cursor;

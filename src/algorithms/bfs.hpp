@@ -22,18 +22,10 @@
 
 namespace aam::algorithms {
 
-struct BfsOptions {
+struct BfsOptions : core::ExecConfig {
   graph::Vertex root = 0;
-  core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  int batch = 16;        ///< M: vertices visited per coarse activity
   int scan_chunk = 512;  ///< frontier *edges* claimed per work unit
   double barrier_cost_ns = 400.0;  ///< per-level synchronization cost
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto routing table (see core/auto_executor.hpp); when set,
-  /// `mechanism` is ignored and batches route per the policy. Must outlive
-  /// the run.
-  const core::AutoPolicy* auto_policy = nullptr;
 };
 
 struct BfsResult {

@@ -173,10 +173,7 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
   state.options = options;
   state.parent = machine.heap().alloc<Vertex>(n, "boruvka.parent");
   for (Vertex v = 0; v < n; ++v) state.parent[v] = v;
-  auto executor = core::make_executor(
-      options.mechanism, machine,
-      {.batch = options.batch, .decorator = options.decorator,
-       .auto_policy = options.auto_policy});
+  auto executor = core::make_executor(machine, options);
   state.executor = executor.get();
   core::ChunkCursor scan_cursor(machine.heap());
   core::ChunkCursor merge_cursor(machine.heap());

@@ -21,17 +21,10 @@
 
 namespace aam::algorithms {
 
-struct BoruvkaOptions {
-  core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  int batch = 4;  ///< merges attempted per coarse activity
+struct BoruvkaOptions : core::ExecConfig {
+  BoruvkaOptions() : ExecConfig{.batch = 4} {}  ///< default M: 4 merges
   double barrier_cost_ns = 600.0;
   int max_rounds = 64;
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto routing table (see core/auto_executor.hpp); when set,
-  /// `mechanism` is ignored and batches route per the policy. Must outlive
-  /// the run.
-  const core::AutoPolicy* auto_policy = nullptr;
 };
 
 struct BoruvkaResult {

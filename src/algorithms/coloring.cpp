@@ -155,10 +155,7 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
   state.graph = &graph;
   state.options = options;
   state.color = machine.heap().alloc<std::uint32_t>(n, "coloring.color");
-  auto executor = core::make_executor(
-      options.mechanism, machine,
-      {.batch = options.batch, .decorator = options.decorator,
-       .auto_policy = options.auto_policy});
+  auto executor = core::make_executor(machine, options);
   state.executor = executor.get();
   core::ChunkCursor cursor(machine.heap());
   state.cursor = &cursor;

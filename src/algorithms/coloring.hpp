@@ -20,19 +20,12 @@
 
 namespace aam::algorithms {
 
-struct ColoringOptions {
-  core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  int batch = 8;  ///< M: operators per coarse activity
+struct ColoringOptions : core::ExecConfig {
+  ColoringOptions() : ExecConfig{.batch = 8} {}  ///< default M: 8 operators
   int scan_chunk = 32;
   std::uint64_t seed = 1;
   double barrier_cost_ns = 400.0;
   int max_rounds = 256;  ///< safety bound; the heuristic converges long before
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto routing table (see core/auto_executor.hpp); when set,
-  /// `mechanism` is ignored and batches route per the policy. Must outlive
-  /// the run.
-  const core::AutoPolicy* auto_policy = nullptr;
 };
 
 struct ColoringResult {

@@ -5,8 +5,7 @@
 // Each function is one single-element operator body from the paper's
 // listings, templated over the access surface so the same code runs under
 // every ActivityExecutor — coarse HTM transactions, per-item atomics, fine
-// locks, the global serial lock, and the software TM (both in the
-// simulator and on real threads via StmAccess, see algorithms/threaded.cpp).
+// locks, the global serial lock, and the software TM.
 // Instantiations: the non-virtual fast-path access types of
 // executor_impl.hpp under devirtualized dispatch, and the virtual
 // core::Access seam when a check:: decorator is interposed.

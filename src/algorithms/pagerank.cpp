@@ -19,10 +19,7 @@ PageRankResult run_pagerank(htm::DesMachine& machine,
   for (Vertex v = 0; v < n; ++v) old_rank[v] = init;
 
   machine.reset_clocks(0.0, /*clear_stats=*/true);
-  core::AamRuntime runtime(machine, {.batch = options.batch,
-                                     .mechanism = options.mechanism,
-                                     .decorator = options.decorator,
-                                     .auto_policy = options.auto_policy});
+  core::AamRuntime runtime(machine, options);
 
   const double d = options.damping;
   const double base = (1.0 - d) / static_cast<double>(n);

@@ -19,17 +19,9 @@
 
 namespace aam::algorithms {
 
-struct PageRankOptions {
+struct PageRankOptions : core::ExecConfig {
   int iterations = 10;
   double damping = 0.85;
-  int batch = 16;  ///< M: vertex operators per coarse activity
-  core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto routing table (see core/auto_executor.hpp); when set,
-  /// `mechanism` is ignored and batches route per the policy. Must outlive
-  /// the run.
-  const core::AutoPolicy* auto_policy = nullptr;
 };
 
 struct PageRankResult {

@@ -140,10 +140,7 @@ SsspResult run_sssp(htm::DesMachine& machine, const graph::Graph& graph,
   for (Vertex v = 0; v < n; ++v) state.distance[v] = kInf;
   state.distance[options.source] = 0.0;
   state.frontier = {options.source};
-  auto executor = core::make_executor(
-      options.mechanism, machine,
-      {.batch = options.batch, .decorator = options.decorator,
-       .auto_policy = options.auto_policy});
+  auto executor = core::make_executor(machine, options);
   state.executor = executor.get();
   core::ChunkCursor cursor(machine.heap());
   state.cursor = &cursor;

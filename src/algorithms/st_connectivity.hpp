@@ -16,19 +16,11 @@
 
 namespace aam::algorithms {
 
-struct StConnOptions {
+struct StConnOptions : core::ExecConfig {
   graph::Vertex s = 0;
   graph::Vertex t = 1;
-  core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  int batch = 16;       ///< M: operators per coarse activity
   int scan_chunk = 64;
   double barrier_cost_ns = 400.0;
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto routing table (see core/auto_executor.hpp); when set,
-  /// `mechanism` is ignored and batches route per the policy. Must outlive
-  /// the run.
-  const core::AutoPolicy* auto_policy = nullptr;
 };
 
 struct StConnResult {

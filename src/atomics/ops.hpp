@@ -4,9 +4,8 @@
 //
 // The DES engine exposes the same operations on simulated memory through
 // ThreadCtx (cas / fetch_add); these free functions are the std::atomic
-// counterparts used by the threaded tests and baselines. They mirror the
-// paper's taxonomy: Accumulate (ACC), Fetch-and-Op (FAO), and
-// Compare-and-Swap (CAS).
+// counterparts for host-thread code. They mirror the paper's taxonomy:
+// Accumulate (ACC), Fetch-and-Op (FAO), and Compare-and-Swap (CAS).
 
 #include <atomic>
 #include <cstdint>

@@ -99,9 +99,9 @@ struct Violation {
 const char* to_string(Violation::Kind kind);
 
 /// The checker. Construct with the machine under test and a config, then
-/// pass it as ExecutorOptions::decorator (directly or via the Options
-/// structs of the runtimes/algorithms) so every executor the run builds is
-/// wrapped. One Checker instance may wrap any number of executors on the
+/// pass it as core::ExecConfig::decorator (which AamRuntime::Options and
+/// the algorithm Options inherit; DistributedRuntime::Options carries its
+/// own) so every executor the run builds is wrapped. One Checker instance may wrap any number of executors on the
 /// same machine; the DES event loop is single-threaded, so no locking.
 class Checker final : public core::ExecutorDecorator,
                       public mem::WriteObserver {

@@ -14,15 +14,12 @@ Mechanism descend_mechanism(Mechanism mechanism) {
 }
 
 AutoExecutor::AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
-                           const ExecutorOptions& options)
-    : ActivityExecutor(options.batch),
-      machine_(machine),
+                           const ExecConfig& exec, std::uint32_t lock_stripes)
+    : ActivityExecutor(exec.batch),
       policy_(policy),
-      inner_options_(options),
       per_thread_op_(static_cast<std::size_t>(machine.num_threads()),
                      OperatorId::kUnknown),
       last_mechanism_(policy.plan(OperatorId::kUnknown).recommended) {
-  inner_options_.auto_policy = nullptr;  // inners are plain fixed executors
   for (std::size_t i = 0; i < kNumOperatorIds; ++i) {
     state_[i].level = policy_.plans[i].recommended;
   }
@@ -38,10 +35,14 @@ AutoExecutor::AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
       needed[static_cast<std::size_t>(m)] = true;
     }
   }
+  // Inners are plain fixed executors: decorator kept, auto_policy cleared.
+  ExecConfig inner_exec = exec;
+  inner_exec.auto_policy = nullptr;
   for (const Mechanism m : all_mechanisms()) {
     if (!needed[static_cast<std::size_t>(m)]) continue;
+    inner_exec.mechanism = m;
     inners_[static_cast<std::size_t>(m)] =
-        make_executor(m, machine_, inner_options_);
+        make_executor(machine, inner_exec, lock_stripes);
   }
   if (auto& htm = inners_[static_cast<std::size_t>(Mechanism::kHtmCoarsened)];
       htm != nullptr) {

@@ -78,11 +78,13 @@ struct AutoPolicy {
 /// reached through execute()).
 class AutoExecutor final : public ActivityExecutor {
  public:
-  /// `options.decorator` wraps each *inner* executor (so a check::Checker
+  /// `exec.decorator` wraps each *inner* executor (so a check::Checker
   /// observes the true mechanism of every routed batch); the AutoExecutor
-  /// itself is never wrapped. `policy` must outlive the executor.
+  /// itself is never wrapped. `lock_stripes` sizes the inner rungs' lock
+  /// and orec tables (see make_executor). `policy` must outlive the
+  /// executor.
   AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
-               const ExecutorOptions& options);
+               const ExecConfig& exec, std::uint32_t lock_stripes);
   ~AutoExecutor() override;
 
   /// The mechanism of the most recently routed batch (the plan default for
@@ -125,9 +127,7 @@ class AutoExecutor final : public ActivityExecutor {
   void on_outcome(htm::ThreadCtx& ctx, const htm::TxnOutcome& outcome);
   void descend(OpState& st, Mechanism to);
 
-  htm::DesMachine& machine_;
   const AutoPolicy& policy_;
-  ExecutorOptions inner_options_;  ///< decorator kept, auto_policy cleared
   std::unique_ptr<ActivityExecutor> inners_[5];  ///< by Mechanism value
   OpState state_[kNumOperatorIds];
   std::vector<OperatorId> per_thread_op_;  ///< batch attribution for the hook

@@ -7,9 +7,10 @@ namespace aam::core {
 DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
     : cluster_(cluster),
       options_(options),
-      executor_(make_executor(
-          options.mechanism, cluster.machine(),
-          {.batch = options.local_batch, .decorator = options.decorator})),
+      executor_(make_executor(cluster.machine(),
+                              {.batch = options.local_batch,
+                               .mechanism = options.mechanism,
+                               .decorator = options.decorator})),
       ckpt_(cluster.machine().recovery_client(),
             {.save =
                  [this](std::vector<std::uint8_t>& out) {

@@ -130,39 +130,39 @@ void ActivityExecutor::restore_state(util::BlobReader& r) {
   if (adaptive_ != nullptr) adaptive_->restore_state(r);
 }
 
-std::unique_ptr<ActivityExecutor> make_executor(Mechanism mechanism,
-                                                htm::DesMachine& machine,
-                                                const ExecutorOptions& options) {
-  AAM_CHECK(options.batch >= 1);
-  if (options.auto_policy != nullptr) {
+std::unique_ptr<ActivityExecutor> make_executor(htm::DesMachine& machine,
+                                                const ExecConfig& exec,
+                                                std::uint32_t lock_stripes) {
+  AAM_CHECK(exec.batch >= 1);
+  if (exec.auto_policy != nullptr) {
     // The decorator is applied to the auto executor's inner rungs (so a
     // checker observes true mechanisms per batch); the shell stays bare.
-    return std::make_unique<AutoExecutor>(machine, *options.auto_policy,
-                                          options);
+    return std::make_unique<AutoExecutor>(machine, *exec.auto_policy, exec,
+                                          lock_stripes);
   }
   std::unique_ptr<ActivityExecutor> executor;
-  switch (mechanism) {
+  switch (exec.mechanism) {
     case Mechanism::kHtmCoarsened:
-      executor = std::make_unique<HtmCoarsenedExecutor>(machine, options.batch);
+      executor = std::make_unique<HtmCoarsenedExecutor>(machine, exec.batch);
       break;
     case Mechanism::kAtomicOps:
-      executor = std::make_unique<AtomicOpsExecutor>(machine, options.batch);
+      executor = std::make_unique<AtomicOpsExecutor>(machine, exec.batch);
       break;
     case Mechanism::kFineLocks:
-      executor = std::make_unique<FineLocksExecutor>(machine, options.batch,
-                                                     options.lock_stripes);
+      executor = std::make_unique<FineLocksExecutor>(machine, exec.batch,
+                                                     lock_stripes);
       break;
     case Mechanism::kSerialLock:
-      executor = std::make_unique<SerialLockExecutor>(machine, options.batch);
+      executor = std::make_unique<SerialLockExecutor>(machine, exec.batch);
       break;
     case Mechanism::kStm:
-      executor = std::make_unique<StmExecutor>(machine, options.batch,
-                                               options.lock_stripes);
+      executor = std::make_unique<StmExecutor>(machine, exec.batch,
+                                               lock_stripes);
       break;
   }
   AAM_CHECK_MSG(executor != nullptr, "unknown mechanism");
-  if (options.decorator != nullptr) {
-    executor = options.decorator->wrap(std::move(executor));
+  if (exec.decorator != nullptr) {
+    executor = exec.decorator->wrap(std::move(executor));
   }
   return executor;
 }

@@ -35,7 +35,6 @@
 
 #include "core/adaptive.hpp"
 #include "htm/des_engine.hpp"
-#include "htm/stm_engine.hpp"
 #include "util/blob.hpp"
 
 namespace aam::util {
@@ -165,56 +164,6 @@ class Access {
   std::vector<std::uint64_t>* results_;
 };
 
-/// Adapts the threaded STM transaction to the Access surface. Used by the
-/// in-simulator kStm executor and directly by the real-thread backend
-/// (algorithms/threaded.cpp), so operator formulations are shared.
-/// `results` may be null only if the operator never calls emit().
-class StmAccess final : public Access {
- public:
-  explicit StmAccess(htm::StmTxn& tx,
-                     std::vector<std::uint64_t>* results = nullptr)
-      : Access(results), tx_(tx) {}
-
-  std::uint32_t load(const std::uint32_t& ref) override { return tx_.load(ref); }
-  std::uint64_t load(const std::uint64_t& ref) override { return tx_.load(ref); }
-  double load(const double& ref) override { return tx_.load(ref); }
-  void store(std::uint32_t& ref, std::uint32_t value) override {
-    tx_.store(ref, value);
-  }
-  void store(std::uint64_t& ref, std::uint64_t value) override {
-    tx_.store(ref, value);
-  }
-  void store(double& ref, double value) override { tx_.store(ref, value); }
-  bool cas(std::uint32_t& ref, std::uint32_t expect,
-           std::uint32_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(std::uint64_t& ref, std::uint64_t expect,
-           std::uint64_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(double& ref, double expect, double desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  std::uint64_t fetch_add(std::uint64_t& ref, std::uint64_t delta) override {
-    return tx_.fetch_add(ref, delta);
-  }
-  double fetch_add(double& ref, double delta) override {
-    return tx_.fetch_add(ref, delta);
-  }
-  bool transactional() const override { return true; }
-
- private:
-  template <typename T>
-  bool cas_impl(T& ref, T expect, T desired) {
-    if (tx_.load(ref) != expect) return false;
-    tx_.store(ref, desired);
-    return true;
-  }
-
-  htm::StmTxn& tx_;
-};
-
 /// Applies batches of single-element operators under one mechanism.
 class ActivityExecutor {
  public:
@@ -295,7 +244,7 @@ class ActivityExecutor {
 
 /// Wraps a freshly built executor in an analysis layer. Implemented by
 /// check::Checker (src/check/); declared here so the construction seam
-/// (make_executor and every Options struct that feeds it) can carry a
+/// (make_executor and the ExecConfig that feeds it) can carry a
 /// checker without the core layer depending on the check subsystem.
 class ExecutorDecorator {
  public:
@@ -306,26 +255,28 @@ class ExecutorDecorator {
 
 struct AutoPolicy;  // core/auto_executor.hpp (plain data filled by analysis::)
 
-struct ExecutorOptions {
+/// How a run executes its batches: the one executor configuration shared
+/// by make_executor, AamRuntime and every intra-node algorithm's Options.
+struct ExecConfig {
   int batch = 16;  ///< M: operators per coarse batch
-  /// kFineLocks: entries in the striped per-element lock table (rounded
-  /// up to a power of two; allocated on the machine's SimHeap).
-  std::uint32_t lock_stripes = 1u << 13;
+  Mechanism mechanism = Mechanism::kHtmCoarsened;
   /// Optional dynamic-analysis wrapper (see src/check/); nullptr = none.
   ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto: when set, make_executor ignores the mechanism
-  /// argument and builds an AutoExecutor routing each batch per the
-  /// policy's recommendation table. The decorator then wraps the *inner*
-  /// fixed executors (one per reachable rung), not the auto shell. The
-  /// policy must outlive the executor.
+  /// --mechanism=auto: when set, make_executor ignores `mechanism` and
+  /// builds an AutoExecutor routing each batch per the policy's
+  /// recommendation table. The decorator then wraps the *inner* fixed
+  /// executors (one per reachable rung), not the auto shell. The policy
+  /// must outlive the executor.
   const AutoPolicy* auto_policy = nullptr;
 };
 
-/// Builds the executor for `mechanism` on `machine` (lock tables live on
-/// the machine's heap; the kStm engine is owned by the executor), or the
-/// auto-dispatching executor when options.auto_policy is set.
+/// Builds the executor for `exec.mechanism` on `machine` (lock tables live
+/// on the machine's heap; the kStm engine is owned by the executor), or the
+/// auto-dispatching executor when exec.auto_policy is set. `lock_stripes`
+/// sizes the kFineLocks lock table and the kStm orec table (rounded up to
+/// a power of two; allocated on the machine's SimHeap).
 std::unique_ptr<ActivityExecutor> make_executor(
-    Mechanism mechanism, htm::DesMachine& machine,
-    const ExecutorOptions& options = {});
+    htm::DesMachine& machine, const ExecConfig& exec,
+    std::uint32_t lock_stripes = 1u << 13);
 
 }  // namespace aam::core

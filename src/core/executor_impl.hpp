@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "htm/stm_engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 

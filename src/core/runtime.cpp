@@ -1,7 +1,5 @@
 #include "core/runtime.hpp"
 
-#include "util/check.hpp"
-
 namespace aam::core {
 
 class AamRuntime::BatchWorker : public htm::Worker {
@@ -30,10 +28,7 @@ class AamRuntime::BatchWorker : public htm::Worker {
 
 AamRuntime::AamRuntime(htm::DesMachine& machine, Options options)
     : machine_(machine),
-      executor_(make_executor(
-          options.mechanism, machine,
-          {.batch = options.batch, .decorator = options.decorator,
-           .auto_policy = options.auto_policy})),
+      executor_(make_executor(machine, options)),
       cursor_(machine.heap()),
       ckpt_(machine.recovery_client(),
             {.save =
@@ -47,7 +42,6 @@ AamRuntime::AamRuntime(htm::DesMachine& machine, Options options)
                    util::BlobReader r(data, len);
                    executor_->restore_state(r);
                  }}) {
-  AAM_CHECK(options.batch >= 1);
   const int threads = machine_.num_threads();
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {

@@ -30,15 +30,7 @@ namespace aam::core {
 
 class AamRuntime {
  public:
-  struct Options {
-    int batch = 16;  ///< M: operators per coarse activity
-    Mechanism mechanism = Mechanism::kHtmCoarsened;
-    /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-    ExecutorDecorator* decorator = nullptr;
-    /// --mechanism=auto routing table (core/auto_executor.hpp); when set,
-    /// `mechanism` is ignored and each batch routes per the policy.
-    const AutoPolicy* auto_policy = nullptr;
-  };
+  using Options = ExecConfig;
 
   /// The single-element operator: modifies graph elements through the
   /// executor's Access surface. (Legacy alias — for_each is templated and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -258,7 +257,7 @@ void DesMachine::schedule_callback_droppable(double t,
   schedule_callback_impl(t, std::move(fn), /*generic=*/false);
 }
 
-void DesMachine::begin_external_run() {
+void DesMachine::enter_run() {
   // Host-side writes made between runs (initialisation, inter-phase
   // fixups) happen single-threaded and are sanctioned wholesale.
   if (write_observer_ != nullptr) write_observer_->on_run_start();
@@ -266,39 +265,35 @@ void DesMachine::begin_external_run() {
   for (std::uint32_t t = 0; t < threads_.size(); ++t) wake(t);
 }
 
-bool DesMachine::step(double horizon) {
-  while (!queue_.empty() && queue_.peek_time() <= horizon) {
-    const sim::Event e = queue_.pop();
-    dispatch(e);
-    // Event-boundary crash injection: finish_txn's consult only covers
-    // transactional completions, so non-speculative mechanisms (atomics,
-    // fine-locks) would otherwise never crash. A boundary crash models
-    // power loss at an arbitrary instant of the event timeline.
-    if (fault_hook_ != nullptr && !controlled_ &&
-        fault_hook_->inject_crash(e.thread, now_)) {
-      CrashDiagnostic d;
-      d.now_ns = now_;
-      d.tid = e.thread;
-      d.events_processed = events_processed_;
-      throw CrashError(d);
-    }
-    // Mid-run checkpoint opportunity: the client decides (interval gating)
-    // whether this safe event boundary is worth a snapshot. One branch per
-    // event when no client is installed.
-    if (recovery_ != nullptr && checkpoint_safe()) {
-      recovery_->on_event_boundary(*this);
-    }
-  }
-  return !queue_.empty();
-}
-
 void DesMachine::run() {
-  begin_external_run();
+  enter_run();
   // Run entry is always a safe instant: no transactions are in flight yet.
   if (recovery_ != nullptr) recovery_->on_run_entry(*this);
   while (true) {
     try {
-      step(std::numeric_limits<double>::infinity());
+      while (!queue_.empty()) {
+        const sim::Event e = queue_.pop();
+        dispatch(e);
+        // Event-boundary crash injection: finish_txn's consult only covers
+        // transactional completions, so non-speculative mechanisms
+        // (atomics, fine-locks) would otherwise never crash. A boundary
+        // crash models power loss at an arbitrary instant of the event
+        // timeline.
+        if (fault_hook_ != nullptr &&
+            fault_hook_->inject_crash(e.thread, now_)) {
+          CrashDiagnostic d;
+          d.now_ns = now_;
+          d.tid = e.thread;
+          d.events_processed = events_processed_;
+          throw CrashError(d);
+        }
+        // Mid-run checkpoint opportunity: the client decides (interval
+        // gating) whether this safe event boundary is worth a snapshot.
+        // One branch per event when no client is installed.
+        if (recovery_ != nullptr && checkpoint_safe()) {
+          recovery_->on_event_boundary(*this);
+        }
+      }
     } catch (const CrashError& e) {
       // Crash-stop: with a recovery client installed, restore from the
       // last checkpoint and resume the event loop; otherwise the crash is
@@ -355,7 +350,7 @@ bool DesMachine::commit_would_conflict(std::uint32_t tid) const {
 void DesMachine::run_controlled(sim::ScheduleController& controller) {
   AAM_CHECK_MSG(!controlled_, "run_controlled is not reentrant");
   controlled_ = true;
-  begin_external_run();
+  enter_run();
   // The frontier persists across dispatches: events are drained from the
   // queue exactly once (in deterministic pop order), so their relative
   // order — and thus the meaning of a controller's index choices — never

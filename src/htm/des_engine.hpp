@@ -251,30 +251,6 @@ class DesMachine {
   /// Drive the simulation until global quiescence.
   void run();
 
-  // --- horizon-bounded stepping (parallel DES backend) ---------------------
-  //
-  // An external driver (sim::WindowedCoSim) can run the machine as one
-  // shard of a conservative co-simulation: begin_external_run() performs
-  // run()'s entry work (observer notification, progress stamp, waking all
-  // workers), then repeated step(h) calls drain events up to each safe
-  // horizon h. run() itself is implemented on top of the same primitives,
-  // so the sequential and windowed paths dispatch identical event
-  // sequences.
-
-  /// run()'s entry protocol without the drain loop.
-  void begin_external_run();
-
-  /// Dispatch every pending event with time <= `horizon` (in the usual
-  /// deterministic order). Returns true if events remain beyond the
-  /// horizon. Does NOT invoke the quiescence hook — the external driver
-  /// owns the decision to inject more work.
-  bool step(double horizon);
-
-  /// True when the event queue is non-empty.
-  bool has_pending_events() const { return !queue_.empty(); }
-  /// Earliest pending event time; only valid when has_pending_events().
-  double next_event_time() const { return queue_.peek_time(); }
-
   /// Binds the machine's event queue to the shard that owns it (see
   /// sim::EventQueue::bind_shard): every subsequent schedule/dispatch must
   /// come from that shard's job.
@@ -288,7 +264,7 @@ class DesMachine {
   // time then only tracks the maximum dispatched timestamp (per-thread
   // event chains stay monotone on their own), so cost accounting is
   // schedule-dependent; the mc oracles are value-based and ignore time.
-  // run()/step() never take this path: uncontrolled runs dispatch
+  // run() never takes this path: uncontrolled runs dispatch
   // bit-identical event sequences with or without this seam.
 
   /// Drives the simulation to quiescence (or until the controller returns
@@ -440,6 +416,10 @@ class DesMachine {
   friend class ThreadCtx;
 
   enum EventKind : std::uint32_t { kNext, kCommit, kRetry, kSerialCommit, kCallback };
+
+  /// Entry protocol shared by run() and run_controlled(): observer
+  /// notification, progress stamp, waking every worker.
+  void enter_run();
 
   /// Per-thread engine state. Defined here (not in the .cpp) so the
   /// accessor hot paths below can inline straight into operator bodies.

@@ -142,8 +142,8 @@ class RecoveryClient {
  public:
   virtual ~RecoveryClient() = default;
 
-  /// run()/begin_external_run() entered the event loop (always a safe
-  /// instant: no transactions in flight yet this run).
+  /// run() entered the event loop (always a safe instant: no
+  /// transactions in flight yet this run).
   virtual void on_run_entry(DesMachine& machine) = 0;
 
   /// run() drained the queue and is about to consult the quiescence hook.

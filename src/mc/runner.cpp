@@ -228,9 +228,9 @@ RunResult Runner::run(const PickFn& pick) {
   check_cfg.serial = true;
   check::Checker checker(machine, check_cfg);
 
-  core::ExecutorOptions opts;
+  core::ExecConfig opts;
   opts.batch = 8;
-  opts.lock_stripes = 64;
+  opts.mechanism = config_.mech.fixed.value_or(core::Mechanism::kHtmCoarsened);
   opts.decorator = &checker;
   core::AutoPolicy policy;
   if (config_.mech.is_auto()) {
@@ -240,9 +240,8 @@ RunResult Runner::run(const PickFn& pick) {
     plan.abort_band = config_.auto_abort_band;
     opts.auto_policy = &policy;
   }
-  std::unique_ptr<core::ActivityExecutor> exec = core::make_executor(
-      config_.mech.fixed.value_or(core::Mechanism::kHtmCoarsened), machine,
-      opts);
+  std::unique_ptr<core::ActivityExecutor> exec =
+      core::make_executor(machine, opts, /*lock_stripes=*/64);
 
   std::span<std::uint64_t> words =
       heap.alloc<std::uint64_t>(workload_.num_words, "mc.words");

@@ -130,17 +130,6 @@ class Cluster {
   /// Convenience: poll and, if a message was available, run its handler.
   bool poll_and_handle(htm::ThreadCtx& ctx);
 
-  /// Conservative lookahead L of the cluster's channels: no send, ack, or
-  /// remote atomic issued at virtual time t can take effect at another
-  /// node before t + lookahead_ns(). Every delivery path charges at least
-  /// the wire latency (message bodies add bytes/B on top; remote atomics
-  /// charge the RMW round-trip), so this is the min channel latency a
-  /// conservative parallel driver (sim::HorizonGate) may assume.
-  double lookahead_ns() const {
-    const auto& n = config().net;
-    return n.rmw_latency_ns < n.latency_ns ? n.rmw_latency_ns : n.latency_ns;
-  }
-
   bool queue_empty(int node) const { return queues_[node].empty(); }
   std::size_t pending(int node) const { return queues_[node].size(); }
   /// Messages sent but not yet delivered anywhere in the cluster.

@@ -6,9 +6,7 @@
 // assigned at push time, so ties resolve in insertion order and a run is
 // bit-reproducible regardless of heap internals. (time, seq) is a total
 // order — seq is unique — so *any* correct heap pops the same sequence;
-// the layout tricks below cannot change observable order. Across queues
-// of different shards, (time, seq, shard) extends this to a total order —
-// the tie-break the parallel backend's barrier merge uses (cosim.hpp).
+// the layout tricks below cannot change observable order.
 //
 // Shard ownership: under the parallel backend each queue belongs to
 // exactly one shard (sim/shard.hpp) and must only ever be touched from

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <limits>
 #include <thread>
 
 #include "util/check.hpp"
@@ -71,75 +70,6 @@ void set_host_threads(int n) {
 int max_host_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-// ---------------------------------------------------------------------------
-// HorizonGate
-// ---------------------------------------------------------------------------
-
-HorizonGate::HorizonGate(std::uint32_t num_shards, Time min_latency)
-    : latency_(min_latency), clocks_(num_shards, 0) {
-  AAM_CHECK(num_shards >= 1);
-  AAM_CHECK_MSG(min_latency > 0,
-                "conservative lookahead requires a positive channel latency");
-}
-
-void HorizonGate::set_clock(ShardId s, Time t) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AAM_CHECK(s < clocks_.size());
-  clocks_[s] = t;
-}
-
-Time HorizonGate::clock(ShardId s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  AAM_CHECK(s < clocks_.size());
-  return clocks_[s];
-}
-
-std::uint64_t HorizonGate::send(ShardId src, ShardId dst, Time send_time) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AAM_CHECK(src < clocks_.size() && dst < clocks_.size());
-  AAM_CHECK_MSG(send_time >= clocks_[src],
-                "a shard cannot send from its own past");
-  Pending p;
-  p.dst = dst;
-  p.arrival_lb = send_time + latency_;
-  pending_.push_back(p);
-  ++undelivered_;
-  return pending_.size() - 1;
-}
-
-void HorizonGate::deliver(std::uint64_t ticket) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AAM_CHECK(ticket < pending_.size());
-  AAM_CHECK_MSG(!pending_[ticket].delivered, "message delivered twice");
-  pending_[ticket].delivered = true;
-  --undelivered_;
-}
-
-Time HorizonGate::safe_horizon_locked(ShardId s) const {
-  Time h = std::numeric_limits<Time>::infinity();
-  for (ShardId p = 0; p < clocks_.size(); ++p) {
-    if (p == s) continue;
-    h = std::min(h, clocks_[p] + latency_);
-  }
-  if (undelivered_ > 0) {
-    for (const Pending& m : pending_) {
-      if (!m.delivered && m.dst == s) h = std::min(h, m.arrival_lb);
-    }
-  }
-  return h;
-}
-
-Time HorizonGate::safe_horizon(ShardId s) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  AAM_CHECK(s < clocks_.size());
-  return safe_horizon_locked(s);
-}
-
-std::uint64_t HorizonGate::messages_pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return undelivered_;
 }
 
 }  // namespace aam::sim

@@ -5,7 +5,7 @@
 // A *shard* is one self-contained slice of simulated work — an entire
 // DesMachine (or Cluster) with its own SimHeap, event queue, and RNG
 // streams — that the host can execute on a worker thread of its own. The
-// layer has three pieces:
+// layer has two pieces:
 //
 //  * Shard identity: a thread-local ShardId installed by ShardGuard while
 //    a shard's job runs. Engine-side structures (EventQueue) can bind to
@@ -18,29 +18,12 @@
 //    draws from a decorrelated stream that depends only on (seed, shard) —
 //    never on which host worker ran it or in what order.
 //
-//  * Conservative lookahead: HorizonGate tracks per-shard committed
-//    clocks and in-flight cross-shard messages over channels with a
-//    minimum latency L, and computes the classic Chandy-Misra-Bryant safe
-//    horizon: shard s may process events up to
-//
-//        min( min over peers p of clock(p) + L,
-//             min arrival of any pending inbound message to s ).
-//
-//    Below that bound no yet-unsent message can arrive (every future send
-//    departs at >= the sender's clock and rides for >= L) and no pending
-//    one is jumped over; the within-machine analogue of L is the batch
-//    boundary, at which the executor layer already synchronizes.
-//
 // Host-thread configuration (--host-threads=N) also lives here so the
 // bench layer and the engines agree on one setting. N=1 is the strict
 // sequential mode: runners execute inline on the caller with no thread
 // machinery at all.
 
 #include <cstdint>
-#include <mutex>
-#include <vector>
-
-#include "sim/time.hpp"
 
 namespace aam::sim {
 
@@ -79,71 +62,5 @@ void set_host_threads(int n);
 /// Upper bound for "--host-threads=max": the host's hardware concurrency
 /// (at least 1 even when the runtime reports 0).
 int max_host_threads();
-
-// ---------------------------------------------------------------------------
-// HorizonGate — conservative-lookahead admission control
-// ---------------------------------------------------------------------------
-
-/// Tracks shard clocks and in-flight cross-shard messages; answers "how
-/// far may shard s safely advance?". Thread-safe: shards update their own
-/// clocks and send/deliver concurrently from host workers.
-///
-/// The gate is conservative, never clairvoyant: safe_horizon(s) only uses
-/// the minimum channel latency L and the *current* peer clocks, so it is
-/// a lower bound on the arrival time of any message s has not seen yet.
-class HorizonGate {
- public:
-  /// `min_latency` is the channel lookahead L: every cross-shard message
-  /// sent at time t arrives at its destination no earlier than t + L.
-  HorizonGate(std::uint32_t num_shards, Time min_latency);
-
-  /// Sets shard `s`'s promise clock: `s` will not perform any action —
-  /// in particular, send — before time `t`. A shard that drained its
-  /// queue promises infinity; a later inbound delivery re-arms it with a
-  /// finite value, so the clock is NOT monotonic by contract: it tracks
-  /// the earliest possible next action, which deliveries can pull back.
-  void set_clock(ShardId s, Time t);
-  Time clock(ShardId s) const;
-
-  /// Registers a message from `src` to `dst` departing at `send_time`
-  /// (which must be >= clock(src) at the send). Returns a ticket for
-  /// deliver(). The message's arrival lower bound send_time + L enters
-  /// dst's horizon until delivered.
-  std::uint64_t send(ShardId src, ShardId dst, Time send_time);
-
-  /// Marks a previously sent message as consumed by its destination.
-  void deliver(std::uint64_t ticket);
-
-  /// The conservative safe horizon of shard `s` (see file comment).
-  /// With no peers and no pending traffic this is +infinity.
-  Time safe_horizon(ShardId s) const;
-
-  /// True when shard `s` may process an event stamped `event_time`
-  /// without risking a causality violation from a cross-shard message.
-  bool admissible(ShardId s, Time event_time) const {
-    return event_time <= safe_horizon(s);
-  }
-
-  std::uint32_t num_shards() const {
-    return static_cast<std::uint32_t>(clocks_.size());
-  }
-  Time min_latency() const { return latency_; }
-  std::uint64_t messages_pending() const;
-
- private:
-  struct Pending {
-    ShardId dst = 0;
-    Time arrival_lb = 0;
-    bool delivered = false;
-  };
-
-  Time safe_horizon_locked(ShardId s) const;
-
-  mutable std::mutex mu_;
-  Time latency_;
-  std::vector<Time> clocks_;
-  std::vector<Pending> pending_;  ///< ticket-indexed, append-only
-  std::uint64_t undelivered_ = 0;
-};
 
 }  // namespace aam::sim

@@ -1,11 +1,36 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/check.hpp"
 
 namespace aam::util {
+
+namespace {
+
+[[noreturn]] void invalid_value(const std::string& name,
+                                const std::string& value,
+                                const char* expected) {
+  std::fprintf(stderr, "invalid --%s=%s; expected %s\n", name.c_str(),
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+/// strtoll (base 0, so hex stays valid) over the whole of `s`: false on an
+/// empty string, trailing garbage or an out-of-range value.
+bool parse_int(const std::string& s, std::int64_t& out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 0);
+  if (errno == ERANGE || end != s.c_str() + s.size()) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, char** argv) {
   program_ = argc > 0 ? argv[0] : "aam";
@@ -37,14 +62,23 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def) {
   consumed_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 0);
+  std::int64_t v = 0;
+  if (!parse_int(it->second, v)) invalid_value(name, it->second, "an integer");
+  return v;
 }
 
 double Cli::get_double(const std::string& name, double def) {
   consumed_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& s = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || errno == ERANGE || end != s.c_str() + s.size()) {
+    invalid_value(name, s, "a number");
+  }
+  return v;
 }
 
 bool Cli::get_bool(const std::string& name, bool def) {
@@ -63,11 +97,14 @@ std::vector<std::int64_t> Cli::get_int_list(
   std::vector<std::int64_t> out;
   const std::string& s = it->second;
   std::size_t pos = 0;
-  while (pos < s.size()) {
+  while (true) {
     const auto comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    if (!tok.empty()) out.push_back(std::strtoll(tok.c_str(), nullptr, 0));
+    std::int64_t v = 0;
+    // comma - pos overshoots the end when comma is npos; substr clamps.
+    if (!parse_int(s.substr(pos, comma - pos), v)) {
+      invalid_value(name, s, "a comma-separated list of integers");
+    }
+    out.push_back(v);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -5,6 +5,8 @@
 // Accepted forms: --name=value, --name value, --flag (boolean true).
 // Unknown flags abort with a message listing what was seen, so typos in
 // experiment scripts fail loudly instead of silently running defaults.
+// Numeric getters likewise exit 2 on an empty value, trailing garbage or
+// an out-of-range number (a value-less `--scale` is "true", not 0).
 
 #include <cstdint>
 #include <map>
@@ -23,7 +25,7 @@ class Cli {
   std::int64_t get_int(const std::string& name, std::int64_t def);
   double get_double(const std::string& name, double def);
   bool get_bool(const std::string& name, bool def);
-  /// Comma-separated integer list, e.g. --sizes=1,2,4,8.
+  /// Comma-separated integer list, e.g. --sizes=1,2,4,8 (no empty items).
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          const std::vector<std::int64_t>& def);
   /// String restricted to `allowed`; aborts listing the valid choices if

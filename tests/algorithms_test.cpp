@@ -163,7 +163,9 @@ TEST(PageRank, RanksSumToAtMostOne) {
   const Graph g = test_graph(31);
   mem::SimHeap heap(std::size_t{1} << 24);
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
-  const PageRankResult result = run_pagerank(machine, g, {.iterations = 3});
+  PageRankOptions options;
+  options.iterations = 3;
+  const PageRankResult result = run_pagerank(machine, g, options);
   double sum = 0;
   for (double r : result.rank) {
     EXPECT_GT(r, 0.0);
@@ -180,7 +182,9 @@ TEST(PageRank, HubHasHighestRank) {
   const Graph g = Graph::from_edges(50, edges, true);
   mem::SimHeap heap(std::size_t{1} << 22);
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
-  const PageRankResult result = run_pagerank(machine, g, {.iterations = 10});
+  PageRankOptions options;
+  options.iterations = 10;
+  const PageRankResult result = run_pagerank(machine, g, options);
   for (Vertex v = 1; v < 50; ++v) EXPECT_GT(result.rank[0], result.rank[v]);
 }
 

@@ -16,19 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/capacity.hpp"
 #include "analysis/conflict.hpp"
 #include "analysis/recommend.hpp"
 #include "analysis/signature.hpp"
 #include "core/executor.hpp"
 #include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 
 namespace aam {
 namespace {
@@ -179,93 +173,6 @@ TEST(Recommend, OversizedBatchMarksHtmCapacityUnsafe) {
 // in-process. The empirically fastest fixed mechanism must score within a
 // 2x predicted-cost band of the statically recommended one.
 
-struct Inputs {
-  graph::Graph g;
-  graph::Graph wg;
-  graph::Vertex root = 0;
-  graph::Vertex st_t = 0;
-};
-
-Inputs make_inputs() {
-  const std::uint64_t seed = 1;
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = 10;
-  params.edge_factor = 4;
-  Inputs in;
-  in.g = graph::kronecker(params, rng);
-  in.root = graph::pick_nonisolated_vertex(in.g);
-  for (graph::Vertex v = in.g.num_vertices(); v-- > 0;) {
-    if (v != in.root && !in.g.neighbors(v).empty()) {
-      in.st_t = v;
-      break;
-    }
-  }
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(600, 0.02, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  in.wg = graph::Graph::from_weighted_edges(600, wedges, weights, true);
-  return in;
-}
-
-struct AlgoSpec {
-  const char* name;
-  core::OperatorId op;
-  bool weighted;
-};
-
-constexpr AlgoSpec kAlgoSpecs[] = {
-    {"bfs", core::OperatorId::kBfsVisit, false},
-    {"pagerank", core::OperatorId::kPagerankPush, false},
-    {"sssp", core::OperatorId::kSsspRelax, true},
-    {"coloring", core::OperatorId::kColorAssign, false},
-    {"st-conn", core::OperatorId::kStVisit, false},
-    {"boruvka", core::OperatorId::kUfUnion, true},
-};
-
-double run_one(htm::DesMachine& machine, const Inputs& in,
-               const std::string& algo, core::Mechanism mech) {
-  if (algo == "bfs") {
-    algorithms::BfsOptions o;
-    o.root = in.root;
-    o.mechanism = mech;
-    return algorithms::run_bfs(machine, in.g, o).total_time_ns;
-  }
-  if (algo == "pagerank") {
-    algorithms::PageRankOptions o;
-    o.iterations = 3;
-    o.mechanism = mech;
-    return algorithms::run_pagerank(machine, in.g, o).total_time_ns;
-  }
-  if (algo == "sssp") {
-    algorithms::SsspOptions o;
-    o.source = 0;
-    o.mechanism = mech;
-    return algorithms::run_sssp(machine, in.wg, o).total_time_ns;
-  }
-  if (algo == "coloring") {
-    algorithms::ColoringOptions o;
-    o.mechanism = mech;
-    o.seed = 7;
-    return algorithms::run_boman_coloring(machine, in.g, o).total_time_ns;
-  }
-  if (algo == "st-conn") {
-    algorithms::StConnOptions o;
-    o.s = in.root;
-    o.t = in.st_t;
-    o.mechanism = mech;
-    return algorithms::run_st_connectivity(machine, in.g, o).total_time_ns;
-  }
-  if (algo == "boruvka") {
-    algorithms::BoruvkaOptions o;
-    o.mechanism = mech;
-    return algorithms::run_boruvka(machine, in.wg, o).total_time_ns;
-  }
-  ADD_FAILURE() << "unknown algorithm " << algo;
-  return 0;
-}
-
 const analysis::Recommendation* find_rec(
     const std::vector<analysis::Recommendation>& recs, core::OperatorId op) {
   for (const auto& rec : recs) {
@@ -284,7 +191,8 @@ std::vector<analysis::Recommendation> recs_for(
 }
 
 TEST(RankAgreement, SimulatedSweepScale10WithinBand) {
-  const Inputs in = make_inputs();
+  algorithms::Inputs in = algorithms::make_inputs({});
+  in.coloring_seed = 7;
   const auto sigs = analysis::analyze_all();
   struct Setup {
     const model::MachineConfig* config;
@@ -302,27 +210,28 @@ TEST(RankAgreement, SimulatedSweepScale10WithinBand) {
     const auto recs_wg = recs_for(
         *setup.config, setup.kind, sigs,
         analysis::workload_from_graph(in.wg, setup.threads, 16));
-    for (const AlgoSpec& spec : kAlgoSpecs) {
+    for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
       core::Mechanism best_mech = core::Mechanism::kSerialLock;
       double best_time = 0;
       for (const core::Mechanism mech : core::all_mechanisms()) {
         mem::SimHeap heap((std::size_t{1} << 20) * 8);
         htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                 heap, /*seed=*/1);
-        const double t = run_one(machine, in, spec.name, mech);
+        core::ExecConfig exec = algo.exec;
+        exec.mechanism = mech;
+        const double t = algo.run(machine, in, exec).sim_ns;
         if (best_time == 0 || t < best_time) {
           best_time = t;
           best_mech = mech;
         }
       }
-      const auto* rec =
-          find_rec(spec.weighted ? recs_wg : recs_g, spec.op);
+      const auto* rec = find_rec(algo.weighted ? recs_wg : recs_g, algo.op);
       ASSERT_NE(rec, nullptr) << "no recommendation for "
-                              << core::to_string(spec.op);
+                              << core::to_string(algo.op);
       const double predicted_best = rec->ranked.front().cost_ns;
       const double predicted_empirical = rec->cost_of(best_mech);
       EXPECT_LE(predicted_empirical, 2.0 * predicted_best)
-          << setup.config->name << "/" << spec.name << ": empirical best "
+          << setup.config->name << "/" << algo.name << ": empirical best "
           << core::to_string(best_mech) << " (sim " << best_time
           << " ns) scores " << predicted_empirical << " vs recommended "
           << core::to_string(rec->best()) << " at " << predicted_best;
@@ -422,13 +331,13 @@ TEST(RankAgreement, WallclockRecordWithinBand) {
       machine, kind, sigs,
       analysis::workload_from_graph(wg, doc.threads, doc.batch));
 
-  for (const AlgoSpec& spec : kAlgoSpecs) {
+  for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
     core::Mechanism best_mech = core::Mechanism::kSerialLock;
     double best_time = 0;
     double times[8] = {};
     int fixed_rows = 0;
     for (const WallclockRow& row : doc.rows) {
-      if (row.algorithm != spec.name) continue;
+      if (row.algorithm != algo.name) continue;
       const auto mech = core::parse_mechanism(row.mechanism);
       if (!mech.has_value()) continue;  // skip auto and AM rows
       ++fixed_rows;
@@ -439,8 +348,8 @@ TEST(RankAgreement, WallclockRecordWithinBand) {
       }
     }
     ASSERT_EQ(fixed_rows, (int)core::all_mechanisms().size())
-        << spec.name << ": expected one row per fixed mechanism";
-    const auto* rec = find_rec(spec.weighted ? recs_wg : recs_g, spec.op);
+        << algo.name << ": expected one row per fixed mechanism";
+    const auto* rec = find_rec(algo.weighted ? recs_wg : recs_g, algo.op);
     ASSERT_NE(rec, nullptr);
     // Rank agreement holds when the recommendation is observed
     // near-optimal (within 1.5x of the fastest recorded sim time), or —
@@ -454,7 +363,7 @@ TEST(RankAgreement, WallclockRecordWithinBand) {
     const double predicted_ratio =
         rec->cost_of(best_mech) / rec->ranked.front().cost_ns;
     EXPECT_TRUE(observed_ratio <= 1.5 || predicted_ratio <= 2.0)
-        << doc.machine << "/" << spec.name << ": recorded best "
+        << doc.machine << "/" << algo.name << ": recorded best "
         << core::to_string(best_mech) << " vs recommended "
         << core::to_string(rec->best()) << " (observed ratio "
         << observed_ratio << ", predicted ratio " << predicted_ratio << ")";

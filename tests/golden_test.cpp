@@ -14,158 +14,21 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "core/executor.hpp"
-#include "graph/generators.hpp"
-#include "graph/gstats.hpp"
 #include "sim/host_pool.hpp"
 
 namespace aam {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-struct Digest {
-  std::uint64_t h = kFnvOffset;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= kFnvPrime;
-    }
-  }
-  void mix(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  }
-  template <typename T>
-  void mix_all(const std::vector<T>& values) {
-    mix(static_cast<std::uint64_t>(values.size()));
-    for (const T& v : values) mix(static_cast<std::uint64_t>(v));
-  }
-  void mix_all(const std::vector<double>& values) {
-    mix(static_cast<std::uint64_t>(values.size()));
-    for (double v : values) mix(v);
-  }
-};
-
-struct RunRecord {
-  double time_ns = 0;
-  htm::HtmStats stats;
-  std::uint64_t digest = 0;
-};
-
-struct Inputs {
-  graph::Graph g;          ///< Kronecker, for the traversal algorithms
-  graph::Graph wg;         ///< weighted Erdos-Renyi, for SSSP/Boruvka
-  graph::Vertex root = 0;
-  graph::Vertex st_t = 0;
-};
-
-Inputs make_inputs() {
-  const std::uint64_t seed = 1;
-  util::Rng rng(seed);
-  graph::KroneckerParams params;
-  params.scale = 10;
-  params.edge_factor = 4;
-  Inputs in;
-  in.g = graph::kronecker(params, rng);
-  in.root = graph::pick_nonisolated_vertex(in.g);
-  for (graph::Vertex v = in.g.num_vertices(); v-- > 0;) {
-    if (v != in.root && !in.g.neighbors(v).empty()) {
-      in.st_t = v;
-      break;
-    }
-  }
-  util::Rng wrng(seed + 1);
-  auto wedges = graph::erdos_renyi_edges(600, 0.02, wrng);
-  const auto weights =
-      graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  in.wg = graph::Graph::from_weighted_edges(600, wedges, weights, true);
-  return in;
-}
-
-RunRecord run_one(htm::DesMachine& machine, const Inputs& in,
-                  const std::string& algo, core::Mechanism mech) {
-  RunRecord rec;
-  Digest d;
-  if (algo == "bfs") {
-    algorithms::BfsOptions o;
-    o.root = in.root;
-    o.mechanism = mech;
-    const auto r = algorithms::run_bfs(machine, in.g, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix_all(r.parent);
-    d.mix(r.vertices_visited);
-    d.mix(r.edges_scanned);
-  } else if (algo == "pagerank") {
-    algorithms::PageRankOptions o;
-    o.iterations = 3;
-    o.mechanism = mech;
-    const auto r = algorithms::run_pagerank(machine, in.g, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix_all(r.rank);
-  } else if (algo == "sssp") {
-    algorithms::SsspOptions o;
-    o.source = 0;
-    o.mechanism = mech;
-    const auto r = algorithms::run_sssp(machine, in.wg, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix_all(r.distance);
-    d.mix(r.relaxations);
-  } else if (algo == "coloring") {
-    algorithms::ColoringOptions o;
-    o.mechanism = mech;
-    o.seed = 7;
-    const auto r = algorithms::run_boman_coloring(machine, in.g, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix_all(r.color);
-    d.mix(r.recolor_requests);
-  } else if (algo == "st-conn") {
-    algorithms::StConnOptions o;
-    o.s = in.root;
-    o.t = in.st_t;
-    o.mechanism = mech;
-    const auto r = algorithms::run_st_connectivity(machine, in.g, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix(static_cast<std::uint64_t>(r.connected));
-    d.mix(r.vertices_colored);
-  } else if (algo == "boruvka") {
-    algorithms::BoruvkaOptions o;
-    o.mechanism = mech;
-    const auto r = algorithms::run_boruvka(machine, in.wg, o);
-    rec.time_ns = r.total_time_ns;
-    rec.stats = r.stats;
-    d.mix(r.total_weight);
-    d.mix(r.edges_in_forest);
-    d.mix(r.failed_merges);
-  } else {
-    ADD_FAILURE() << "unknown algorithm " << algo;
-  }
-  rec.digest = d.h;
-  return rec;
-}
-
 std::string snapshot_lines() {
-  const Inputs in = make_inputs();
+  algorithms::Inputs in = algorithms::make_inputs({});
+  in.coloring_seed = 7;
   struct Setup {
     const model::MachineConfig* config;
     model::HtmKind kind;
@@ -175,8 +38,6 @@ std::string snapshot_lines() {
       {&model::bgq(), model::HtmKind::kBgqShort, 16},
       {&model::has_c(), model::HtmKind::kRtm, 8},
   };
-  const std::vector<std::string> algos = {"bfs",      "pagerank", "sssp",
-                                          "coloring", "st-conn",  "boruvka"};
   // Each (setup, algorithm, mechanism) cell simulates on a machine of its
   // own, so the sweep runs as shards on the parallel DES backend: cells
   // execute across sim::host_threads() host workers (AAM_HOST_THREADS
@@ -186,12 +47,12 @@ std::string snapshot_lines() {
   // bit-identical at every host-thread count.
   struct Cell {
     const Setup* setup;
-    const std::string* algo;
+    const algorithms::AlgorithmEntry* algo;
     core::Mechanism mech;
   };
   std::vector<Cell> cells;
   for (const Setup& setup : setups) {
-    for (const std::string& algo : algos) {
+    for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
       for (const core::Mechanism mech : core::all_mechanisms()) {
         cells.push_back({&setup, &algo, mech});
       }
@@ -204,15 +65,17 @@ std::string snapshot_lines() {
     htm::DesMachine machine(*cell.setup->config, cell.setup->kind,
                             cell.setup->threads, heap, /*seed=*/1);
     machine.bind_shard(cell_id);
-    const RunRecord rec = run_one(machine, in, *cell.algo, cell.mech);
-    char line[256];
+    core::ExecConfig exec = cell.algo->exec;
+    exec.mechanism = cell.mech;
+    const algorithms::RunReport rec = cell.algo->run(machine, in, exec);
+  char line[256];
     // %a renders the simulated time exactly; any bit flip shows up.
     std::snprintf(line, sizeof(line),
                   "%s %s %s time=%a commits=%llu serialized=%llu "
                   "aborts_conflict=%llu aborts_capacity=%llu "
                   "aborts_other=%llu cas=%llu acc=%llu digest=%016llx\n",
-                  cell.setup->config->name.c_str(), cell.algo->c_str(),
-                  core::to_string(cell.mech), rec.time_ns,
+                  cell.setup->config->name.c_str(), cell.algo->name,
+                  core::to_string(cell.mech), rec.sim_ns,
                   static_cast<unsigned long long>(rec.stats.committed),
                   static_cast<unsigned long long>(rec.stats.serialized),
                   static_cast<unsigned long long>(rec.stats.aborts_conflict),

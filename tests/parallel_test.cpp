@@ -1,29 +1,18 @@
-// Parallel DES backend: shard identity, shard-owned event queues, the
-// host worker pool, the conservative-lookahead gate, and the windowed
-// co-simulation driver.
+// Parallel DES backend: shard identity, shard-owned event queues, and the
+// host worker pool (ShardRunner).
 //
 // The determinism tests are the backend's contract: simulated results —
 // traces, clocks, event counts — must be bit-identical at every
 // host-thread count, because parallelism only changes which host thread
-// executes an independent shard (or which wall-clock instant a window
-// step runs at), never the simulated schedule.
+// executes an independent shard, never the simulated schedule.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <functional>
-#include <limits>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
-#include "htm/des_engine.hpp"
-#include "mem/sim_heap.hpp"
-#include "model/machines.hpp"
-#include "sim/cosim.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/host_pool.hpp"
 #include "sim/shard.hpp"
@@ -170,239 +159,6 @@ TEST(ShardRunner, PropagatesTheFirstJobException) {
 TEST(ShardRunner, ZeroJobsIsANoOp) {
   sim::ShardRunner runner(4);
   runner.run(0, [&](sim::ShardId) { FAIL() << "job ran"; });
-}
-
-// ---------------------------------------------------------------------------
-// HorizonGate
-// ---------------------------------------------------------------------------
-
-TEST(HorizonGate, SingleShardHorizonIsInfinite) {
-  sim::HorizonGate gate(1, 10.0);
-  gate.set_clock(0, 5.0);
-  EXPECT_TRUE(std::isinf(gate.safe_horizon(0)));
-}
-
-TEST(HorizonGate, HorizonTracksPeerClocksPlusLatency) {
-  sim::HorizonGate gate(3, 10.0);
-  gate.set_clock(0, 100.0);
-  gate.set_clock(1, 40.0);
-  gate.set_clock(2, 70.0);
-  // Shard 0's bound comes from the slowest peer: min(40, 70) + 10.
-  EXPECT_DOUBLE_EQ(gate.safe_horizon(0), 50.0);
-  EXPECT_DOUBLE_EQ(gate.safe_horizon(1), 80.0);  // min(100, 70) + 10
-  EXPECT_DOUBLE_EQ(gate.safe_horizon(2), 50.0);  // min(100, 40) + 10
-  EXPECT_TRUE(gate.admissible(1, 80.0));
-  EXPECT_FALSE(gate.admissible(1, 80.5));
-}
-
-TEST(HorizonGate, PendingMessageCapsTheDestinationHorizon) {
-  sim::HorizonGate gate(2, 10.0);
-  gate.set_clock(0, 50.0);
-  gate.set_clock(1, 60.0);
-  const std::uint64_t ticket = gate.send(/*src=*/0, /*dst=*/1, /*send=*/50.0);
-  EXPECT_EQ(gate.messages_pending(), 1u);
-  // Shard 1 may not run past the in-flight arrival bound 50 + 10 even
-  // after shard 0's clock advances beyond it.
-  gate.set_clock(0, 500.0);
-  EXPECT_DOUBLE_EQ(gate.safe_horizon(1), 60.0);
-  gate.deliver(ticket);
-  EXPECT_EQ(gate.messages_pending(), 0u);
-  EXPECT_DOUBLE_EQ(gate.safe_horizon(1), 510.0);
-}
-
-// Property: the safe horizon never admits an event earlier than any
-// pending cross-shard message to that shard, nor earlier than any peer's
-// clock + L — under randomized clock advances, sends, and deliveries.
-TEST(HorizonGate, PropertyHorizonNeverOvertakesPendingTraffic) {
-  util::Rng rng(2026);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::uint32_t k =
-        2 + static_cast<std::uint32_t>(rng.next_below(4));  // 2..5 shards
-    const double latency = 1.0 + static_cast<double>(rng.next_below(20));
-    sim::HorizonGate gate(k, latency);
-    std::vector<double> clocks(k, 0.0);
-    struct Msg {
-      std::uint64_t ticket;
-      sim::ShardId dst;
-      double arrival_lb;
-    };
-    std::vector<Msg> in_flight;
-    for (int op = 0; op < 200; ++op) {
-      const sim::ShardId s = static_cast<sim::ShardId>(rng.next_below(k));
-      switch (rng.next_below(3)) {
-        case 0: {  // advance a shard's clock
-          clocks[s] += static_cast<double>(rng.next_below(10));
-          gate.set_clock(s, clocks[s]);
-          break;
-        }
-        case 1: {  // send from a shard, at or after its clock
-          sim::ShardId dst = static_cast<sim::ShardId>(rng.next_below(k));
-          if (dst == s) dst = (dst + 1) % k;
-          const double send_time =
-              clocks[s] + static_cast<double>(rng.next_below(5));
-          const std::uint64_t ticket = gate.send(s, dst, send_time);
-          in_flight.push_back({ticket, dst, send_time + latency});
-          break;
-        }
-        default: {  // deliver the oldest in-flight message
-          if (!in_flight.empty()) {
-            gate.deliver(in_flight.front().ticket);
-            in_flight.erase(in_flight.begin());
-          }
-          break;
-        }
-      }
-      // Invariant sweep after every operation.
-      for (sim::ShardId sh = 0; sh < k; ++sh) {
-        const double h = gate.safe_horizon(sh);
-        for (const Msg& m : in_flight) {
-          if (m.dst == sh) {
-            EXPECT_LE(h, m.arrival_lb)
-                << "horizon admits an event past a pending message";
-          }
-        }
-        for (sim::ShardId p = 0; p < k; ++p) {
-          if (p != sh) EXPECT_LE(h, clocks[p] + latency);
-        }
-      }
-    }
-    EXPECT_EQ(gate.messages_pending(), in_flight.size());
-  }
-}
-
-TEST(HorizonGateDeathTest, SendFromTheShardsPastDies) {
-  sim::HorizonGate gate(2, 5.0);
-  gate.set_clock(0, 100.0);
-  EXPECT_DEATH(gate.send(0, 1, 99.0), "own past");
-}
-
-// ---------------------------------------------------------------------------
-// WindowedCoSim over real DesMachines
-// ---------------------------------------------------------------------------
-
-/// Adapts a DesMachine to the CoSimShard interface.
-class MachineShard final : public sim::CoSimShard {
- public:
-  explicit MachineShard(htm::DesMachine& m) : m_(m) {}
-  bool has_events() const override { return m_.has_pending_events(); }
-  sim::Time next_time() const override { return m_.next_event_time(); }
-  void step(sim::Time horizon) override { m_.step(horizon); }
-
- private:
-  htm::DesMachine& m_;
-};
-
-struct CoSimOutcome {
-  std::vector<std::vector<double>> traces;  ///< per-shard arrival times
-  std::vector<double> final_now;
-  std::vector<std::uint64_t> events;
-  std::uint64_t windows = 0;
-  std::uint64_t hops = 0;
-
-  bool operator==(const CoSimOutcome& o) const {
-    return traces == o.traces && final_now == o.final_now &&
-           events == o.events && windows == o.windows && hops == o.hops;
-  }
-};
-
-/// K coupled machines pass `tokens` tokens around the ring; every hop
-/// rides a channel of latency L plus a deterministic per-shard extra
-/// delay derived from the shard seed. Returns the full simulated trace.
-CoSimOutcome run_token_ring(int k, int tokens, int hops_per_token,
-                            int host_threads) {
-  const double latency = 100.0;
-  const model::MachineConfig& config = model::has_c();
-
-  std::vector<std::unique_ptr<mem::SimHeap>> heaps;
-  std::vector<std::unique_ptr<htm::DesMachine>> machines;
-  std::vector<std::unique_ptr<MachineShard>> shards;
-  std::vector<sim::CoSimShard*> shard_ptrs;
-  for (int i = 0; i < k; ++i) {
-    heaps.push_back(std::make_unique<mem::SimHeap>(1 << 16));
-    machines.push_back(std::make_unique<htm::DesMachine>(
-        config, model::HtmKind::kRtm, /*num_threads=*/1, *heaps.back(),
-        /*seed=*/1));
-    machines.back()->bind_shard(static_cast<sim::ShardId>(i));
-    shards.push_back(std::make_unique<MachineShard>(*machines.back()));
-    shard_ptrs.push_back(shards.back().get());
-  }
-
-  sim::WindowedCoSim cosim(shard_ptrs, latency, host_threads);
-  CoSimOutcome out;
-  out.traces.resize(k);
-  std::vector<std::uint64_t> hops_done(k, 0);
-
-  // On arrival at shard `at` with `left` hops to go, record the arrival
-  // and forward the token to the next shard on the ring. Runs inside the
-  // owning machine's step, under that shard's identity.
-  std::function<void(int, double, int)> hop = [&](int at, double now,
-                                                  int left) {
-    out.traces[at].push_back(now);
-    ++hops_done[at];
-    if (left == 0) return;
-    const int next = (at + 1) % k;
-    // Deterministic per-shard service time before the token departs.
-    const double service =
-        1.0 + static_cast<double>(sim::shard_seed(7, at) % 17);
-    const double send_time = now + service;
-    const double arrival = send_time + latency;
-    cosim.post(static_cast<sim::ShardId>(at), static_cast<sim::ShardId>(next),
-               send_time, arrival, [&, next, arrival, left] {
-                 machines[next]->schedule_callback(arrival, [&, next, arrival,
-                                                             left] {
-                   hop(next, arrival, left - 1);
-                 });
-               });
-  };
-
-  // Seed the tokens: token t starts on shard t % k at time t + 1. The
-  // machines' queues are shard-bound, so setup schedules under each
-  // owner's identity (single-threaded here, same as a barrier delivery).
-  for (int t = 0; t < tokens; ++t) {
-    const int at = t % k;
-    const double start = static_cast<double>(t + 1);
-    sim::ShardGuard guard(static_cast<sim::ShardId>(at));
-    machines[at]->schedule_callback(start, [&, at, start] {
-      hop(at, start, hops_per_token);
-    });
-  }
-  for (auto& m : machines) m->begin_external_run();
-  out.windows = cosim.run();
-
-  for (int i = 0; i < k; ++i) {
-    out.final_now.push_back(machines[i]->now());
-    out.events.push_back(machines[i]->events_processed());
-    out.hops += hops_done[i];
-  }
-  return out;
-}
-
-TEST(WindowedCoSim, TokenRingCompletesAllHops) {
-  const CoSimOutcome out = run_token_ring(/*k=*/3, /*tokens=*/4,
-                                          /*hops_per_token=*/10,
-                                          /*host_threads=*/1);
-  // Every hop lands exactly once: 4 tokens x (1 start + 10 forwards).
-  EXPECT_EQ(out.hops, 4u * 11u);
-  EXPECT_GT(out.windows, 0u);
-  // Arrivals within one shard are recorded in nondecreasing time order:
-  // the windowed driver never executes a shard's events out of order.
-  for (const auto& trace : out.traces) {
-    EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end()));
-  }
-}
-
-TEST(WindowedCoSim, BitIdenticalAcrossHostThreadCounts) {
-  const CoSimOutcome seq = run_token_ring(3, 4, 25, /*host_threads=*/1);
-  const CoSimOutcome par2 = run_token_ring(3, 4, 25, /*host_threads=*/2);
-  const CoSimOutcome par4 = run_token_ring(3, 4, 25, /*host_threads=*/4);
-  EXPECT_TRUE(seq == par2);
-  EXPECT_TRUE(seq == par4);
-}
-
-TEST(WindowedCoSim, BitIdenticalWithMoreShardsThanWorkers) {
-  const CoSimOutcome seq = run_token_ring(5, 7, 12, /*host_threads=*/1);
-  const CoSimOutcome par = run_token_ring(5, 7, 12, /*host_threads=*/3);
-  EXPECT_TRUE(seq == par);
 }
 
 }  // namespace

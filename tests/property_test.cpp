@@ -9,12 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "algorithms/bfs.hpp"
-#include "algorithms/boruvka.hpp"
-#include "algorithms/coloring.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
-#include "algorithms/st_connectivity.hpp"
+#include "algorithms/registry.hpp"
 #include "analysis/signature.hpp"
 #include "check/check.hpp"
 #include "core/runtime.hpp"
@@ -325,16 +320,22 @@ TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
   graph::KroneckerParams gp;
   gp.scale = 10;
   gp.edge_factor = 4;
-  const graph::Graph g = graph::kronecker(gp, rng);
+  algorithms::Inputs in;
+  in.g = graph::kronecker(gp, rng);
   util::Rng wrng(12);
   const auto wedges = graph::kronecker_edges(gp, wrng);
   const auto weights = graph::random_weights(wedges.size(), 1.0f, 100.0f, wrng);
-  const graph::Graph wg = graph::Graph::from_weighted_edges(
-      g.num_vertices(), wedges, weights, /*undirected=*/true);
+  in.wg = graph::Graph::from_weighted_edges(
+      in.g.num_vertices(), wedges, weights, /*undirected=*/true);
+  in.root = graph::pick_nonisolated_vertex(in.g);
+  in.st_t = graph::pick_nonisolated_vertex(in.g, /*salt=*/1);
+  if (in.root == in.st_t) in.st_t = in.root == 0 ? 1 : 0;
+  in.sssp_source = graph::pick_nonisolated_vertex(in.wg);
+  in.pr_iterations = 2;
   const auto dmax =
-      static_cast<int>(std::max(graph::degree_stats(g).max,
-                                graph::degree_stats(wg).max));
-  const auto n = static_cast<int>(g.num_vertices());
+      static_cast<int>(std::max(graph::degree_stats(in.g).max,
+                                graph::degree_stats(in.wg).max));
+  const auto n = static_cast<int>(in.g.num_vertices());
 
   const auto signatures = analysis::analyze_all();
   auto signature_of = [&](core::OperatorId op) -> const auto& {
@@ -369,54 +370,15 @@ TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
     }
   };
 
-  audit("bfs", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::BfsOptions options;
-    options.root = graph::pick_nonisolated_vertex(g);
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_bfs(machine, g, options);
-  });
-  audit("pagerank", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::PageRankOptions options;
-    options.iterations = 2;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_pagerank(machine, g, options);
-  });
-  audit("sssp", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::SsspOptions options;
-    options.source = graph::pick_nonisolated_vertex(wg);
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_sssp(machine, wg, options);
-  });
-  audit("boruvka", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::BoruvkaOptions options;
-    options.mechanism = param.mechanism;
-    options.batch = 4;
-    options.decorator = &checker;
-    algorithms::run_boruvka(machine, wg, options);
-  });
-  audit("coloring", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::ColoringOptions options;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_boman_coloring(machine, g, options);
-  });
-  audit("st-conn", [&](htm::DesMachine& machine, check::Checker& checker) {
-    algorithms::StConnOptions options;
-    options.s = graph::pick_nonisolated_vertex(g);
-    options.t = graph::pick_nonisolated_vertex(g, /*salt=*/1);
-    if (options.s == options.t) options.t = options.s == 0 ? 1 : 0;
-    options.mechanism = param.mechanism;
-    options.batch = 8;
-    options.decorator = &checker;
-    algorithms::run_st_connectivity(machine, g, options);
-  });
+  for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
+    audit(algo.name, [&](htm::DesMachine& machine, check::Checker& checker) {
+      core::ExecConfig exec = algo.exec;
+      exec.batch = std::min(exec.batch, 8);
+      exec.mechanism = param.mechanism;
+      exec.decorator = &checker;
+      algo.run(machine, in, exec);
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

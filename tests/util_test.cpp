@@ -215,6 +215,62 @@ TEST(Cli, IntList) {
   EXPECT_EQ(d[0], 5);
 }
 
+TEST(Cli, HexIntegersStayValid) {
+  const char* argv[] = {"prog", "--mask=0x10", "--sizes=0x2,3"};
+  Cli cli(3, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("mask", 0), 16);
+  EXPECT_EQ(cli.get_int_list("sizes", {}), (std::vector<std::int64_t>{2, 3}));
+}
+
+/// Parses `arg` as the only flag and reads it back with `get`.
+template <typename Get>
+void parse_one(const char* arg, Get get) {
+  const char* argv[] = {"prog", arg};
+  Cli cli(2, const_cast<char**>(argv));
+  get(cli);
+}
+
+TEST(CliDeathTest, MalformedIntegersExitTwo) {
+  const auto get_scale = [](Cli& cli) { cli.get_int("scale", 1); };
+  EXPECT_EXIT(parse_one("--scale=abc", get_scale),
+              ::testing::ExitedWithCode(2),
+              "invalid --scale=abc; expected an integer");
+  EXPECT_EXIT(parse_one("--scale=12x", get_scale),
+              ::testing::ExitedWithCode(2),
+              "invalid --scale=12x; expected an integer");
+  EXPECT_EXIT(parse_one("--scale=1e3", get_scale),
+              ::testing::ExitedWithCode(2),
+              "invalid --scale=1e3; expected an integer");
+  EXPECT_EXIT(parse_one("--scale=", get_scale), ::testing::ExitedWithCode(2),
+              "invalid --scale=; expected an integer");
+  EXPECT_EXIT(parse_one("--scale=99999999999999999999", get_scale),
+              ::testing::ExitedWithCode(2), "expected an integer");
+  // A value-less flag is stored as "true", which is not a number.
+  EXPECT_EXIT(parse_one("--scale", get_scale), ::testing::ExitedWithCode(2),
+              "invalid --scale=true; expected an integer");
+}
+
+TEST(CliDeathTest, MalformedNumbersExitTwo) {
+  const auto get_p = [](Cli& cli) { cli.get_double("p", 0.5); };
+  EXPECT_EXIT(parse_one("--p=0.5x", get_p), ::testing::ExitedWithCode(2),
+              "invalid --p=0.5x; expected a number");
+  EXPECT_EXIT(parse_one("--p=", get_p), ::testing::ExitedWithCode(2),
+              "invalid --p=; expected a number");
+  EXPECT_EXIT(parse_one("--p=1e999", get_p), ::testing::ExitedWithCode(2),
+              "expected a number");
+}
+
+TEST(CliDeathTest, MalformedIntListsExitTwo) {
+  const auto get_sizes = [](Cli& cli) { cli.get_int_list("sizes", {}); };
+  EXPECT_EXIT(parse_one("--sizes=1,x,3", get_sizes),
+              ::testing::ExitedWithCode(2),
+              "invalid --sizes=1,x,3; expected a comma-separated list");
+  EXPECT_EXIT(parse_one("--sizes=1,,3", get_sizes),
+              ::testing::ExitedWithCode(2), "expected a comma-separated list");
+  EXPECT_EXIT(parse_one("--sizes=", get_sizes), ::testing::ExitedWithCode(2),
+              "expected a comma-separated list");
+}
+
 // --------------------------------------------------------------- Table
 
 TEST(Table, RendersAlignedAndCsv) {

@@ -2,8 +2,8 @@
 
 // Self-test fixture for tools/lint_operators.sh: the lint must ACCEPT this
 // file (exit 0). Host-side measurement code that legitimately reads real
-// time (the threaded execution baseline) opts out of pass 3 with the
-// `lint:allow-wallclock` marker on the offending line.
+// time opts out of pass 3 with the `lint:allow-wallclock` marker on the
+// offending line.
 
 #include <chrono>
 

@@ -21,8 +21,9 @@
 # analysis::AbstractAccess via the same template seam.
 #
 # Pass 4 — hardwired mechanism selection. Algorithms must leave mechanism
-# choice to the executor dispatch (Options::mechanism, --mechanism=auto's
-# AutoPolicy routing): after stripping comments, flags any `Mechanism::`
+# choice to the executor dispatch (core::ExecConfig::mechanism, which the
+# intra-node Options inherit, and --mechanism=auto's AutoPolicy routing):
+# after stripping comments, flags any `Mechanism::`
 # literal inside src/algorithms/*.cpp. A literal there pins the algorithm
 # to one synchronization mechanism, silently bypassing both the CLI flag
 # and the static recommendation table. The rare legitimate mention (e.g.
@@ -35,9 +36,9 @@
 # comments, flags std::rand/srand and wall-clock reads (gettimeofday,
 # clock_gettime, steady_clock/system_clock/high_resolution_clock) in any
 # file under src/ outside src/sim/ (the DES core legitimately defines the
-# clock). Host-side measurement code that *must* read real time (the
-# threaded execution baseline, the bench harnesses) annotates the line
-# with a `lint:allow-wallclock` comment marker.
+# clock). Host-side measurement code under src/ that *must* read real
+# time annotates the line with a `lint:allow-wallclock` comment marker;
+# the bench harnesses live outside src/ and are not scanned.
 #
 # Pass 5 — unordered-container iteration. std::unordered_map/set iterate
 # in hash-table order, which varies with libstdc++ version, load factor
@@ -132,9 +133,10 @@ for f in "$@"; do
   ' "$f" || status=1
 done
 
-# Pass 4 file set: the explicit arguments, or the algorithm bodies (the
-# headers hold only Options structs, whose Mechanism default is the
-# executor-dispatch seam itself, so only the .cpp files are scanned).
+# Pass 4 file set: the explicit arguments, or the algorithm .cpp files.
+# The headers hold only Options structs: the intra-node ones inherit their
+# Mechanism default from core::ExecConfig, and DistPrOptions declares the
+# distributed runtime's default itself.
 if [ "$explicit_files" -eq 0 ]; then
   set -- src/algorithms/*.cpp
 fi
