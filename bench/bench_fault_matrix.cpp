@@ -112,8 +112,8 @@ DistCell run_dist_cell(const model::MachineConfig& config,
 }
 
 /// Deterministic recovery-telemetry suffix for crash cells ("" otherwise).
-/// recovery_wall_ms is host wall time and deliberately excluded: the
-/// binary's stdout is the determinism oracle of tools/fault_sweep.sh.
+/// Every field is simulated state, never host time: the binary's stdout is
+/// the determinism oracle of tools/fault_sweep.sh.
 std::string recovery_suffix(const recovery::RecoveryStats* rec) {
   if (rec == nullptr) return "";
   char buf[160];

@@ -75,6 +75,23 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
+// The DES loop's pattern: a steady population of pending events, and each
+// dispatched event pushes its follow-up a short, jittered delay later.
+void BM_EventQueueSteadyState(benchmark::State& state) {
+  constexpr int kPending = 300;
+  sim::EventQueue queue;
+  util::Rng rng(5);
+  for (int i = 0; i < kPending; ++i) {
+    queue.push(rng.next_double() * 1000.0, static_cast<std::uint32_t>(i), 0);
+  }
+  for (auto _ : state) {
+    const sim::Event e = queue.pop();
+    queue.push(e.time + 1.0 + rng.next_double() * 1000.0, e.thread, e.kind);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyState);
+
 void BM_FootprintTracker(benchmark::State& state) {
   mem::FootprintTable table(/*conflict_shift=*/6);
   table.cover(64 * 3);

@@ -29,11 +29,9 @@ DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
   // the polling thread (progress() stages the transaction).
   op_handler_ = cluster_.register_handler(
       [this](htm::ThreadCtx&, const net::Message& msg) {
-        Batch b;
-        b.items = msg.payload;
-        b.reply_node = mode_ == Mode::kFr ? msg.src_node : -1;
         // (plain batches carry no reply.)
-        enqueue_batch(msg.dst_node, std::move(b));
+        enqueue_batch(msg.dst_node, msg.payload,
+                      mode_ == Mode::kFr ? msg.src_node : -1);
       });
 
   // FR replies: run the failure handler for each returned result.
@@ -51,6 +49,7 @@ DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
   local_buffers_.resize(static_cast<std::size_t>(threads));
   pending_.resize(static_cast<std::size_t>(cluster_.num_nodes()));
   pending_sharded_.resize(static_cast<std::size_t>(threads));
+  in_flight_.resize(static_cast<std::size_t>(threads));
 }
 
 void DistributedRuntime::set_operator_plain(ItemOpPlain op,
@@ -70,9 +69,8 @@ void DistributedRuntime::spawn(htm::ThreadCtx& ctx, int owner_node,
     auto& buf = local_buffers_[tid];
     buf.push_back(item);
     if (static_cast<int>(buf.size()) >= options_.local_batch) {
-      std::vector<std::uint64_t> items;
-      items.swap(buf);
-      enqueue_local(my_node, std::move(items));
+      enqueue_batch(my_node, buf, mode_ == Mode::kFr ? my_node : -1);
+      buf.clear();
     }
   } else {
     coalescers_[tid].add(ctx, owner_node, item);
@@ -83,38 +81,43 @@ void DistributedRuntime::flush(htm::ThreadCtx& ctx) {
   const std::uint32_t tid = ctx.thread_id();
   auto& buf = local_buffers_[tid];
   if (!buf.empty()) {
-    std::vector<std::uint64_t> items;
-    items.swap(buf);
-    enqueue_local(cluster_.node_of_thread(tid), std::move(items));
+    const int my_node = cluster_.node_of_thread(tid);
+    enqueue_batch(my_node, buf, mode_ == Mode::kFr ? my_node : -1);
+    buf.clear();
   }
   coalescers_[tid].flush_all(ctx);
 }
 
-void DistributedRuntime::enqueue_local(int node,
-                                       std::vector<std::uint64_t> items) {
-  Batch b;
-  b.items = std::move(items);
-  b.reply_node = mode_ == Mode::kFr ? node : -1;
-  enqueue_batch(node, std::move(b));
+std::vector<std::uint64_t> DistributedRuntime::take_buffer() {
+  if (spare_.empty()) {
+    std::vector<std::uint64_t> buf;
+    buf.reserve(static_cast<std::size_t>(options_.local_batch));
+    return buf;
+  }
+  std::vector<std::uint64_t> buf = std::move(spare_.back());
+  spare_.pop_back();
+  return buf;
 }
 
-void DistributedRuntime::enqueue_batch(int node, Batch batch) {
+void DistributedRuntime::enqueue_batch(int node,
+                                       std::span<const std::uint64_t> items,
+                                       int reply_node) {
   if (!shard_) {
-    pending_[static_cast<std::size_t>(node)].push_back(std::move(batch));
+    Batch b{take_buffer(), reply_node};
+    b.items.assign(items.begin(), items.end());
+    pending_[static_cast<std::size_t>(node)].push_back(std::move(b));
     ++pending_total_;
   } else {
     // Split the batch by receiver shard; each sub-batch runs only on its
     // owning thread, making same-node transactions conflict-free.
     const int tpn = cluster_.threads_per_node();
-    for (std::uint64_t item : batch.items) {
+    for (std::uint64_t item : items) {
       const auto shard = static_cast<int>(shard_(item)) % tpn;
       const std::uint32_t tid = cluster_.thread_of(node, shard);
       auto& q = pending_sharded_[tid];
-      if (q.empty() || q.back().reply_node != batch.reply_node ||
+      if (q.empty() || q.back().reply_node != reply_node ||
           static_cast<int>(q.back().items.size()) >= options_.local_batch) {
-        Batch sub;
-        sub.reply_node = batch.reply_node;
-        q.push_back(std::move(sub));
+        q.push_back(Batch{take_buffer(), reply_node});
         ++pending_total_;
       }
       q.back().items.push_back(item);
@@ -138,22 +141,32 @@ bool DistributedRuntime::progress(htm::ThreadCtx& ctx) {
     cluster_.run_handler(ctx, msg);
     if (q.empty()) return true;  // reply message, or work for other shards
   }
-  Batch batch = std::move(q.front());
+  // The batch's items move into this thread's in-flight slot, which the
+  // staged activity reads. The thread's previous activity has completed
+  // (the engine keeps at most one in flight per thread), so the slot's
+  // old buffer is free to recycle.
+  auto& slot = in_flight_[ctx.thread_id()];
+  slot.swap(q.front().items);
+  const int reply_node = q.front().reply_node;
+  q.front().items.clear();
+  spare_.push_back(std::move(q.front().items));
   q.pop_front();
   --pending_total_;
-  stage_batch(ctx, std::move(batch));
+  stage_batch(ctx, slot, reply_node);
   return true;
 }
 
-void DistributedRuntime::stage_batch(htm::ThreadCtx& ctx, Batch batch) {
+void DistributedRuntime::stage_batch(htm::ThreadCtx& ctx,
+                                     const std::vector<std::uint64_t>& items,
+                                     int reply_node) {
   AAM_CHECK_MSG(mode_ != Mode::kNone, "no operator registered");
-  items_executed_ += batch.items.size();
+  items_executed_ += items.size();
   ++batches_executed_;
 
   if (mode_ == Mode::kPlain) {
     // Per-item application with the baseline's software overhead; no
     // transaction, no coarsening.
-    for (std::uint64_t item : batch.items) {
+    for (std::uint64_t item : items) {
       ctx.compute(plain_overhead_ns_);
       op_plain_(ctx, item);
     }
@@ -162,7 +175,7 @@ void DistributedRuntime::stage_batch(htm::ThreadCtx& ctx, Batch batch) {
 
   // FF/FR: the registered ExecFn owns the operator and runs the batch
   // through the executor (see the templated setters in the header).
-  exec_fn_(ctx, std::move(batch));
+  exec_fn_(ctx, items, reply_node);
 }
 
 void DistributedRuntime::reply(htm::ThreadCtx& ctx, int reply_node,

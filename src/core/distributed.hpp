@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -70,17 +71,15 @@ class DistributedRuntime {
     mode_ = Mode::kFf;
     on_result_ = nullptr;
     op_plain_ = nullptr;
-    exec_fn_ = [this, op = std::move(op), op_id](htm::ThreadCtx& ctx,
-                                                 Batch batch) mutable {
+    exec_fn_ = [this, op = std::move(op), op_id](
+                   htm::ThreadCtx& ctx, const std::vector<std::uint64_t>& batch,
+                   int /*reply_node*/) mutable {
       // One coarse activity per batch (coalesced, §5.6), applied under
-      // the configured mechanism. The count must be read before the
-      // move-capture below empties batch.items (function arguments are
-      // unsequenced relative to each other).
-      const std::uint64_t n = batch.items.size();
-      execute_batch(*executor_, ctx, n,
-                    [&op, items = std::move(batch.items)](
-                        auto& access, std::uint64_t i) {
-                      op(access, items[i]);
+      // the configured mechanism. `batch` is the thread's in-flight slot,
+      // which outlives the staged activity.
+      execute_batch(*executor_, ctx, batch.size(),
+                    [&op, items = &batch](auto& access, std::uint64_t i) {
+                      op(access, (*items)[i]);
                     },
                     {}, op_id);
     };
@@ -95,18 +94,15 @@ class DistributedRuntime {
     mode_ = Mode::kFr;
     on_result_ = std::move(on_result);
     op_plain_ = nullptr;
-    exec_fn_ = [this, op = std::move(op), op_id](htm::ThreadCtx& ctx,
-                                                 Batch batch) mutable {
+    exec_fn_ = [this, op = std::move(op), op_id](
+                   htm::ThreadCtx& ctx, const std::vector<std::uint64_t>& batch,
+                   int reply_node) mutable {
       // Non-zero per-item results are emitted through the executor (which
-      // keeps them re-execution-safe) and flow back to the spawner. The
-      // count must be read before the move-capture empties batch.items.
-      const int reply_node = batch.reply_node;
-      const std::uint64_t n = batch.items.size();
+      // keeps them re-execution-safe) and flow back to the spawner.
       execute_batch(
-          *executor_, ctx, n,
-          [&op, items = std::move(batch.items)](auto& access,
-                                                std::uint64_t i) {
-            const std::uint64_t r = op(access, items[i]);
+          *executor_, ctx, batch.size(),
+          [&op, items = &batch](auto& access, std::uint64_t i) {
+            const std::uint64_t r = op(access, (*items)[i]);
             if (r != 0) access.emit(r);
           },
           [this, reply_node](htm::ThreadCtx& done_ctx,
@@ -197,12 +193,21 @@ class DistributedRuntime {
   enum class Mode { kNone, kFf, kFr, kPlain };
 
   /// Batch-granular type erasure: owns the registered operator and runs
-  /// one pending Batch through the executor. Alive as long as the
-  /// registration, so transactions staged against it never dangle.
-  using ExecFn = std::function<void(htm::ThreadCtx&, Batch)>;
+  /// one batch (items, reply node) through the executor. Alive as long as
+  /// the registration, so transactions staged against it never dangle.
+  using ExecFn = std::function<void(
+      htm::ThreadCtx&, const std::vector<std::uint64_t>&, int reply_node)>;
 
-  void stage_batch(htm::ThreadCtx& ctx, Batch batch);
-  void enqueue_local(int node, std::vector<std::uint64_t> items);
+  /// Runs one batch; `items` must outlive the activity it stages.
+  void stage_batch(htm::ThreadCtx& ctx,
+                   const std::vector<std::uint64_t>& items, int reply_node);
+  /// Queues `items` for execution on `node` (split by shard when sharding
+  /// is set). Copies the items into recycled buffers; never keeps `items`.
+  void enqueue_batch(int node, std::span<const std::uint64_t> items,
+                     int reply_node);
+  /// An empty item buffer from the spare list (reserved at local_batch
+  /// when the list is empty).
+  std::vector<std::uint64_t> take_buffer();
   /// Routes committed FR results to `reply_node` (runs the failure
   /// handler locally or sends a reply message).
   void reply(htm::ThreadCtx& ctx, int reply_node,
@@ -230,7 +235,12 @@ class DistributedRuntime {
   std::uint64_t pending_total_ = 0;
   ShardFn shard_;
 
-  void enqueue_batch(int node, Batch batch);
+  // Host-side buffer recycling, not durable state. in_flight_[t] holds the
+  // items of thread t's staged FF/FR activity (the engine allows one in
+  // flight per thread, and none at a safe instant); spare_ holds emptied
+  // buffers that keep their capacity.
+  std::vector<std::vector<std::uint64_t>> in_flight_;
+  std::vector<std::vector<std::uint64_t>> spare_;
 
   std::uint64_t items_executed_ = 0;
   std::uint64_t batches_executed_ = 0;

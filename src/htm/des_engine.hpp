@@ -46,6 +46,7 @@
 #include "sim/schedule.hpp"
 #include "util/blob.hpp"
 #include "util/check.hpp"
+#include "util/inline_function.hpp"
 #include "util/rng.hpp"
 
 namespace aam::htm {
@@ -137,8 +138,13 @@ class Txn {
   mem::FootprintTracker tracker_;
 };
 
-using TxnBody = std::function<void(Txn&)>;
-using TxnDone = std::function<void(ThreadCtx&, const TxnOutcome&)>;
+/// Staged-transaction closures. They hold their callable inline (at most
+/// kStagedClosureBytes, checked at compile time), so staging a transaction
+/// never allocates on the host.
+inline constexpr std::size_t kStagedClosureBytes = 64;
+using TxnBody = util::InlineFunction<void(Txn&), kStagedClosureBytes>;
+using TxnDone = util::InlineFunction<void(ThreadCtx&, const TxnOutcome&),
+                                     kStagedClosureBytes>;
 
 /// Per-thread non-transactional context: plain/atomic memory operations
 /// with modelled costs, timing, RNG, and transaction staging.

@@ -318,7 +318,10 @@ void Coalescer::flush(htm::ThreadCtx& ctx, int dst_node) {
   cluster_.send(ctx, dst_node, handler_,
                 arg0_[static_cast<std::size_t>(dst_node)], buf.size(),
                 std::move(buf));
-  buf = {};
+  // The moved-from buffer is empty; give it the full batch's capacity up
+  // front instead of regrowing it item by item.
+  buf.clear();
+  buf.reserve(static_cast<std::size_t>(batch_));
 }
 
 void Coalescer::flush_all(htm::ThreadCtx& ctx) {

@@ -1,7 +1,5 @@
 #include "recovery/manager.hpp"
 
-#include <chrono>
-
 #include "util/blob.hpp"
 #include "util/check.hpp"
 
@@ -150,7 +148,6 @@ bool RecoveryManager::on_crash(htm::DesMachine& machine,
                                const htm::CrashDiagnostic& diagnostic) {
   (void)machine;
   if (active_ < 0) return false;  // nothing to restore from: crash is fatal
-  const auto wall_start = std::chrono::steady_clock::now();
   const net::NetStats before =
       cluster_ != nullptr ? cluster_->stats() : net::NetStats{};
 
@@ -177,10 +174,6 @@ bool RecoveryManager::on_crash(htm::DesMachine& machine,
 
   ++stats_.crashes;
   stats_.lost_work_ns += diagnostic.now_ns - snap->now_ns();
-  stats_.recovery_wall_ms +=
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
   return true;
 }
 

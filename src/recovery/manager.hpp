@@ -45,7 +45,6 @@ struct RecoveryStats {
   std::uint64_t crashes = 0;         ///< crash-stops recovered from
   std::uint64_t replayed_sends = 0;  ///< unacked sends re-armed at restores
   double lost_work_ns = 0;       ///< Σ simulated ns rolled back per crash
-  double recovery_wall_ms = 0;   ///< host wall time spent restoring
   std::uint64_t snapshot_bytes = 0;  ///< size of the last sealed snapshot
   // NetStats counter deltas erased by rollbacks. Restoring stats_ to its
   // checkpoint value forgets drops/dups/retransmits that happened between

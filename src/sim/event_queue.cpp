@@ -7,32 +7,45 @@
 namespace aam::sim {
 
 void EventQueue::sift_up(std::size_t i) {
-  const Event e = heap_[i];
+  const Slot e = heap_[i];
   while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(e, heap_[parent])) break;
+    const std::size_t parent = (i - 1) / 4;
+    if (!(e.key < heap_[parent].key)) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
   heap_[i] = e;
 }
 
-void EventQueue::sift_down(std::size_t i, const Event& e) {
+void EventQueue::sift_down(std::size_t i, const Slot& e) {
   const std::size_t n = heap_.size();
+  Slot* h = heap_.data();
   while (true) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-    if (!before(heap_[child], e)) break;
-    heap_[i] = heap_[child];
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t child;
+    if (first + 3 < n) {
+      // Full family: min of four as a tournament of index selects, which
+      // compile to conditional moves rather than mispredicted branches.
+      const std::size_t a = first + (h[first + 1].key < h[first].key);
+      const std::size_t b = first + 2 + (h[first + 3].key < h[first + 2].key);
+      child = h[b].key < h[a].key ? b : a;
+    } else {
+      child = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (h[c].key < h[child].key) child = c;
+      }
+    }
+    if (!(h[child].key < e.key)) break;
+    h[i] = h[child];
     i = child;
   }
-  heap_[i] = e;
+  h[i] = e;
 }
 
 void EventQueue::repair_hole() {
   hole_ = false;
-  const Event last = heap_.back();
+  const Slot last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
 }

@@ -8,6 +8,13 @@
 // order — seq is unique — so *any* correct heap pops the same sequence;
 // the layout tricks below cannot change observable order.
 //
+// Layout: a 4-ary min-heap whose slots carry one 128-bit key — the bits of
+// the (non-negative) time in the high word, seq in the low word — so a
+// (time, seq) comparison is a single unsigned compare. For non-negative
+// doubles the bit pattern orders like the value; push adds +0.0 to map
+// -0.0 onto +0.0 first, exactly as the two compare equal in time. The
+// four children of a slot are picked with branch-free compares.
+//
 // Shard ownership: under the parallel backend each queue belongs to
 // exactly one shard (sim/shard.hpp) and must only ever be touched from
 // that shard's job. bind_shard() arms an always-on affinity check in
@@ -15,6 +22,7 @@
 // offending access instead of racing. Unbound queues (the legacy
 // single-threaded path) skip the thread-local lookup entirely.
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -55,7 +63,7 @@ class EventQueue {
     AAM_DCHECK(time >= 0);
     check_owner();
     const std::uint64_t seq = next_seq_++;
-    const Event e{time, seq, thread, kind, payload};
+    const Slot e{key_of(time, seq), thread, kind, payload};
     if (hole_) {
       // Fast path: the previous pop left a hole at the root. Placing the
       // new event straight into it merges pop's deferred sift-down with
@@ -77,11 +85,15 @@ class EventQueue {
   /// Earliest event time; queue must be non-empty.
   Time peek_time() const {
     AAM_CHECK(!empty());
-    if (!hole_) return heap_[0].time;
+    if (!hole_) return time_of(heap_[0].key);
     // Root is a hole; the subtrees under it are intact heaps, so the
-    // minimum is the smaller of the two subtree roots.
-    if (heap_.size() == 2 || before(heap_[1], heap_[2])) return heap_[1].time;
-    return heap_[2].time;
+    // minimum is the smallest of the (up to four) subtree roots.
+    const std::size_t end = heap_.size() < 5 ? heap_.size() : 5;
+    Key best = heap_[1].key;
+    for (std::size_t c = 2; c < end; ++c) {
+      if (heap_[c].key < best) best = heap_[c].key;
+    }
+    return time_of(best);
   }
 
   /// Remove and return the earliest event. The root slot is left as a
@@ -90,9 +102,8 @@ class EventQueue {
     AAM_CHECK(!empty());
     check_owner();
     if (hole_) repair_hole();
-    Event e = heap_[0];
     hole_ = true;
-    return e;
+    return to_event(heap_[0]);
   }
 
   /// Total events ever pushed (diagnostics).
@@ -103,7 +114,9 @@ class EventQueue {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     // When hole_ is set, heap_[0] is the logically-removed previous pop.
-    for (std::size_t i = hole_ ? 1 : 0; i < heap_.size(); ++i) fn(heap_[i]);
+    for (std::size_t i = hole_ ? 1 : 0; i < heap_.size(); ++i) {
+      fn(to_event(heap_[i]));
+    }
   }
 
   /// Drops every pending event. next_seq_ keeps counting up so sequence
@@ -117,12 +130,31 @@ class EventQueue {
   }
 
  private:
-  static bool before(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  using Key = unsigned __int128;  ///< time bits << 64 | seq
+
+  /// One heap slot: the Event with (time, seq) folded into one key.
+  struct Slot {
+    Key key;
+    std::uint32_t thread;
+    std::uint32_t kind;
+    std::uint64_t payload;
+  };
+
+  static Key key_of(Time time, std::uint64_t seq) {
+    // + 0.0 turns -0.0 into +0.0 (and leaves every other value alone).
+    return static_cast<Key>(std::bit_cast<std::uint64_t>(time + 0.0)) << 64 |
+           seq;
   }
+  static Time time_of(Key key) {
+    return std::bit_cast<Time>(static_cast<std::uint64_t>(key >> 64));
+  }
+  static Event to_event(const Slot& s) {
+    return Event{time_of(s.key), static_cast<std::uint64_t>(s.key), s.thread,
+                 s.kind, s.payload};
+  }
+
   void sift_up(std::size_t i);
-  void sift_down(std::size_t i, const Event& e);
+  void sift_down(std::size_t i, const Slot& e);
   void repair_hole();
 
   /// Affinity check, armed only once bind_shard() has run: unbound queues
@@ -135,7 +167,7 @@ class EventQueue {
     }
   }
 
-  std::vector<Event> heap_;  ///< binary min-heap on (time, seq)
+  std::vector<Slot> heap_;  ///< 4-ary min-heap on key (time, seq)
   bool hole_ = false;  ///< heap_[0] is logically removed (pop deferred)
   std::uint64_t next_seq_ = 0;
   ShardId owner_ = kNoShard;  ///< owning shard once bound (kNoShard = any)

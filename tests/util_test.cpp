@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/blob.hpp"
 #include "util/cli.hpp"
+#include "util/inline_function.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -345,6 +348,118 @@ TEST(BlobDeathTest, ShortVectorIsTruncation) {
         (void)r.get_vector<std::uint64_t>();
       },
       "truncated snapshot blob");
+}
+
+// ------------------------------------------------------- InlineFunction
+
+/// Counts live instances and the copies/moves that made them, so a test
+/// can check that every captured object is destroyed exactly once.
+struct Tracked {
+  static inline int live = 0;
+  static inline int copies = 0;
+  static inline int moves = 0;
+  static inline int destroyed = 0;
+  static void reset() { live = copies = moves = destroyed = 0; }
+
+  explicit Tracked(int v) : value(v) { ++live; }
+  Tracked(const Tracked& o) : value(o.value) {
+    ++live;
+    ++copies;
+  }
+  Tracked(Tracked&& o) noexcept : value(o.value) {
+    ++live;
+    ++moves;
+  }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() {
+    --live;
+    ++destroyed;
+  }
+  int value;
+};
+
+using IntFn = InlineFunction<int(int), 64>;
+
+TEST(InlineFunction, EmptyStateAndNullptr) {
+  IntFn empty;
+  EXPECT_FALSE(empty);
+  IntFn null_fn = nullptr;
+  EXPECT_FALSE(null_fn);
+  EXPECT_THROW(empty(1), std::bad_function_call);
+  IntFn fn = [](int x) { return x + 1; };
+  EXPECT_TRUE(fn);
+  EXPECT_EQ(fn(41), 42);
+  fn = nullptr;
+  EXPECT_FALSE(fn);
+}
+
+TEST(InlineFunction, CopiesAndMovesDestroyEachCaptureOnce) {
+  Tracked::reset();
+  {
+    IntFn a = [t = Tracked(5)](int x) { return t.value + x; };
+    EXPECT_EQ(Tracked::live, 1);  // the lambda's temporary is gone
+    IntFn b = a;                  // copy construct
+    EXPECT_EQ(Tracked::copies, 1);
+    EXPECT_EQ(Tracked::live, 2);
+    IntFn c = std::move(a);  // move construct empties the source
+    EXPECT_FALSE(a);
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(b(1), 6);
+    EXPECT_EQ(c(2), 7);
+  }
+  EXPECT_EQ(Tracked::live, 0);
+  // Every instance ever made was destroyed exactly once.
+  EXPECT_EQ(Tracked::destroyed, 1 + Tracked::copies + Tracked::moves);
+}
+
+TEST(InlineFunction, CopyAndMoveAssignmentReleaseTheOldTarget) {
+  Tracked::reset();
+  {
+    IntFn a = [t = Tracked(1)](int x) { return t.value * x; };
+    IntFn b = [t = Tracked(2)](int x) { return t.value * x; };
+    EXPECT_EQ(Tracked::live, 2);
+    b = a;  // copy assign: b's old capture dies, a's is copied
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(b(10), 10);
+    IntFn c = [t = Tracked(3)](int x) { return t.value * x; };
+    c = std::move(b);  // move assign: c's old capture dies
+    EXPECT_FALSE(b);
+    EXPECT_EQ(Tracked::live, 2);
+    EXPECT_EQ(c(10), 10);
+    const IntFn& same = c;
+    c = same;  // self-assignment keeps the target
+    EXPECT_EQ(c(3), 3);
+    a = nullptr;  // drops the last copy of the first capture
+    EXPECT_EQ(Tracked::live, 1);
+  }
+  EXPECT_EQ(Tracked::live, 0);
+  EXPECT_EQ(Tracked::destroyed, 3 + Tracked::copies + Tracked::moves);
+}
+
+TEST(InlineFunction, StatefulTargetKeepsStateAcrossCalls) {
+  IntFn counter = [n = 0](int step) mutable { return n += step; };
+  EXPECT_EQ(counter(1), 1);
+  EXPECT_EQ(counter(2), 3);
+  EXPECT_EQ(counter(3), 6);
+  // A copy snapshots the state; the two then evolve independently.
+  IntFn copy = counter;
+  EXPECT_EQ(copy(10), 16);
+  EXPECT_EQ(counter(1), 7);
+}
+
+TEST(InlineFunction, HoldsCapturesUpToItsCapacity) {
+  struct Big {
+    std::uint64_t words[8];
+  };
+  static_assert(sizeof(Big) == 64);
+  Big big{};
+  for (int i = 0; i < 8; ++i) big.words[i] = static_cast<std::uint64_t>(i);
+  InlineFunction<std::uint64_t(), 64> fn = [big] {
+    std::uint64_t sum = 0;
+    for (auto w : big.words) sum += w;
+    return sum;
+  };
+  EXPECT_EQ(fn(), 28u);
 }
 
 }  // namespace
