@@ -3,15 +3,12 @@
 // Unlike the figure harnesses — which report *simulated* time from the
 // calibrated machine models — these measure the real-world throughput of
 // the library's own building blocks: the epoch-cleared footprint
-// structures, the event queue, the RNG, the threaded STM engine, and the
-// discrete-event machine's dispatch rate.
+// structures, the event queue, the RNG, and the discrete-event machine's
+// dispatch rate.
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
 #include "htm/des_engine.hpp"
-#include "htm/stm_engine.hpp"
 #include "mem/footprint.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -106,33 +103,6 @@ void BM_FootprintTracker(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_FootprintTracker);
-
-void BM_StmCounterSingleThread(benchmark::State& state) {
-  htm::StmEngine engine;
-  std::uint64_t counter = 0;
-  for (auto _ : state) {
-    engine.atomically([&](htm::StmTxn& tx) {
-      tx.fetch_add(counter, std::uint64_t{1});
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StmCounterSingleThread);
-
-void BM_StmDisjointMultiThread(benchmark::State& state) {
-  // Threads update disjoint words: measures the STM fast path under real
-  // concurrency (no conflicts).
-  static htm::StmEngine engine;
-  alignas(64) static std::uint64_t slots[16 * 8];
-  const auto tid = static_cast<std::size_t>(state.thread_index());
-  for (auto _ : state) {
-    engine.atomically([&](htm::StmTxn& tx) {
-      tx.fetch_add(slots[tid * 8], std::uint64_t{1});
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StmDisjointMultiThread)->Threads(1)->Threads(4);
 
 void BM_DesMachineEventRate(benchmark::State& state) {
   // Wall-clock cost per simulated transaction (the figure harnesses'

@@ -115,8 +115,8 @@ const char* to_string(Violation::Kind kind) {
 /// first touch (captured before the forwarded operation can mutate), the
 /// read/write word sets in first-touch order, and — for the escaped-write
 /// detector — the exact byte interval of every legitimate write (this is
-/// the only legitimate-write channel for the STM executor, whose engine
-/// commits to real memory without passing a DesMachine choke point).
+/// the only legitimate-write channel for the STM executor, whose batches
+/// write heap memory directly without passing a DesMachine choke point).
 class RecordingAccess final : public core::Access {
  public:
   RecordingAccess(core::Access& inner, Checker& checker,

@@ -16,8 +16,8 @@
 //                   update, Galois-like (§6.1.2).
 //   kSerialLock   — one global lock around the whole batch: the §4.1
 //                   coarse-lock lower bound.
-//   kStm          — the TL2-flavoured software TM (§8), run through the
-//                   same interface with a first-order cost model.
+//   kStm          — software TM (§8): direct execution of the batch on
+//                   the simulated heap + a first-order TL2 cost model.
 //
 // Operator results that must survive transactional re-execution (claimed
 // vertices, recolor requests, FR replies) are not returned from the body —
@@ -270,8 +270,8 @@ struct ExecConfig {
   const AutoPolicy* auto_policy = nullptr;
 };
 
-/// Builds the executor for `exec.mechanism` on `machine` (lock tables live
-/// on the machine's heap; the kStm engine is owned by the executor), or the
+/// Builds the executor for `exec.mechanism` on `machine` (lock, orec and
+/// version-clock tables live on the machine's heap), or the
 /// auto-dispatching executor when exec.auto_policy is set. `lock_stripes`
 /// sizes the kFineLocks lock table and the kStm orec table (rounded up to
 /// a power of two; allocated on the machine's SimHeap).

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/executor.hpp"
-#include "htm/stm_engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -221,30 +220,31 @@ class PlainAccess final : public FastAccessBase {
   htm::ThreadCtx& ctx_;
 };
 
-/// Software-TM accesses, counting loads and recording written addresses
-/// for the TL2 cost model (the write set drives the commit-time orec
-/// locking replayed against the DES machine).
+/// Software-TM accesses: the batch runs directly on heap memory, counting
+/// loads and recording written addresses for the TL2 cost model (the
+/// write set drives the commit-time orec locking replayed against the DES
+/// machine).
 class StmCountedAccess final : public FastAccessBase {
  public:
-  StmCountedAccess(htm::StmTxn& tx, std::vector<std::uint64_t>* results,
-                   std::uint64_t& loads, std::vector<const void*>& writes)
-      : FastAccessBase(results), tx_(tx), loads_(loads), writes_(writes) {}
+  StmCountedAccess(std::vector<std::uint64_t>* results, std::uint64_t& loads,
+                   std::vector<const void*>& writes)
+      : FastAccessBase(results), loads_(loads), writes_(writes) {}
 
   template <AccessValue T>
   T load(const T& ref) {
     ++loads_;
-    return tx_.load(ref);
+    return ref;
   }
   template <AccessValue T>
   void store(T& ref, T value) {
     writes_.push_back(&ref);
-    tx_.store(ref, value);
+    ref = value;
   }
   template <AccessValue T>
   bool cas(T& ref, T expect, T desired) {
     ++loads_;
-    if (tx_.load(ref) != expect) return false;
-    tx_.store(ref, desired);
+    if (ref != expect) return false;
+    ref = desired;
     writes_.push_back(&ref);
     return true;
   }
@@ -252,12 +252,13 @@ class StmCountedAccess final : public FastAccessBase {
   T fetch_add(T& ref, T delta) {
     ++loads_;
     writes_.push_back(&ref);
-    return tx_.fetch_add(ref, delta);
+    const T old = ref;
+    ref = static_cast<T>(old + delta);
+    return old;
   }
   bool transactional() const { return true; }
 
  private:
-  htm::StmTxn& tx_;
   std::uint64_t& loads_;
   std::vector<const void*>& writes_;
 };
@@ -535,9 +536,10 @@ class StmExecutor final : public StagedExecutor {
     auto& stage = staging(ctx);
     auto& writes = writes_[ctx.thread_id()];
     std::uint64_t loads = 0;
-    // The software transaction runs for real against heap memory; within
-    // one DES dispatch it is uncontended and commits first try. Its cost
-    // follows a first-order TL2 model:
+    // The batch runs directly on heap memory: within one DES dispatch it
+    // is alone, so a software transaction would commit first try and
+    // publish exactly these values. Its cost follows a first-order TL2
+    // model:
     //  * read: orec load + value load, revalidated at commit (3 loads),
     //    plus per-access bookkeeping (hashing, set lookups, version
     //    compares) — charged as a multiple of the cached load cost, the
@@ -550,13 +552,10 @@ class StmExecutor final : public StagedExecutor {
     //    does (on BGQ that is the machine-wide L2 gap — the serialization
     //    a compute-only charge would silently bypass);
     //  * a global version-clock load at begin and CAS at commit.
-    engine_.atomically(txn_, [&](htm::StmTxn& tx) {
-      stage.clear();
-      writes.clear();
-      loads = 0;
-      StmCountedAccess access(tx, &stage, loads, writes);
-      for (std::uint64_t i = 0; i < count; ++i) op(access, i);
-    });
+    stage.clear();
+    writes.clear();
+    StmCountedAccess access(&stage, loads, writes);
+    for (std::uint64_t i = 0; i < count; ++i) op(access, i);
     (void)ctx.load(clock_[0]);  // begin: sample the global version clock
     const double bookkeeping_ns = 4.0 * costs_.load_ns;
     const double access_ns =
@@ -589,13 +588,6 @@ class StmExecutor final : public StagedExecutor {
   std::span<std::uint32_t> orecs_;
   std::span<std::uint32_t> clock_;
   std::vector<std::vector<const void*>> writes_;
-  htm::StmEngine engine_;
-  /// The transaction context of every batch, cleared at each begin. The
-  /// software transaction runs synchronously inside one DES dispatch, so
-  /// the simulated threads' transactions never overlap on the host and
-  /// one context serves them all; per-thread contexts would each keep
-  /// their grown buffers alive.
-  htm::StmTxn txn_{engine_};
 };
 
 // --------------------------------------------------------------------------

@@ -145,40 +145,15 @@ double phase_of(std::uint64_t seed, std::uint64_t salt, std::size_t i,
   return u * period;
 }
 
-}  // namespace
-
-std::optional<std::string> try_parse(std::string_view spec,
-                                     const model::FaultProfile& profile,
-                                     FaultPlan& out) {
-  out = FaultPlan{};
-  out.net_rto_ns = profile.net_rto_ns;
-  out.net_rto_cap_ns = profile.net_rto_cap_ns;
-  out.crash_max = profile.crash_max;
-  out.crash_ckpt_ns = profile.crash_ckpt_ns;
-
-  std::string from_file;
-  spec = trim(spec);
-  if (!spec.empty() && spec.front() == '@') {
-    const std::string path(spec.substr(1));
-    std::ifstream in(path);
-    if (!in) return "cannot read fault spec file: " + path;
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      const std::string_view t = trim(line);
-      if (t.empty()) continue;
-      if (!from_file.empty()) from_file += ',';
-      from_file.append(t);
-    }
-    spec = from_file;
-  }
-  if (spec.empty()) return std::nullopt;  // empty == none
-
+/// Applies the comma-separated tokens of `list` to `out`, left to right;
+/// returns the first token's error, if any.
+std::optional<std::string> apply_tokens(std::string_view list,
+                                        const model::FaultProfile& profile,
+                                        FaultPlan& out) {
   std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string_view token = trim(spec.substr(pos, comma - pos));
+  while (pos <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    const std::string_view token = trim(list.substr(pos, comma - pos));
     pos = comma + 1;
     if (token.empty()) continue;
 
@@ -234,6 +209,35 @@ std::optional<std::string> try_parse(std::string_view spec,
       }
     }
     if (!found) return "unknown fault key: '" + std::string(key) + "'";
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<std::string> try_parse(std::string_view spec,
+                                     const model::FaultProfile& profile,
+                                     FaultPlan& out) {
+  out = FaultPlan{};
+  out.net_rto_ns = profile.net_rto_ns;
+  out.net_rto_cap_ns = profile.net_rto_cap_ns;
+  out.crash_max = profile.crash_max;
+  out.crash_ckpt_ns = profile.crash_ckpt_ns;
+
+  spec = trim(spec);
+  if (spec.empty() || spec.front() != '@') {
+    return apply_tokens(spec, profile, out);  // empty == none
+  }
+  const std::string path(spec.substr(1));
+  std::ifstream in(path);
+  if (!in) return "cannot read fault spec file: " + path;
+  std::string line;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    if (auto error = apply_tokens(line, profile, out)) {
+      return path + ":" + std::to_string(line_no) + ": " + *error;
+    }
   }
   return std::nullopt;
 }

@@ -21,8 +21,9 @@
 // Scenario tokens expand to the machine's calibrated defaults
 // (model::FaultProfile); key=value tokens override individual fields and
 // compose left to right, e.g. "abort-storm,storm.rate=2.5" or
-// "lossy-net,net.drop=0.2,net.rto=4000". '@path' reads the spec text from
-// a file (first line, comments after '#').
+// "lossy-net,net.drop=0.2,net.rto=4000". '@path' reads the spec from a
+// file: its lines compose as if joined by ',', '#' starts a comment, and an
+// error in a line is reported as "path:line: ...".
 
 #include <cstdint>
 #include <optional>
@@ -96,8 +97,8 @@ struct FaultPlan {
 };
 
 /// Parses `spec` against `profile`; returns an error string on malformed
-/// input (unknown scenario/key, bad number, unreadable @file), otherwise
-/// fills `out`.
+/// input (unknown scenario/key, bad number, unreadable @file; prefixed
+/// with "path:line: " for a token read from a file), otherwise fills `out`.
 std::optional<std::string> try_parse(std::string_view spec,
                                      const model::FaultProfile& profile,
                                      FaultPlan& out);

@@ -1,7 +1,8 @@
 #pragma once
 
-// Edge-list text I/O in the SNAP format: one "u v" pair per line, lines
-// starting with '#' are comments. This is the drop-in path for running the
+// Edge-list text I/O in the SNAP format: one "u v" pair per line (further
+// columns, such as SNAP weights or timestamps, are ignored), lines starting
+// with '#' are comments. This is the drop-in path for running the
 // Table 1 experiments on the actual SNAP datasets when they are available
 // (the default harness uses the synthetic analogs from analogs.hpp).
 
@@ -17,7 +18,9 @@ struct LoadOptions {
 };
 
 /// Reads an edge list; vertex ids are compacted to a dense [0, n) range
-/// unless `zero_based` and the max id defines n. Aborts on parse errors.
+/// unless `zero_based` and the max id defines n. Aborts with a `path:line`
+/// diagnostic on a line whose first two fields are not unsigned integers,
+/// or on a `zero_based` id that does not fit Vertex.
 Graph load_edge_list(const std::string& path, const LoadOptions& options = {});
 
 /// Writes "u v" per line plus a header comment.

@@ -7,8 +7,7 @@
 //
 //  * WordMap   — the redo log: word-granularity speculative write buffer
 //                (address -> 8-byte value), iterable for commit.
-//  * EpochSet  — a hashed u64 set: the STM engine's stripe sets and the
-//                checker's per-batch word sets.
+//  * EpochSet  — a hashed u64 set: the checker's per-batch word sets.
 //  * FootprintTable / FootprintTracker — the distinct conflict units and
 //                cache lines of one HTM attempt, deduplicated through a
 //                machine-wide dense tag table, with capacity overflows

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -93,6 +94,26 @@ TEST(FaultPlanParse, SpecFileStripsCommentsAndJoinsLines) {
   EXPECT_DOUBLE_EQ(from_file.straggler_fraction,
                    inline_spec.straggler_fraction);
   EXPECT_TRUE(from_file.slowdown_active());
+}
+
+TEST(FaultPlanParse, SpecFileErrorNamesFileAndLine) {
+  const std::string path = testing::TempDir() + "fault_spec_bad.txt";
+  {
+    std::ofstream out(path);
+    out << "# a comment line still counts\n"
+        << "abort-storm\n"
+        << "storm.rate=2.5, net.drop=lots  # bad value\n"
+        << "straggler\n";
+  }
+  const auto& profile = model::has_c().fault;
+  FaultPlan plan;
+  const auto err = try_parse("@" + path, profile, plan);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->rfind(path + ":3: bad numeric value for fault key 'net.drop'",
+                       0),
+            0u)
+      << *err;
+  std::remove(path.c_str());
 }
 
 TEST(FaultPlanParse, EveryCannedScenarioParses) {

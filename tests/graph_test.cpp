@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "graph/analogs.hpp"
 #include "graph/csr.hpp"
@@ -181,6 +182,60 @@ TEST(Io, SkipsCommentsAndCompacts) {
   EXPECT_EQ(g.num_vertices(), 3u);  // ids compacted to 0..2
   EXPECT_EQ(g.num_edges(), 4u);     // undirected
   std::remove(path.c_str());
+}
+
+/// Writes `text` to a fresh file in the temp directory; returns its path.
+std::string write_temp(const std::string& name, const char* text) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fputs(text, f);
+  std::fclose(f);
+  return path;
+}
+
+TEST(Io, AcceptsExtraTrailingColumns) {
+  // SNAP weighted/temporal lists carry a third column; it is ignored.
+  const std::string path =
+      write_temp("aam_io_cols.el", "# u v w\n10 20 0.5\n  20 30\t7\r\n\n");
+  const Graph g = load_edge_list(path);
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 4u);
+  std::remove(path.c_str());
+}
+
+TEST(IoDeathTest, RejectsNonIntegerFieldWithLineNumber) {
+  const std::string path =
+      write_temp("aam_io_word.el", "# header\n1 2\n3 x\n");
+  EXPECT_DEATH(load_edge_list(path), "aam_io_word.el:3: expected two");
+  std::remove(path.c_str());
+}
+
+TEST(IoDeathTest, RejectsMissingSecondFieldWithLineNumber) {
+  const std::string path = write_temp("aam_io_short.el", "1 2\n7\n");
+  EXPECT_DEATH(load_edge_list(path), "aam_io_short.el:2: expected two");
+  std::remove(path.c_str());
+}
+
+TEST(IoDeathTest, RejectsNegativeIdWithLineNumber) {
+  // `istream >> uint64_t` would wrap -1 to 2^64 - 1.
+  const std::string path = write_temp("aam_io_neg.el", "1 2\n-1 2\n");
+  EXPECT_DEATH(load_edge_list(path), "aam_io_neg.el:2: expected two");
+  std::remove(path.c_str());
+}
+
+TEST(IoDeathTest, RejectsZeroBasedIdThatDoesNotFitVertex) {
+  LoadOptions opt;
+  opt.zero_based = true;
+  const std::string wide =
+      write_temp("aam_io_wide.el", "0 1\n1 2\n0 4294967296\n");
+  EXPECT_DEATH(load_edge_list(wide, opt),
+               "aam_io_wide.el:3: vertex id 4294967296 does not fit");
+  std::remove(wide.c_str());
+  // 2^32 - 1 fits Vertex, but the vertex count max_id + 1 would not.
+  const std::string edge = write_temp("aam_io_edge.el", "4294967295 0\n");
+  EXPECT_DEATH(load_edge_list(edge, opt), "aam_io_edge.el:1: vertex id");
+  std::remove(edge.c_str());
 }
 
 // --------------------------------------------------------------- Stats
