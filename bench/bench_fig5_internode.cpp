@@ -70,9 +70,9 @@ double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
   bench::ScopedFault fault(cluster, fault_spec, seed);
   // The remote vertex pool lives on the last node.
   auto visited = heap.alloc<std::uint64_t>(pool_size * 8);
-  core::DistributedRuntime rt(cluster, {.coalesce = coalesce,
-                                        .local_batch = coalesce,
-                                        .decorator = scoped.decorator()});
+  core::DistributedRuntime rt(
+      cluster, {.coalesce = coalesce,
+                .exec = {.batch = coalesce, .decorator = scoped.decorator()}});
   if (use_acc) {
     rt.set_operator([&](auto& access, std::uint64_t item) {
       access.fetch_add(visited[item * 8], std::uint64_t{1});

@@ -1,14 +1,11 @@
 #include "algorithms/boruvka.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "algorithms/operators.hpp"
 #include "core/executor_impl.hpp"
-#include "core/worklist.hpp"
-#include "htm/resilience.hpp"
-#include "util/blob.hpp"
+#include "core/frontier.hpp"
 #include "util/check.hpp"
 
 namespace aam::algorithms {
@@ -43,34 +40,37 @@ struct BoruvkaState {
   std::uint64_t edges_in_forest = 0;
 };
 
+/// A component's lightest outgoing edge seen so far.
+struct MinEdge {
+  Vertex root;
+  MergeEdge edge;
+};
+
+/// Keeps the lighter of `m` and the entry for its component in `mins`.
+void upsert_min(std::vector<MinEdge>& mins, const MinEdge& m) {
+  for (MinEdge& cur : mins) {
+    if (cur.root == m.root) {
+      if (lighter(m.edge, cur.edge)) cur.edge = m.edge;
+      return;
+    }
+  }
+  mins.push_back(m);
+}
+
 class BoruvkaWorker : public htm::Worker {
  public:
   explicit BoruvkaWorker(BoruvkaState& state) : state_(state) {}
 
-  std::vector<std::pair<Vertex, MergeEdge>>& min_edges() { return min_edges_; }
+  std::vector<MinEdge>& min_edges() { return min_edges_; }
 
   bool next(htm::ThreadCtx& ctx) override {
     return state_.scanning_phase ? scan_step(ctx) : merge_step(ctx);
   }
 
   // Checkpoint support; batch_ is never live at a safe instant.
-  // (std::pair is not trivially copyable, so the entries go field-wise.)
-  void save(util::BlobWriter& w) const {
-    w.put<std::uint64_t>(min_edges_.size());
-    for (const auto& [root, edge] : min_edges_) {
-      w.put<Vertex>(root);
-      w.put<MergeEdge>(edge);
-    }
-  }
-  void restore(util::BlobReader& r) {
-    min_edges_.clear();
-    const auto count = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto root = r.get<Vertex>();
-      const auto edge = r.get<MergeEdge>();
-      min_edges_.emplace_back(root, edge);
-    }
-    batch_.clear();
+  template <typename IO>
+  void durable(IO&& io) {
+    io(min_edges_);
   }
 
  private:
@@ -94,20 +94,10 @@ class BoruvkaWorker : public htm::Worker {
         const MergeEdge cand{v, w, ws[e],
                              static_cast<std::uint64_t>(
                                  std::min(v, w)) << 32 | std::max(v, w)};
-        upsert_min(rv, cand);
+        upsert_min(min_edges_, {rv, cand});
       }
     }
     return true;
-  }
-
-  void upsert_min(Vertex root, const MergeEdge& cand) {
-    for (auto& [r, edge] : min_edges_) {
-      if (r == root) {
-        if (lighter(cand, edge)) edge = cand;
-        return;
-      }
-    }
-    min_edges_.emplace_back(root, cand);
   }
 
   // Root lookup with modelled per-hop loads (no path compression: keeps
@@ -156,7 +146,7 @@ class BoruvkaWorker : public htm::Worker {
   }
 
   BoruvkaState& state_;
-  std::vector<std::pair<Vertex, MergeEdge>> min_edges_;
+  std::vector<MinEdge> min_edges_;
   std::vector<MergeEdge> batch_;
 };
 
@@ -173,93 +163,51 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
   state.options = options;
   state.parent = machine.heap().alloc<Vertex>(n, "boruvka.parent");
   for (Vertex v = 0; v < n; ++v) state.parent[v] = v;
-  auto executor = core::make_executor(machine, options);
-  state.executor = executor.get();
+  core::RoundRunner<BoruvkaWorker> runner(machine, options);
+  state.executor = &runner.executor();
   core::ChunkCursor scan_cursor(machine.heap());
   core::ChunkCursor merge_cursor(machine.heap());
   state.scan_cursor = &scan_cursor;
   state.merge_cursor = &merge_cursor;
 
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
-  std::vector<std::unique_ptr<BoruvkaWorker>> workers;
-  for (int t = 0; t < machine.num_threads(); ++t) {
-    workers.push_back(std::make_unique<BoruvkaWorker>(state));
-    machine.set_worker(static_cast<std::uint32_t>(t), workers.back().get());
-  }
-
   BoruvkaResult result;
   std::uint64_t merges_before_round = 0;
-  machine.set_quiescence_hook([&](htm::DesMachine& m) {
-    if (state.scanning_phase) {
-      // Reduce the per-thread minima into one candidate edge per component.
-      std::vector<std::pair<Vertex, MergeEdge>> best;
-      for (auto& w : workers) {
-        for (const auto& [root, edge] : w->min_edges()) {
-          bool found = false;
-          for (auto& [r, e] : best) {
-            if (r == root) {
-              if (lighter(edge, e)) e = edge;
-              found = true;
-              break;
-            }
+  runner.run(
+      options.barrier_cost_ns,
+      [&](int) { return BoruvkaWorker(state); },
+      [&] {
+        if (state.scanning_phase) {
+          // Reduce the per-thread minima into one candidate edge per
+          // component, in worker order.
+          std::vector<MinEdge> best;
+          for (auto& w : runner.workers()) {
+            for (const MinEdge& m : w.min_edges()) upsert_min(best, m);
+            w.min_edges().clear();
           }
-          if (!found) best.emplace_back(root, edge);
+          if (best.empty()) return false;  // forest complete
+          state.merges.clear();
+          for (const MinEdge& m : best) state.merges.push_back(m.edge);
+          state.scanning_phase = false;
+          merges_before_round = state.edges_in_forest;
+          merge_cursor.reset_direct();
+          return true;
         }
-        w->min_edges().clear();
-      }
-      if (best.empty()) return false;  // forest complete
-      state.merges.clear();
-      for (auto& [root, edge] : best) state.merges.push_back(edge);
-      state.scanning_phase = false;
-      merges_before_round = state.edges_in_forest;
-      merge_cursor.reset_direct();
-      m.barrier_release(options.barrier_cost_ns);
-      return true;
-    }
-    // Merge phase finished: back to scanning, unless nothing merged (then
-    // every candidate failed => the remaining candidates were stale and
-    // the forest is already maximal) or the round budget ran out.
-    ++result.rounds;
-    const bool progressed = state.edges_in_forest > merges_before_round;
-    if (!progressed || result.rounds >= options.max_rounds) return false;
-    state.scanning_phase = true;
-    scan_cursor.reset_direct();
-    m.barrier_release(options.barrier_cost_ns);
-    return true;
-  });
-
-  htm::ScopedHostState ckpt(
-      machine.recovery_client(),
-      {.save =
-           [&](std::vector<std::uint8_t>& out) {
-             util::BlobWriter w;
-             w.put_vector(state.merges);
-             w.put<std::uint8_t>(state.scanning_phase ? 1 : 0);
-             w.put<std::uint64_t>(state.failed_merges);
-             w.put<double>(state.total_weight);
-             w.put<std::uint64_t>(state.edges_in_forest);
-             w.put<std::int32_t>(result.rounds);
-             w.put<std::uint64_t>(merges_before_round);
-             executor->save_state(w);
-             for (auto& wk : workers) wk->save(w);
-             out = w.take();
-           },
-       .restore =
-           [&](const std::uint8_t* data, std::size_t len) {
-             util::BlobReader r(data, len);
-             state.merges = r.get_vector<MergeEdge>();
-             state.scanning_phase = r.get<std::uint8_t>() != 0;
-             state.failed_merges = r.get<std::uint64_t>();
-             state.total_weight = r.get<double>();
-             state.edges_in_forest = r.get<std::uint64_t>();
-             result.rounds = r.get<std::int32_t>();
-             merges_before_round = r.get<std::uint64_t>();
-             executor->restore_state(r);
-             for (auto& wk : workers) wk->restore(r);
-           }});
-
-  machine.run();
-  machine.set_quiescence_hook(nullptr);
+        // Merge phase finished: back to scanning, unless nothing merged
+        // (then every candidate failed => the remaining candidates were
+        // stale and the forest is already maximal) or the round budget ran
+        // out.
+        ++result.rounds;
+        const bool progressed = state.edges_in_forest > merges_before_round;
+        if (!progressed || result.rounds >= options.max_rounds) return false;
+        state.scanning_phase = true;
+        scan_cursor.reset_direct();
+        return true;
+      },
+      [&](auto&& io) {
+        io(state.merges, state.scanning_phase, state.failed_merges,
+           state.total_weight, state.edges_in_forest, result.rounds,
+           merges_before_round);
+      });
 
   result.total_weight = state.total_weight;
   result.edges_in_forest = state.edges_in_forest;

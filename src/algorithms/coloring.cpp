@@ -1,13 +1,10 @@
 #include "algorithms/coloring.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "algorithms/operators.hpp"
 #include "core/executor_impl.hpp"
-#include "core/worklist.hpp"
-#include "htm/resilience.hpp"
-#include "util/blob.hpp"
+#include "core/frontier.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -19,11 +16,9 @@ using graph::Vertex;
 
 struct ColorState {
   const graph::Graph* graph = nullptr;
-  ColoringOptions options;
   std::span<std::uint32_t> color;  // 0 = uncolored
   core::ActivityExecutor* executor = nullptr;
   std::vector<Vertex> worklist;
-  core::ChunkCursor* cursor = nullptr;
   std::uint64_t recolor_requests = 0;
   // pick_color() scratch, shared by all workers: they run on the machine's
   // one host thread, and each call is done with it before it returns.
@@ -31,85 +26,29 @@ struct ColorState {
   FirstFitScratch first_fit;
 };
 
-class ColorWorker : public htm::Worker {
+struct Tentative {
+  Vertex vertex;
+  std::uint32_t color;
+};
+
+class ColorWorker
+    : public core::FrontierWorker<ColorWorker, Tentative, Vertex> {
  public:
-  ColorWorker(ColorState& state, util::Rng rng) : state_(state), rng_(rng) {}
+  ColorWorker(ColorState& state, const core::FrontierClaim& claim,
+              util::Rng rng)
+      : FrontierWorker(claim), state_(state), rng_(rng) {}
 
-  void start_round() { done_scanning_ = false; }
-  std::vector<Vertex>& next_worklist() { return next_worklist_; }
+  std::uint64_t claim_limit() const { return state_.worklist.size(); }
 
-  bool next(htm::ThreadCtx& ctx) override {
-    const int m = state_.options.batch;
-    if (static_cast<int>(pending_.size()) >= m) {
-      visit(ctx, static_cast<std::size_t>(m));
-      return true;
+  void scan(htm::ThreadCtx& ctx, std::uint64_t begin, std::uint64_t end) {
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const Vertex v = state_.worklist[i];
+      pending_.push_back({v, pick_color(ctx, v)});
     }
-    if (!done_scanning_) {
-      std::uint64_t begin = 0, end = 0;
-      if (state_.cursor->claim(
-              ctx, state_.worklist.size(),
-              static_cast<std::uint32_t>(state_.options.scan_chunk), begin,
-              end)) {
-        for (std::uint64_t i = begin; i < end; ++i) {
-          const Vertex v = state_.worklist[i];
-          pending_.push_back({v, pick_color(ctx, v)});
-        }
-        return true;
-      }
-      done_scanning_ = true;
-    }
-    if (!pending_.empty()) {
-      visit(ctx, pending_.size());
-      return true;
-    }
-    return false;
-  }
-
-  // Checkpoint support. The worker RNG is part of the durable state: coin
-  // flips after a restore must replay the original draws. batch_/coins_
-  // are only live while a staged transaction is in flight (excluded at
-  // safe instants).
-  void save(util::BlobWriter& w) const {
-    std::uint64_t rng_state[4];
-    rng_.save_state(rng_state);
-    for (std::uint64_t word : rng_state) w.put<std::uint64_t>(word);
-    w.put_vector(pending_);
-    w.put_vector(next_worklist_);
-    w.put<std::uint8_t>(done_scanning_ ? 1 : 0);
-  }
-  void restore(util::BlobReader& r) {
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) word = r.get<std::uint64_t>();
-    rng_.restore_state(rng_state);
-    pending_ = r.get_vector<Tentative>();
-    next_worklist_ = r.get_vector<Vertex>();
-    done_scanning_ = r.get<std::uint8_t>() != 0;
-    batch_.clear();
-    coins_.clear();
-  }
-
- private:
-  struct Tentative {
-    Vertex vertex;
-    std::uint32_t color;
-  };
-
-  // Smallest color (>= 1) not used by v's neighbors, from a stale snapshot
-  // (plain loads): the source of the inter-activity conflicts the failure
-  // handler resolves.
-  std::uint32_t pick_color(htm::ThreadCtx& ctx, Vertex v) {
-    std::vector<std::uint32_t>& colors = state_.neighbor_colors;
-    colors.clear();
-    for (Vertex w : state_.graph->neighbors(v)) {
-      colors.push_back(ctx.load(state_.color[w]));
-    }
-    return first_fit_color(colors, state_.first_fit);
   }
 
   void visit(htm::ThreadCtx& ctx, std::size_t count) {
-    batch_.assign(pending_.end() - static_cast<std::ptrdiff_t>(count),
-                  pending_.end());
-    pending_.resize(pending_.size() - count);
+    take_tail(count);
     // Coin flips must be stable across transactional re-execution, so they
     // are drawn outside the body, one per batch entry.
     coins_.clear();
@@ -128,19 +67,37 @@ class ColorWorker : public htm::Worker {
           // next round.
           state_.recolor_requests += recolor.size();
           for (std::uint64_t v : recolor) {
-            next_worklist_.push_back(static_cast<Vertex>(v));
+            next_.push_back(static_cast<Vertex>(v));
           }
         },
         core::OperatorId::kColorAssign);
   }
 
+  // The worker RNG is durable too: coin flips after a restore must replay
+  // the original draws. coins_ is only live while a staged transaction is
+  // in flight.
+  template <typename IO>
+  void durable(IO&& io) {
+    io(rng_);
+    FrontierWorker::durable(io);
+  }
+
+ private:
+  // Smallest color (>= 1) not used by v's neighbors, from a stale snapshot
+  // (plain loads): the source of the inter-activity conflicts the failure
+  // handler resolves.
+  std::uint32_t pick_color(htm::ThreadCtx& ctx, Vertex v) {
+    std::vector<std::uint32_t>& colors = state_.neighbor_colors;
+    colors.clear();
+    for (Vertex w : state_.graph->neighbors(v)) {
+      colors.push_back(ctx.load(state_.color[w]));
+    }
+    return first_fit_color(colors, state_.first_fit);
+  }
+
   ColorState& state_;
   util::Rng rng_;
-  std::vector<Tentative> pending_;
-  std::vector<Tentative> batch_;
   std::vector<bool> coins_;
-  std::vector<Vertex> next_worklist_;
-  bool done_scanning_ = false;
 };
 
 }  // namespace
@@ -153,68 +110,32 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
 
   ColorState state;
   state.graph = &graph;
-  state.options = options;
   state.color = machine.heap().alloc<std::uint32_t>(n, "coloring.color");
-  auto executor = core::make_executor(machine, options);
-  state.executor = executor.get();
-  core::ChunkCursor cursor(machine.heap());
-  state.cursor = &cursor;
+  core::FrontierLoop<ColorWorker> loop(machine, options, options.scan_chunk);
+  state.executor = &loop.executor();
   state.worklist.resize(n);
   for (Vertex v = 0; v < n; ++v) state.worklist[v] = v;
 
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
   const util::Rng root(options.seed);
-  std::vector<std::unique_ptr<ColorWorker>> workers;
-  for (int t = 0; t < machine.num_threads(); ++t) {
-    workers.push_back(std::make_unique<ColorWorker>(
-        state, root.fork(static_cast<std::uint64_t>(t) + 1)));
-    machine.set_worker(static_cast<std::uint32_t>(t), workers.back().get());
-  }
-
   ColoringResult result;
-  machine.set_quiescence_hook([&](htm::DesMachine& m) {
-    ++result.rounds;
-    std::vector<Vertex> next;
-    for (auto& w : workers) {
-      next.insert(next.end(), w->next_worklist().begin(),
-                  w->next_worklist().end());
-      w->next_worklist().clear();
-    }
-    // The same vertex may be reported by several activities.
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    if (next.empty() || result.rounds >= options.max_rounds) return false;
-    state.worklist = std::move(next);
-    cursor.reset_direct();
-    for (auto& w : workers) w->start_round();
-    m.barrier_release(options.barrier_cost_ns);
-    return true;
-  });
-
-  htm::ScopedHostState ckpt(
-      machine.recovery_client(),
-      {.save =
-           [&](std::vector<std::uint8_t>& out) {
-             util::BlobWriter w;
-             w.put_vector(state.worklist);
-             w.put<std::uint64_t>(state.recolor_requests);
-             w.put<std::int32_t>(result.rounds);
-             executor->save_state(w);
-             for (auto& wk : workers) wk->save(w);
-             out = w.take();
-           },
-       .restore =
-           [&](const std::uint8_t* data, std::size_t len) {
-             util::BlobReader r(data, len);
-             state.worklist = r.get_vector<Vertex>();
-             state.recolor_requests = r.get<std::uint64_t>();
-             result.rounds = r.get<std::int32_t>();
-             executor->restore_state(r);
-             for (auto& wk : workers) wk->restore(r);
-           }});
-
-  machine.run();
-  machine.set_quiescence_hook(nullptr);
+  loop.run(
+      options.barrier_cost_ns,
+      [&](int t) {
+        return ColorWorker(state, loop.claim(),
+                           root.fork(static_cast<std::uint64_t>(t) + 1));
+      },
+      [&](std::vector<Vertex>& next) {
+        ++result.rounds;
+        // The same vertex may be reported by several activities.
+        std::sort(next.begin(), next.end());
+        next.erase(std::unique(next.begin(), next.end()), next.end());
+        if (next.empty() || result.rounds >= options.max_rounds) return false;
+        state.worklist = std::move(next);
+        return true;
+      },
+      [&](auto&& io) {
+        io(state.worklist, state.recolor_requests, result.rounds);
+      });
 
   result.color.assign(state.color.begin(), state.color.end());
   result.colors_used =

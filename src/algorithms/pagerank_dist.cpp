@@ -121,13 +121,12 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
   machine.reset_clocks(0.0, /*clear_stats=*/true);
 
   const bool pbgl = options.mode == DistPrMode::kPbgl;
-  core::DistributedRuntime::Options rt_options;
-  rt_options.coalesce =
-      pbgl ? std::min(options.coalesce, 4) : options.coalesce;
-  rt_options.local_batch = options.local_batch;
-  rt_options.mechanism = options.mechanism;
-  rt_options.decorator = options.decorator;
-  core::DistributedRuntime rt(cluster, rt_options);
+  core::DistributedRuntime rt(
+      cluster, {.coalesce = pbgl ? std::min(options.coalesce, 4)
+                                 : options.coalesce,
+                .exec = {.batch = options.local_batch,
+                         .mechanism = options.mechanism,
+                         .decorator = options.decorator}});
 
   if (pbgl) {
     rt.set_operator_plain(

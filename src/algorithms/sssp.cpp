@@ -1,14 +1,12 @@
 #include "algorithms/sssp.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <queue>
 
 #include "algorithms/operators.hpp"
 #include "core/executor_impl.hpp"
-#include "core/worklist.hpp"
-#include "htm/resilience.hpp"
-#include "util/blob.hpp"
+#include "core/frontier.hpp"
 #include "util/check.hpp"
 
 namespace aam::algorithms {
@@ -26,59 +24,19 @@ struct Relax {
 
 struct SsspState {
   const graph::Graph* graph = nullptr;
-  SsspOptions options;
   std::span<double> distance;
   core::ActivityExecutor* executor = nullptr;
   std::vector<Vertex> frontier;
-  core::ChunkCursor* cursor = nullptr;
   std::uint64_t relaxations = 0;
 };
 
-class SsspWorker : public htm::Worker {
+class SsspWorker : public core::FrontierWorker<SsspWorker, Relax, Vertex> {
  public:
-  explicit SsspWorker(SsspState& state) : state_(state) {}
+  SsspWorker(SsspState& state, const core::FrontierClaim& claim)
+      : FrontierWorker(claim), state_(state) {}
 
-  void start_round() { done_scanning_ = false; }
-  std::vector<Vertex>& next_frontier() { return next_frontier_; }
+  std::uint64_t claim_limit() const { return state_.frontier.size(); }
 
-  bool next(htm::ThreadCtx& ctx) override {
-    const int m = state_.options.batch;
-    if (static_cast<int>(pending_.size()) >= m) {
-      visit(ctx, static_cast<std::size_t>(m));
-      return true;
-    }
-    if (!done_scanning_) {
-      std::uint64_t begin = 0, end = 0;
-      if (state_.cursor->claim(
-              ctx, state_.frontier.size(),
-              static_cast<std::uint32_t>(state_.options.scan_chunk), begin,
-              end)) {
-        scan(ctx, begin, end);
-        return true;
-      }
-      done_scanning_ = true;
-    }
-    if (!pending_.empty()) {
-      visit(ctx, pending_.size());
-      return true;
-    }
-    return false;
-  }
-
-  // Checkpoint support; batch_ is never live at a safe instant.
-  void save(util::BlobWriter& w) const {
-    w.put_vector(pending_);
-    w.put_vector(next_frontier_);
-    w.put<std::uint8_t>(done_scanning_ ? 1 : 0);
-  }
-  void restore(util::BlobReader& r) {
-    pending_ = r.get_vector<Relax>();
-    next_frontier_ = r.get_vector<Vertex>();
-    done_scanning_ = r.get<std::uint8_t>() != 0;
-    batch_.clear();
-  }
-
- private:
   void scan(htm::ThreadCtx& ctx, std::uint64_t begin, std::uint64_t end) {
     const auto& g = *state_.graph;
     for (std::uint64_t i = begin; i < end; ++i) {
@@ -98,9 +56,7 @@ class SsspWorker : public htm::Worker {
 
   // The BFS operator of Listing 4 with a distance payload: FF & MF.
   void visit(htm::ThreadCtx& ctx, std::size_t count) {
-    batch_.assign(pending_.end() - static_cast<std::ptrdiff_t>(count),
-                  pending_.end());
-    pending_.resize(pending_.size() - count);
+    take_tail(count);
     core::execute_batch(
         *state_.executor, ctx, batch_.size(),
         [this](auto& access, std::uint64_t i) {
@@ -112,17 +68,14 @@ class SsspWorker : public htm::Worker {
         [this](htm::ThreadCtx&, std::span<const std::uint64_t> improved) {
           state_.relaxations += improved.size();
           for (std::uint64_t v : improved) {
-            next_frontier_.push_back(static_cast<Vertex>(v));
+            next_.push_back(static_cast<Vertex>(v));
           }
         },
         core::OperatorId::kSsspRelax);
   }
 
+ private:
   SsspState& state_;
-  std::vector<Relax> pending_;
-  std::vector<Relax> batch_;
-  std::vector<Vertex> next_frontier_;
-  bool done_scanning_ = false;
 };
 
 }  // namespace
@@ -135,66 +88,26 @@ SsspResult run_sssp(htm::DesMachine& machine, const graph::Graph& graph,
 
   SsspState state;
   state.graph = &graph;
-  state.options = options;
   state.distance = machine.heap().alloc<double>(n, "sssp.distance");
   for (Vertex v = 0; v < n; ++v) state.distance[v] = kInf;
   state.distance[options.source] = 0.0;
   state.frontier = {options.source};
-  auto executor = core::make_executor(machine, options);
-  state.executor = executor.get();
-  core::ChunkCursor cursor(machine.heap());
-  state.cursor = &cursor;
-
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
-  std::vector<std::unique_ptr<SsspWorker>> workers;
-  for (int t = 0; t < machine.num_threads(); ++t) {
-    workers.push_back(std::make_unique<SsspWorker>(state));
-    machine.set_worker(static_cast<std::uint32_t>(t), workers.back().get());
-  }
+  core::FrontierLoop<SsspWorker> loop(machine, options, options.scan_chunk);
+  state.executor = &loop.executor();
 
   SsspResult result;
-  machine.set_quiescence_hook([&](htm::DesMachine& m) {
-    ++result.rounds;
-    std::vector<Vertex> next;
-    for (auto& w : workers) {
-      next.insert(next.end(), w->next_frontier().begin(),
-                  w->next_frontier().end());
-      w->next_frontier().clear();
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    if (next.empty()) return false;
-    state.frontier = std::move(next);
-    cursor.reset_direct();
-    for (auto& w : workers) w->start_round();
-    m.barrier_release(options.barrier_cost_ns);
-    return true;
-  });
-
-  htm::ScopedHostState ckpt(
-      machine.recovery_client(),
-      {.save =
-           [&](std::vector<std::uint8_t>& out) {
-             util::BlobWriter w;
-             w.put_vector(state.frontier);
-             w.put<std::uint64_t>(state.relaxations);
-             w.put<std::int32_t>(result.rounds);
-             executor->save_state(w);
-             for (auto& wk : workers) wk->save(w);
-             out = w.take();
-           },
-       .restore =
-           [&](const std::uint8_t* data, std::size_t len) {
-             util::BlobReader r(data, len);
-             state.frontier = r.get_vector<Vertex>();
-             state.relaxations = r.get<std::uint64_t>();
-             result.rounds = r.get<std::int32_t>();
-             executor->restore_state(r);
-             for (auto& wk : workers) wk->restore(r);
-           }});
-
-  machine.run();
-  machine.set_quiescence_hook(nullptr);
+  loop.run(
+      options.barrier_cost_ns,
+      [&](int) { return SsspWorker(state, loop.claim()); },
+      [&](std::vector<Vertex>& next) {
+        ++result.rounds;
+        std::sort(next.begin(), next.end());
+        next.erase(std::unique(next.begin(), next.end()), next.end());
+        if (next.empty()) return false;
+        state.frontier = std::move(next);
+        return true;
+      },
+      [&](auto&& io) { io(state.frontier, state.relaxations, result.rounds); });
 
   result.distance.assign(state.distance.begin(), state.distance.end());
   result.relaxations = state.relaxations;

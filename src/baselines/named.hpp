@@ -17,26 +17,20 @@
 //
 // The HAMA-like comparator lives in bsp_engine.hpp.
 
-#include <string_view>
-
 #include "algorithms/bfs.hpp"
 #include "core/executor.hpp"
-#include "util/check.hpp"
 
 namespace aam::baselines {
 
-/// BFS under a mechanism picked by canonical name from the shared
-/// registry (core::parse_mechanism): "htm", "atomics", "fine-locks",
-/// "serial-lock", "stm". The named baselines below delegate here.
+/// BFS under `mechanism` with `batch` operators per activity. The named
+/// baselines below delegate here.
 inline algorithms::BfsResult mechanism_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
-    std::string_view mechanism_name, int batch = 1,
+    core::Mechanism mechanism, int batch = 1,
     core::ExecutorDecorator* decorator = nullptr) {
-  const auto mechanism = core::parse_mechanism(mechanism_name);
-  AAM_CHECK_MSG(mechanism.has_value(), "unknown mechanism name");
   algorithms::BfsOptions options;
   options.root = root;
-  options.mechanism = *mechanism;
+  options.mechanism = mechanism;
   options.batch = batch;
   options.decorator = decorator;
   return algorithms::run_bfs(machine, graph, options);
@@ -46,14 +40,16 @@ inline algorithms::BfsResult mechanism_bfs(
 inline algorithms::BfsResult graph500_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
     core::ExecutorDecorator* decorator = nullptr) {
-  return mechanism_bfs(machine, graph, root, "atomics", 1, decorator);
+  return mechanism_bfs(machine, graph, root, core::Mechanism::kAtomicOps, 1,
+                       decorator);
 }
 
 /// Galois-like BFS (fine per-vertex locks).
 inline algorithms::BfsResult galois_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
     core::ExecutorDecorator* decorator = nullptr) {
-  return mechanism_bfs(machine, graph, root, "fine-locks", 1, decorator);
+  return mechanism_bfs(machine, graph, root, core::Mechanism::kFineLocks, 1,
+                       decorator);
 }
 
 struct SnapBfsResult {

@@ -99,10 +99,11 @@ struct Violation {
 const char* to_string(Violation::Kind kind);
 
 /// The checker. Construct with the machine under test and a config, then
-/// pass it as core::ExecConfig::decorator (which AamRuntime::Options and
-/// the algorithm Options inherit; DistributedRuntime::Options carries its
-/// own) so every executor the run builds is wrapped. One Checker instance may wrap any number of executors on the
-/// same machine; the DES event loop is single-threaded, so no locking.
+/// pass it as core::ExecConfig::decorator (AamRuntime::Options is one,
+/// the algorithm Options inherit one and DistributedRuntime::Options
+/// carries one) so every executor the run builds is wrapped. One Checker
+/// instance may wrap any number of executors on the same machine; the DES
+/// event loop is single-threaded, so no locking.
 class Checker final : public core::ExecutorDecorator,
                       public mem::WriteObserver {
  public:

@@ -7,10 +7,7 @@ namespace aam::core {
 DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
     : cluster_(cluster),
       options_(options),
-      executor_(make_executor(cluster.machine(),
-                              {.batch = options.local_batch,
-                               .mechanism = options.mechanism,
-                               .decorator = options.decorator})),
+      executor_(make_executor(cluster.machine(), options.exec)),
       ckpt_(cluster.machine().recovery_client(),
             {.save =
                  [this](std::vector<std::uint8_t>& out) {
@@ -23,7 +20,7 @@ DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
                    util::BlobReader r(data, len);
                    restore_state(r);
                  }}) {
-  AAM_CHECK(options_.coalesce >= 1 && options_.local_batch >= 1);
+  AAM_CHECK(options_.coalesce >= 1 && options_.exec.batch >= 1);
 
   // Incoming operator batches: queue them for transactional execution by
   // the polling thread (progress() stages the transaction).
@@ -68,7 +65,7 @@ void DistributedRuntime::spawn(htm::ThreadCtx& ctx, int owner_node,
   if (owner_node == my_node) {
     auto& buf = local_buffers_[tid];
     buf.push_back(item);
-    if (static_cast<int>(buf.size()) >= options_.local_batch) {
+    if (static_cast<int>(buf.size()) >= options_.exec.batch) {
       enqueue_batch(my_node, buf, mode_ == Mode::kFr ? my_node : -1);
       buf.clear();
     }
@@ -91,7 +88,7 @@ void DistributedRuntime::flush(htm::ThreadCtx& ctx) {
 std::vector<std::uint64_t> DistributedRuntime::take_buffer() {
   if (spare_.empty()) {
     std::vector<std::uint64_t> buf;
-    buf.reserve(static_cast<std::size_t>(options_.local_batch));
+    buf.reserve(static_cast<std::size_t>(options_.exec.batch));
     return buf;
   }
   std::vector<std::uint64_t> buf = std::move(spare_.back());
@@ -116,7 +113,7 @@ void DistributedRuntime::enqueue_batch(int node,
       const std::uint32_t tid = cluster_.thread_of(node, shard);
       auto& q = pending_sharded_[tid];
       if (q.empty() || q.back().reply_node != reply_node ||
-          static_cast<int>(q.back().items.size()) >= options_.local_batch) {
+          static_cast<int>(q.back().items.size()) >= options_.exec.batch) {
         q.push_back(Batch{take_buffer(), reply_node});
         ++pending_total_;
       }

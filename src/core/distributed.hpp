@@ -31,13 +31,11 @@ namespace aam::core {
 class DistributedRuntime {
  public:
   struct Options {
-    int coalesce = 16;     ///< C: items per atomic active message
-    int local_batch = 16;  ///< M: items per locally-spawned activity
-    /// Receiver-side synchronization for operator batches (§4.1): one
-    /// coarse transaction per batch by default.
-    Mechanism mechanism = Mechanism::kHtmCoarsened;
-    /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-    ExecutorDecorator* decorator = nullptr;
+    int coalesce = 16;  ///< C: items per atomic active message
+    /// The executor of every operator batch: `batch` is M, the items per
+    /// locally-spawned activity; the mechanism is the receiver-side
+    /// synchronization (§4.1), one coarse transaction per batch by default.
+    ExecConfig exec;
   };
 
   /// Optional receiver-side sharding (§4.2: the runtime "reduces the
@@ -50,13 +48,6 @@ class DistributedRuntime {
   using ShardFn = std::function<std::uint32_t(std::uint64_t item)>;
   void set_sharding(ShardFn shard) { shard_ = std::move(shard); }
 
-  /// FF operator: modifies elements through the executor's Access surface,
-  /// returns nothing. (Legacy alias — the setters are templated and the
-  /// runtime type-erases per *batch*, not per item.)
-  using ItemOp = std::function<void(Access&, std::uint64_t item)>;
-  /// FR operator: returns 0 for "nothing to report" or a non-zero result
-  /// that flows back to the spawner's failure handler.
-  using ItemOpFr = std::function<std::uint64_t(Access&, std::uint64_t item)>;
   using FailureHandler =
       std::function<void(htm::ThreadCtx&, std::uint64_t result)>;
 
@@ -86,8 +77,10 @@ class DistributedRuntime {
   }
 
   /// Configure as Fire-and-Return with a failure handler (ST connectivity,
-  /// coloring, Boruvka styles). Same genericity requirement as
-  /// set_operator; the handler stays type-erased (rare, per-result).
+  /// coloring, Boruvka styles). `op` returns 0 for "nothing to report" or
+  /// a non-zero result that flows back to the spawner's failure handler.
+  /// Same genericity requirement as set_operator; the handler stays
+  /// type-erased (rare, per-result).
   template <typename Op>
   void set_operator_fr(Op op, FailureHandler on_result,
                        OperatorId op_id = OperatorId::kUnknown) {
@@ -205,8 +198,8 @@ class DistributedRuntime {
   /// is set). Copies the items into recycled buffers; never keeps `items`.
   void enqueue_batch(int node, std::span<const std::uint64_t> items,
                      int reply_node);
-  /// An empty item buffer from the spare list (reserved at local_batch
-  /// when the list is empty).
+  /// An empty item buffer from the spare list (reserved at M when the
+  /// list is empty).
   std::vector<std::uint64_t> take_buffer();
   /// Routes committed FR results to `reply_node` (runs the failure
   /// handler locally or sends a reply message).

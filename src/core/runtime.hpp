@@ -1,13 +1,16 @@
 #pragma once
 
-// Intra-node AAM runtime (§3, §4.2).
+// Intra-node AAM runtime (§3, §4.2) for a fixed worklist.
 //
 // AamRuntime executes a worklist of operator invocations on all threads of
 // a DesMachine through a pluggable ActivityExecutor: by default up to M
 // single-element operators run inside one hardware transaction, amortizing
 // the begin/commit overhead and reducing fine-grained synchronization
 // (§4.2, Listing 8), but any Mechanism can be selected for the §4.1
-// executor comparison.
+// executor comparison. PageRank runs on it: every iteration's worklist is
+// all vertices. Algorithms whose next worklist is built from the results
+// of the current one (BFS, SSSP, st-connectivity, coloring, Boruvka) run
+// on the round runner in core/frontier.hpp instead.
 //
 // The operator receives the mechanism-neutral Access surface and an item
 // index; the May-Fail/Always-Succeed distinction (§3.2.2) lives in the
@@ -31,11 +34,6 @@ namespace aam::core {
 class AamRuntime {
  public:
   using Options = ExecConfig;
-
-  /// The single-element operator: modifies graph elements through the
-  /// executor's Access surface. (Legacy alias — for_each is templated and
-  /// type-erases per *batch*, not per item.)
-  using ItemOp = std::function<void(Access&, std::uint64_t item)>;
 
   AamRuntime(htm::DesMachine& machine, Options options);
   ~AamRuntime();

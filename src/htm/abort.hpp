@@ -56,6 +56,8 @@ struct HtmStats {
   /// Transactions that eventually completed (speculatively or serialized).
   std::uint64_t completed() const { return committed + serialized; }
 
+  bool operator==(const HtmStats&) const = default;
+
   void merge(const HtmStats& o) {
     started += o.started;
     committed += o.committed;

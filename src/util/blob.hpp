@@ -46,11 +46,27 @@ class BlobWriter {
 
   void put_string(const std::string& s) { put_bytes(s.data(), s.size()); }
 
+  /// Appends each value in order: vectors as put_vector, the rest as put.
+  /// BlobReader::get_all reads them back.
+  template <typename... Ts>
+  void put_all(const Ts&... values) {
+    (put_one(values), ...);
+  }
+
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
   std::size_t size() const { return bytes_.size(); }
 
  private:
+  template <typename T>
+  void put_one(const T& value) {
+    put(value);
+  }
+  template <typename T>
+  void put_one(const std::vector<T>& v) {
+    put_vector(v);
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -102,10 +118,27 @@ class BlobReader {
     return s;
   }
 
+  /// Reads back what BlobWriter::put_all wrote, into the same fields.
+  template <typename... Ts>
+  void get_all(Ts&... values) {
+    (get_one(values), ...);
+  }
+
   bool exhausted() const { return pos_ == len_; }
   std::size_t remaining() const { return len_ - pos_; }
 
  private:
+  template <typename T>
+  void get_one(T& value) {
+    value = get<T>();
+  }
+  template <typename T>
+  void get_one(std::vector<T>& v) {
+    v = get_vector<T>();
+  }
+  // A stored byte other than 0 or 1 is no valid bool: normalize it.
+  void get_one(bool& value) { value = get<std::uint8_t>() != 0; }
+
   const std::uint8_t* data_;
   std::size_t len_;
   std::size_t pos_ = 0;

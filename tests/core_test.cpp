@@ -202,7 +202,7 @@ TEST(DistributedRuntime, RemoteSpawnsExecuteAtOwner) {
   mem::SimHeap heap(1 << 20);
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 2, heap);
   auto data = heap.alloc<std::uint64_t>(256);
-  DistributedRuntime rt(cluster, {.coalesce = 8, .local_batch = 8});
+  DistributedRuntime rt(cluster, {.coalesce = 8, .exec = {.batch = 8}});
   rt.set_operator([&](auto& access, std::uint64_t item) {
     access.fetch_add(data[item], std::uint64_t{1});
   });
@@ -228,7 +228,7 @@ TEST(DistributedRuntime, LocalSpawnsSkipTheNetwork) {
   mem::SimHeap heap(1 << 20);
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto data = heap.alloc<std::uint64_t>(64);
-  DistributedRuntime rt(cluster, {.coalesce = 8, .local_batch = 4});
+  DistributedRuntime rt(cluster, {.coalesce = 8, .exec = {.batch = 4}});
   rt.set_operator([&](auto& access, std::uint64_t item) {
     access.fetch_add(data[item], std::uint64_t{1});
   });
@@ -247,7 +247,7 @@ TEST(DistributedRuntime, FireAndReturnRunsFailureHandlerAtSpawner) {
   mem::SimHeap heap(1 << 20);
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto data = heap.alloc<std::uint64_t>(64);
-  DistributedRuntime rt(cluster, {.coalesce = 4, .local_batch = 4});
+  DistributedRuntime rt(cluster, {.coalesce = 4, .exec = {.batch = 4}});
   std::vector<std::uint64_t> failures;
   std::vector<int> failure_nodes;
   rt.set_operator_fr(
@@ -280,7 +280,7 @@ TEST(DistributedRuntime, ManyToOneConvergecast) {
   const int nodes = 4;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, nodes, 1, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
-  DistributedRuntime rt(cluster, {.coalesce = 16, .local_batch = 16});
+  DistributedRuntime rt(cluster, {.coalesce = 16, .exec = {.batch = 16}});
   rt.set_operator([&](auto& access, std::uint64_t) {
     access.fetch_add(*hot, std::uint64_t{1});
   });

@@ -7,6 +7,7 @@
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/pagerank_dist.hpp"
+#include "algorithms/registry.hpp"
 #include "core/runtime.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
@@ -161,6 +162,52 @@ TEST(Recovery, CrashedBfsMatchesFaultFreeRunBitExactly) {
   EXPECT_EQ(crashed_r.vertices_visited, base_r.vertices_visited);
   EXPECT_DOUBLE_EQ(crashed_r.total_time_ns, base_r.total_time_ns);
 }
+
+// ---------------------------------------------------------------------------
+// The same property for every registry entry that runs in rounds on
+// core::RoundRunner (core/frontier.hpp): a crash pinned to the middle of
+// the fault-free run restores the runner's checkpointed host state and
+// replays to the fault-free answer, simulated time and engine counters.
+
+class CrashRestore : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CrashRestore, MatchesFaultFreeRunBitExactly) {
+  const std::uint64_t seed = 5;
+  const auto entries = algorithms::registry();
+  const auto entry =
+      std::find_if(entries.begin(), entries.end(),
+                   [](const auto& e) { return e.name == GetParam(); });
+  ASSERT_NE(entry, entries.end());
+  const algorithms::Inputs in = algorithms::make_inputs({});
+
+  mem::SimHeap base_heap(std::size_t{1} << 23);
+  htm::DesMachine base(model::has_c(), model::HtmKind::kRtm, 8, base_heap,
+                       seed);
+  const algorithms::RunReport want = entry->run(base, in, entry->exec);
+
+  mem::SimHeap heap(std::size_t{1} << 23);
+  htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap, seed);
+  fault::FaultPlan plan = fault::parse("crash-restart", model::has_c().fault);
+  plan.crash_at_ns = want.sim_ns / 2;
+  fault::FaultInjector inj(plan, seed, machine.num_threads());
+  inj.attach(machine);
+  RecoveryManager rec(machine, RecoveryOptions{plan.crash_ckpt_ns});
+  const algorithms::RunReport got = entry->run(machine, in, entry->exec);
+
+  EXPECT_GE(rec.stats().crashes, 1u);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.sim_ns, want.sim_ns);
+  EXPECT_EQ(got.stats, want.stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RoundLoop, CrashRestore,
+    ::testing::Values("bfs", "sssp", "st-conn", "coloring", "boruvka"),
+    [](const auto& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Crash recovery, distributed: crashes under a lossy network must keep the

@@ -48,7 +48,7 @@ RunOutcome run(bool sharded, std::uint64_t ops, std::uint64_t slots) {
   mem::SimHeap heap(std::size_t{1} << 22);
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 4, heap, 7);
   auto data = heap.alloc<std::uint64_t>(slots);  // densely packed: shared lines
-  DistributedRuntime rt(cluster, {.coalesce = 16, .local_batch = 16});
+  DistributedRuntime rt(cluster, {.coalesce = 16, .exec = {.batch = 16}});
   rt.set_operator([&](auto& access, std::uint64_t item) {
     access.fetch_add(data[item], std::uint64_t{1});
   });

@@ -322,6 +322,29 @@ TEST(Blob, RoundTripsEmptyAndNonEmptyVectors) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(Blob, PutAllMatchesFieldWiseLayoutAndGetAllRestoresIt) {
+  std::vector<std::uint32_t> items{4, 5};
+  bool flag = true;
+  double value = 2.5;
+  BlobWriter all;
+  all.put_all(items, flag, value);
+  BlobWriter fieldwise;
+  fieldwise.put_vector(items);
+  fieldwise.put<std::uint8_t>(1);
+  fieldwise.put<double>(value);
+  EXPECT_EQ(all.bytes(), fieldwise.bytes());
+
+  std::vector<std::uint32_t> items_back;
+  bool flag_back = false;
+  double value_back = 0;
+  BlobReader r(all.bytes());
+  r.get_all(items_back, flag_back, value_back);
+  EXPECT_EQ(items_back, items);
+  EXPECT_TRUE(flag_back);
+  EXPECT_EQ(value_back, value);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(BlobDeathTest, WrappingVectorLengthIsTruncation) {
   // 2^61 + 1 elements of 8 bytes wrap n * 8 around to 8, which the one
   // element that follows would satisfy if the check multiplied.
