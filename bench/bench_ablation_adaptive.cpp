@@ -23,7 +23,7 @@ double run_workload(const model::MachineConfig& config, model::HtmKind kind,
                     int threads, int fixed_m, bool adaptive, bool hotspot,
                     std::uint64_t items, std::uint64_t seed, int* final_m,
                     const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, threads, heap, seed);
   bench::ScopedChecker scoped(machine, check_cfg);
   const std::uint64_t span = hotspot ? 16 : items;

@@ -84,8 +84,6 @@ int main(int argc, char** argv) {
     bool is_auto = false;
   };
 
-  const std::size_t heap_bytes = (std::size_t{1} << 20) * 64;
-
   for (const Setup& setup : setups) {
     std::vector<Variant> variants = {
         {"atomics", core::Mechanism::kAtomicOps, 0},
@@ -125,7 +123,7 @@ int main(int argc, char** argv) {
       const algorithms::AlgorithmEntry& algo =
           algos[cell_id / variants.size()];
       const Variant& v = variants[cell_id % variants.size()];
-      mem::SimHeap heap(heap_bytes);
+      mem::SimHeap heap;
       htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                               heap, seed);
       machine.bind_shard(cell_id);

@@ -62,7 +62,7 @@ DistCell run_dist_cell(const model::MachineConfig& config,
   const int nodes = 4;
   const int threads = 4;
   const graph::Block1D part(g.num_vertices(), nodes);
-  mem::SimHeap heap(std::size_t{1} << 26);
+  mem::SimHeap heap;
   net::Cluster cluster(config, kind, nodes, threads, heap, seed);
   bench::ScopedFault fault(cluster, fault_spec, seed);
   algorithms::DistPrOptions o;
@@ -220,14 +220,14 @@ int main(int argc, char** argv) {
             cell.is_auto ? (algo.weighted ? &policy_wg : &policy_g) : nullptr;
         algorithms::Projection base;
         {
-          mem::SimHeap heap((std::size_t{1} << 20) * 8);
+          mem::SimHeap heap;
           htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                   heap, seed);
           base = algo.run(machine, in, exec).projection;
         }
         for (const std::string& scenario : scenarios) {
           ++cells;
-          mem::SimHeap heap((std::size_t{1} << 20) * 8);
+          mem::SimHeap heap;
           htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                   heap, seed);
           bench::ScopedFault fault(machine, scenario, seed);

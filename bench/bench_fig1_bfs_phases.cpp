@@ -41,12 +41,9 @@ int main(int argc, char** argv) {
   const graph::Graph g = graph::kronecker(params, rng);
   const graph::Vertex root = graph::pick_nonisolated_vertex(g);
 
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
-
   algorithms::BfsResult atomics_result;
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, threads,
                             heap, seed);
     bench::ScopedChecker scoped(machine, check_cfg);
@@ -55,7 +52,7 @@ int main(int argc, char** argv) {
   }
   algorithms::BfsResult aam_result;
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, threads,
                             heap, seed);
     bench::ScopedChecker scoped(machine, check_cfg);

@@ -63,7 +63,7 @@ class ActivityWorker : public htm::Worker {
 
 double measure(const model::MachineConfig& config, model::HtmKind kind,
                int n, int activities, bool use_htm) {
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, 1, heap);
   auto vertices = heap.alloc<std::uint64_t>(
       static_cast<std::size_t>(std::max(n * 8, 4096)));

@@ -98,7 +98,7 @@ bool g_naive_mark = false;  // --naive-mark: HTM mark stores unconditionally
 Measurement measure(const model::MachineConfig& config, model::HtmKind kind,
                     Mechanism mechanism, Activity activity, int threads,
                     int ops, int reps) {
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, threads, heap);
   // One shared vertex per repetition, each on its own line.
   auto visited = heap.alloc<std::uint64_t>(static_cast<std::size_t>(reps) * 8);

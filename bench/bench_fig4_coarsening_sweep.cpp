@@ -37,9 +37,7 @@ Point run_point(const model::MachineConfig& config, model::HtmKind kind,
                 int threads, int batch, const graph::Graph& g,
                 graph::Vertex root, std::uint64_t seed, bool baseline,
                 const check::CheckConfig& check_cfg) {
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
-  mem::SimHeap heap(heap_bytes);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, threads, heap, seed);
   bench::ScopedChecker scoped(machine, check_cfg);
   algorithms::BfsOptions options;

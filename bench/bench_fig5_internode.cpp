@@ -63,7 +63,7 @@ double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
                   std::uint64_t ops, bool use_acc, std::uint64_t pool_size,
                   std::uint64_t seed, const check::CheckConfig& check_cfg,
                   const std::string& fault_spec) {
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   net::Cluster cluster(*setup.config, setup.kind, num_nodes,
                        setup.recv_threads, heap, seed);
   bench::ScopedChecker scoped(cluster.machine(), check_cfg);
@@ -111,7 +111,7 @@ double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
 double run_remote_atomics(const Setup& setup, int num_nodes, std::uint64_t ops,
                           bool use_acc, std::uint64_t pool_size,
                           std::uint64_t seed) {
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   net::Cluster cluster(*setup.config, setup.kind, num_nodes,
                        setup.recv_threads, heap, seed);
   auto visited = heap.alloc<std::uint64_t>(pool_size * 8);

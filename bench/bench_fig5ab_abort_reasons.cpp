@@ -37,15 +37,13 @@ int main(int argc, char** argv) {
   params.edge_factor = edge_factor;
   const graph::Graph g = graph::kronecker(params, rng);
   const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
 
   util::Table table({"machine", "T", "conflicts", "overflows", "other",
                      "overflow share %", "dominant"});
   for (const model::MachineConfig* config : {&model::has_c(),
                                              &model::has_p()}) {
     for (int threads = 2; threads <= config->max_threads(); threads *= 2) {
-      mem::SimHeap heap(heap_bytes);
+      mem::SimHeap heap;
       htm::DesMachine machine(*config, model::HtmKind::kRtm, threads, heap,
                               seed);
       bench::ScopedChecker scoped(machine, check_cfg);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   util::Table table({"scenario", "x/process", "a", "b", "total time",
                      "CAS fails", "backoffs", "blocked", "time/txn"});
   for (const Scenario& s : scenarios) {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, nodes, 1,
                          heap, seed);
     auto markers = heap.alloc<std::uint64_t>(vertices);

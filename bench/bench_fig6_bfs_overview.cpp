@@ -30,9 +30,7 @@ double run_one(const model::MachineConfig& config, model::HtmKind kind,
                graph::Vertex root, std::uint64_t seed,
                core::MechanismSelection selection,
                const check::CheckConfig& check_cfg) {
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
-  mem::SimHeap heap(heap_bytes);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, threads, heap, seed);
   bench::ScopedChecker scoped(machine, check_cfg);
   // The auto policy probes the concrete input graph (degree, skew) the

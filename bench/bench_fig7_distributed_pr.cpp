@@ -30,7 +30,7 @@ RunResult run_pair(const graph::Graph& g, int nodes, int threads,
   std::vector<double> aam_rank;
   {
     const graph::Block1D part(g.num_vertices(), nodes);
-    mem::SimHeap heap(std::size_t{1} << 26);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, nodes,
                          threads, heap, seed);
     bench::ScopedChecker scoped(cluster.machine(), check_cfg);
@@ -45,7 +45,7 @@ RunResult run_pair(const graph::Graph& g, int nodes, int threads,
     // PBGL has no threading (§6.2): one *process* per hardware thread, so
     // even node-local contributions cross the messaging layer.
     const graph::Block1D part(g.num_vertices(), nodes * threads);
-    mem::SimHeap heap(std::size_t{1} << 26);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort,
                          nodes * threads, 1, heap, seed);
     bench::ScopedChecker scoped(cluster.machine(), check_cfg);

@@ -122,7 +122,7 @@ void BM_DesMachineEventRate(benchmark::State& state) {
   };
   for (auto _ : state) {
     state.PauseTiming();
-    mem::SimHeap heap(1 << 16);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 1, heap);
     W w;
     w.x = heap.alloc_one<std::uint64_t>(0);

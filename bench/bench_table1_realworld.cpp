@@ -30,9 +30,7 @@ double bfs_time(const model::MachineConfig& config, model::HtmKind kind,
                 int threads, const graph::Graph& g, graph::Vertex root,
                 std::uint64_t seed, core::Mechanism mechanism, int batch,
                 const check::CheckConfig& check_cfg) {
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
-  mem::SimHeap heap(heap_bytes);
+  mem::SimHeap heap;
   htm::DesMachine machine(config, kind, threads, heap, seed);
   bench::ScopedChecker scoped(machine, check_cfg);
   algorithms::BfsOptions options;
@@ -116,9 +114,7 @@ int main(int argc, char** argv) {
                                    core::Mechanism::kFineLocks, 1, check_cfg);
     double hama = 0;
     if (run_hama) {
-      const std::size_t heap_bytes =
-          static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
-      mem::SimHeap heap(heap_bytes);
+      mem::SimHeap heap;
       htm::DesMachine machine(hc, kR, 8, heap, seed);
       baselines::BspEngine::Result result;
       const auto level = baselines::bsp_bfs(machine, g, root, {}, &result);

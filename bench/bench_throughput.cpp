@@ -93,11 +93,6 @@ int main(int argc, char** argv) {
       {.scale = scale, .edge_factor = edge_factor, .seed = seed,
        .weighted_vertices = 1500, .weighted_p = 0.01});
 
-  // Heap sized for the Kronecker graph state at this scale.
-  const std::size_t heap_bytes =
-      (std::size_t{1} << 20) * 16 +
-      static_cast<std::size_t>(in.g.num_vertices()) * 64;
-
   // Static routing tables for the --mechanism=auto rows, one per input
   // graph (the conflict model conditions on the workload it will run on).
   const core::AutoPolicy policy_g = analysis::make_auto_policy(
@@ -182,7 +177,7 @@ int main(int argc, char** argv) {
       algorithms::RunReport out;
       for (int rep = 0; rep < repeats; ++rep) {
         policy.telemetry = {};
-        mem::SimHeap heap(heap_bytes);
+        mem::SimHeap heap;
         htm::DesMachine machine(config, kind, threads, heap, seed);
         machine.bind_shard(cell_id);
         bench::ScopedFault fault(machine, fault_spec, seed);
@@ -214,7 +209,7 @@ int main(int argc, char** argv) {
     std::uint64_t elements = 0;
     for (int rep = 0; rep < repeats; ++rep) {
       const graph::Block1D part(in.g.num_vertices(), nodes);
-      mem::SimHeap heap(heap_bytes);
+      mem::SimHeap heap;
       net::Cluster cluster(config, kind, nodes, per_node, heap, seed);
       cluster.machine().bind_shard(cell_id);
       bench::ScopedFault fault(cluster, fault_spec, seed);

@@ -30,12 +30,9 @@ int main(int argc, char** argv) {
   std::printf("web graph (~%s analog): %u pages, max in+out degree %u\n",
               analog.name.c_str(), web.num_vertices(), dstats.max);
 
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(web.num_vertices()) * 8 + (1u << 22);
-
   // --- Batch scheduling via Boman coloring (FR & MF).
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
     const auto coloring = algorithms::run_boman_coloring(machine, web, {});
     AAM_CHECK(algorithms::validate_coloring(web, coloring.color));
@@ -60,7 +57,7 @@ int main(int argc, char** argv) {
   {
     const graph::Vertex a = graph::pick_nonisolated_vertex(web, 1);
     const graph::Vertex b = graph::pick_nonisolated_vertex(web, 2);
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
     algorithms::StConnOptions options;
     options.s = a;

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   algorithms::DistPrResult aam;
   {
-    mem::SimHeap heap(std::size_t{1} << 26);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, nodes,
                          threads, heap);
     options.mode = algorithms::DistPrMode::kAam;
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {
     // PBGL has no threading: one process per hardware thread (§6.2).
     const graph::Block1D pbgl_part(n, nodes * threads);
-    mem::SimHeap heap(std::size_t{1} << 26);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort,
                          nodes * threads, 1, heap);
     options.mode = algorithms::DistPrMode::kPbgl;

@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
 
   // 2. A simulated machine: one BG/Q node, HTM in short running mode.
   //    All algorithm state must live on the machine's SimHeap.
-  mem::SimHeap heap(static_cast<std::size_t>(g.num_vertices()) * 8 +
-                    (1u << 22));
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, threads,
                           heap);
 
@@ -51,8 +50,7 @@ int main(int argc, char** argv) {
   AAM_CHECK(algorithms::validate_bfs_tree(g, root, aam.parent));
 
   // 4. The fine-grained atomics baseline on an identical machine.
-  mem::SimHeap heap2(static_cast<std::size_t>(g.num_vertices()) * 8 +
-                     (1u << 22));
+  mem::SimHeap heap2;
   htm::DesMachine machine2(model::bgq(), model::HtmKind::kBgqShort, threads,
                            heap2);
   const algorithms::BfsResult base = baselines::graph500_bfs(machine2, g, root);

@@ -42,12 +42,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(roads.num_edges() / 2),
               graph::diameter_lower_bound(roads, 0));
 
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(roads.num_vertices()) * 16 + (1u << 22);
-
   // --- 1. Minimum spanning backbone via transactional Boruvka.
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
     const auto mst = algorithms::run_boruvka(machine, roads, {});
     const double reference = algorithms::mst_reference_weight(roads);
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
 
   // --- 2. Shortest routes from the depot (corner junction).
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
     algorithms::SsspOptions options;
     options.source = 0;

@@ -37,15 +37,13 @@ int main(int argc, char** argv) {
               dstats.top1pct_edge_share * 100);
 
   const graph::Vertex celebrity = graph::pick_nonisolated_vertex(g);
-  const std::size_t heap_bytes =
-      static_cast<std::size_t>(g.num_vertices()) * 8 + (1u << 22);
 
   // Engine comparison at this graph's structure.
   util::Table table({"engine", "config", "traversal time", "aborts"});
   double best_aam = 0;
   int best_m = 0;
   for (int m : {2, 8, 24, 64}) {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(config, kind, threads, heap);
     algorithms::BfsOptions options;
     options.root = celebrity;
@@ -61,14 +59,14 @@ int main(int argc, char** argv) {
     }
   }
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(config, kind, threads, heap);
     const auto r = baselines::graph500_bfs(machine, g, celebrity);
     table.row().cell("Graph500").cell("atomics")
         .cell(util::format_time_ns(r.total_time_ns)).cell(std::uint64_t{0});
   }
   {
-    mem::SimHeap heap(heap_bytes);
+    mem::SimHeap heap;
     htm::DesMachine machine(config, kind, threads, heap);
     const auto r = baselines::galois_bfs(machine, g, celebrity);
     table.row().cell("Galois-like").cell("fine locks")

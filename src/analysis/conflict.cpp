@@ -76,12 +76,12 @@ ContentionSignature contention(const EffectSignature& sig, const Workload& w,
   ContentionSignature c;
   c.op = sig.op;
   for (const RegionSignature& region : sig.regions) {
-    for (int cls = 0; cls < kNumIndexClasses; ++cls) {
+    for (std::size_t cls = 0; cls < kNumIndexClasses; ++cls) {
       const double r =
           static_cast<double>(region.reads[cls].eval(degree, w.chain));
       const double wr =
           static_cast<double>(region.writes[cls].eval(degree, w.chain));
-      if (cls == static_cast<int>(IndexClass::kSelf)) {
+      if (cls == static_cast<std::size_t>(IndexClass::kSelf)) {
         c.uniform_reads += m * r;
         c.uniform_writes += m * wr;
       } else {

@@ -75,7 +75,8 @@ std::optional<CheckConfig> parse_check(std::string_view name);
 std::string check_names();
 
 /// The full diagnostic for a bad --check value: names the flag, echoes the
-/// offending value, lists every valid spelling (mirrors mechanism_error).
+/// offending value, lists every valid spelling (as
+/// core::mechanism_selection_error does).
 std::string check_error(const std::string& flag, const std::string& value);
 
 /// Reads `--<flag>=<name>` into a CheckConfig; aborts with check_error()

@@ -70,22 +70,6 @@ std::string mechanism_names() {
   return names;
 }
 
-std::string mechanism_error(const std::string& flag, const std::string& value) {
-  return "--" + flag + "=" + value + ": unknown mechanism; valid names: " +
-         mechanism_names();
-}
-
-Mechanism mechanism_flag(util::Cli& cli, const std::string& flag,
-                         Mechanism def) {
-  const std::string value = cli.get_string(flag, to_string(def));
-  const auto parsed = parse_mechanism(value);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "%s\n", mechanism_error(flag, value).c_str());
-    std::exit(2);
-  }
-  return *parsed;
-}
-
 std::optional<MechanismSelection> parse_mechanism_selection(
     std::string_view name) {
   if (name == "auto") return MechanismSelection{};

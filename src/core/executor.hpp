@@ -85,16 +85,6 @@ std::span<const Mechanism> all_mechanisms();
 /// Comma-separated list of the canonical mechanism names (diagnostics).
 std::string mechanism_names();
 
-/// The full diagnostic emitted when `value` is not a mechanism name:
-/// names the flag, echoes the offending value, and lists every valid
-/// spelling. Split out from mechanism_flag so tests can pin the format.
-std::string mechanism_error(const std::string& flag, const std::string& value);
-
-/// Reads `--<flag>=<name>` through the canonical Mechanism names; aborts
-/// with mechanism_error() on a bad value.
-Mechanism mechanism_flag(util::Cli& cli, const std::string& flag,
-                         Mechanism def);
-
 /// A --mechanism value at a seam that also accepts "auto": either one
 /// fixed mechanism or the policy-driven auto dispatch.
 struct MechanismSelection {
@@ -109,8 +99,9 @@ std::optional<MechanismSelection> parse_mechanism_selection(
 /// mechanism_names() plus the "auto" spelling (diagnostics).
 std::string mechanism_selection_names();
 
-/// One-line diagnostic for a bad auto-capable --mechanism value; same
-/// shape as mechanism_error / check_error / fault flag errors.
+/// One-line diagnostic for a bad --mechanism value: names the flag,
+/// echoes the offending value, and lists every valid spelling; same shape
+/// as check_error / fault flag errors.
 std::string mechanism_selection_error(const std::string& flag,
                                       const std::string& value);
 

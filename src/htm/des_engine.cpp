@@ -126,12 +126,12 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
       stripes_(heap.num_lines()),
       backoff_(costs_.backoff_base_ns, costs_.backoff_max_ns),
       conflict_shift_(log2_granularity(costs_.conflict_granularity_bytes)),
+      unit_stamps_((heap.capacity_bytes() >> conflict_shift_) + 1),
       footprints_(conflict_shift_) {
   AAM_CHECK(num_threads >= 1);
   AAM_CHECK(num_domains >= 1 && num_threads % num_domains == 0);
   AAM_CHECK_MSG(num_threads / num_domains <= config.max_threads(),
                 "per-node thread count exceeds the machine's hardware threads");
-  unit_stamps_.assign((heap.capacity_bytes() >> conflict_shift_) + 1, 0);
   domains_.resize(static_cast<std::size_t>(num_domains));
   threads_per_domain_ =
       static_cast<std::uint32_t>(num_threads / num_domains);

@@ -514,7 +514,9 @@ class DesMachine {
   /// conflict_shift_, per the HTM variant's detection granularity).
   std::uint64_t commit_stamp_ = 0;
   std::uint32_t conflict_shift_ = 6;
-  std::vector<std::uint64_t> unit_stamps_;
+  /// Per-unit commit stamps over the heap's whole capacity; a mapping, so
+  /// only units a run commits to cost host memory.
+  mem::ZeroMapped<std::uint64_t> unit_stamps_;
   void bump_unit(std::uint64_t unit) {
     unit_stamps_[unit] = ++commit_stamp_;
   }

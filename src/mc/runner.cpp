@@ -211,7 +211,7 @@ RunResult Runner::run(const PickFn& pick) {
 
   // Fresh machinery per schedule, constructed in a deterministic order so
   // heap layout — and with it every conflict unit — is schedule-invariant.
-  mem::SimHeap heap(std::size_t{1} << 16);
+  mem::SimHeap heap;
   htm::DesMachine machine(mc_machine(), model::HtmKind::kRtm,
                           static_cast<int>(num_threads), heap, /*seed=*/1,
                           /*num_domains=*/1);

@@ -53,11 +53,11 @@ void WordMap::grow() {
 
 // --------------------------------------------------------- FootprintTable
 
-void FootprintTable::cover(std::size_t heap_bytes) {
-  if (heap_bytes <= covered_bytes_) return;
-  covered_bytes_ = heap_bytes;
-  unit_tags_.resize((heap_bytes >> conflict_shift_) + 1, 0);
-  line_tags_.resize(heap_bytes / kLineBytes + 1, 0);
+void FootprintTable::cover(std::size_t bytes) {
+  if (bytes <= covered_bytes_) return;
+  covered_bytes_ = bytes;
+  unit_tags_.resize((bytes >> conflict_shift_) + 1, 0);
+  line_tags_.resize(bytes / kLineBytes + 1, 0);
 }
 
 std::uint64_t FootprintTable::begin_attempt() {

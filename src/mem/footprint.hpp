@@ -175,8 +175,8 @@ class FootprintTable {
   /// Attempts between two id wraps (each wrap zeroes every tag).
   static constexpr std::uint64_t kAttemptsPerWrap = 0x7fff;
 
-  /// Extends the tags to heap offsets [0, heap_bytes); never shrinks.
-  void cover(std::size_t heap_bytes);
+  /// Extends the tags to heap offsets [0, bytes); never shrinks.
+  void cover(std::size_t bytes);
   /// Trackers may add offsets below this.
   std::size_t covered_bytes() const { return covered_bytes_; }
 

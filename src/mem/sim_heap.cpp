@@ -4,23 +4,45 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/mman.h>
+
 namespace aam::mem {
 
-SimHeap::SimHeap(std::size_t bytes) {
-  capacity_ = (bytes + kLineBytes - 1) / kLineBytes * kLineBytes;
-  // Over-allocate one line so the base can be aligned to a line boundary.
-  storage_ = std::make_unique<std::byte[]>(capacity_ + kLineBytes);
-  const auto addr = reinterpret_cast<std::uintptr_t>(storage_.get());
-  const std::uintptr_t aligned = (addr + kLineBytes - 1) & ~(kLineBytes - 1);
-  base_ = reinterpret_cast<std::byte*>(aligned);
+void* map_zero_pages(std::size_t bytes) {
+  // mmap rejects a zero length; an empty array still gets a valid pointer.
+  void* p = mmap(nullptr, std::max<std::size_t>(bytes, 1),
+                 PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg), "mmap of %zu zero-filled bytes failed",
+                  bytes);
+    AAM_CHECK_MSG(p != MAP_FAILED, msg);
+  }
+  return p;
 }
+
+void unmap_pages(void* p, std::size_t bytes) {
+  munmap(p, std::max<std::size_t>(bytes, 1));
+}
+
+SimHeap::SimHeap(std::size_t capacity)
+    : storage_((capacity + kLineBytes - 1) / kLineBytes * kLineBytes) {}
 
 std::byte* SimHeap::raw_alloc(std::size_t bytes, std::size_t align,
                               std::string_view label) {
   const std::size_t aligned_used = (used_ + align - 1) & ~(align - 1);
-  AAM_CHECK_MSG(aligned_used + bytes <= capacity_,
-                "SimHeap out of capacity; size it for the workload");
-  std::byte* p = base_ + aligned_used;
+  const bool fits = aligned_used <= capacity_bytes() &&
+                    bytes <= capacity_bytes() - aligned_used;
+  if (!fits) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "SimHeap out of capacity: %zu B requested with %zu of "
+                  "%zu B in use",
+                  bytes, used_, capacity_bytes());
+    AAM_CHECK_MSG(fits, msg);
+  }
+  std::byte* p = base() + aligned_used;
   used_ = aligned_used + bytes;
   allocs_.push_back(AllocRecord{static_cast<std::uint64_t>(aligned_used),
                                 static_cast<std::uint64_t>(bytes),

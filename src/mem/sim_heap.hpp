@@ -9,14 +9,15 @@
 // the line is "owned" by an in-flight atomic (for the contention model).
 //
 // The heap is a bump allocator over one contiguous cache-line-aligned
-// region; freeing is wholesale via reset(). That matches how the library
-// uses it: a benchmark allocates graph + algorithm state once, runs, and
-// throws the heap away.
+// region with no free: a benchmark allocates graph + algorithm state once,
+// runs, and throws the heap away. The region and the engine's per-line
+// tables are anonymous mappings (ZeroMapped) that cost host memory only
+// for the pages a run touches, so every heap gets the same generous
+// capacity instead of one sized per workload.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,6 +34,38 @@ inline constexpr std::size_t kLineBytes = 64;
 /// Dense index of a 64-byte line within a SimHeap.
 using LineId = std::uint64_t;
 
+/// Maps `bytes` of zero-filled, private, anonymous memory with no swap
+/// reservation (MAP_NORESERVE); aborts naming the size when mmap fails.
+void* map_zero_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes);
+
+/// A fixed-size array of `size` zero-valued Ts in its own anonymous
+/// mapping. The kernel supplies zero pages on first touch, so an array
+/// sized for the whole simulated address space costs host memory only for
+/// the entries a run touches, and creating one costs no zeroing pass.
+template <typename T>
+class ZeroMapped {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  explicit ZeroMapped(std::size_t size)
+      : data_(static_cast<T*>(map_zero_pages(size * sizeof(T)))),
+        size_(size) {}
+  ~ZeroMapped() { unmap_pages(data_, size_ * sizeof(T)); }
+
+  ZeroMapped(const ZeroMapped&) = delete;
+  ZeroMapped& operator=(const ZeroMapped&) = delete;
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+  T* data() const { return data_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  T* data_;
+  std::size_t size_;
+};
+
 class SimHeap {
  public:
   /// One bump allocation: label (may be empty) and the covered offsets.
@@ -44,8 +77,12 @@ class SimHeap {
     std::string label;
   };
 
-  /// Creates a heap of `bytes` capacity (rounded up to a line multiple).
-  explicit SimHeap(std::size_t bytes);
+  /// Address space every heap gets by default. It is a cap, not a cost:
+  /// host memory follows used_bytes(), not the capacity.
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 32;
+
+  /// Creates a heap of `capacity` bytes (rounded up to a line multiple).
+  explicit SimHeap(std::size_t capacity = kDefaultCapacity);
 
   SimHeap(const SimHeap&) = delete;
   SimHeap& operator=(const SimHeap&) = delete;
@@ -87,31 +124,31 @@ class SimHeap {
   /// True if `p` points into this heap.
   bool contains(const void* p) const {
     const std::byte* b = static_cast<const std::byte*>(p);
-    return b >= base_ && b < base_ + used_;
+    return b >= base() && b < base() + used_;
   }
 
   /// Maps an address to its line index. The address must be on-heap.
   LineId line_of(const void* p) const {
     AAM_DCHECK(contains(p));
     return static_cast<LineId>(
-        (static_cast<const std::byte*>(p) - base_) / kLineBytes);
+        (static_cast<const std::byte*>(p) - base()) / kLineBytes);
   }
 
   /// Byte offset of an on-heap address from the heap base.
   std::uint64_t offset_of(const void* p) const {
     AAM_DCHECK(contains(p));
     return static_cast<std::uint64_t>(static_cast<const std::byte*>(p) -
-                                      base_);
+                                      base());
   }
 
   /// Host address of an allocated heap offset (checker/tooling access).
   std::byte* addr_of(std::uint64_t offset) {
     AAM_DCHECK(offset < used_);
-    return base_ + offset;
+    return base() + offset;
   }
   const std::byte* addr_of(std::uint64_t offset) const {
     AAM_DCHECK(offset < used_);
-    return base_ + offset;
+    return base() + offset;
   }
 
   /// The allocation covering `offset`, or nullptr for a gap/out-of-range
@@ -125,21 +162,15 @@ class SimHeap {
   /// All allocations in address order.
   std::span<const AllocRecord> allocations() const { return allocs_; }
 
-  std::size_t capacity_bytes() const { return capacity_; }
+  std::size_t capacity_bytes() const { return storage_.size(); }
   std::size_t used_bytes() const { return used_; }
-  std::size_t num_lines() const { return capacity_ / kLineBytes; }
-
-  /// Releases all allocations (metadata in StripeTable is reset separately).
-  void reset() {
-    used_ = 0;
-    allocs_.clear();
-  }
+  std::size_t num_lines() const { return storage_.size() / kLineBytes; }
 
   /// Checkpoint support: the durable contents are exactly the first
   /// used_bytes() of the region. The allocation registry is *not* part of
   /// the snapshot — recovery restores into the same process with the same
   /// allocation layout, so only the bytes change.
-  std::span<const std::byte> raw_bytes() const { return {base_, used_}; }
+  std::span<const std::byte> raw_bytes() const { return {base(), used_}; }
 
   /// Overwrites the first `bytes.size()` heap bytes from a snapshot. The
   /// layout must match: restoring into a heap whose bump pointer moved
@@ -147,16 +178,16 @@ class SimHeap {
   void restore_raw_bytes(std::span<const std::byte> bytes) {
     AAM_CHECK_MSG(bytes.size() == used_,
                   "heap snapshot size does not match current layout");
-    std::copy(bytes.begin(), bytes.end(), base_);
+    std::copy(bytes.begin(), bytes.end(), base());
   }
 
  private:
   std::byte* raw_alloc(std::size_t bytes, std::size_t align,
                        std::string_view label);
+  /// Page-aligned, hence line-aligned.
+  std::byte* base() const { return storage_.data(); }
 
-  std::unique_ptr<std::byte[]> storage_;
-  std::byte* base_ = nullptr;
-  std::size_t capacity_ = 0;
+  ZeroMapped<std::byte> storage_;
   std::size_t used_ = 0;
   std::vector<AllocRecord> allocs_;
 };
@@ -191,7 +222,7 @@ class StripeTable {
       static_cast<std::uint32_t>(-1);
 
   explicit StripeTable(std::size_t num_lines)
-      : avail_(num_lines, 0.0), owner_(num_lines, kNoOwner) {}
+      : avail_(num_lines), owner_(num_lines) {}
 
   /// Time until which the line is held by an in-flight atomic; the next
   /// atomic on the line from *another* thread starts no earlier than this
@@ -201,31 +232,15 @@ class StripeTable {
 
   /// Thread currently holding the line in its cache (atomics contention
   /// model); a thread re-accessing its own line pays no transfer.
-  std::uint32_t owner(LineId line) const { return owner_[line]; }
-  void set_owner(LineId line, std::uint32_t tid) { owner_[line] = tid; }
+  std::uint32_t owner(LineId line) const { return owner_[line] - 1; }
+  void set_owner(LineId line, std::uint32_t tid) { owner_[line] = tid + 1; }
 
   std::size_t num_lines() const { return avail_.size(); }
 
-  void reset() {
-    std::fill(avail_.begin(), avail_.end(), 0.0);
-    std::fill(owner_.begin(), owner_.end(), kNoOwner);
-  }
-
-  /// Checkpoint support: the per-line contention metadata, restored
-  /// wholesale so post-restore atomics see the same transfer costs.
-  const std::vector<sim::Time>& avail_lines() const { return avail_; }
-  const std::vector<std::uint32_t>& owner_lines() const { return owner_; }
-  void restore_lines(const std::vector<sim::Time>& avail,
-                     const std::vector<std::uint32_t>& owner) {
-    AAM_CHECK_MSG(avail.size() == avail_.size() && owner.size() == owner_.size(),
-                  "stripe snapshot size does not match table");
-    avail_ = avail;
-    owner_ = owner;
-  }
-
  private:
-  std::vector<sim::Time> avail_;
-  std::vector<std::uint32_t> owner_;
+  ZeroMapped<sim::Time> avail_;
+  /// Owner tid + 1, so an untouched (zero) entry reads kNoOwner.
+  ZeroMapped<std::uint32_t> owner_;
 };
 
 }  // namespace aam::mem

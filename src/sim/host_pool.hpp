@@ -43,10 +43,4 @@ class ShardRunner {
   int workers_;
 };
 
-/// Convenience: run `n` shard jobs on the configured host threads.
-inline void parallel_shards(std::size_t n,
-                            const std::function<void(ShardId)>& job) {
-  ShardRunner(0).run(n, job);
-}
-
 }  // namespace aam::sim

@@ -13,16 +13,6 @@ namespace {
 
 thread_local ShardId t_current_shard = kNoShard;
 
-// mix64 finalizer (splitmix64), the same diffusion primitive util::Rng
-// uses for stream forking. Reimplemented here to keep sim's dependency
-// surface header-light; the constant choices match rng.hpp.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::atomic<int> g_host_threads{0};  // 0 = not yet initialised
 
 int initial_host_threads() {
@@ -44,14 +34,6 @@ ShardGuard::ShardGuard(ShardId id) : prev_(t_current_shard) {
 }
 
 ShardGuard::~ShardGuard() { t_current_shard = prev_; }
-
-std::uint64_t shard_seed(std::uint64_t master_seed, ShardId shard) {
-  // Mirror util::Rng::fork's keyed-stream construction so shard streams
-  // and thread streams draw from the same decorrelated family.
-  return mix64(master_seed ^
-               mix64(static_cast<std::uint64_t>(shard) + 1 ^
-                     0x5bf03635d1f2b0e9ULL));
-}
 
 int host_threads() {
   int v = g_host_threads.load(std::memory_order_relaxed);

@@ -4,19 +4,11 @@
 //
 // A *shard* is one self-contained slice of simulated work — an entire
 // DesMachine (or Cluster) with its own SimHeap, event queue, and RNG
-// streams — that the host can execute on a worker thread of its own. The
-// layer has two pieces:
-//
-//  * Shard identity: a thread-local ShardId installed by ShardGuard while
-//    a shard's job runs. Engine-side structures (EventQueue) can bind to
-//    the shard that owns them and reject accesses from foreign shards, so
-//    a cross-shard mutation bug fails deterministically instead of racing.
-//
-//  * Per-shard seed derivation: shard_seed() folds the shard index into
-//    the master seed with the same mix64 stream-forking construction used
-//    by util::Rng::fork, so every shard (and the fault injector inside it)
-//    draws from a decorrelated stream that depends only on (seed, shard) —
-//    never on which host worker ran it or in what order.
+// streams — that the host can execute on a worker thread of its own.
+// Shard identity is a thread-local ShardId installed by ShardGuard while
+// a shard's job runs. Engine-side structures (EventQueue) can bind to the
+// shard that owns them and reject accesses from foreign shards, so a
+// cross-shard mutation bug fails deterministically instead of racing.
 //
 // Host-thread configuration (--host-threads=N) also lives here so the
 // bench layer and the engines agree on one setting. N=1 is the strict
@@ -47,11 +39,6 @@ class ShardGuard {
  private:
   ShardId prev_;
 };
-
-/// Deterministic per-shard seed: a pure function of (master_seed, shard),
-/// independent of host scheduling. Distinct shards get decorrelated
-/// streams; shard 0 does NOT degenerate to the master seed.
-std::uint64_t shard_seed(std::uint64_t master_seed, ShardId shard);
 
 /// Host worker threads the parallel backend may use (>= 1). Defaults to 1
 /// (sequential) until set_host_threads() is called; the AAM_HOST_THREADS

@@ -26,22 +26,19 @@ class BlobWriter {
   void put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "blobs hold trivially-copyable data only");
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    append(&value, sizeof(T));
   }
 
   template <typename T>
   void put_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(v.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    bytes_.insert(bytes_.end(), p, p + v.size() * sizeof(T));
+    append(v.data(), v.size() * sizeof(T));
   }
 
   void put_bytes(const void* data, std::size_t len) {
     put<std::uint64_t>(len);
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + len);
+    append(data, len);
   }
 
   void put_string(const std::string& s) { put_bytes(s.data(), s.size()); }
@@ -58,6 +55,11 @@ class BlobWriter {
   std::size_t size() const { return bytes_.size(); }
 
  private:
+  /// Out of line: inlined into a fresh writer's callers, the vector growth
+  /// draws false -Wstringop-overflow / -Warray-bounds reports from GCC 12
+  /// at -O3.
+  void append(const void* data, std::size_t len);
+
   template <typename T>
   void put_one(const T& value) {
     put(value);

@@ -45,7 +45,7 @@ class BfsAllMechanismsTest
 TEST_P(BfsAllMechanismsTest, ProducesValidBfsTree) {
   const auto [mechanism, threads] = GetParam();
   const Graph g = test_graph();
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, threads, heap);
   BfsOptions options;
   options.root = graph::pick_nonisolated_vertex(g);
@@ -74,7 +74,7 @@ class BfsBatchSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BfsBatchSweepTest, AamCorrectAtEveryBatchSize) {
   const Graph g = test_graph(11);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
   BfsOptions options;
   options.root = graph::pick_nonisolated_vertex(g);
@@ -89,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(BatchSizes, BfsBatchSweepTest,
 TEST(Bfs, DeterministicAcrossRuns) {
   const Graph g = test_graph(13);
   auto run_once = [&] {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap, 99);
     BfsOptions options;
     options.root = graph::pick_nonisolated_vertex(g);
@@ -103,7 +103,7 @@ TEST(Bfs, DeterministicAcrossRuns) {
 TEST(Bfs, BgqValidOnBothHtmModes) {
   const Graph g = test_graph(17);
   for (HtmKind kind : {HtmKind::kBgqShort, HtmKind::kBgqLong}) {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), kind, 64, heap);
     BfsOptions options;
     options.root = graph::pick_nonisolated_vertex(g);
@@ -116,7 +116,7 @@ TEST(Bfs, BgqValidOnBothHtmModes) {
 
 TEST(Bfs, HleValidUnderContention) {
   const Graph g = test_graph(19);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kHle, 8, heap);
   BfsOptions options;
   options.root = graph::pick_nonisolated_vertex(g);
@@ -127,7 +127,7 @@ TEST(Bfs, HleValidUnderContention) {
 
 TEST(Bfs, LevelTimesSumToTotal) {
   const Graph g = test_graph(23);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   BfsOptions options;
   options.root = graph::pick_nonisolated_vertex(g);
@@ -144,7 +144,7 @@ TEST(Bfs, LevelTimesSumToTotal) {
 
 TEST(PageRank, MatchesSequentialReference) {
   const Graph g = test_graph(29);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   PageRankOptions options;
   options.iterations = 5;
@@ -161,7 +161,7 @@ TEST(PageRank, RanksSumToAtMostOne) {
   // Push PR without dangling redistribution: the total mass is <= 1 and
   // positive.
   const Graph g = test_graph(31);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
   PageRankOptions options;
   options.iterations = 3;
@@ -180,7 +180,7 @@ TEST(PageRank, HubHasHighestRank) {
   graph::EdgeList edges;
   for (Vertex v = 1; v < 50; ++v) edges.emplace_back(0, v);
   const Graph g = Graph::from_edges(50, edges, true);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   PageRankOptions options;
   options.iterations = 10;
@@ -203,7 +203,7 @@ TEST(StConnectivity, DetectsConnectedPair) {
     }
   }
   ASSERT_NE(t, graph::kInvalidVertex);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   StConnOptions options;
   options.s = s;
@@ -222,7 +222,7 @@ TEST(StConnectivity, DetectsDisconnectedPair) {
     for (Vertex v = u + 1; v < 20; ++v) edges.emplace_back(u, v);
   }
   const Graph g = Graph::from_edges(20, edges, true);
-  mem::SimHeap heap(std::size_t{1} << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   StConnOptions options;
   options.s = 0;
@@ -234,7 +234,7 @@ TEST(StConnectivity, DetectsDisconnectedPair) {
 
 TEST(StConnectivity, AdjacentVerticesConnected) {
   const Graph g = Graph::from_edges(4, {{0, 1}, {2, 3}}, true);
-  mem::SimHeap heap(std::size_t{1} << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 2, heap);
   StConnOptions options;
   options.s = 0;
@@ -242,7 +242,7 @@ TEST(StConnectivity, AdjacentVerticesConnected) {
   EXPECT_TRUE(run_st_connectivity(machine, g, options).connected);
   options.s = 1;
   options.t = 2;
-  mem::SimHeap heap2(std::size_t{1} << 20);
+  mem::SimHeap heap2;
   htm::DesMachine machine2(model::has_c(), HtmKind::kRtm, 2, heap2);
   EXPECT_FALSE(run_st_connectivity(machine2, g, options).connected);
 }
@@ -253,7 +253,7 @@ class ColoringThreadsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ColoringThreadsTest, ProducesProperColoring) {
   const Graph g = test_graph(41);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, GetParam(), heap);
   const ColoringResult result = run_boman_coloring(machine, g, {});
   EXPECT_TRUE(validate_coloring(g, result.color));
@@ -269,7 +269,7 @@ TEST(Coloring, ConflictsTriggerRecoloring) {
   // A dense graph colored by many threads must see conflicts.
   util::Rng rng(43);
   const Graph g = graph::erdos_renyi(300, 0.1, rng);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   ColoringOptions options;
   options.batch = 4;
@@ -284,7 +284,7 @@ TEST(Coloring, BipartiteUsesTwoColors) {
   graph::EdgeList edges;
   for (Vertex v = 0; v + 1 < 100; ++v) edges.emplace_back(v, v + 1);
   const Graph g = Graph::from_edges(100, edges, true);
-  mem::SimHeap heap(std::size_t{1} << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   const ColoringResult result = run_boman_coloring(machine, g, {});
   EXPECT_TRUE(validate_coloring(g, result.color));
@@ -355,7 +355,7 @@ TEST(FirstFitColor, SurvivesStampWrap) {
 
 TEST(Boruvka, MatchesKruskalOnConnectedGraph) {
   const Graph g = weighted_test_graph();
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   const BoruvkaResult result = run_boruvka(machine, g, {});
   const double reference = mst_reference_weight(g);
@@ -371,7 +371,7 @@ TEST(Boruvka, HandlesForests) {
   for (Vertex v = 50; v + 1 < 100; ++v) edges.emplace_back(v, v + 1);
   const auto weights = graph::random_weights(edges.size(), 1.0f, 10.0f, rng);
   const Graph g = Graph::from_weighted_edges(100, edges, weights, true);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   const BoruvkaResult result = run_boruvka(machine, g, {});
   EXPECT_EQ(result.edges_in_forest, 98u);  // (50-1) + (50-1)
@@ -380,7 +380,7 @@ TEST(Boruvka, HandlesForests) {
 
 TEST(Boruvka, ConcurrentMergesMayFail) {
   const Graph g = weighted_test_graph(53);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
   BoruvkaOptions options;
   options.batch = 8;
@@ -396,7 +396,7 @@ TEST(Boruvka, ConcurrentMergesMayFail) {
 
 TEST(Sssp, MatchesDijkstra) {
   const Graph g = weighted_test_graph(59);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   SsspOptions options;
   options.source = graph::pick_nonisolated_vertex(g);
@@ -424,7 +424,7 @@ TEST(Sssp, UnitWeightsReduceToBfs) {
   const Graph g = Graph::from_weighted_edges(
       base.num_vertices(), edges, std::vector<float>(edges.size(), 1.0f),
       true);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
   SsspOptions options;
   options.source = graph::pick_nonisolated_vertex(g);

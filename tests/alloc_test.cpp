@@ -89,7 +89,7 @@ TEST(AllocationGuard, WarmDistributedPagerankStaysUnderOnePerActivity) {
   params.edge_factor = 8;
   const graph::Graph g = graph::kronecker(params, rng);
   const graph::Block1D part(g.num_vertices(), 4);
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, 4, 4, heap);
   algorithms::DistPrOptions options;
   options.iterations = 3;

@@ -283,7 +283,7 @@ TEST_P(CapacityThresholdTest, NoCapacityAbortsBelowStaticThreshold) {
   };
 
   for (const int batch : {1, 2, 4, 8}) {
-    mem::SimHeap heap(1 << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(*param.config, param.kind, /*threads=*/1, heap,
                             /*seed=*/7);
     {

@@ -80,7 +80,7 @@ graph::Graph make_graph() {
 algorithms::PageRankResult run_pagerank(
     const graph::Graph& g, core::Mechanism mech,
     const core::AutoPolicy* policy, core::ExecutorDecorator* decorator) {
-  mem::SimHeap heap((std::size_t{1} << 20) * 8);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, 16, heap,
                           /*seed=*/1);
   algorithms::PageRankOptions o;
@@ -161,7 +161,7 @@ TEST(CapacityGuard, FixedHtmPastBoundTripsAudit) {
   core::AutoPolicy policy;
   policy.plan(core::OperatorId::kPagerankPush).htm_c_safe = 1;
 
-  mem::SimHeap heap((std::size_t{1} << 20) * 8);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, 16, heap,
                           /*seed=*/1);
   check::CheckConfig cfg;
@@ -189,7 +189,7 @@ TEST(CapacityGuard, AutoClampsAndStaysClean) {
       core::Mechanism::kHtmCoarsened;
   policy.plan(core::OperatorId::kPagerankPush).htm_c_safe = 1;
 
-  mem::SimHeap heap((std::size_t{1} << 20) * 8);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, 16, heap,
                           /*seed=*/1);
   check::CheckConfig cfg;

@@ -26,7 +26,7 @@ Graph test_graph(std::uint64_t seed = 3) {
 
 TEST(BspEngine, BfsLevelsMatchReference) {
   const Graph g = test_graph();
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   const Vertex root = graph::pick_nonisolated_vertex(g);
   BspEngine::Result result;
@@ -40,7 +40,7 @@ TEST(BspEngine, BfsLevelsMatchReference) {
 TEST(BspEngine, SuperstepCountTracksDiameter) {
   util::Rng rng(7);
   const Graph g = graph::road_lattice(30, 30, 0.0, rng);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   BspEngine::Result result;
   const auto level = bsp_bfs(machine, g, 0, {}, &result);
@@ -54,7 +54,7 @@ TEST(BspEngine, SuperstepOverheadDominatesRuntime) {
   // tens of milliseconds each, making high-diameter graphs catastrophic.
   util::Rng rng(9);
   const Graph g = graph::road_lattice(20, 20, 0.0, rng);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   BspEngine::Options options;
   options.superstep_overhead_ns = 1e7;
@@ -68,7 +68,7 @@ TEST(BspEngine, SuperstepOverheadDominatesRuntime) {
 TEST(BspEngine, VoteToHaltTerminates) {
   // A program where every vertex halts immediately ends in one superstep.
   const Graph g = test_graph(11);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   BspEngine engine({});
   const auto result = engine.run(
@@ -83,7 +83,7 @@ TEST(NamedBaselines, Graph500AndGaloisProduceValidTrees) {
   const Graph g = test_graph(13);
   const Vertex root = graph::pick_nonisolated_vertex(g);
   {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     const auto r = graph500_bfs(machine, g, root);
     EXPECT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
@@ -92,7 +92,7 @@ TEST(NamedBaselines, Graph500AndGaloisProduceValidTrees) {
     EXPECT_GT(r.stats.atomic_cas, 0u);
   }
   {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     const auto r = galois_bfs(machine, g, root);
     EXPECT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
@@ -102,7 +102,7 @@ TEST(NamedBaselines, Graph500AndGaloisProduceValidTrees) {
 TEST(NamedBaselines, SnapBfsMatchesReferenceAndIsSequential) {
   const Graph g = test_graph(17);
   const Vertex root = graph::pick_nonisolated_vertex(g);
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   const auto r = snap_bfs(machine, g, root);
   EXPECT_EQ(r.level, graph::bfs_levels(g, root));
@@ -115,13 +115,13 @@ TEST(NamedBaselines, HamaLikeOrdersOfMagnitudeSlowerThanGraph500) {
   const Vertex root = graph::pick_nonisolated_vertex(g);
   double g500_time = 0;
   {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     g500_time = graph500_bfs(machine, g, root).total_time_ns;
   }
   double hama_time = 0;
   {
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     BspEngine::Result result;
     bsp_bfs(machine, g, root, {}, &result);
@@ -140,7 +140,7 @@ TEST(PbglBaseline, AamAndPbglAgreeOnRanks) {
   std::vector<double> aam_rank;
   {
     const graph::Block1D part(g.num_vertices(), 4);
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 4, heap);
     options.mode = algorithms::DistPrMode::kAam;
     aam_rank = run_distributed_pagerank(cluster, g, part, options).rank;
@@ -149,7 +149,7 @@ TEST(PbglBaseline, AamAndPbglAgreeOnRanks) {
   {
     // Process-per-thread, as PBGL has no threading (§6.2).
     const graph::Block1D part(g.num_vertices(), 16);
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 16, 1, heap);
     options.mode = algorithms::DistPrMode::kPbgl;
     pbgl_rank = run_distributed_pagerank(cluster, g, part, options).rank;
@@ -174,7 +174,7 @@ TEST(PbglBaseline, AamOutperformsPbgl) {
   double aam_time = 0, pbgl_time = 0;
   {
     const graph::Block1D part(g.num_vertices(), 4);
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 4, heap);
     options.mode = algorithms::DistPrMode::kAam;
     aam_time = run_distributed_pagerank(cluster, g, part, options)
@@ -182,7 +182,7 @@ TEST(PbglBaseline, AamOutperformsPbgl) {
   }
   {
     const graph::Block1D part(g.num_vertices(), 16);
-    mem::SimHeap heap(std::size_t{1} << 24);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 16, 1, heap);
     options.mode = algorithms::DistPrMode::kPbgl;
     pbgl_time = run_distributed_pagerank(cluster, g, part, options)

@@ -66,7 +66,7 @@ TEST(CheckConfig, ErrorNamesFlagValueAndEveryValidSpelling) {
 // ------------------------------------------------------------- clean runs
 
 TEST(Checker, CleanRunPassesAndSeesBatches) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(256, "data");
   check::Checker checker(machine, all_checks());
@@ -85,7 +85,7 @@ TEST(Checker, DoesNotPerturbSimulatedTime) {
     params.scale = 9;
     params.edge_factor = 4;
     const graph::Graph g = graph::kronecker(params, rng);
-    mem::SimHeap heap(1 << 22);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     check::Checker checker(machine,
                            with_checks ? all_checks() : check::CheckConfig{});
@@ -106,7 +106,7 @@ TEST(Checker, DoesNotPerturbSimulatedTime) {
 // synchronizes it, no conflict stamp is bumped, no cost is charged. The
 // escaped-write detector must flag it and name the owning allocation.
 TEST(Checker, RacesCatchesEscapedRawWrite) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "buggy.data");
   check::Checker checker(machine, {.races = true});
@@ -130,7 +130,7 @@ TEST(Checker, RacesCatchesEscapedRawWrite) {
 // Access surface: the committed outcome depends on execution order and the
 // serial re-execution cannot reproduce it.
 TEST(Checker, SerialReplayCatchesNonReplayableOperator) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "data");
   check::Checker checker(machine, {.serial = true});
@@ -149,7 +149,7 @@ TEST(Checker, SerialReplayCatchesNonReplayableOperator) {
 // cover the touched allocation: the dynamic-vs-static audit must flag the
 // escape and name both the offending label and the permitted set.
 TEST(Checker, StaticSignatureAuditCatchesMislabeledBatch) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "mystery.array");
   check::Checker checker(machine, {.footprint = true});
@@ -174,7 +174,7 @@ TEST(Checker, StaticSignatureAuditCatchesMislabeledBatch) {
 // Untagged batches (kUnknown) are exempt from the static audit — ad-hoc
 // runtime workloads carry no signature to check against.
 TEST(Checker, StaticSignatureAuditSkipsUntaggedBatches) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "adhoc.array");
   check::Checker checker(machine, {.footprint = true});
@@ -194,7 +194,7 @@ TEST(Checker, CommitDigestIsDeterministicAcrossRuns) {
     params.scale = 9;
     params.edge_factor = 4;
     const graph::Graph g = graph::kronecker(params, rng);
-    mem::SimHeap heap(1 << 22);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap, seed);
     check::Checker checker(machine, {.footprint = true});
     algorithms::BfsOptions options;
@@ -304,7 +304,7 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           algorithms::run_boruvka(m, wg, o);
         }
       };
-      mem::SimHeap heap(std::size_t{1} << 24);
+      mem::SimHeap heap;
       htm::DesMachine machine(*setup.config, setup.kind, setup.threads, heap,
                               kSeed);
       check::Checker checker(machine, all_checks());

@@ -214,7 +214,7 @@ TEST(RankAgreement, SimulatedSweepScale10WithinBand) {
       core::Mechanism best_mech = core::Mechanism::kSerialLock;
       double best_time = 0;
       for (const core::Mechanism mech : core::all_mechanisms()) {
-        mem::SimHeap heap((std::size_t{1} << 20) * 8);
+        mem::SimHeap heap;
         htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
                                 heap, /*seed=*/1);
         core::ExecConfig exec = algo.exec;

@@ -25,7 +25,7 @@ TEST(Taxonomy, FourMessageClasses) {
 // ----------------------------------------------------------- AamRuntime
 
 TEST(AamRuntime, ForEachAppliesEveryItemOnce) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   auto data = heap.alloc<std::uint64_t>(1000);
   AamRuntime rt(machine, {.batch = 16});
@@ -39,7 +39,7 @@ TEST(AamRuntime, ForEachAppliesEveryItemOnce) {
 }
 
 TEST(AamRuntime, BatchOneBehavesLikeSingleElementActivities) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64);
   AamRuntime rt(machine, {.batch = 1});
@@ -54,7 +54,7 @@ TEST(AamRuntime, CoarseningReducesRuntimeOnThisWorkload) {
   // The central §5.5 effect: with per-vertex work dominated by transaction
   // begin/commit overhead, a larger M is faster.
   auto run_with_batch = [](int m) {
-    mem::SimHeap heap(1 << 22);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap);
     auto data = heap.alloc<std::uint64_t>(32768);
     AamRuntime rt(machine, {.batch = m});
@@ -69,7 +69,7 @@ TEST(AamRuntime, CoarseningReducesRuntimeOnThisWorkload) {
 }
 
 TEST(AamRuntime, SequentialForEachCalls) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(128);
   AamRuntime rt(machine, {.batch = 8});
@@ -83,7 +83,7 @@ TEST(AamRuntime, SequentialForEachCalls) {
 
 TEST(AamRuntime, AdaptiveBatchShrinksUnderConflicts) {
   // All threads hammer one vertex: abort storms must push M down.
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
   AamRuntime rt(machine, {.batch = 8});
@@ -199,7 +199,7 @@ class ProduceRange : public DistributedRuntime::Worker {
 };
 
 TEST(DistributedRuntime, RemoteSpawnsExecuteAtOwner) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 2, heap);
   auto data = heap.alloc<std::uint64_t>(256);
   DistributedRuntime rt(cluster, {.coalesce = 8, .exec = {.batch = 8}});
@@ -225,7 +225,7 @@ TEST(DistributedRuntime, RemoteSpawnsExecuteAtOwner) {
 }
 
 TEST(DistributedRuntime, LocalSpawnsSkipTheNetwork) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto data = heap.alloc<std::uint64_t>(64);
   DistributedRuntime rt(cluster, {.coalesce = 8, .exec = {.batch = 4}});
@@ -244,7 +244,7 @@ TEST(DistributedRuntime, LocalSpawnsSkipTheNetwork) {
 }
 
 TEST(DistributedRuntime, FireAndReturnRunsFailureHandlerAtSpawner) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto data = heap.alloc<std::uint64_t>(64);
   DistributedRuntime rt(cluster, {.coalesce = 4, .exec = {.batch = 4}});
@@ -276,7 +276,7 @@ TEST(DistributedRuntime, FireAndReturnRunsFailureHandlerAtSpawner) {
 
 TEST(DistributedRuntime, ManyToOneConvergecast) {
   // N-1 nodes all update vertices owned by the last node (Fig 5d shape).
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   const int nodes = 4;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, nodes, 1, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
@@ -299,7 +299,7 @@ TEST(DistributedRuntime, ManyToOneConvergecast) {
 // ---------------------------------------------------- OwnershipProtocol
 
 TEST(OwnershipProtocol, CompletesAllTransactionsExactlyOnce) {
-  mem::SimHeap heap(1 << 22);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 1, heap);
   const graph::Vertex n = 256;
   auto markers = heap.alloc<std::uint64_t>(n);
@@ -326,7 +326,7 @@ TEST(OwnershipProtocol, CompletesAllTransactionsExactlyOnce) {
 
 TEST(OwnershipProtocol, ContentionCausesCasFailuresAndBackoff) {
   // Few elements, many remote acquisitions: CAS failures are inevitable.
-  mem::SimHeap heap(1 << 22);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 1, heap);
   const graph::Vertex n = 16;  // tiny: heavy marker contention
   auto markers = heap.alloc<std::uint64_t>(n);
@@ -352,7 +352,7 @@ TEST(OwnershipProtocol, MoreRemoteElementsSlowDownExecution) {
   // The O-1 vs O-3 comparison of §5.7: more remote vertices per txn means
   // more acquisition rounds and a longer makespan.
   auto run_config = [](int a, int b) {
-    mem::SimHeap heap(1 << 22);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 1, heap);
     const graph::Vertex n = 4096;
     auto markers = heap.alloc<std::uint64_t>(n);

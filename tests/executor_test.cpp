@@ -58,7 +58,7 @@ TEST(Mechanism, NamesListsEveryMechanismCommaSeparated) {
 }
 
 TEST(Mechanism, ErrorNamesFlagOffendingValueAndValidSpellings) {
-  const std::string msg = core::mechanism_error("mechanism", "hmt");
+  const std::string msg = core::mechanism_selection_error("mechanism", "hmt");
   EXPECT_NE(msg.find("--mechanism"), std::string::npos) << msg;
   EXPECT_NE(msg.find("hmt"), std::string::npos) << msg;
   for (const core::Mechanism m : core::all_mechanisms()) {
@@ -70,7 +70,7 @@ TEST(Mechanism, ErrorNamesFlagOffendingValueAndValidSpellings) {
 // ------------------------------------------------ executor counters
 
 TEST(Executor, AtomicOpsCountsAtomicsNotTransactions) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(256);
   core::AamRuntime rt(machine,
@@ -85,7 +85,7 @@ TEST(Executor, AtomicOpsCountsAtomicsNotTransactions) {
 }
 
 TEST(Executor, HtmRunsTransactionsNotAtomics) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(256);
   core::AamRuntime rt(
@@ -99,7 +99,7 @@ TEST(Executor, HtmRunsTransactionsNotAtomics) {
 
 TEST(Executor, EveryMechanismAppliesEveryItemExactlyOnce) {
   for (const core::Mechanism m : core::all_mechanisms()) {
-    mem::SimHeap heap(1 << 20);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     auto data = heap.alloc<std::uint64_t>(500);
     core::AamRuntime rt(machine, {.batch = 8, .mechanism = m});
@@ -118,7 +118,7 @@ TEST(Executor, EveryMechanismAppliesEveryItemExactlyOnce) {
 /// single-thread BG/Q machine, through make_executor + execute_batch, and
 /// keeps the committed emissions and the thread-clock advance.
 struct StmBatch {
-  mem::SimHeap heap{std::size_t{1} << 20};
+  mem::SimHeap heap;
   htm::DesMachine machine{model::bgq(), HtmKind::kBgqShort, 1, heap};
   std::unique_ptr<core::ActivityExecutor> executor = core::make_executor(
       machine, {.batch = 8, .mechanism = core::Mechanism::kStm});
@@ -264,7 +264,7 @@ TEST(ExecutorEquivalence, BfsTreeValidUnderEveryMechanism) {
   const Vertex root = graph::pick_nonisolated_vertex(g);
   const std::uint64_t reachable = graph::reachable_count(g, root);
   for (const core::Mechanism m : core::all_mechanisms()) {
-    mem::SimHeap heap(std::size_t{1} << 23);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 8, heap, 9);
     algorithms::BfsOptions options;
     options.root = root;
@@ -281,7 +281,7 @@ TEST(ExecutorEquivalence, PageRankMatchesReferenceUnderEveryMechanism) {
   const Graph g = fixed_graph();
   const auto reference = algorithms::pagerank_reference(g, 5, 0.85);
   for (const core::Mechanism m : core::all_mechanisms()) {
-    mem::SimHeap heap(std::size_t{1} << 23);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap, 9);
     algorithms::PageRankOptions options;
     options.iterations = 5;
@@ -299,7 +299,7 @@ TEST(ExecutorEquivalence, PageRankMatchesReferenceUnderEveryMechanism) {
 TEST(ExecutorEquivalence, ColoringValidUnderEveryMechanism) {
   const Graph g = fixed_graph();
   for (const core::Mechanism m : core::all_mechanisms()) {
-    mem::SimHeap heap(std::size_t{1} << 23);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 8, heap, 9);
     algorithms::ColoringOptions options;
     options.mechanism = m;

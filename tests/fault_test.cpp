@@ -161,7 +161,7 @@ model::MachineConfig quiet_has_c() {
 TEST(FaultInjector, AbortStormAccountingIsExactPerThread) {
   const model::MachineConfig cfg = quiet_has_c();
   const int threads = 4;
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(cfg, HtmKind::kRtm, threads, heap, /*seed=*/3);
   auto counters = heap.alloc<std::uint64_t>(threads * 8);
 
@@ -217,7 +217,7 @@ TEST(FaultInjector, SameSeedSameScheduleBitIdentical) {
     std::uint64_t injected;
   };
   auto run_once = [&] {
-    mem::SimHeap heap(1 << 22);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap,
                             /*seed=*/5);
     const FaultPlan plan = parse("abort-storm,straggler",
@@ -246,7 +246,7 @@ TEST(FaultInjector, SameSeedSameScheduleBitIdentical) {
 TEST(FaultInjector, StragglersSlowTheMakespan) {
   const int threads = 8;
   auto run_with = [&](const std::string& spec) {
-    mem::SimHeap heap(1 << 20);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, threads, heap);
     auto counters = heap.alloc<std::uint64_t>(threads * 8);
     const FaultPlan plan = parse(spec, machine.config().fault);
@@ -316,7 +316,7 @@ class SendOnceWorker : public htm::Worker {
 };
 
 TEST(FaultInjector, LossyNetworkDeliversExactlyOnce) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   net::Cluster cluster(model::has_p(), HtmKind::kRtm, 2, 1, heap, /*seed=*/2);
   const FaultPlan plan = parse(
       "lossy-net,net.drop=0.3,net.dup=0.25,net.reorder=0.5",
@@ -365,7 +365,7 @@ TEST(FaultInjector, LossyNetworkDeliversExactlyOnce) {
 
 TEST(FaultInjector, NetFaultsAreSeedDeterministic) {
   auto run_once = [] {
-    mem::SimHeap heap(1 << 20);
+    mem::SimHeap heap;
     net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap,
                          /*seed=*/7);
     const FaultPlan plan = parse("lossy-net", cluster.config().fault);
@@ -420,7 +420,7 @@ TEST(Resilience, WatchdogTurnsLivelockIntoStructuredDiagnostic) {
   // the only remaining defense is the progress watchdog, which must turn
   // the endless abort loop into a diagnostic instead of hanging.
   const model::MachineConfig cfg = uncapped_has_c();
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   htm::DesMachine machine(cfg, HtmKind::kRtm, 1, heap);
   machine.set_resilience({.livelock_watermark = 0, .watchdog_ns = 1e5});
   AlwaysAbort storm;
@@ -453,7 +453,7 @@ TEST(Resilience, LivelockWatermarkEscalatesToIrrevocable) {
   // must finish without tripping the watchdog.
   const model::MachineConfig cfg = uncapped_has_c();
   const int watermark = 6;
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   htm::DesMachine machine(cfg, HtmKind::kRtm, 1, heap);
   machine.set_resilience(
       {.livelock_watermark = watermark, .watchdog_ns = 1e9});

@@ -59,9 +59,9 @@ std::string snapshot_lines() {
     }
   }
   std::vector<std::string> lines(cells.size());
-  sim::parallel_shards(cells.size(), [&](sim::ShardId cell_id) {
+  sim::ShardRunner(0).run(cells.size(), [&](sim::ShardId cell_id) {
     const Cell& cell = cells[cell_id];
-    mem::SimHeap heap((std::size_t{1} << 20) * 8);
+    mem::SimHeap heap;
     htm::DesMachine machine(*cell.setup->config, cell.setup->kind,
                             cell.setup->threads, heap, /*seed=*/1);
     machine.bind_shard(cell_id);

@@ -53,8 +53,12 @@ TEST(Csr, WeightedEdges) {
   auto w1 = g.weights(1);
   ASSERT_EQ(n1.size(), 2u);
   for (std::size_t i = 0; i < n1.size(); ++i) {
-    if (n1[i] == 0) EXPECT_FLOAT_EQ(w1[i], 2.5f);
-    if (n1[i] == 2) EXPECT_FLOAT_EQ(w1[i], 7.0f);
+    if (n1[i] == 0) {
+      EXPECT_FLOAT_EQ(w1[i], 2.5f);
+    }
+    if (n1[i] == 2) {
+      EXPECT_FLOAT_EQ(w1[i], 7.0f);
+    }
   }
 }
 

@@ -46,7 +46,7 @@ class RepeatOpWorker : public Worker {
 };
 
 TEST(DesMachine, SingleThreadTxnCommits) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(5);
   RepeatTxnWorker w(1, [x](Txn& tx) {
@@ -66,7 +66,7 @@ TEST(DesMachine, SingleThreadTxnCommits) {
 }
 
 TEST(DesMachine, TxnWritesAreBufferedUntilCommit) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(1);
   bool saw_own_write = false;
@@ -101,7 +101,7 @@ TEST(DesMachine, ReadYourOwnWritesThroughWriteBufferFilter) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(model::to_string(c.kind)) +
                  (c.serialized ? " serialized" : " speculative"));
-    mem::SimHeap heap(1 << 16);
+    mem::SimHeap heap;
     DesMachine m(*c.config, c.kind, 1, heap);
     ASSERT_EQ(m.conflict_shift(), c.conflict_shift);
     auto words = heap.alloc<std::uint64_t>(8);  // A and B share a line
@@ -133,7 +133,7 @@ TEST(DesMachine, ReadYourOwnWritesThroughWriteBufferFilter) {
 TEST(DesMachine, HeapAllocatedMidBodyIsTracked) {
   // The footprint table covers the heap prefix in use when the attempt
   // began; memory allocated inside the body extends it on first access.
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   DesMachine m(model::bgq(), HtmKind::kBgqShort, 1, heap);
   std::uint64_t* late = nullptr;
   RepeatTxnWorker w(1, [&](Txn& tx) {
@@ -186,7 +186,7 @@ TEST(DesMachine, AttemptCostIsExactSumOfAccessCharges) {
     SCOPED_TRACE(describe(c));
     const model::MachineConfig config = without_other_aborts(*c.config, c.kind);
     const model::HtmCosts& costs = config.htm(c.kind);
-    mem::SimHeap heap(1 << 20);
+    mem::SimHeap heap;
     DesMachine m(config, c.kind, 1, heap);
     auto early = heap.alloc<std::uint64_t>(64, "early");
     std::span<std::uint64_t> late;
@@ -248,7 +248,7 @@ TEST(DesMachine, ReadCapacityBindsSpeculationOnly) {
     const std::uint32_t capacity = config.htm(c.kind).read_capacity_lines;
     for (const std::uint32_t body_lines : {capacity - 1, capacity}) {
       SCOPED_TRACE(body_lines);
-      mem::SimHeap heap(std::size_t{1} << 21);
+      mem::SimHeap heap;
       DesMachine m(config, c.kind, 1, heap);
       auto data = heap.alloc<std::uint64_t>(std::size_t{body_lines} * 8);
       std::uint32_t serialized_lines = 0;
@@ -280,7 +280,7 @@ TEST(DesMachine, ReadCapacityBindsSpeculationOnly) {
 }
 
 TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   heap.alloc<std::uint64_t>(8);
   std::uint64_t off_heap = 0;
@@ -290,7 +290,7 @@ TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {
 }
 
 TEST(DesMachine, SubWordStoresSpliceCorrectly) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto arr = heap.alloc<std::uint32_t>(2);  // shares one 8-byte word
   arr[0] = 0x11111111;
@@ -306,7 +306,7 @@ TEST(DesMachine, SubWordStoresSpliceCorrectly) {
 }
 
 TEST(DesMachine, ConflictingTxnsSerializeCorrectly) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 4, heap);
   auto* counter = heap.alloc_one<std::uint64_t>(0);
   const int per_thread = 50;
@@ -328,7 +328,7 @@ TEST(DesMachine, ConflictingTxnsSerializeCorrectly) {
 }
 
 TEST(DesMachine, OverlappingTxnsFirstCommitterWins) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 2, heap);
   auto* x = heap.alloc_one<std::uint64_t>(0);
   RepeatTxnWorker w0(1, [x](Txn& tx) { tx.fetch_add(*x, std::uint64_t{1}); });
@@ -342,7 +342,7 @@ TEST(DesMachine, OverlappingTxnsFirstCommitterWins) {
 }
 
 TEST(DesMachine, DisjointTxnsDoNotConflict) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 8, heap);
   auto vars = heap.alloc<std::uint64_t>(8 * 8);  // one line per thread
   std::vector<std::unique_ptr<RepeatTxnWorker>> workers;
@@ -359,7 +359,7 @@ TEST(DesMachine, DisjointTxnsDoNotConflict) {
 }
 
 TEST(DesMachine, CapacityAbortLeadsToSerialization) {
-  mem::SimHeap heap(1 << 22);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   // Has-C RTM write capacity is 512 lines (64 sets x 8 ways); write 600.
   auto data = heap.alloc<std::uint64_t>(600 * 8);
@@ -379,7 +379,7 @@ TEST(DesMachine, CapacityAbortLeadsToSerialization) {
 }
 
 TEST(DesMachine, BgqHardwareRetriesUpToLimitThenSerializes) {
-  mem::SimHeap heap(1 << 22);
+  mem::SimHeap heap;
   DesMachine m(model::bgq(), HtmKind::kBgqShort, 1, heap);
   // BGQ short write budget is 2048 lines; exceed it.
   auto data = heap.alloc<std::uint64_t>(2100 * 8);
@@ -397,7 +397,7 @@ TEST(DesMachine, BgqHardwareRetriesUpToLimitThenSerializes) {
 }
 
 TEST(DesMachine, HleSerializesAfterFirstAbort) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kHle, 4, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
   std::vector<std::unique_ptr<RepeatTxnWorker>> workers;
@@ -416,7 +416,7 @@ TEST(DesMachine, HleSerializesAfterFirstAbort) {
 }
 
 TEST(DesMachine, AtomicCasContentionQueues) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   const auto& cfg = model::has_c();
   DesMachine m(cfg, HtmKind::kRtm, 8, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
@@ -436,7 +436,7 @@ TEST(DesMachine, AtomicCasContentionQueues) {
 }
 
 TEST(DesMachine, UncontendedAtomicsRunInParallel) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   const auto& cfg = model::has_c();
   DesMachine m(cfg, HtmKind::kRtm, 8, heap);
   auto vars = heap.alloc<std::uint64_t>(8 * 8);
@@ -455,7 +455,7 @@ TEST(DesMachine, UncontendedAtomicsRunInParallel) {
 }
 
 TEST(DesMachine, CasSemantics) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(7);
   bool first = false, second = false;
@@ -471,7 +471,7 @@ TEST(DesMachine, CasSemantics) {
 }
 
 TEST(DesMachine, ExplicitAbortRetriesThenSerializedPathSkips) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(0);
   RepeatTxnWorker w(1, [x](Txn& tx) {
@@ -489,7 +489,7 @@ TEST(DesMachine, ExplicitAbortRetriesThenSerializedPathSkips) {
 }
 
 TEST(DesMachine, DoneCallbackReportsOutcome) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(0);
   TxnOutcome seen;
@@ -525,7 +525,7 @@ TEST(DesMachine, DoneCallbackReportsOutcome) {
 }
 
 TEST(DesMachine, QuiescenceHookRunsPhases) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 4, heap);
   auto* counter = heap.alloc_one<std::uint64_t>(0);
   struct PhaseWorker : Worker {
@@ -557,7 +557,7 @@ TEST(DesMachine, QuiescenceHookRunsPhases) {
 }
 
 TEST(DesMachine, ScheduledCallbacksFireInOrder) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   std::vector<int> order;
   m.schedule_callback(300.0, [&] { order.push_back(3); });
@@ -572,7 +572,7 @@ TEST(DesMachine, ScheduledCallbacksFireInOrder) {
 }
 
 TEST(DesMachine, WakeRestartsParkedThread) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
   auto* x = heap.alloc_one<std::uint64_t>(0);
   struct Pollable : Worker {
@@ -599,7 +599,7 @@ TEST(DesMachine, WakeRestartsParkedThread) {
 
 TEST(DesMachine, DeterministicAcrossRuns) {
   auto run_once = [] {
-    mem::SimHeap heap(1 << 18);
+    mem::SimHeap heap;
     DesMachine m(model::bgq(), HtmKind::kBgqShort, 16, heap, /*seed=*/77);
     auto* hot = heap.alloc_one<std::uint64_t>(0);
     std::vector<std::unique_ptr<RepeatTxnWorker>> workers;
@@ -616,7 +616,7 @@ TEST(DesMachine, DeterministicAcrossRuns) {
 }
 
 TEST(DesMachine, ResetClocksBetweenPhases) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 2, heap);
   auto* x = heap.alloc_one<std::uint64_t>(0);
   RepeatOpWorker w0(5, [x](ThreadCtx& ctx) { ctx.fetch_add(*x, std::uint64_t{1}); });

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <fstream>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "htm/des_engine.hpp"
 #include "mem/footprint.hpp"
 #include "mem/sim_heap.hpp"
+#include "model/machines.hpp"
 #include "util/rng.hpp"
 
 namespace aam::mem {
@@ -14,7 +18,7 @@ namespace {
 // -------------------------------------------------------------- SimHeap
 
 TEST(SimHeap, AllocatesAlignedAndContained) {
-  SimHeap heap(1 << 16);
+  SimHeap heap;
   auto a = heap.alloc<std::uint64_t>(10);
   auto b = heap.alloc<double>(5);
   EXPECT_EQ(a.size(), 10u);
@@ -27,13 +31,13 @@ TEST(SimHeap, AllocatesAlignedAndContained) {
 }
 
 TEST(SimHeap, ZeroInitializes) {
-  SimHeap heap(1 << 12);
+  SimHeap heap;
   auto a = heap.alloc<std::uint32_t>(100);
   for (auto v : a) EXPECT_EQ(v, 0u);
 }
 
 TEST(SimHeap, LineOfMapsSixtyFourByteBlocks) {
-  SimHeap heap(1 << 12);
+  SimHeap heap;
   auto a = heap.alloc<std::uint8_t>(256);
   const LineId l0 = heap.line_of(&a[0]);
   EXPECT_EQ(heap.line_of(&a[63]) - l0, 0u);
@@ -42,24 +46,38 @@ TEST(SimHeap, LineOfMapsSixtyFourByteBlocks) {
 }
 
 TEST(SimHeap, BaseIsLineAligned) {
-  SimHeap heap(1 << 12);
+  SimHeap heap;
   auto a = heap.alloc<std::uint8_t>(1);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&a[0]) % kLineBytes, 0u);
 }
 
-TEST(SimHeap, ResetReclaims) {
-  SimHeap heap(1 << 10);
-  heap.alloc<std::uint64_t>(100);
-  const std::size_t used = heap.used_bytes();
-  EXPECT_GE(used, 800u);
-  heap.reset();
-  EXPECT_EQ(heap.used_bytes(), 0u);
-  heap.alloc<std::uint64_t>(100);  // fits again
+/// Resident set of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(SimHeap, DefaultCapacityCostsOnlyTouchedPages) {
+  // A full-capacity heap plus the engine tables sized to it (8 B conflict
+  // stamps per 8 B on BG/Q, per-line stripes) hold about 1 MiB of state.
+  const std::size_t before = resident_bytes();
+  SimHeap heap;
+  htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort,
+                          /*num_threads=*/64, heap);
+  heap.alloc<std::byte>(std::size_t{1} << 20);
+  EXPECT_LT(resident_bytes(), before + (std::size_t{16} << 20));
+  const LineId last = heap.num_lines() - 1;
+  EXPECT_EQ(machine.stripes().owner(last), StripeTable::kNoOwner);
+  EXPECT_EQ(machine.stripes().available_at(last), 0.0);
 }
 
 TEST(SimHeapDeathTest, AbortsWhenExhausted) {
   SimHeap heap(1 << 10);
-  EXPECT_DEATH(heap.alloc<std::uint64_t>(1 << 20), "out of capacity");
+  EXPECT_DEATH(heap.alloc<std::uint64_t>(1 << 20),
+               "out of capacity: 8388608 B requested with 0 of 1024 B in use");
 }
 
 // ---------------------------------------------------------- StripeTable
@@ -69,10 +87,12 @@ TEST(StripeTable, OwnersAndAvailability) {
   table.set_available_at(7, 90.0);
   EXPECT_DOUBLE_EQ(table.available_at(7), 90.0);
   EXPECT_EQ(table.owner(5), StripeTable::kNoOwner);
+  EXPECT_DOUBLE_EQ(table.available_at(5), 0.0);
   table.set_owner(5, 2);
   EXPECT_EQ(table.owner(5), 2u);
-  table.reset();
-  EXPECT_DOUBLE_EQ(table.available_at(7), 0.0);
+  table.set_owner(5, 0);
+  EXPECT_EQ(table.owner(5), 0u);
+  table.set_owner(5, StripeTable::kNoOwner);
   EXPECT_EQ(table.owner(5), StripeTable::kNoOwner);
 }
 

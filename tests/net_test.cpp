@@ -40,7 +40,7 @@ class SendThenPollWorker : public htm::Worker {
 };
 
 TEST(Cluster, ThreadNodeMapping) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 16, heap);
   EXPECT_EQ(cluster.num_nodes(), 4);
   EXPECT_EQ(cluster.machine().num_threads(), 64);
@@ -52,7 +52,7 @@ TEST(Cluster, ThreadNodeMapping) {
 }
 
 TEST(Cluster, DeliversMessageWithLatency) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::has_p(), HtmKind::kRtm, 2, 1, heap);
   double delivered_at = -1;
   std::uint64_t seen_arg = 0;
@@ -78,7 +78,7 @@ TEST(Cluster, DeliversMessageWithLatency) {
 }
 
 TEST(Cluster, WakesParkedReceiver) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::has_p(), HtmKind::kRtm, 2, 1, heap);
   int handled = 0;
   const auto h = cluster.register_handler(
@@ -97,7 +97,7 @@ TEST(Cluster, WakesParkedReceiver) {
 }
 
 TEST(Cluster, PayloadRoundTrips) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   std::vector<std::uint64_t> received;
   const auto h = cluster.register_handler(
@@ -117,7 +117,7 @@ TEST(Cluster, PayloadRoundTrips) {
 }
 
 TEST(Coalescer, FlushesAtBatchBoundary) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   std::vector<std::size_t> batch_sizes;
   const auto h = cluster.register_handler(
@@ -143,7 +143,7 @@ TEST(Coalescer, FlushesAtBatchBoundary) {
 }
 
 TEST(Coalescer, SeparatesDestinations) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 3, 1, heap);
   std::vector<int> dst_of_msg;
   const auto h = cluster.register_handler(
@@ -165,7 +165,7 @@ TEST(Coalescer, SeparatesDestinations) {
 }
 
 TEST(RemoteAtomics, AppliesCasAndAcc) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto* word = heap.alloc_one<std::uint64_t>(5);
   auto* counter = heap.alloc_one<std::uint64_t>(0);
@@ -188,7 +188,7 @@ TEST(RemoteAtomics, AppliesCasAndAcc) {
 }
 
 TEST(RemoteAtomics, PipelinedIssueIsCheap) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto targets = heap.alloc<std::uint64_t>(1024 * 8);
   RemoteAtomics rmw(cluster);
@@ -210,7 +210,7 @@ TEST(RemoteAtomics, PipelinedIssueIsCheap) {
 }
 
 TEST(RemoteAtomics, TargetContentionOnHotLine) {
-  mem::SimHeap heap(1 << 16);
+  mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
   RemoteAtomics rmw(cluster);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -22,7 +21,7 @@ namespace aam {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shard identity and seeds
+// Shard identity
 // ---------------------------------------------------------------------------
 
 TEST(Shard, GuardInstallsAndRestoresIdentity) {
@@ -37,21 +36,6 @@ TEST(Shard, GuardInstallsAndRestoresIdentity) {
     EXPECT_EQ(sim::current_shard(), 3u);
   }
   EXPECT_EQ(sim::current_shard(), sim::kNoShard);
-}
-
-TEST(Shard, SeedsAreDeterministicAndDecorrelated) {
-  // Pure function of (master, shard).
-  EXPECT_EQ(sim::shard_seed(1, 0), sim::shard_seed(1, 0));
-  // Distinct shards and distinct masters give distinct streams; shard 0
-  // does not degenerate to the master seed.
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t master : {1ull, 2ull, 42ull}) {
-    for (sim::ShardId s = 0; s < 16; ++s) {
-      seen.insert(sim::shard_seed(master, s));
-      EXPECT_NE(sim::shard_seed(master, s), master);
-    }
-  }
-  EXPECT_EQ(seen.size(), 3u * 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,12 +112,12 @@ TEST(ShardRunner, RunsEveryJobExactlyOnceUnderItsIdentity) {
 
 TEST(ShardRunner, SlotOrderedResultsIdenticalAcrossWorkerCounts) {
   // The canonical usage pattern: each job derives data purely from its
-  // shard id (here via the per-shard seed) and writes slot [id].
+  // shard id (here a forked RNG stream) and writes slot [id].
   auto sweep = [](int workers) {
     std::vector<std::uint64_t> slots(64);
     sim::ShardRunner runner(workers);
     runner.run(slots.size(), [&](sim::ShardId id) {
-      util::Rng rng(sim::shard_seed(99, id));
+      util::Rng rng = util::Rng(99).fork(id + 1);
       std::uint64_t acc = 0;
       for (int i = 0; i < 1000; ++i) acc ^= rng();
       slots[id] = acc;

@@ -42,7 +42,7 @@ class SerializabilityTest
 
 TEST_P(SerializabilityTest, RandomIncrementsAreNeverLost) {
   const auto& param = GetParam();
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(*param.config, param.kind, param.threads, heap,
                           /*seed=*/1234);
   constexpr int kSlots = 32;
@@ -182,7 +182,7 @@ TEST(PropertyWordMap, MatchesStdMapUnderRandomOps) {
 // ---------------------------------------------------------------------------
 
 TEST(PropertyTxnWords, SubWordStoresMatchReferenceModel) {
-  mem::SimHeap heap(1 << 20);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 1, heap, 7);
   constexpr std::size_t kWords = 64;
   auto data = heap.alloc<std::uint32_t>(kWords * 2);  // 2 u32 per word
@@ -271,7 +271,7 @@ TEST(PropertyErdosRenyi, EdgeCountConcentratesAroundExpectation) {
 class BatchInvarianceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatchInvarianceTest, HistogramIndependentOfBatchSize) {
-  mem::SimHeap heap(1 << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), HtmKind::kBgqShort, 16, heap, 5);
   constexpr std::uint64_t kItems = 5000;
   constexpr std::uint64_t kBuckets = 64;
@@ -345,7 +345,7 @@ TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
   // Runs one algorithm under full checking on a fresh machine and verifies
   // both containment properties.
   auto audit = [&](const char* what, auto&& run) {
-    mem::SimHeap heap(1 << 24);
+    mem::SimHeap heap;
     htm::DesMachine machine(*param.config, param.kind, param.threads, heap,
                             /*seed=*/3);
     check::Checker checker(machine,

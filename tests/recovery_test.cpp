@@ -30,7 +30,7 @@ namespace {
 TEST(Recovery, CheckpointRoundTripIsBitIdenticalPerMechanism) {
   for (const core::Mechanism mech : core::all_mechanisms()) {
     SCOPED_TRACE(core::to_string(mech));
-    mem::SimHeap heap(std::size_t{1} << 22);
+    mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 4, heap, 7);
     RecoveryManager rec(machine, RecoveryOptions{1.0e9});
     auto counters = heap.alloc<std::uint64_t>(64, "counters");
@@ -80,7 +80,7 @@ TEST(Recovery, CheckpointRoundTripIsBitIdenticalPerMechanism) {
 // refused with the machine untouched — recovery never half-applies.
 
 TEST(Recovery, TornSnapshotIsRejectedWithoutTouchingTheMachine) {
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 2, heap, 11);
   RecoveryManager rec(machine, RecoveryOptions{1.0e9});
   auto counters = heap.alloc<std::uint64_t>(8, "counters");
@@ -140,12 +140,12 @@ TEST(Recovery, CrashedBfsMatchesFaultFreeRunBitExactly) {
   algorithms::BfsOptions o;
   o.root = graph::pick_nonisolated_vertex(g);
 
-  mem::SimHeap base_heap(std::size_t{1} << 24);
+  mem::SimHeap base_heap;
   htm::DesMachine base(model::has_c(), model::HtmKind::kRtm, 8, base_heap,
                        seed);
   const auto base_r = algorithms::run_bfs(base, g, o);
 
-  mem::SimHeap heap(std::size_t{1} << 24);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap, seed);
   const fault::FaultPlan plan =
       fault::parse("crash-restart", model::has_c().fault);
@@ -180,12 +180,12 @@ TEST_P(CrashRestore, MatchesFaultFreeRunBitExactly) {
   ASSERT_NE(entry, entries.end());
   const algorithms::Inputs in = algorithms::make_inputs({});
 
-  mem::SimHeap base_heap(std::size_t{1} << 23);
+  mem::SimHeap base_heap;
   htm::DesMachine base(model::has_c(), model::HtmKind::kRtm, 8, base_heap,
                        seed);
   const algorithms::RunReport want = entry->run(base, in, entry->exec);
 
-  mem::SimHeap heap(std::size_t{1} << 23);
+  mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap, seed);
   fault::FaultPlan plan = fault::parse("crash-restart", model::has_c().fault);
   plan.crash_at_ns = want.sim_ns / 2;
@@ -225,12 +225,12 @@ TEST(Recovery, NetStatsAccountingIsExactAcrossCrashRestore) {
   algorithms::DistPrOptions o;
   o.iterations = 3;
 
-  mem::SimHeap base_heap(std::size_t{1} << 26);
+  mem::SimHeap base_heap;
   net::Cluster base(model::has_p(), model::HtmKind::kRtm, nodes, threads,
                     base_heap, seed);
   const auto base_r = algorithms::run_distributed_pagerank(base, g, part, o);
 
-  mem::SimHeap heap(std::size_t{1} << 26);
+  mem::SimHeap heap;
   net::Cluster cluster(model::has_p(), model::HtmKind::kRtm, nodes, threads,
                        heap, seed);
   const fault::FaultPlan plan =
@@ -319,7 +319,7 @@ class SendOnceWorker : public htm::Worker {
 };
 
 TEST(Recovery, RetransmitBackoffDoublesAndCapsAtRtoCap) {
-  mem::SimHeap heap(std::size_t{1} << 16);
+  mem::SimHeap heap;
   net::Cluster cluster(model::has_p(), model::HtmKind::kRtm, 2, 1, heap);
   const int kDrops = 6;
   DropFirstNHook hook(cluster.machine(), kDrops);

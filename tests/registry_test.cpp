@@ -65,7 +65,7 @@ TEST_P(CrossMechanismTest, EveryMechanismMatchesSerialLock) {
                                       setup.threads, algo.exec.batch));
     const auto run = [&](core::Mechanism mech,
                          const core::AutoPolicy* auto_policy) {
-      mem::SimHeap heap((std::size_t{1} << 20) * 8);
+      mem::SimHeap heap;
       htm::DesMachine machine(*setup.config, setup.kind, setup.threads, heap,
                               /*seed=*/1);
       core::ExecConfig exec = algo.exec;

@@ -45,7 +45,7 @@ struct RunOutcome {
 };
 
 RunOutcome run(bool sharded, std::uint64_t ops, std::uint64_t slots) {
-  mem::SimHeap heap(std::size_t{1} << 22);
+  mem::SimHeap heap;
   net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 4, heap, 7);
   auto data = heap.alloc<std::uint64_t>(slots);  // densely packed: shared lines
   DistributedRuntime rt(cluster, {.coalesce = 16, .exec = {.batch = 16}});
