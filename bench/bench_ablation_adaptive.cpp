@@ -29,7 +29,7 @@ double run_workload(const model::MachineConfig& config, model::HtmKind kind,
   const std::uint64_t span = hotspot ? 16 : items;
   auto data = heap.alloc<std::uint64_t>(span * 8);
   core::AamRuntime rt(machine,
-                      {.batch = fixed_m, .decorator = scoped.decorator()});
+                      {.batch = fixed_m, .recorder = scoped.recorder()});
   core::AdaptiveBatch controller;
   if (adaptive) rt.set_adaptive(&controller);
   rt.for_each(items, [&](auto& access, std::uint64_t i) {

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
       core::ExecConfig exec = algo.exec;
       exec.batch = v.batch == 0 ? setup.opt_m : v.batch;
       exec.mechanism = v.mech;
-      exec.decorator = scoped.decorator();
+      exec.recorder = scoped.recorder();
       exec.auto_policy = policy;
       slots[cell_id] = algo.run(machine, in, exec);
       AAM_CHECK(slots[cell_id].valid);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "check/check.hpp"
@@ -66,7 +67,7 @@ inline std::string speedup_str(double s) {
 
 /// Scope-bound dynamic analysis for one simulated run (--check=...). When
 /// the config enables any checker, builds a check::Checker on `machine`
-/// and exposes it as the ExecutorDecorator to thread into Options structs;
+/// and exposes it as the core::BatchRecorder to thread into Options structs;
 /// at scope end, reports violations to stderr and exits 3 so CI treats a
 /// racy/non-serializable run as a failure. With --check=none (default)
 /// everything is a no-op.
@@ -81,7 +82,7 @@ class ScopedChecker {
   ScopedChecker(const ScopedChecker&) = delete;
   ScopedChecker& operator=(const ScopedChecker&) = delete;
 
-  core::ExecutorDecorator* decorator() { return checker_.get(); }
+  core::BatchRecorder* recorder() { return checker_.get(); }
   check::Checker* checker() { return checker_.get(); }
 
   ~ScopedChecker() {
@@ -189,20 +190,13 @@ inline std::string get_fault_spec(util::Cli& cli) {
 inline int get_host_threads(util::Cli& cli) {
   const std::string raw = cli.get_string("host-threads", "");
   if (!raw.empty()) {
-    int n = 0;
-    if (raw == "max") {
-      n = sim::max_host_threads();
-    } else {
-      char* end = nullptr;
-      const long v = std::strtol(raw.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v < 1 || v > 1024) {
-        std::cerr << "invalid --host-threads=" << raw
-                  << "; expected an integer >= 1 or \"max\"\n";
-        std::exit(2);
-      }
-      n = static_cast<int>(v);
+    const std::optional<int> n = sim::parse_host_threads(raw);
+    if (!n.has_value()) {
+      std::cerr << "invalid --host-threads=" << raw << "; "
+                << sim::kHostThreadsSyntax << "\n";
+      std::exit(2);
     }
-    sim::set_host_threads(n);
+    sim::set_host_threads(*n);
   }
   return sim::host_threads();
 }

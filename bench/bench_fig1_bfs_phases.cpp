@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                             heap, seed);
     bench::ScopedChecker scoped(machine, check_cfg);
     atomics_result = baselines::graph500_bfs(machine, g, root,
-                                             scoped.decorator());
+                                             scoped.recorder());
   }
   algorithms::BfsResult aam_result;
   {
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     options.root = root;
     options.mechanism = core::Mechanism::kHtmCoarsened;
     options.batch = batch;
-    options.decorator = scoped.decorator();
+    options.recorder = scoped.recorder();
     aam_result = algorithms::run_bfs(machine, g, options);
   }
   AAM_CHECK(algorithms::validate_bfs_tree(g, root, atomics_result.parent));

@@ -45,7 +45,7 @@ Point run_point(const model::MachineConfig& config, model::HtmKind kind,
   options.mechanism = baseline ? core::Mechanism::kAtomicOps
                                : core::Mechanism::kHtmCoarsened;
   options.batch = batch;
-  options.decorator = scoped.decorator();
+  options.recorder = scoped.recorder();
   const auto result = algorithms::run_bfs(machine, g, options);
   AAM_CHECK(algorithms::validate_bfs_tree(g, root, result.parent));
   return {result.total_time_ns, result.stats};

@@ -72,7 +72,7 @@ double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
   auto visited = heap.alloc<std::uint64_t>(pool_size * 8);
   core::DistributedRuntime rt(
       cluster, {.coalesce = coalesce,
-                .exec = {.batch = coalesce, .decorator = scoped.decorator()}});
+                .exec = {.batch = coalesce, .recorder = scoped.recorder()}});
   if (use_acc) {
     rt.set_operator([&](auto& access, std::uint64_t item) {
       access.fetch_add(visited[item * 8], std::uint64_t{1});

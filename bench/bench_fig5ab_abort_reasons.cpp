@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       algorithms::BfsOptions options;
       options.root = root;
       options.batch = batch;
-      options.decorator = scoped.decorator();
+      options.recorder = scoped.recorder();
       const auto result = algorithms::run_bfs(machine, g, options);
       AAM_CHECK(algorithms::validate_bfs_tree(g, root, result.parent));
       const auto& s = result.stats;

@@ -49,7 +49,7 @@ double run_one(const model::MachineConfig& config, model::HtmKind kind,
     options.mechanism = *selection.fixed;
   }
   options.batch = batch;
-  options.decorator = scoped.decorator();
+  options.recorder = scoped.recorder();
   const auto r = algorithms::run_bfs(machine, g, options);
   AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
   return r.total_time_ns;

@@ -36,7 +36,7 @@ RunResult run_pair(const graph::Graph& g, int nodes, int threads,
     bench::ScopedChecker scoped(cluster.machine(), check_cfg);
     bench::ScopedFault fault(cluster, fault_spec, seed);
     options.mode = algorithms::DistPrMode::kAam;
-    options.decorator = scoped.decorator();
+    options.recorder = scoped.recorder();
     const auto r = run_distributed_pagerank(cluster, g, part, options);
     out.aam_ns = r.total_time_ns;
     aam_rank = r.rank;
@@ -51,7 +51,7 @@ RunResult run_pair(const graph::Graph& g, int nodes, int threads,
     bench::ScopedChecker scoped(cluster.machine(), check_cfg);
     bench::ScopedFault fault(cluster, fault_spec, seed);
     options.mode = algorithms::DistPrMode::kPbgl;
-    options.decorator = scoped.decorator();
+    options.recorder = scoped.recorder();
     const auto r = run_distributed_pagerank(cluster, g, part, options);
     out.pbgl_ns = r.total_time_ns;
     // Both engines must compute the same ranks (up to float32 payloads).

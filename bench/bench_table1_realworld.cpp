@@ -37,7 +37,7 @@ double bfs_time(const model::MachineConfig& config, model::HtmKind kind,
   options.root = root;
   options.mechanism = mechanism;
   options.batch = batch;
-  options.decorator = scoped.decorator();
+  options.recorder = scoped.recorder();
   const auto r = algorithms::run_bfs(machine, g, options);
   AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
   return r.total_time_ns;

@@ -6,9 +6,9 @@
 // listings, templated over the access surface so the same code runs under
 // every ActivityExecutor — coarse HTM transactions, per-item atomics, fine
 // locks, the global serial lock, and the software TM.
-// Instantiations: the non-virtual fast-path access types of
-// executor_impl.hpp under devirtualized dispatch, and the virtual
-// core::Access seam when a check:: decorator is interposed.
+// Instantiations: every access type of core/executor_impl.hpp (the five
+// mechanisms' own, their --check recording wrappers and the serial
+// replay), plus analysis::AbstractAccess for the static signatures.
 
 #include <algorithm>
 #include <cstdint>

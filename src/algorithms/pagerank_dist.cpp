@@ -126,7 +126,7 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
                                  : options.coalesce,
                 .exec = {.batch = options.local_batch,
                          .mechanism = options.mechanism,
-                         .decorator = options.decorator}});
+                         .recorder = options.recorder}});
 
   if (pbgl) {
     rt.set_operator_plain(

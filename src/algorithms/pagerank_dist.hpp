@@ -47,8 +47,8 @@ struct DistPrOptions {
   core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
   double pbgl_item_overhead_ns = 300.0;  ///< generic AM framework cost/item
   double barrier_cost_ns = 3000.0;       ///< per-iteration global barrier
-  /// Optional dynamic-analysis wrapper (check::Checker); nullptr = none.
-  core::ExecutorDecorator* decorator = nullptr;
+  /// Optional --check recorder (check::Checker); nullptr = unchecked.
+  core::BatchRecorder* recorder = nullptr;
 };
 
 struct DistPrResult {

@@ -3,10 +3,10 @@
 // Abstract interpretation of operator bodies (the static half of the
 // footprint story; see DESIGN.md §7).
 //
-// The templated operators of algorithms/operators.hpp are instantiated a
-// third way here — after the fast-path access types and the virtual
-// core::Access seam — with AbstractAccess: an access surface that never
-// touches committed state. Loads of "symbolic" regions return one of a
+// The templated operators of algorithms/operators.hpp are instantiated
+// once more here — besides the access types of core/executor_impl.hpp —
+// with AbstractAccess: an access surface that never touches committed
+// state. Loads of "symbolic" regions return one of a
 // small candidate set (the abstract domain: concrete representative
 // values per control-flow class), cas outcomes fork, and every explored
 // path records the distinct elements it reads/writes per region. The

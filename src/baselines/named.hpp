@@ -27,29 +27,29 @@ namespace aam::baselines {
 inline algorithms::BfsResult mechanism_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
     core::Mechanism mechanism, int batch = 1,
-    core::ExecutorDecorator* decorator = nullptr) {
+    core::BatchRecorder* recorder = nullptr) {
   algorithms::BfsOptions options;
   options.root = root;
   options.mechanism = mechanism;
   options.batch = batch;
-  options.decorator = decorator;
+  options.recorder = recorder;
   return algorithms::run_bfs(machine, graph, options);
 }
 
 /// Graph500 reference BFS (atomic CAS + pre-check, one vertex per op).
 inline algorithms::BfsResult graph500_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
-    core::ExecutorDecorator* decorator = nullptr) {
+    core::BatchRecorder* recorder = nullptr) {
   return mechanism_bfs(machine, graph, root, core::Mechanism::kAtomicOps, 1,
-                       decorator);
+                       recorder);
 }
 
 /// Galois-like BFS (fine per-vertex locks).
 inline algorithms::BfsResult galois_bfs(
     htm::DesMachine& machine, const graph::Graph& graph, graph::Vertex root,
-    core::ExecutorDecorator* decorator = nullptr) {
+    core::BatchRecorder* recorder = nullptr) {
   return mechanism_bfs(machine, graph, root, core::Mechanism::kFineLocks, 1,
-                       decorator);
+                       recorder);
 }
 
 struct SnapBfsResult {

@@ -107,282 +107,16 @@ const char* to_string(Violation::Kind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// RecordingAccess: wraps the mechanism's Access during real execution.
-// ---------------------------------------------------------------------------
-
-/// Forwards every operation to the wrapped mechanism Access while logging
-/// the touched words into the thread's BatchRecord: committed pre-images on
-/// first touch (captured before the forwarded operation can mutate), the
-/// read/write word sets in first-touch order, and — for the escaped-write
-/// detector — the exact byte interval of every legitimate write (this is
-/// the only legitimate-write channel for the STM executor, whose batches
-/// write heap memory directly without passing a DesMachine choke point).
-class RecordingAccess final : public core::Access {
- public:
-  RecordingAccess(core::Access& inner, Checker& checker,
-                  Checker::BatchRecord& rec)
-      : Access(nullptr), inner_(inner), checker_(checker),
-        heap_(checker.machine().heap()), rec_(rec) {
-    rec_.transactional = inner.transactional();
-  }
-
-  std::uint32_t load(const std::uint32_t& ref) override { return load_impl(ref); }
-  std::uint64_t load(const std::uint64_t& ref) override { return load_impl(ref); }
-  double load(const double& ref) override { return load_impl(ref); }
-  void store(std::uint32_t& ref, std::uint32_t value) override {
-    store_impl(ref, value);
-  }
-  void store(std::uint64_t& ref, std::uint64_t value) override {
-    store_impl(ref, value);
-  }
-  void store(double& ref, double value) override { store_impl(ref, value); }
-  bool cas(std::uint32_t& ref, std::uint32_t expect,
-           std::uint32_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(std::uint64_t& ref, std::uint64_t expect,
-           std::uint64_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(double& ref, double expect, double desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  std::uint64_t fetch_add(std::uint64_t& ref, std::uint64_t delta) override {
-    return fetch_add_impl(ref, delta);
-  }
-  double fetch_add(double& ref, double delta) override {
-    return fetch_add_impl(ref, delta);
-  }
-  bool transactional() const override { return inner_.transactional(); }
-  void emit(std::uint64_t value) override { inner_.emit(value); }
-
- private:
-  template <typename T>
-  T load_impl(const T& ref) {
-    note_read(&ref);
-    return inner_.load(ref);
-  }
-  template <typename T>
-  void store_impl(T& ref, T value) {
-    note_write(&ref, sizeof(T));
-    inner_.store(ref, value);
-  }
-  template <typename T>
-  bool cas_impl(T& ref, T expect, T desired) {
-    note_read(&ref);
-    const bool ok = inner_.cas(ref, expect, desired);
-    if (ok) note_write(&ref, sizeof(T));
-    return ok;
-  }
-  template <typename T>
-  T fetch_add_impl(T& ref, T delta) {
-    note_read(&ref);
-    const T old = inner_.fetch_add(ref, delta);
-    note_write(&ref, sizeof(T));
-    return old;
-  }
-
-  void note_read(const void* p) {
-    if (!heap_.contains(p)) {
-      rec_.foreign = true;
-      return;
-    }
-    if (!checker_.record_batches_) return;
-    const std::uint64_t word = heap_.offset_of(p) & ~std::uint64_t{7};
-    capture_pre(word);
-    if (rec_.read_set.insert(word)) rec_.read_words.push_back(word);
-  }
-
-  void note_write(const void* p, std::uint32_t len) {
-    if (!heap_.contains(p)) {
-      rec_.foreign = true;
-      return;
-    }
-    const std::uint64_t offset = heap_.offset_of(p);
-    if (checker_.config_.races) checker_.legit_.emplace_back(offset, len);
-    if (!checker_.record_batches_) return;
-    const std::uint64_t word = offset & ~std::uint64_t{7};
-    capture_pre(word);
-    if (rec_.write_set.insert(word)) rec_.write_words.push_back(word);
-  }
-
-  void capture_pre(std::uint64_t word) {
-    std::uint64_t value;
-    if (rec_.pre.lookup(word, value)) return;
-    rec_.pre.insert_or_assign(word, checker_.committed_word(word));
-  }
-
-  core::Access& inner_;
-  Checker& checker_;
-  mem::SimHeap& heap_;
-  Checker::BatchRecord& rec_;
-};
-
-// ---------------------------------------------------------------------------
-// ShadowAccess: serial re-execution against recorded pre-images.
-// ---------------------------------------------------------------------------
-
-/// Replays operators against the batch's pre-images: reads hit the replay
-/// overlay first, then the recorded pre-image, then (for words the real
-/// execution never touched — only reachable once control flow has already
-/// diverged) committed memory; writes land in the overlay only. Accesses
-/// off the SimHeap read through and drop writes — host memory is outside
-/// transactional isolation and is not replayed.
-class ShadowAccess final : public core::Access {
- public:
-  ShadowAccess(Checker& checker, Checker::BatchRecord& rec,
-               std::vector<std::uint64_t>* results)
-      : Access(results), checker_(checker), heap_(checker.machine().heap()),
-        rec_(rec) {}
-
-  std::uint32_t load(const std::uint32_t& ref) override { return load_impl(ref); }
-  std::uint64_t load(const std::uint64_t& ref) override { return load_impl(ref); }
-  double load(const double& ref) override { return load_impl(ref); }
-  void store(std::uint32_t& ref, std::uint32_t value) override {
-    store_impl(ref, value);
-  }
-  void store(std::uint64_t& ref, std::uint64_t value) override {
-    store_impl(ref, value);
-  }
-  void store(double& ref, double value) override { store_impl(ref, value); }
-  bool cas(std::uint32_t& ref, std::uint32_t expect,
-           std::uint32_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(std::uint64_t& ref, std::uint64_t expect,
-           std::uint64_t desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  bool cas(double& ref, double expect, double desired) override {
-    return cas_impl(ref, expect, desired);
-  }
-  std::uint64_t fetch_add(std::uint64_t& ref, std::uint64_t delta) override {
-    return fetch_add_impl(ref, delta);
-  }
-  double fetch_add(double& ref, double delta) override {
-    return fetch_add_impl(ref, delta);
-  }
-  bool transactional() const override { return rec_.transactional; }
-
- private:
-  template <typename T>
-  T load_impl(const T& ref) {
-    if (!heap_.contains(&ref)) return ref;
-    const std::uint64_t offset = heap_.offset_of(&ref);
-    const std::uint64_t word = word_value(offset & ~std::uint64_t{7});
-    T out;
-    std::memcpy(&out, reinterpret_cast<const char*>(&word) + (offset & 7u),
-                sizeof(T));
-    return out;
-  }
-  template <typename T>
-  void store_impl(T& ref, T value) {
-    if (!heap_.contains(&ref)) return;
-    const std::uint64_t offset = heap_.offset_of(&ref);
-    const std::uint64_t word_off = offset & ~std::uint64_t{7};
-    std::uint64_t word = word_value(word_off);
-    std::memcpy(reinterpret_cast<char*>(&word) + (offset & 7u), &value,
-                sizeof(T));
-    checker_.overlay_.insert_or_assign(word_off, word);
-  }
-  template <typename T>
-  bool cas_impl(T& ref, T expect, T desired) {
-    if (load_impl(ref) != expect) return false;
-    store_impl(ref, desired);
-    return true;
-  }
-  template <typename T>
-  T fetch_add_impl(T& ref, T delta) {
-    const T old = load_impl(ref);
-    store_impl(ref, static_cast<T>(old + delta));
-    return old;
-  }
-
-  std::uint64_t word_value(std::uint64_t word) {
-    std::uint64_t value;
-    if (checker_.overlay_.lookup(word, value)) return value;
-    if (rec_.pre.lookup(word, value)) return value;
-    return checker_.committed_word(word);
-  }
-
-  Checker& checker_;
-  mem::SimHeap& heap_;
-  Checker::BatchRecord& rec_;
-};
-
-// ---------------------------------------------------------------------------
-// CheckedExecutor
-// ---------------------------------------------------------------------------
-
-/// The decorating executor: wraps the operator in a RecordingAccess and the
-/// done callback in the checker's per-batch analysis. Batch recording is
-/// reset at item 0 of every attempt, so transactional retries (which re-run
-/// the whole batch) start from a clean record and the done-time record
-/// always describes exactly the committed attempt.
-class CheckedExecutor final : public core::ActivityExecutor {
- public:
-  CheckedExecutor(std::unique_ptr<core::ActivityExecutor> inner,
-                  Checker& checker)
-      : ActivityExecutor(inner->preferred_batch()),
-        inner_(std::move(inner)),
-        checker_(checker) {}
-
-  core::Mechanism mechanism() const override { return inner_->mechanism(); }
-  int preferred_batch() const override { return inner_->preferred_batch(); }
-  void set_batch(int m) override { inner_->set_batch(m); }
-  void set_adaptive(core::AdaptiveBatch* adaptive) override {
-    inner_->set_adaptive(adaptive);
-  }
-  core::AdaptiveBatch* adaptive() const override { return inner_->adaptive(); }
-  void set_outcome_hook(OutcomeHook hook) override {
-    inner_->set_outcome_hook(std::move(hook));
-  }
-  void save_state(util::BlobWriter& w) const override {
-    inner_->save_state(w);
-  }
-  void restore_state(util::BlobReader& r) override {
-    inner_->restore_state(r);
-  }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               core::OperatorId op_id = core::OperatorId::kUnknown) override {
-    const std::uint32_t tid = ctx.thread_id();
-    checker_.begin_batch(tid, op_id);
-    // One shared copy of the user operator: the recording wrapper needs it
-    // during (possibly re-executed) attempts, the done hook for the serial
-    // replay after commit.
-    auto user_op = std::make_shared<const ItemOp>(op);
-    const core::Mechanism mech = inner_->mechanism();
-    inner_->execute(
-        ctx, count,
-        [this, tid, user_op](core::Access& access, std::uint64_t i) {
-          if (i == 0) checker_.begin_attempt(tid);
-          RecordingAccess recording(access, checker_, checker_.records_[tid]);
-          (*user_op)(recording, i);
-        },
-        [this, tid, mech, count, user_op, done = std::move(done)](
-            htm::ThreadCtx& done_ctx, std::span<const std::uint64_t> results) {
-          checker_.on_batch_done(tid, mech, count, *user_op, results);
-          if (done) done(done_ctx, results);
-        });
-  }
-
- private:
-  std::unique_ptr<core::ActivityExecutor> inner_;
-  Checker& checker_;
-};
-
-// ---------------------------------------------------------------------------
 // Checker
 // ---------------------------------------------------------------------------
 
 Checker::Checker(htm::DesMachine& machine, CheckConfig config)
-    : machine_(machine),
-      config_(config),
-      record_batches_(config.serial || config.footprint) {
+    : BatchRecorder(machine.heap(), machine.num_threads(),
+                    /*record_words=*/config.serial || config.footprint,
+                    /*log_writes=*/config.races, /*replays=*/config.serial),
+      machine_(machine),
+      config_(config) {
   AAM_CHECK(config_.scan_interval >= 1);
-  records_.resize(static_cast<std::size_t>(machine.num_threads()));
   footprint_stats_.resize(
       static_cast<std::size_t>(core::OperatorId::kStVisit) + 1);
   if (config_.races) {
@@ -403,12 +137,6 @@ void Checker::set_capacity_policy(const core::AutoPolicy* policy) {
   capacity_policy_ = policy;
 }
 
-std::unique_ptr<core::ActivityExecutor> Checker::wrap(
-    std::unique_ptr<core::ActivityExecutor> inner) {
-  if (!config_.enabled()) return inner;
-  return std::make_unique<CheckedExecutor>(std::move(inner), *this);
-}
-
 void Checker::on_legitimate_write(std::uint64_t offset, std::uint32_t len) {
   legit_.emplace_back(offset, len);
 }
@@ -422,27 +150,11 @@ void Checker::on_run_start() {
   legit_.clear();
 }
 
-void Checker::begin_batch(std::uint32_t tid, core::OperatorId op_id) {
-  records_[tid].op_id = op_id;
-  begin_attempt(tid);
-}
-
-void Checker::begin_attempt(std::uint32_t tid) {
-  BatchRecord& rec = records_[tid];
-  rec.pre.clear();
-  rec.read_set.clear();
-  rec.write_set.clear();
-  rec.read_words.clear();
-  rec.write_words.clear();
-  rec.foreign = false;
-}
-
 void Checker::on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
                             std::uint64_t count,
-                            const core::ActivityExecutor::ItemOp& op,
                             std::span<const std::uint64_t> results) {
   const std::uint64_t batch_no = batches_++;
-  BatchRecord& rec = records_[tid];
+  const core::BatchRecord& rec = records_[tid];
   if (capacity_policy_ != nullptr &&
       mechanism == core::Mechanism::kHtmCoarsened &&
       rec.op_id != core::OperatorId::kUnknown) {
@@ -468,7 +180,7 @@ void Checker::on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
     fold_digest(rec, count);
   }
   if (config_.serial && count > 0) {
-    replay_serial(rec, count, op, results, batch_no);
+    diff_serial(rec, results, batch_no);
   }
   if (config_.races &&
       (batch_no + 1) % static_cast<std::uint64_t>(config_.scan_interval) == 0) {
@@ -477,7 +189,7 @@ void Checker::on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
 }
 
 void Checker::audit_footprint_for(std::uint32_t tid, std::uint64_t batch_no) {
-  const BatchRecord& rec = records_[tid];
+  const core::BatchRecord& rec = records_[tid];
   const mem::FootprintTracker& declared = machine_.thread_footprint(tid);
   const std::uint32_t shift = machine_.conflict_shift();
   for (std::uint64_t word : rec.write_words) {
@@ -509,7 +221,7 @@ void Checker::audit_footprint_for(std::uint32_t tid, std::uint64_t batch_no) {
 
 void Checker::audit_static_signature(std::uint32_t tid,
                                      std::uint64_t batch_no) {
-  const BatchRecord& rec = records_[tid];
+  const core::BatchRecord& rec = records_[tid];
   const analysis::LabelContract& contract =
       analysis::label_contract(rec.op_id);
   const mem::SimHeap& heap = machine_.heap();
@@ -542,7 +254,7 @@ void Checker::audit_static_signature(std::uint32_t tid,
 void Checker::update_footprint_stats(std::uint32_t tid,
                                      core::Mechanism mechanism,
                                      std::uint64_t count) {
-  const BatchRecord& rec = records_[tid];
+  const core::BatchRecord& rec = records_[tid];
   FootprintStats& stats =
       footprint_stats_[static_cast<std::size_t>(rec.op_id)];
   ++stats.batches;
@@ -565,7 +277,7 @@ void Checker::update_footprint_stats(std::uint32_t tid,
   }
 }
 
-void Checker::fold_digest(BatchRecord& rec, std::uint64_t count) {
+void Checker::fold_digest(const core::BatchRecord& rec, std::uint64_t count) {
   fnv1a(digest_, count);
   for (std::uint64_t word : rec.write_words) {
     fnv1a(digest_, word);
@@ -573,15 +285,9 @@ void Checker::fold_digest(BatchRecord& rec, std::uint64_t count) {
   }
 }
 
-void Checker::replay_serial(BatchRecord& rec, std::uint64_t count,
-                            const core::ActivityExecutor::ItemOp& op,
-                            std::span<const std::uint64_t> results,
-                            std::uint64_t batch_no) {
-  overlay_.clear();
-  replay_results_.clear();
-  ShadowAccess access(*this, rec, &replay_results_);
-  for (std::uint64_t i = 0; i < count; ++i) op(access, i);
-
+void Checker::diff_serial(const core::BatchRecord& rec,
+                          std::span<const std::uint64_t> results,
+                          std::uint64_t batch_no) {
   // Emission sequence: the committed results must match the serial order's.
   if (replay_results_.size() != results.size()) {
     add_violation(Violation::Kind::kSerialDivergence, batch_no, 0,
@@ -717,15 +423,6 @@ void Checker::add_violation(Violation::Kind kind, std::uint64_t batch,
   if (violations_.size() < kMaxStored) {
     violations_.push_back(Violation{kind, batch, offset, std::move(detail)});
   }
-}
-
-std::uint64_t Checker::committed_word(std::uint64_t word) const {
-  mem::SimHeap& heap = machine_.heap();
-  std::uint64_t value = 0;
-  const std::size_t avail =
-      std::min<std::size_t>(8, heap.used_bytes() - word);
-  std::memcpy(&value, heap.addr_of(word), avail);
-  return value;
 }
 
 void Checker::report(std::ostream& out) const {

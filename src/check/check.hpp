@@ -4,9 +4,10 @@
 // simulation actually race-free and serializable?" question).
 //
 // Every algorithm in this repository funnels its shared-state mutations
-// through core::Access, and every modelled write that reaches committed
-// memory passes a handful of DesMachine choke points. That makes three
-// strong checks cheap to piggyback on the existing seams:
+// through core::execute_batch, and every modelled write that reaches
+// committed memory passes a handful of DesMachine choke points. That makes
+// three strong checks cheap to piggyback on the existing seams (the
+// per-access record and serial replay live in core/recorder.hpp):
 //
 //  * escaped-write detector (races) — keeps a shadow copy of the SimHeap's
 //    committed state, synchronised from the engine's WriteObserver hooks,
@@ -30,14 +31,13 @@
 //    regression tests.
 //
 // All three are wired through one CheckConfig (CLI: --check=none|races|
-// serial|footprint|all). When disabled nothing is allocated, the executor
-// is not wrapped, and the engine's observer branch stays unset — zero
+// serial|footprint|all). When disabled nothing is allocated, no recorder
+// is attached, and the engine's observer branch stays unset — zero
 // overhead. When enabled, all bookkeeping happens host-side: no modelled
 // cost is charged, so enabling checks never perturbs simulated time.
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/recorder.hpp"
 #include "htm/des_engine.hpp"
 #include "mem/footprint.hpp"
 #include "mem/sim_heap.hpp"
@@ -100,23 +101,20 @@ struct Violation {
 const char* to_string(Violation::Kind kind);
 
 /// The checker. Construct with the machine under test and a config, then
-/// pass it as core::ExecConfig::decorator (AamRuntime::Options is one,
-/// the algorithm Options inherit one and DistributedRuntime::Options
-/// carries one) so every executor the run builds is wrapped. One Checker
-/// instance may wrap any number of executors on the same machine; the DES
+/// pass it as core::ExecConfig::recorder (AamRuntime::Options is one, the
+/// algorithm Options inherit one and DistributedRuntime::Options carries
+/// one) so every batch the run executes is recorded and audited. One
+/// Checker serves any number of executors on the same machine; the DES
 /// event loop is single-threaded, so no locking.
-class Checker final : public core::ExecutorDecorator,
-                      public mem::WriteObserver {
+class Checker final : public core::BatchRecorder, public mem::WriteObserver {
  public:
   Checker(htm::DesMachine& machine, CheckConfig config);
   ~Checker() override;
 
-  Checker(const Checker&) = delete;
-  Checker& operator=(const Checker&) = delete;
-
-  // core::ExecutorDecorator
-  std::unique_ptr<core::ActivityExecutor> wrap(
-      std::unique_ptr<core::ActivityExecutor> inner) override;
+  // core::BatchRecorder
+  void on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
+                     std::uint64_t count,
+                     std::span<const std::uint64_t> results) override;
 
   // mem::WriteObserver (registered on the machine only in races mode)
   void on_legitimate_write(std::uint64_t offset, std::uint32_t len) override;
@@ -172,43 +170,19 @@ class Checker final : public core::ExecutorDecorator,
   inline static constexpr std::size_t kMaxStored = 64;
 
  private:
-  friend class CheckedExecutor;
-  friend class RecordingAccess;
-  friend class ShadowAccess;
-
-  /// Everything recorded about one in-flight batch on one thread. Reset at
-  /// execute() and again at each transactional retry (item 0 re-entry);
-  /// consumed by on_batch_done.
-  struct BatchRecord {
-    mem::WordMap pre;       ///< word offset -> committed pre-image
-    mem::EpochSet read_set;
-    mem::EpochSet write_set;
-    std::vector<std::uint64_t> read_words;   ///< first-touch order
-    std::vector<std::uint64_t> write_words;  ///< first-write order
-    bool transactional = false;
-    bool foreign = false;  ///< an Access touched memory off the SimHeap
-    core::OperatorId op_id = core::OperatorId::kUnknown;
-  };
-
-  void begin_batch(std::uint32_t tid, core::OperatorId op_id);
-  void begin_attempt(std::uint32_t tid);
-  void on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
-                     std::uint64_t count,
-                     const core::ActivityExecutor::ItemOp& op,
-                     std::span<const std::uint64_t> results);
-
   /// dynamic-vs-static audit: every recorded word must fall in a heap
   /// allocation whose label the operator's static signature covers.
   void audit_static_signature(std::uint32_t tid, std::uint64_t batch_no);
   void update_footprint_stats(std::uint32_t tid, core::Mechanism mechanism,
                               std::uint64_t count);
 
-  void replay_serial(BatchRecord& rec, std::uint64_t count,
-                     const core::ActivityExecutor::ItemOp& op,
-                     std::span<const std::uint64_t> results,
-                     std::uint64_t batch_no);
+  /// serial: diffs the replay (overlay_, replay_results_) against the
+  /// committed state and emissions.
+  void diff_serial(const core::BatchRecord& rec,
+                   std::span<const std::uint64_t> results,
+                   std::uint64_t batch_no);
   void audit_footprint_for(std::uint32_t tid, std::uint64_t batch_no);
-  void fold_digest(BatchRecord& rec, std::uint64_t count);
+  void fold_digest(const core::BatchRecord& rec, std::uint64_t count);
 
   void scan_shadow(std::uint64_t batch_no);
   void sync_shadow_growth();
@@ -219,25 +193,14 @@ class Checker final : public core::ExecutorDecorator,
   void add_violation(Violation::Kind kind, std::uint64_t batch,
                      std::uint64_t offset, std::string detail);
 
-  /// The committed 8-byte word at heap offset `word` (word-aligned; reads
-  /// fewer bytes at the very end of the used region).
-  std::uint64_t committed_word(std::uint64_t word) const;
-
   htm::DesMachine& machine_;
   CheckConfig config_;
-  bool record_batches_ = false;  ///< serial || footprint
 
-  std::vector<BatchRecord> records_;  ///< per thread id
-
-  // races: shadow of the committed heap + pending legitimate intervals.
+  // races: shadow of the committed heap (pending legitimate intervals are
+  // the recorder's legit_).
   std::vector<std::byte> shadow_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> legit_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> exempt_;  ///< [lo,hi)
   std::size_t exempt_allocs_seen_ = 0;
-
-  // serial: replay scratch (reused across batches).
-  mem::WordMap overlay_;
-  std::vector<std::uint64_t> replay_results_;
 
   std::uint64_t batches_ = 0;
   std::uint64_t digest_ = 14695981039346656037ull;  // FNV-1a offset basis

@@ -15,11 +15,10 @@ Mechanism descend_mechanism(Mechanism mechanism) {
 
 AutoExecutor::AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
                            const ExecConfig& exec, std::uint32_t lock_stripes)
-    : ActivityExecutor(exec.batch),
+    : ActivityExecutor(std::nullopt, exec),
       policy_(policy),
       per_thread_op_(static_cast<std::size_t>(machine.num_threads()),
-                     OperatorId::kUnknown),
-      last_mechanism_(policy.plan(OperatorId::kUnknown).recommended) {
+                     OperatorId::kUnknown) {
   for (std::size_t i = 0; i < kNumOperatorIds; ++i) {
     state_[i].level = policy_.plans[i].recommended;
   }
@@ -35,7 +34,7 @@ AutoExecutor::AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
       needed[static_cast<std::size_t>(m)] = true;
     }
   }
-  // Inners are plain fixed executors: decorator kept, auto_policy cleared.
+  // Inners are plain fixed executors: recorder kept, auto_policy cleared.
   ExecConfig inner_exec = exec;
   inner_exec.auto_policy = nullptr;
   for (const Mechanism m : all_mechanisms()) {
@@ -55,16 +54,9 @@ AutoExecutor::AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
 
 AutoExecutor::~AutoExecutor() = default;
 
-ActivityExecutor& AutoExecutor::inner(Mechanism mechanism) {
-  auto& executor = inners_[static_cast<std::size_t>(mechanism)];
-  AAM_CHECK_MSG(executor != nullptr, "auto routed to an unbuilt mechanism");
-  return *executor;
-}
-
-void AutoExecutor::execute(htm::ThreadCtx& ctx, std::uint64_t count,
-                           const ItemOp& op, BatchDone done,
-                           OperatorId op_id) {
-  OpState& st = state_[static_cast<std::size_t>(op_id)];
+ActivityExecutor& AutoExecutor::route(htm::ThreadCtx& ctx,
+                                      std::uint64_t count, OperatorId op_id) {
+  const OpState& st = state_[static_cast<std::size_t>(op_id)];
   const MechanismPlan& plan = policy_.plan(op_id);
   Mechanism level = st.level;
   // Capacity guard: never run a batch whose write set statically exceeds
@@ -76,9 +68,10 @@ void AutoExecutor::execute(htm::ThreadCtx& ctx, std::uint64_t count,
     ++policy_.telemetry.capacity_clamps;
   }
   ++policy_.telemetry.batches;
-  last_mechanism_ = level;
   per_thread_op_[ctx.thread_id()] = op_id;
-  inner(level).execute(ctx, count, op, std::move(done), op_id);
+  auto& executor = inners_[static_cast<std::size_t>(level)];
+  AAM_CHECK_MSG(executor != nullptr, "auto routed to an unbuilt mechanism");
+  return *executor;
 }
 
 void AutoExecutor::set_batch(int m) {
@@ -102,7 +95,6 @@ void AutoExecutor::save_state(util::BlobWriter& w) const {
     w.put<std::uint64_t>(st.window_done);
     w.put<std::uint64_t>(st.window_aborts);
   }
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(last_mechanism_));
   w.put_vector(per_thread_op_);
   for (const auto& executor : inners_) {
     w.put<std::uint8_t>(executor != nullptr ? 1 : 0);
@@ -117,7 +109,6 @@ void AutoExecutor::restore_state(util::BlobReader& r) {
     st.window_done = r.get<std::uint64_t>();
     st.window_aborts = r.get<std::uint64_t>();
   }
-  last_mechanism_ = static_cast<Mechanism>(r.get<std::uint8_t>());
   const auto ops = r.get_vector<OperatorId>();
   AAM_CHECK_MSG(ops.size() == per_thread_op_.size(),
                 "auto snapshot thread count mismatch");

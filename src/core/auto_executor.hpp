@@ -52,6 +52,8 @@ struct AutoTelemetry {
   std::uint64_t prediction_miss = 0;  ///< band violations + escalations
   std::uint64_t descents = 0;         ///< rungs descended (never re-ascends)
   std::uint64_t capacity_clamps = 0;  ///< batches rerouted for c_safe
+
+  bool operator==(const AutoTelemetry&) const = default;
 };
 
 inline constexpr std::size_t kNumOperatorIds =
@@ -73,27 +75,24 @@ struct AutoPolicy {
 };
 
 /// Routes each batch to the concrete executor of the operator's current
-/// ladder rung. Not devirtualized: auto dispatch is the type-erased tier
-/// by design (the inner executors still run their own fast paths when
-/// reached through execute()).
+/// ladder rung: execute_batch calls route() and then runs the batch on the
+/// returned executor's templated path, like any fixed-mechanism batch.
 class AutoExecutor final : public ActivityExecutor {
  public:
-  /// `exec.decorator` wraps each *inner* executor (so a check::Checker
-  /// observes the true mechanism of every routed batch); the AutoExecutor
-  /// itself is never wrapped. `lock_stripes` sizes the inner rungs' lock
-  /// and orec tables (see make_executor). `policy` must outlive the
+  /// Builds one inner executor per reachable rung; they carry
+  /// `exec.recorder`, so a --check recorder sees each batch under the
+  /// mechanism it was routed to. `lock_stripes` sizes the inner rungs'
+  /// lock and orec tables (see make_executor). `policy` must outlive the
   /// executor.
   AutoExecutor(htm::DesMachine& machine, const AutoPolicy& policy,
                const ExecConfig& exec, std::uint32_t lock_stripes);
   ~AutoExecutor() override;
 
-  /// The mechanism of the most recently routed batch (the plan default for
-  /// kUnknown before any batch ran) — auto has no single static answer.
-  Mechanism mechanism() const override { return last_mechanism_; }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId op_id = OperatorId::kUnknown) override;
+  /// Picks the rung for a batch of `count` items of `op_id` (with the
+  /// capacity clamp), counts it in the policy telemetry, and returns that
+  /// rung's executor.
+  ActivityExecutor& route(htm::ThreadCtx& ctx, std::uint64_t count,
+                          OperatorId op_id);
 
   int preferred_batch() const override {
     return adaptive_ != nullptr ? adaptive_->batch() : batch_;
@@ -101,18 +100,13 @@ class AutoExecutor final : public ActivityExecutor {
   void set_batch(int m) override;
   void set_adaptive(AdaptiveBatch* adaptive) override;
 
-  /// Current ladder rung for an operator (tests/telemetry).
-  Mechanism current_level(OperatorId op) const {
-    return state_[static_cast<std::size_t>(op)].level;
-  }
-
   /// Completed activities between abort-rate checks.
   inline static constexpr std::uint64_t kValidationWindow = 32;
 
   /// Checkpoint support: the per-operator ladder rungs and validation
-  /// windows, the last routed mechanism, and every inner executor's own
-  /// state. Policy telemetry is deliberately NOT rolled back — like the
-  /// fault injector it counts work *performed*, replays included.
+  /// windows, the per-thread batch attribution, and every inner executor's
+  /// own state. Policy telemetry is deliberately NOT rolled back — like
+  /// the fault injector it counts work *performed*, replays included.
   void save_state(util::BlobWriter& w) const override;
   void restore_state(util::BlobReader& r) override;
 
@@ -123,7 +117,6 @@ class AutoExecutor final : public ActivityExecutor {
     std::uint64_t window_aborts = 0;
   };
 
-  ActivityExecutor& inner(Mechanism mechanism);
   void on_outcome(htm::ThreadCtx& ctx, const htm::TxnOutcome& outcome);
   void descend(OpState& st, Mechanism to);
 
@@ -131,7 +124,6 @@ class AutoExecutor final : public ActivityExecutor {
   std::unique_ptr<ActivityExecutor> inners_[5];  ///< by Mechanism value
   OpState state_[kNumOperatorIds];
   std::vector<OperatorId> per_thread_op_;  ///< batch attribution for the hook
-  Mechanism last_mechanism_;
 };
 
 /// One rung down the speculation ladder: htm -> stm -> serial-lock; the

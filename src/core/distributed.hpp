@@ -55,8 +55,7 @@ class DistributedRuntime {
 
   /// Configure as Fire-and-Forget (PageRank, BFS styles). The operator
   /// must be generic over the access type (`[](auto& access, item)`): it
-  /// is instantiated against the concrete executor's access type on the
-  /// fast path and against core::Access under a check decorator.
+  /// is instantiated against every access type of core/executor_impl.hpp.
   template <typename Op>
   void set_operator(Op op, OperatorId op_id = OperatorId::kUnknown) {
     mode_ = Mode::kFf;

@@ -119,36 +119,23 @@ std::unique_ptr<ActivityExecutor> make_executor(htm::DesMachine& machine,
                                                 std::uint32_t lock_stripes) {
   AAM_CHECK(exec.batch >= 1);
   if (exec.auto_policy != nullptr) {
-    // The decorator is applied to the auto executor's inner rungs (so a
-    // checker observes true mechanisms per batch); the shell stays bare.
     return std::make_unique<AutoExecutor>(machine, *exec.auto_policy, exec,
                                           lock_stripes);
   }
-  std::unique_ptr<ActivityExecutor> executor;
   switch (exec.mechanism) {
     case Mechanism::kHtmCoarsened:
-      executor = std::make_unique<HtmCoarsenedExecutor>(machine, exec.batch);
-      break;
+      return std::make_unique<HtmCoarsenedExecutor>(machine, exec);
     case Mechanism::kAtomicOps:
-      executor = std::make_unique<AtomicOpsExecutor>(machine, exec.batch);
-      break;
+      return std::make_unique<AtomicOpsExecutor>(machine, exec);
     case Mechanism::kFineLocks:
-      executor = std::make_unique<FineLocksExecutor>(machine, exec.batch,
-                                                     lock_stripes);
-      break;
+      return std::make_unique<FineLocksExecutor>(machine, exec, lock_stripes);
     case Mechanism::kSerialLock:
-      executor = std::make_unique<SerialLockExecutor>(machine, exec.batch);
-      break;
+      return std::make_unique<SerialLockExecutor>(machine, exec);
     case Mechanism::kStm:
-      executor = std::make_unique<StmExecutor>(machine, exec.batch,
-                                               lock_stripes);
-      break;
+      return std::make_unique<StmExecutor>(machine, exec, lock_stripes);
   }
-  AAM_CHECK_MSG(executor != nullptr, "unknown mechanism");
-  if (exec.decorator != nullptr) {
-    executor = exec.decorator->wrap(std::move(executor));
-  }
-  return executor;
+  AAM_CHECK_MSG(false, "unknown mechanism");
+  return nullptr;
 }
 
 }  // namespace aam::core

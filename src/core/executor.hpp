@@ -6,8 +6,8 @@
 // operations, and fine-grained locks as interchangeable ways of applying a
 // batch of single-element operators. This header makes that seam explicit:
 // an ActivityExecutor applies `count` operator invocations under ONE
-// synchronization mechanism, and every algorithm is written once against
-// the mechanism-neutral `Access` surface.
+// synchronization mechanism, and every algorithm is written once as a
+// generic operator body over the access surface of executor_impl.hpp.
 //
 //   kHtmCoarsened — M operators per hardware transaction (§4.2 Listing 8);
 //                   the AAM default, with adaptive-M support.
@@ -22,7 +22,7 @@
 // Operator results that must survive transactional re-execution (claimed
 // vertices, recolor requests, FR replies) are not returned from the body —
 // bodies may run several times on aborts. Instead the operator calls
-// `Access::emit(value)`; the executor stages emissions per attempt and the
+// `access.emit(value)`; the executor stages emissions per attempt and the
 // `BatchDone` callback receives exactly the committed attempt's values.
 
 #include <cstdint>
@@ -111,59 +111,32 @@ MechanismSelection mechanism_selection_flag(util::Cli& cli,
                                             const std::string& flag,
                                             const std::string& def);
 
-/// Mechanism-neutral memory access surface handed to operators. Typed
-/// overloads (rather than a word-granular API) so that the atomic
-/// executors never CAS a full 8-byte word when the element is a packed
-/// 4-byte vertex — adjacent elements must stay independent.
-class Access {
- public:
-  virtual ~Access() = default;
+class BatchRecorder;  // core/recorder.hpp (implemented by check::Checker)
+struct AutoPolicy;  // core/auto_executor.hpp (plain data filled by analysis::)
 
-  virtual std::uint32_t load(const std::uint32_t& ref) = 0;
-  virtual std::uint64_t load(const std::uint64_t& ref) = 0;
-  virtual double load(const double& ref) = 0;
-
-  virtual void store(std::uint32_t& ref, std::uint32_t value) = 0;
-  virtual void store(std::uint64_t& ref, std::uint64_t value) = 0;
-  virtual void store(double& ref, double value) = 0;
-
-  /// Guarded compare-and-swap: atomic w.r.t. the executor's mechanism.
-  virtual bool cas(std::uint32_t& ref, std::uint32_t expect,
-                   std::uint32_t desired) = 0;
-  virtual bool cas(std::uint64_t& ref, std::uint64_t expect,
-                   std::uint64_t desired) = 0;
-  virtual bool cas(double& ref, double expect, double desired) = 0;
-
-  virtual std::uint64_t fetch_add(std::uint64_t& ref, std::uint64_t delta) = 0;
-  virtual double fetch_add(double& ref, double delta) = 0;
-
-  /// True when accesses are buffered into a transaction (the operator may
-  /// rely on all-or-nothing visibility of its writes).
-  virtual bool transactional() const = 0;
-
-  /// Records a per-item result for the batch's BatchDone callback. Under a
-  /// transactional executor the emissions of aborted attempts are
-  /// discarded; only the committed attempt's values are delivered.
-  /// (Virtual so wrappers — e.g. the check:: recording layer — can route
-  /// emissions to the wrapped executor's staging buffer.)
-  virtual void emit(std::uint64_t value) { results_->push_back(value); }
-
- protected:
-  explicit Access(std::vector<std::uint64_t>* results) : results_(results) {}
-
- private:
-  std::vector<std::uint64_t>* results_;
+/// How a run executes its batches: the one executor configuration shared
+/// by make_executor, AamRuntime and every intra-node algorithm's Options.
+struct ExecConfig {
+  int batch = 16;  ///< M: operators per coarse batch
+  Mechanism mechanism = Mechanism::kHtmCoarsened;
+  /// --check (src/check/): when set, every batch's accesses are logged
+  /// to the recorder, which may also replay it; nullptr = unchecked.
+  BatchRecorder* recorder = nullptr;
+  /// --mechanism=auto: when set, make_executor ignores `mechanism` and
+  /// builds an AutoExecutor routing each batch per the policy's
+  /// recommendation table. The recorder then sees each batch under the
+  /// fixed mechanism it was routed to. The policy must outlive the
+  /// executor.
+  const AutoPolicy* auto_policy = nullptr;
 };
 
-/// Applies batches of single-element operators under one mechanism.
+/// Applies batches of single-element operators under one mechanism. A
+/// batch runs through core::execute_batch (core/executor_impl.hpp), which
+/// dispatches on mechanism() to the concrete executor's templated
+/// run_batch.
 class ActivityExecutor {
  public:
-  /// The single-element operator: item indices are [0, count) within the
-  /// batch passed to execute(). Captured references must stay valid until
-  /// the batch's BatchDone fires (transactional executors run the batch
-  /// after the staging next() call returns).
-  using ItemOp = std::function<void(Access&, std::uint64_t item)>;
-  /// Fires exactly once per execute() with the committed emissions.
+  /// Fires exactly once per batch with the committed emissions.
   using BatchDone =
       std::function<void(htm::ThreadCtx&, std::span<const std::uint64_t>)>;
   /// Host-side observer of per-activity transaction outcomes (HTM executor
@@ -177,43 +150,27 @@ class ActivityExecutor {
   ActivityExecutor(const ActivityExecutor&) = delete;
   ActivityExecutor& operator=(const ActivityExecutor&) = delete;
 
-  virtual Mechanism mechanism() const = 0;
+  /// The mechanism every batch runs under; nullopt for the auto
+  /// dispatcher, which routes each batch to a fixed inner executor.
+  std::optional<Mechanism> mechanism() const { return mechanism_; }
 
-  /// True only for the concrete executors of executor_impl.hpp: a promise
-  /// that this object IS the concrete class for mechanism(), so
-  /// execute_batch may static_cast and take the templated fast path.
-  /// Decorating executors (check::) must leave this false — their whole
-  /// point is interposing on the type-erased execute() seam.
-  virtual bool devirtualized() const { return false; }
-
-  /// Applies op(access, i) for i in [0, count) under the mechanism.
-  /// Transactional executors stage the batch: the call must then be the
-  /// last action of the current Worker::next(). Non-transactional
-  /// executors apply synchronously, and `done` (if any) fires before
-  /// execute returns. `op_id` names the operator body for analysis layers
-  /// (concrete executors ignore it; execution never depends on it).
-  virtual void execute(htm::ThreadCtx& ctx, std::uint64_t count,
-                       const ItemOp& op, BatchDone done = {},
-                       OperatorId op_id = OperatorId::kUnknown) = 0;
+  BatchRecorder* recorder() const { return recorder_; }
 
   /// The executor's preferred operators-per-batch for work claiming (M
   /// for HTM — live from the adaptive controller when one is attached;
-  /// the configured batch otherwise). Virtual (with set_batch and the
-  /// adaptive hooks) so decorating executors can forward to the inner one.
+  /// the configured batch otherwise). Virtual (with set_batch and
+  /// set_adaptive) so the auto dispatcher can forward to its rungs.
   virtual int preferred_batch() const { return batch_; }
   virtual void set_batch(int m) { batch_ = m; }
 
   /// Online M selection (§7): HtmCoarsened claims the controller's batch
   /// size and feeds activity outcomes back; other mechanisms ignore it.
   virtual void set_adaptive(AdaptiveBatch* adaptive) { adaptive_ = adaptive; }
-  virtual AdaptiveBatch* adaptive() const { return adaptive_; }
+  AdaptiveBatch* adaptive() const { return adaptive_; }
 
   /// Outcome telemetry tap (HtmCoarsened fires it per completed activity,
-  /// after the adaptive controller; other mechanisms never do). Virtual so
-  /// decorating executors can forward to the inner one.
-  virtual void set_outcome_hook(OutcomeHook hook) {
-    outcome_hook_ = std::move(hook);
-  }
+  /// after the adaptive controller; other mechanisms never do).
+  void set_outcome_hook(OutcomeHook hook) { outcome_hook_ = std::move(hook); }
 
   /// Checkpoint support (src/recovery/): serializes the executor's durable
   /// host-side control state — batch size, the attached adaptive
@@ -226,39 +183,14 @@ class ActivityExecutor {
   virtual void restore_state(util::BlobReader& r);
 
  protected:
-  explicit ActivityExecutor(int batch) : batch_(batch) {}
+  ActivityExecutor(std::optional<Mechanism> mechanism, const ExecConfig& exec)
+      : mechanism_(mechanism), recorder_(exec.recorder), batch_(exec.batch) {}
 
+  const std::optional<Mechanism> mechanism_;
+  BatchRecorder* const recorder_;
   int batch_;
   AdaptiveBatch* adaptive_ = nullptr;
   OutcomeHook outcome_hook_;
-};
-
-/// Wraps a freshly built executor in an analysis layer. Implemented by
-/// check::Checker (src/check/); declared here so the construction seam
-/// (make_executor and the ExecConfig that feeds it) can carry a
-/// checker without the core layer depending on the check subsystem.
-class ExecutorDecorator {
- public:
-  virtual ~ExecutorDecorator() = default;
-  virtual std::unique_ptr<ActivityExecutor> wrap(
-      std::unique_ptr<ActivityExecutor> inner) = 0;
-};
-
-struct AutoPolicy;  // core/auto_executor.hpp (plain data filled by analysis::)
-
-/// How a run executes its batches: the one executor configuration shared
-/// by make_executor, AamRuntime and every intra-node algorithm's Options.
-struct ExecConfig {
-  int batch = 16;  ///< M: operators per coarse batch
-  Mechanism mechanism = Mechanism::kHtmCoarsened;
-  /// Optional dynamic-analysis wrapper (see src/check/); nullptr = none.
-  ExecutorDecorator* decorator = nullptr;
-  /// --mechanism=auto: when set, make_executor ignores `mechanism` and
-  /// builds an AutoExecutor routing each batch per the policy's
-  /// recommendation table. The decorator then wraps the *inner* fixed
-  /// executors (one per reachable rung), not the auto shell. The policy
-  /// must outlive the executor.
-  const AutoPolicy* auto_policy = nullptr;
 };
 
 /// Builds the executor for `exec.mechanism` on `machine` (lock, orec and

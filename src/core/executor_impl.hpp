@@ -1,68 +1,62 @@
 #pragma once
 
-// Devirtualized executor hot path (two-tier dispatch, see DESIGN.md).
+// The executor hot path: the access types operators run against, the
+// concrete executors' templated run_batch, and execute_batch, the one
+// dispatch every batch takes.
 //
-// The seam in executor.hpp is intentionally type-erased: a virtual Access
-// surface plus a std::function ItemOp is what lets the check:: decorators
-// interpose on every access. But that same erasure costs two indirect
-// calls per simulated memory access on the innermost loop of the whole
-// system. This header provides the fast tier: non-virtual Access
-// implementations and the concrete executors' `run_batch<Op>` templates,
-// which instantiate the operator body once per (executor, operator) pair
-// so every access compiles down to direct calls into the DES engine.
+// execute_batch instantiates the operator body once per (executor,
+// operator) pair against a non-virtual access type, so every access
+// compiles down to direct calls into the DES engine. The auto dispatcher
+// routes a batch to one concrete executor first; a --check recorder wraps
+// the concrete access type in RecordingAccess and replays through
+// ReplayAccess. Checked, auto and fixed batches therefore all run the same
+// run_batch bodies.
 //
-// Dispatch rule (execute_batch below): an executor whose devirtualized()
-// is true IS one of the concrete classes here and is dispatched by a
-// static_cast on mechanism(); anything else (currently the check::
-// decorators) takes the virtual execute() path, which funnels the same
-// run_batch bodies through the ErasedAccess/ErasedItemOp adapters — one
-// code path to test, two call costs.
-//
-// Operator bodies must therefore be generic over the access type
-// (`[](auto& access, std::uint64_t i)`), never `core::Access&`-typed:
-// both tiers instantiate the body, so anything outside the common typed
-// surface fails to compile at the seam instead of diverging at runtime.
+// Operator bodies must be generic over the access type
+// (`[](auto& access, std::uint64_t i)`): each is instantiated against every
+// access type here, so anything outside their common typed surface fails
+// to compile instead of diverging at runtime.
 
 #include <bit>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/auto_executor.hpp"
 #include "core/executor.hpp"
+#include "core/recorder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace aam::core {
 
-/// The value types of the Access surface. The fast-path classes constrain
-/// their member templates to exactly these so they cannot accept more
-/// types than the virtual seam (which would compile under one tier only).
+/// The value types of the access surface. Every access class constrains
+/// its member templates to exactly these, so an operator that compiles
+/// against one compiles against all.
 template <typename T>
 concept AccessValue = std::same_as<T, std::uint32_t> ||
                       std::same_as<T, std::uint64_t> || std::same_as<T, double>;
 
-/// Accumulator types (fetch_add): the 4-byte case is excluded on purpose,
-/// matching the virtual Access overload set.
+/// Accumulator types (fetch_add): the 4-byte case is excluded on purpose.
 template <typename T>
 concept AccumValue = std::same_as<T, std::uint64_t> || std::same_as<T, double>;
 
 // --------------------------------------------------------------------------
-// Non-virtual Access implementations (fast tier).
-//
-// Same semantics, costs, and emission staging as the virtual adapters the
-// executors used before devirtualization; kept structurally parallel to
-// Access so ErasedAccess can forward one-to-one.
+// Mechanism access types.
 // --------------------------------------------------------------------------
 
-/// Emission staging shared by the fast-path access classes.
-class FastAccessBase {
+/// Emission staging shared by the mechanism access classes.
+class StagedAccessBase {
  public:
   void emit(std::uint64_t value) { results_->push_back(value); }
-  std::vector<std::uint64_t>* results() const { return results_; }
 
  protected:
-  explicit FastAccessBase(std::vector<std::uint64_t>* results)
+  explicit StagedAccessBase(std::vector<std::uint64_t>* results)
       : results_(results) {}
 
  private:
@@ -70,10 +64,10 @@ class FastAccessBase {
 };
 
 /// Transactional accesses through the DES HTM engine.
-class TxnAccess final : public FastAccessBase {
+class TxnAccess final : public StagedAccessBase {
  public:
   TxnAccess(htm::Txn& tx, std::vector<std::uint64_t>* results)
-      : FastAccessBase(results), tx_(tx) {}
+      : StagedAccessBase(results), tx_(tx) {}
 
   template <AccessValue T>
   T load(const T& ref) {
@@ -103,10 +97,10 @@ class TxnAccess final : public FastAccessBase {
 };
 
 /// Hardware atomics (CAS/ACC) per guarded update; plain loads/stores.
-class AtomicAccess final : public FastAccessBase {
+class AtomicAccess final : public StagedAccessBase {
  public:
   AtomicAccess(htm::ThreadCtx& ctx, std::vector<std::uint64_t>* results)
-      : FastAccessBase(results), ctx_(ctx) {}
+      : StagedAccessBase(results), ctx_(ctx) {}
 
   template <AccessValue T>
   T load(const T& ref) {
@@ -134,12 +128,12 @@ class AtomicAccess final : public FastAccessBase {
 /// DES dispatch no other thread runs, so a lock acquired and released in
 /// the same next() never actually spins: its cost is the modelled CAS on
 /// the lock word (plus line contention).
-class FineLockAccess final : public FastAccessBase {
+class FineLockAccess final : public StagedAccessBase {
  public:
   FineLockAccess(htm::ThreadCtx& ctx, const mem::SimHeap& heap,
                  std::span<std::uint32_t> locks,
                  std::vector<std::uint64_t>* results)
-      : FastAccessBase(results), ctx_(ctx), heap_(heap), locks_(locks) {}
+      : StagedAccessBase(results), ctx_(ctx), heap_(heap), locks_(locks) {}
 
   template <AccessValue T>
   T load(const T& ref) {
@@ -189,10 +183,10 @@ class FineLockAccess final : public FastAccessBase {
 
 /// Plain accesses: correct only under external mutual exclusion (the
 /// serial-lock executor holds the global lock around the whole batch).
-class PlainAccess final : public FastAccessBase {
+class PlainAccess final : public StagedAccessBase {
  public:
   PlainAccess(htm::ThreadCtx& ctx, std::vector<std::uint64_t>* results)
-      : FastAccessBase(results), ctx_(ctx) {}
+      : StagedAccessBase(results), ctx_(ctx) {}
 
   template <AccessValue T>
   T load(const T& ref) {
@@ -224,11 +218,11 @@ class PlainAccess final : public FastAccessBase {
 /// loads and recording written addresses for the TL2 cost model (the
 /// write set drives the commit-time orec locking replayed against the DES
 /// machine).
-class StmCountedAccess final : public FastAccessBase {
+class StmCountedAccess final : public StagedAccessBase {
  public:
   StmCountedAccess(std::vector<std::uint64_t>* results, std::uint64_t& loads,
                    std::vector<const void*>& writes)
-      : FastAccessBase(results), loads_(loads), writes_(writes) {}
+      : StagedAccessBase(results), loads_(loads), writes_(writes) {}
 
   template <AccessValue T>
   T load(const T& ref) {
@@ -264,81 +258,125 @@ class StmCountedAccess final : public FastAccessBase {
 };
 
 // --------------------------------------------------------------------------
-// Type-erasure adapters: the virtual execute() path reuses the templated
-// run_batch bodies through these, so both tiers run identical logic.
+// Checked access types (--check, see core/recorder.hpp).
 // --------------------------------------------------------------------------
 
-/// Presents a fast-path access implementation as a virtual core::Access.
-/// Shares the impl's staging vector, so the inherited emit() lands
-/// emissions in the same per-attempt buffer the executor manages.
-template <typename Impl>
-class ErasedAccess final : public Access {
+/// Forwards every operation to the mechanism's access while logging the
+/// touched words into the thread's BatchRecord. Pre-images are captured
+/// before the forwarded operation can mutate them.
+template <typename Inner>
+class RecordingAccess {
  public:
-  explicit ErasedAccess(Impl& impl) : Access(impl.results()), impl_(impl) {}
+  RecordingAccess(Inner& inner, BatchRecorder& recorder, BatchRecord& rec)
+      : inner_(inner), recorder_(recorder), rec_(rec) {
+    rec_.transactional = inner.transactional();
+  }
 
-  std::uint32_t load(const std::uint32_t& ref) override { return impl_.load(ref); }
-  std::uint64_t load(const std::uint64_t& ref) override { return impl_.load(ref); }
-  double load(const double& ref) override { return impl_.load(ref); }
-  void store(std::uint32_t& ref, std::uint32_t value) override {
-    impl_.store(ref, value);
+  template <AccessValue T>
+  T load(const T& ref) {
+    recorder_.note_read(rec_, &ref);
+    return inner_.load(ref);
   }
-  void store(std::uint64_t& ref, std::uint64_t value) override {
-    impl_.store(ref, value);
+  template <AccessValue T>
+  void store(T& ref, T value) {
+    recorder_.note_write(rec_, &ref, sizeof(T));
+    inner_.store(ref, value);
   }
-  void store(double& ref, double value) override { impl_.store(ref, value); }
-  bool cas(std::uint32_t& ref, std::uint32_t expect,
-           std::uint32_t desired) override {
-    return impl_.cas(ref, expect, desired);
+  template <AccessValue T>
+  bool cas(T& ref, T expect, T desired) {
+    recorder_.note_read(rec_, &ref);
+    const bool ok = inner_.cas(ref, expect, desired);
+    if (ok) recorder_.note_write(rec_, &ref, sizeof(T));
+    return ok;
   }
-  bool cas(std::uint64_t& ref, std::uint64_t expect,
-           std::uint64_t desired) override {
-    return impl_.cas(ref, expect, desired);
+  template <AccumValue T>
+  T fetch_add(T& ref, T delta) {
+    recorder_.note_read(rec_, &ref);
+    const T old = inner_.fetch_add(ref, delta);
+    recorder_.note_write(rec_, &ref, sizeof(T));
+    return old;
   }
-  bool cas(double& ref, double expect, double desired) override {
-    return impl_.cas(ref, expect, desired);
-  }
-  std::uint64_t fetch_add(std::uint64_t& ref, std::uint64_t delta) override {
-    return impl_.fetch_add(ref, delta);
-  }
-  double fetch_add(double& ref, double delta) override {
-    return impl_.fetch_add(ref, delta);
-  }
-  bool transactional() const override { return impl_.transactional(); }
+  bool transactional() const { return inner_.transactional(); }
+  void emit(std::uint64_t value) { inner_.emit(value); }
 
  private:
-  Impl& impl_;
+  Inner& inner_;
+  BatchRecorder& recorder_;
+  BatchRecord& rec_;
 };
 
-/// Wraps a type-erased ItemOp as a generic operator body so the virtual
-/// execute() entry points can call run_batch. Owns a copy of the ItemOp:
-/// the HTM executor stages the body past the caller's stack frame.
-class ErasedItemOp {
+/// Serial re-execution of a committed batch against its pre-images: reads
+/// hit the replay overlay first, then the recorded pre-image, then (for
+/// words the real execution never touched — only reachable once control
+/// flow has already diverged) committed memory; writes land in the overlay
+/// only. Accesses off the SimHeap read through and drop writes — host
+/// memory is outside transactional isolation and is not replayed.
+/// Construction clears the recorder's overlay and replay emissions.
+class ReplayAccess {
  public:
-  explicit ErasedItemOp(ActivityExecutor::ItemOp op) : op_(std::move(op)) {}
-
-  template <typename Impl>
-  void operator()(Impl& impl, std::uint64_t i) const {
-    ErasedAccess<Impl> access(impl);
-    op_(access, i);
+  ReplayAccess(BatchRecorder& recorder, std::uint32_t tid)
+      : recorder_(recorder), rec_(recorder.records_[tid]) {
+    recorder_.overlay_.clear();
+    recorder_.replay_results_.clear();
   }
 
+  template <AccessValue T>
+  T load(const T& ref) {
+    if (!recorder_.heap_.contains(&ref)) return ref;
+    const std::uint64_t offset = recorder_.heap_.offset_of(&ref);
+    const std::uint64_t word = word_value(offset & ~std::uint64_t{7});
+    T out;
+    std::memcpy(&out, reinterpret_cast<const char*>(&word) + (offset & 7u),
+                sizeof(T));
+    return out;
+  }
+  template <AccessValue T>
+  void store(T& ref, T value) {
+    if (!recorder_.heap_.contains(&ref)) return;
+    const std::uint64_t offset = recorder_.heap_.offset_of(&ref);
+    const std::uint64_t word_off = offset & ~std::uint64_t{7};
+    std::uint64_t word = word_value(word_off);
+    std::memcpy(reinterpret_cast<char*>(&word) + (offset & 7u), &value,
+                sizeof(T));
+    recorder_.overlay_.insert_or_assign(word_off, word);
+  }
+  template <AccessValue T>
+  bool cas(T& ref, T expect, T desired) {
+    if (load(ref) != expect) return false;
+    store(ref, desired);
+    return true;
+  }
+  template <AccumValue T>
+  T fetch_add(T& ref, T delta) {
+    const T old = load(ref);
+    store(ref, static_cast<T>(old + delta));
+    return old;
+  }
+  bool transactional() const { return rec_.transactional; }
+  void emit(std::uint64_t value) { recorder_.replay_results_.push_back(value); }
+
  private:
-  ActivityExecutor::ItemOp op_;
+  std::uint64_t word_value(std::uint64_t word) {
+    std::uint64_t value = 0;
+    if (recorder_.overlay_.lookup(word, value)) return value;
+    if (rec_.pre.lookup(word, value)) return value;
+    return recorder_.committed_word(word);
+  }
+
+  BatchRecorder& recorder_;
+  const BatchRecord& rec_;
 };
 
 // --------------------------------------------------------------------------
-// Concrete executors. Each pairs a templated run_batch (fast tier) with a
-// virtual execute() that routes the same body through ErasedItemOp.
+// Concrete executors: one templated run_batch each.
 // --------------------------------------------------------------------------
 
 /// Per-thread emission staging shared by all executors.
 class StagedExecutor : public ActivityExecutor {
- public:
-  bool devirtualized() const override { return true; }
-
  protected:
-  StagedExecutor(htm::DesMachine& machine, int batch)
-      : ActivityExecutor(batch),
+  StagedExecutor(htm::DesMachine& machine, Mechanism mechanism,
+                 const ExecConfig& exec)
+      : ActivityExecutor(mechanism, exec),
         staging_(static_cast<std::size_t>(machine.num_threads())) {}
 
   std::vector<std::uint64_t>& staging(htm::ThreadCtx& ctx) {
@@ -351,19 +389,11 @@ class StagedExecutor : public ActivityExecutor {
 
 class HtmCoarsenedExecutor final : public StagedExecutor {
  public:
-  HtmCoarsenedExecutor(htm::DesMachine& machine, int batch)
-      : StagedExecutor(machine, batch) {}
-
-  Mechanism mechanism() const override { return Mechanism::kHtmCoarsened; }
+  HtmCoarsenedExecutor(htm::DesMachine& machine, const ExecConfig& exec)
+      : StagedExecutor(machine, Mechanism::kHtmCoarsened, exec) {}
 
   int preferred_batch() const override {
     return adaptive_ ? adaptive_->batch() : batch_;
-  }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId /*op_id*/ = OperatorId::kUnknown) override {
-    run_batch(ctx, count, ErasedItemOp(op), std::move(done));
   }
 
   template <typename Op>
@@ -398,16 +428,8 @@ class HtmCoarsenedExecutor final : public StagedExecutor {
 
 class AtomicOpsExecutor final : public StagedExecutor {
  public:
-  AtomicOpsExecutor(htm::DesMachine& machine, int batch)
-      : StagedExecutor(machine, batch) {}
-
-  Mechanism mechanism() const override { return Mechanism::kAtomicOps; }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId /*op_id*/ = OperatorId::kUnknown) override {
-    run_batch(ctx, count, ErasedItemOp(op), std::move(done));
-  }
+  AtomicOpsExecutor(htm::DesMachine& machine, const ExecConfig& exec)
+      : StagedExecutor(machine, Mechanism::kAtomicOps, exec) {}
 
   template <typename Op>
   void run_batch(htm::ThreadCtx& ctx, std::uint64_t count, const Op& op,
@@ -423,20 +445,13 @@ class AtomicOpsExecutor final : public StagedExecutor {
 
 class FineLocksExecutor final : public StagedExecutor {
  public:
-  FineLocksExecutor(htm::DesMachine& machine, int batch, std::uint32_t stripes)
-      : StagedExecutor(machine, batch),
+  FineLocksExecutor(htm::DesMachine& machine, const ExecConfig& exec,
+                    std::uint32_t stripes)
+      : StagedExecutor(machine, Mechanism::kFineLocks, exec),
         heap_(machine.heap()),
         locks_(machine.heap().alloc<std::uint32_t>(std::bit_ceil(stripes),
                                                    "fine-locks.stripes")) {
     for (auto& lock : locks_) lock = 0;
-  }
-
-  Mechanism mechanism() const override { return Mechanism::kFineLocks; }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId /*op_id*/ = OperatorId::kUnknown) override {
-    run_batch(ctx, count, ErasedItemOp(op), std::move(done));
   }
 
   template <typename Op>
@@ -457,18 +472,10 @@ class FineLocksExecutor final : public StagedExecutor {
 
 class SerialLockExecutor final : public StagedExecutor {
  public:
-  SerialLockExecutor(htm::DesMachine& machine, int batch)
-      : StagedExecutor(machine, batch),
+  SerialLockExecutor(htm::DesMachine& machine, const ExecConfig& exec)
+      : StagedExecutor(machine, Mechanism::kSerialLock, exec),
         lock_(machine.heap().alloc<std::uint32_t>(1, "serial-lock.word")) {
     lock_[0] = 0;
-  }
-
-  Mechanism mechanism() const override { return Mechanism::kSerialLock; }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId /*op_id*/ = OperatorId::kUnknown) override {
-    run_batch(ctx, count, ErasedItemOp(op), std::move(done));
   }
 
   template <typename Op>
@@ -510,8 +517,9 @@ class SerialLockExecutor final : public StagedExecutor {
 
 class StmExecutor final : public StagedExecutor {
  public:
-  StmExecutor(htm::DesMachine& machine, int batch, std::uint32_t stripes)
-      : StagedExecutor(machine, batch),
+  StmExecutor(htm::DesMachine& machine, const ExecConfig& exec,
+              std::uint32_t stripes)
+      : StagedExecutor(machine, Mechanism::kStm, exec),
         costs_(machine.config().atomics),
         heap_(machine.heap()),
         orecs_(machine.heap().alloc<std::uint32_t>(std::bit_ceil(stripes),
@@ -520,14 +528,6 @@ class StmExecutor final : public StagedExecutor {
         writes_(static_cast<std::size_t>(machine.num_threads())) {
     for (auto& orec : orecs_) orec = 0;
     clock_[0] = 0;
-  }
-
-  Mechanism mechanism() const override { return Mechanism::kStm; }
-
-  void execute(htm::ThreadCtx& ctx, std::uint64_t count, const ItemOp& op,
-               BatchDone done = {},
-               OperatorId /*op_id*/ = OperatorId::kUnknown) override {
-    run_batch(ctx, count, ErasedItemOp(op), std::move(done));
   }
 
   template <typename Op>
@@ -594,43 +594,82 @@ class StmExecutor final : public StagedExecutor {
 // Dispatch.
 // --------------------------------------------------------------------------
 
+/// Runs the batch on `executor`, the concrete class for `mechanism`.
+template <typename Op>
+void run_concrete(ActivityExecutor& executor, Mechanism mechanism,
+                  htm::ThreadCtx& ctx, std::uint64_t count, Op&& op,
+                  ActivityExecutor::BatchDone done) {
+  switch (mechanism) {
+    case Mechanism::kHtmCoarsened:
+      static_cast<HtmCoarsenedExecutor&>(executor).run_batch(
+          ctx, count, std::forward<Op>(op), std::move(done));
+      return;
+    case Mechanism::kAtomicOps:
+      static_cast<AtomicOpsExecutor&>(executor).run_batch(
+          ctx, count, std::forward<Op>(op), std::move(done));
+      return;
+    case Mechanism::kFineLocks:
+      static_cast<FineLocksExecutor&>(executor).run_batch(
+          ctx, count, std::forward<Op>(op), std::move(done));
+      return;
+    case Mechanism::kSerialLock:
+      static_cast<SerialLockExecutor&>(executor).run_batch(
+          ctx, count, std::forward<Op>(op), std::move(done));
+      return;
+    case Mechanism::kStm:
+      static_cast<StmExecutor&>(executor).run_batch(
+          ctx, count, std::forward<Op>(op), std::move(done));
+      return;
+  }
+}
+
 /// Applies op(access, i) for i in [0, count) under the executor's
-/// mechanism, picking the fast tier when the executor is one of the
-/// concrete classes above (devirtualized() == true) and falling back to
-/// the virtual execute() — instantiating `op` against core::Access — for
-/// decorated executors. Semantics match ActivityExecutor::execute.
+/// mechanism — for the auto dispatcher, under the mechanism it routes this
+/// batch to. Transactional executors stage the batch: the call must then
+/// be the last action of the current Worker::next(). Non-transactional
+/// executors apply synchronously, and `done` (if any) fires before
+/// execute_batch returns. Captured references must stay valid until
+/// `done` fires. `op_id` names the operator body for auto routing and the
+/// check audits; the mechanisms never read it.
 template <typename Op>
 void execute_batch(ActivityExecutor& executor, htm::ThreadCtx& ctx,
                    std::uint64_t count, Op&& op,
                    ActivityExecutor::BatchDone done = {},
                    OperatorId op_id = OperatorId::kUnknown) {
-  if (executor.devirtualized()) {
-    switch (executor.mechanism()) {
-      case Mechanism::kHtmCoarsened:
-        static_cast<HtmCoarsenedExecutor&>(executor).run_batch(
-            ctx, count, std::forward<Op>(op), std::move(done));
-        return;
-      case Mechanism::kAtomicOps:
-        static_cast<AtomicOpsExecutor&>(executor).run_batch(
-            ctx, count, std::forward<Op>(op), std::move(done));
-        return;
-      case Mechanism::kFineLocks:
-        static_cast<FineLocksExecutor&>(executor).run_batch(
-            ctx, count, std::forward<Op>(op), std::move(done));
-        return;
-      case Mechanism::kSerialLock:
-        static_cast<SerialLockExecutor&>(executor).run_batch(
-            ctx, count, std::forward<Op>(op), std::move(done));
-        return;
-      case Mechanism::kStm:
-        static_cast<StmExecutor&>(executor).run_batch(
-            ctx, count, std::forward<Op>(op), std::move(done));
-        return;
-    }
+  ActivityExecutor& target =
+      executor.mechanism().has_value()
+          ? executor
+          : static_cast<AutoExecutor&>(executor).route(ctx, count, op_id);
+  const Mechanism mechanism = *target.mechanism();
+  BatchRecorder* const recorder = target.recorder();
+  if (recorder == nullptr) {
+    run_concrete(target, mechanism, ctx, count, std::forward<Op>(op),
+                 std::move(done));
+    return;
   }
-  executor.execute(ctx, count,
-                   ActivityExecutor::ItemOp(std::forward<Op>(op)),
-                   std::move(done), op_id);
+  // Checked batch. One shared copy of the operator: the recording wrapper
+  // runs it during (possibly re-executed) attempts, the serial replay
+  // after commit. Recording restarts at item 0 of every attempt, so the
+  // done-time record describes exactly the committed attempt.
+  const std::uint32_t tid = ctx.thread_id();
+  recorder->begin_batch(tid, op_id);
+  auto body = std::make_shared<const std::decay_t<Op>>(std::forward<Op>(op));
+  run_concrete(
+      target, mechanism, ctx, count,
+      [recorder, tid, body](auto& access, std::uint64_t i) {
+        if (i == 0) recorder->begin_attempt(tid);
+        RecordingAccess recording(access, *recorder, recorder->record(tid));
+        (*body)(recording, i);
+      },
+      [recorder, tid, mechanism, count, body, done = std::move(done)](
+          htm::ThreadCtx& done_ctx, std::span<const std::uint64_t> results) {
+        if (recorder->replays() && count > 0) {
+          ReplayAccess replay(*recorder, tid);
+          for (std::uint64_t i = 0; i < count; ++i) (*body)(replay, i);
+        }
+        recorder->on_batch_done(tid, mechanism, count, results);
+        if (done) done(done_ctx, results);
+      });
 }
 
 }  // namespace aam::core

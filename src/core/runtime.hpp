@@ -12,10 +12,10 @@
 // of the current one (BFS, SSSP, st-connectivity, coloring, Boruvka) run
 // on the round runner in core/frontier.hpp instead.
 //
-// The operator receives the mechanism-neutral Access surface and an item
-// index; the May-Fail/Always-Succeed distinction (§3.2.2) lives in the
-// operator body (a MF operator observes state and may do nothing), while
-// hardware aborts are always retried by the engine per the HTM policy.
+// The operator receives the mechanism's access surface and an item index;
+// the May-Fail/Always-Succeed distinction (§3.2.2) lives in the operator
+// body (a MF operator observes state and may do nothing), while hardware
+// aborts are always retried by the engine per the HTM policy.
 
 #include <cstdint>
 #include <functional>
@@ -46,9 +46,8 @@ class AamRuntime {
   /// all committed. (Fire-and-Forget usage; the op's own logic provides
   /// AS/MF semantics.) The operator must be generic over the access type
   /// (`[](auto& access, std::uint64_t item)`): it is instantiated against
-  /// the concrete executor's access implementation on the fast path and
-  /// against core::Access when a check decorator is attached. One
-  /// std::function hop remains per claimed *batch* of M items.
+  /// every access type of core/executor_impl.hpp. One std::function hop
+  /// remains per claimed *batch* of M items.
   /// `op_id` tags the batches with the operator's identity for the
   /// check::/analysis:: layers (see core::OperatorId).
   template <typename Op>
@@ -68,7 +67,6 @@ class AamRuntime {
 
   int batch() const { return executor_->preferred_batch(); }
   void set_batch(int m) { executor_->set_batch(m); }
-  Mechanism mechanism() const { return executor_->mechanism(); }
 
   /// Enables online M selection (§7 extension): the runtime claims chunks
   /// of the controller's current batch size and feeds activity outcomes

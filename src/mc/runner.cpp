@@ -5,6 +5,7 @@
 
 #include "check/check.hpp"
 #include "core/auto_executor.hpp"
+#include "core/executor_impl.hpp"
 #include "htm/des_engine.hpp"
 #include "htm/resilience.hpp"
 #include "mem/sim_heap.hpp"
@@ -72,8 +73,8 @@ class McWorker final : public htm::Worker {
       gave_up_ = true;
       return false;
     }
-    exec_.execute(
-        ctx, txn.ops.size(),
+    core::execute_batch(
+        exec_, ctx, txn.ops.size(),
         [this, &txn](auto& access, std::uint64_t i) {
           apply_op(txn.ops[i], access, words_);
         },
@@ -231,7 +232,7 @@ RunResult Runner::run(const PickFn& pick) {
   core::ExecConfig opts;
   opts.batch = 8;
   opts.mechanism = config_.mech.fixed.value_or(core::Mechanism::kHtmCoarsened);
-  opts.decorator = &checker;
+  opts.recorder = &checker;
   core::AutoPolicy policy;
   if (config_.mech.is_auto()) {
     core::MechanismPlan& plan = policy.plan(core::OperatorId::kUnknown);

@@ -19,8 +19,8 @@
 //     (kNotSerializable; reported as kLostUpdate for commutative
 //     counter workloads, where that is the classic symptom);
 //   * per-workload invariant — the McWorkload's own predicate;
-//   * checker divergence — the aam::check serial-replay differ, live as
-//     the executor decorator during every schedule (per-batch oracle);
+//   * checker divergence — the aam::check serial-replay differ, attached
+//     as the executor's recorder during every schedule (per-batch oracle);
 //   * zombie commits — at each kCommitFinal dispatch the Runner asks the
 //     engine for an honest first-committer-wins verdict
 //     (DesMachine::commit_would_conflict) and flags any transaction the

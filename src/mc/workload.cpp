@@ -12,7 +12,7 @@ namespace {
 /// The serial reference interpreter's access surface: direct word
 /// semantics, emissions appended to the running thread's list. Used both
 /// by the serial-outcome enumeration here and by nothing else — the
-/// executors interpret the same ops through core::Access.
+/// executors interpret the same ops through core::execute_batch.
 struct SerialRef {
   std::vector<std::uint64_t>* emits = nullptr;
 

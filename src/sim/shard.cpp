@@ -1,7 +1,8 @@
 #include "sim/shard.hpp"
 
-#include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
@@ -16,13 +17,15 @@ thread_local ShardId t_current_shard = kNoShard;
 std::atomic<int> g_host_threads{0};  // 0 = not yet initialised
 
 int initial_host_threads() {
-  if (const char* env = std::getenv("AAM_HOST_THREADS"); env != nullptr) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<int>(std::min<long>(v, 1024));
-    }
+  const char* env = std::getenv("AAM_HOST_THREADS");
+  if (env == nullptr) return 1;
+  const std::optional<int> n = parse_host_threads(env);
+  if (!n.has_value()) {
+    std::fprintf(stderr, "invalid AAM_HOST_THREADS=%s; %s\n", env,
+                 kHostThreadsSyntax);
+    std::exit(2);
   }
-  return 1;
+  return *n;
 }
 
 }  // namespace
@@ -52,6 +55,17 @@ void set_host_threads(int n) {
 int max_host_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+std::optional<int> parse_host_threads(std::string_view text) {
+  if (text == "max") return max_host_threads();
+  int n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc{} || ptr != end || n < 1 || n > kMaxHostThreads) {
+    return std::nullopt;
+  }
+  return n;
 }
 
 }  // namespace aam::sim

@@ -16,6 +16,8 @@
 // machinery at all.
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace aam::sim {
 
@@ -43,11 +45,24 @@ class ShardGuard {
 /// Host worker threads the parallel backend may use (>= 1). Defaults to 1
 /// (sequential) until set_host_threads() is called; the AAM_HOST_THREADS
 /// environment variable, when set, provides the initial value so test
-/// binaries can be swept without new flags.
+/// binaries can be swept without new flags. A value parse_host_threads
+/// rejects exits 2 with a diagnostic naming the variable.
 int host_threads();
 void set_host_threads(int n);
 /// Upper bound for "--host-threads=max": the host's hardware concurrency
 /// (at least 1 even when the runtime reports 0).
 int max_host_threads();
+
+/// Largest numeric host-thread count parse_host_threads accepts.
+inline constexpr int kMaxHostThreads = 1024;
+/// What parse_host_threads accepts, for diagnostics.
+inline constexpr const char* kHostThreadsSyntax =
+    "expected an integer in [1, 1024] or \"max\"";
+
+/// Parses a host-thread count for --host-threads and AAM_HOST_THREADS:
+/// "max" (max_host_threads()) or a decimal integer in [1, kMaxHostThreads].
+/// nullopt for anything else: empty, trailing characters, zero, negative
+/// or out of range.
+std::optional<int> parse_host_threads(std::string_view text);
 
 }  // namespace aam::sim

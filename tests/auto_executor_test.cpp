@@ -79,7 +79,7 @@ graph::Graph make_graph() {
 
 algorithms::PageRankResult run_pagerank(
     const graph::Graph& g, core::Mechanism mech,
-    const core::AutoPolicy* policy, core::ExecutorDecorator* decorator) {
+    const core::AutoPolicy* policy, core::BatchRecorder* recorder) {
   mem::SimHeap heap;
   htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, 16, heap,
                           /*seed=*/1);
@@ -87,7 +87,7 @@ algorithms::PageRankResult run_pagerank(
   o.iterations = 3;
   o.mechanism = mech;
   o.auto_policy = policy;
-  o.decorator = decorator;
+  o.recorder = recorder;
   return algorithms::run_pagerank(machine, g, o);
 }
 
@@ -171,7 +171,7 @@ TEST(CapacityGuard, FixedHtmPastBoundTripsAudit) {
   algorithms::PageRankOptions o;
   o.iterations = 3;
   o.mechanism = core::Mechanism::kHtmCoarsened;
-  o.decorator = &checker;
+  o.recorder = &checker;
   algorithms::run_pagerank(machine, g, o);
 
   EXPECT_FALSE(checker.passed());
@@ -200,7 +200,7 @@ TEST(CapacityGuard, AutoClampsAndStaysClean) {
   o.iterations = 3;
   o.mechanism = core::Mechanism::kHtmCoarsened;
   o.auto_policy = &policy;
-  o.decorator = &checker;
+  o.recorder = &checker;
   algorithms::run_pagerank(machine, g, o);
 
   // Auto never lets an oversized batch reach HTM, so the audit that

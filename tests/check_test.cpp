@@ -1,13 +1,16 @@
 // aam::check tests: the checkers stay silent on every (algorithm,
 // mechanism, machine) combination the repo ships — and they catch the two
 // canonical operator bugs the layer exists for: a raw write that bypasses
-// core::Access (escaped write) and an operator whose committed outcome a
-// serial re-execution cannot reproduce (serializability divergence).
+// the access surface (escaped write) and an operator whose committed
+// outcome a serial re-execution cannot reproduce (serializability
+// divergence).
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/boruvka.hpp"
@@ -16,6 +19,7 @@
 #include "algorithms/sssp.hpp"
 #include "algorithms/st_connectivity.hpp"
 #include "check/check.hpp"
+#include "core/auto_executor.hpp"
 #include "core/runtime.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
@@ -70,7 +74,7 @@ TEST(Checker, CleanRunPassesAndSeesBatches) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(256, "data");
   check::Checker checker(machine, all_checks());
-  core::AamRuntime rt(machine, {.batch = 8, .decorator = &checker});
+  core::AamRuntime rt(machine, {.batch = 8, .recorder = &checker});
   rt.for_each(256, [&](auto& access, std::uint64_t i) {
     access.fetch_add(data[i], std::uint64_t{1});
   });
@@ -78,39 +82,85 @@ TEST(Checker, CleanRunPassesAndSeesBatches) {
   EXPECT_GT(checker.batches_checked(), 0u);
 }
 
+// Checks are host-side only: under every mechanism, and under auto
+// routing, a checked run charges exactly the unchecked run's simulated
+// time and counts, and routes every batch the same way. BFS exercises the
+// recorded cas, PageRank the recorded load and fetch_add.
 TEST(Checker, DoesNotPerturbSimulatedTime) {
-  auto bfs_time = [](bool with_checks) {
-    util::Rng rng(7);
-    graph::KroneckerParams params;
-    params.scale = 9;
-    params.edge_factor = 4;
-    const graph::Graph g = graph::kronecker(params, rng);
+  util::Rng rng(7);
+  graph::KroneckerParams params;
+  params.scale = 9;
+  params.edge_factor = 4;
+  const graph::Graph g = graph::kronecker(params, rng);
+  // BFS visits start speculative with a zero abort band, so the auto run
+  // descends the ladder mid-run; everything else runs under atomics.
+  core::AutoPolicy auto_policy;
+  auto_policy.plan(core::OperatorId::kBfsVisit).recommended =
+      core::Mechanism::kHtmCoarsened;
+  auto_policy.plan(core::OperatorId::kBfsVisit).abort_band = 0.0;
+
+  struct Run {
+    double bfs_ns = 0;
+    double pagerank_ns = 0;
+    htm::HtmStats bfs_stats;
+    htm::HtmStats pagerank_stats;
+    core::AutoTelemetry telemetry;
+  };
+  auto run = [&](std::optional<core::Mechanism> mechanism, bool with_checks) {
     mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     check::Checker checker(machine,
                            with_checks ? all_checks() : check::CheckConfig{});
-    algorithms::BfsOptions options;
-    options.root = graph::pick_nonisolated_vertex(g);
-    options.batch = 8;
-    if (with_checks) options.decorator = &checker;
-    const auto r = algorithms::run_bfs(machine, g, options);
+    const core::AutoPolicy policy = auto_policy;  // fresh telemetry
+    core::ExecConfig exec;
+    exec.batch = 8;
+    exec.mechanism = mechanism.value_or(core::Mechanism::kHtmCoarsened);
+    if (!mechanism.has_value()) exec.auto_policy = &policy;
+    if (with_checks) exec.recorder = &checker;
+    algorithms::BfsOptions bfs;
+    static_cast<core::ExecConfig&>(bfs) = exec;
+    bfs.root = graph::pick_nonisolated_vertex(g);
+    algorithms::PageRankOptions pagerank;
+    static_cast<core::ExecConfig&>(pagerank) = exec;
+    pagerank.iterations = 2;
+    const auto b = algorithms::run_bfs(machine, g, bfs);
+    const auto p = algorithms::run_pagerank(machine, g, pagerank);
     EXPECT_TRUE(checker.passed()) << report_of(checker);
-    return r.total_time_ns;
+    return Run{b.total_time_ns, p.total_time_ns, b.stats, p.stats,
+               policy.telemetry};
   };
-  EXPECT_EQ(bfs_time(false), bfs_time(true));
+
+  std::vector<std::optional<core::Mechanism>> inputs(
+      core::all_mechanisms().begin(), core::all_mechanisms().end());
+  inputs.push_back(std::nullopt);  // auto
+  for (const std::optional<core::Mechanism> mechanism : inputs) {
+    const char* name = mechanism ? core::to_string(*mechanism) : "auto";
+    const Run plain = run(mechanism, false);
+    const Run checked = run(mechanism, true);
+    EXPECT_EQ(plain.bfs_ns, checked.bfs_ns) << name;
+    EXPECT_EQ(plain.pagerank_ns, checked.pagerank_ns) << name;
+    EXPECT_TRUE(plain.bfs_stats == checked.bfs_stats) << name;
+    EXPECT_TRUE(plain.pagerank_stats == checked.pagerank_stats) << name;
+    EXPECT_TRUE(plain.telemetry == checked.telemetry) << name;
+    if (!mechanism.has_value()) {
+      EXPECT_GT(plain.telemetry.batches, 0u);
+      EXPECT_GT(plain.telemetry.descents, 0u);
+    }
+  }
 }
 
 // -------------------------------------------------------- buggy operators
 
-// A write through a raw pointer, bypassing core::Access: no mechanism
-// synchronizes it, no conflict stamp is bumped, no cost is charged. The
-// escaped-write detector must flag it and name the owning allocation.
+// A write through a raw pointer, bypassing the access surface: no
+// mechanism synchronizes it, no conflict stamp is bumped, no cost is
+// charged. The escaped-write detector must flag it and name the owning
+// allocation.
 TEST(Checker, RacesCatchesEscapedRawWrite) {
   mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "buggy.data");
   check::Checker checker(machine, {.races = true});
-  core::AamRuntime rt(machine, {.batch = 4, .decorator = &checker});
+  core::AamRuntime rt(machine, {.batch = 4, .recorder = &checker});
   rt.for_each(64, [&](auto& access, std::uint64_t i) {
     if (i % 2 == 0) {
       access.store(data[i], std::uint64_t{1});  // modelled: fine
@@ -134,7 +184,7 @@ TEST(Checker, SerialReplayCatchesNonReplayableOperator) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "data");
   check::Checker checker(machine, {.serial = true});
-  core::AamRuntime rt(machine, {.batch = 4, .decorator = &checker});
+  core::AamRuntime rt(machine, {.batch = 4, .recorder = &checker});
   std::uint64_t hidden_counter = 0;
   rt.for_each(64, [&](auto& access, std::uint64_t i) {
     access.store(data[i], ++hidden_counter);
@@ -153,7 +203,7 @@ TEST(Checker, StaticSignatureAuditCatchesMislabeledBatch) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "mystery.array");
   check::Checker checker(machine, {.footprint = true});
-  core::AamRuntime rt(machine, {.batch = 4, .decorator = &checker});
+  core::AamRuntime rt(machine, {.batch = 4, .recorder = &checker});
   // Claims to be bfs_visit but writes an allocation bfs_visit's static
   // may-write set ({bfs.parent}) does not contain.
   rt.for_each(
@@ -178,7 +228,7 @@ TEST(Checker, StaticSignatureAuditSkipsUntaggedBatches) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
   auto data = heap.alloc<std::uint64_t>(64, "adhoc.array");
   check::Checker checker(machine, {.footprint = true});
-  core::AamRuntime rt(machine, {.batch = 4, .decorator = &checker});
+  core::AamRuntime rt(machine, {.batch = 4, .recorder = &checker});
   rt.for_each(64, [&](auto& access, std::uint64_t i) {
     access.store(data[i], std::uint64_t{1});
   });
@@ -200,7 +250,7 @@ TEST(Checker, CommitDigestIsDeterministicAcrossRuns) {
     algorithms::BfsOptions options;
     options.root = graph::pick_nonisolated_vertex(g);
     options.batch = 16;
-    options.decorator = &checker;
+    options.recorder = &checker;
     algorithms::run_bfs(machine, g, options);
     EXPECT_TRUE(checker.passed()) << report_of(checker);
     EXPECT_GT(checker.batches_checked(), 0u);
@@ -258,7 +308,7 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           o.root = root;
           o.mechanism = mech;
           o.batch = 8;
-          o.decorator = &checker;
+          o.recorder = &checker;
           const auto r = algorithms::run_bfs(m, g, o);
           ASSERT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
         }
@@ -267,7 +317,7 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           o.iterations = 2;
           o.mechanism = mech;
           o.batch = 8;
-          o.decorator = &checker;
+          o.recorder = &checker;
           algorithms::run_pagerank(m, g, o);
         }
         {
@@ -275,7 +325,7 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           o.mechanism = mech;
           o.batch = 8;
           o.seed = kSeed;
-          o.decorator = &checker;
+          o.recorder = &checker;
           const auto r = algorithms::run_boman_coloring(m, g, o);
           ASSERT_TRUE(algorithms::validate_coloring(g, r.color));
         }
@@ -285,7 +335,7 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           o.t = st_t;
           o.mechanism = mech;
           o.batch = 8;
-          o.decorator = &checker;
+          o.recorder = &checker;
           algorithms::run_st_connectivity(m, g, o);
         }
         {
@@ -293,14 +343,14 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           o.source = 0;
           o.mechanism = mech;
           o.batch = 8;
-          o.decorator = &checker;
+          o.recorder = &checker;
           algorithms::run_sssp(m, wg, o);
         }
         {
           algorithms::BoruvkaOptions o;
           o.mechanism = mech;
           o.batch = 8;
-          o.decorator = &checker;
+          o.recorder = &checker;
           algorithms::run_boruvka(m, wg, o);
         }
       };

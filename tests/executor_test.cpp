@@ -150,7 +150,6 @@ struct StmBatch {
       Op& op_;
       bool ran_ = false;
     };
-    ASSERT_TRUE(executor->devirtualized());
     OneBatch worker(*this, count, op);
     machine.set_worker(0, &worker);
     machine.run();

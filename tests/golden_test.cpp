@@ -1,9 +1,9 @@
 // Golden simulated-time snapshot (extends tools/determinism_check.sh into
 // ctest): a small algorithm x mechanism x machine sweep whose simulated
 // times, abort/commit counters, and result digests must stay bit-identical
-// across host-side refactors. Any host-only optimization (devirtualized
-// dispatch, footprint memoization, heap layout changes in the event queue)
-// must leave every line of this snapshot untouched.
+// across host-side refactors. Any host-only optimization (batch dispatch,
+// footprint memoization, heap layout changes in the event queue) must
+// leave every line of this snapshot untouched.
 //
 // Regenerate deliberately with:
 //   AAM_UPDATE_GOLDEN=1 ./build/tests/golden_test

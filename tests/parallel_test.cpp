@@ -21,6 +21,19 @@ namespace aam {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Host-thread count parser (--host-threads and AAM_HOST_THREADS)
+// ---------------------------------------------------------------------------
+
+TEST(HostThreads, ParserAcceptsCountsAndMaxRejectsTheRest) {
+  EXPECT_EQ(sim::parse_host_threads("4"), 4);
+  EXPECT_EQ(sim::parse_host_threads("1024"), 1024);
+  EXPECT_EQ(sim::parse_host_threads("max"), sim::max_host_threads());
+  for (const char* bad : {"4x", "abc", "0", "-1", "1025", ""}) {
+    EXPECT_EQ(sim::parse_host_threads(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Shard identity
 // ---------------------------------------------------------------------------
 

@@ -375,7 +375,7 @@ TEST_P(StaticContainmentTest, DynamicFootprintWithinStaticSignature) {
       core::ExecConfig exec = algo.exec;
       exec.batch = std::min(exec.batch, 8);
       exec.mechanism = param.mechanism;
-      exec.decorator = &checker;
+      exec.recorder = &checker;
       algo.run(machine, in, exec);
     });
   }
