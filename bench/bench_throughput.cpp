@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -157,10 +158,19 @@ int main(int argc, char** argv) {
     cells.push_back({nullptr, {}});
   }
 
+  // Dispatch order: the distributed-PageRank cell is the sweep's longest,
+  // so it starts first instead of running alone as the tail; the rest
+  // keep cell order. Results still land in slot [cell index].
+  std::vector<std::size_t> dispatch(cells.size());
+  std::iota(dispatch.begin(), dispatch.end(), std::size_t{0});
+  std::stable_partition(dispatch.begin(), dispatch.end(),
+                        [&](std::size_t i) { return cells[i].algo == nullptr; });
+
   std::vector<CellResult> slots(cells.size());
   const auto sweep_t0 = Clock::now();
   sim::ShardRunner runner(host_threads);
-  runner.run(cells.size(), [&](sim::ShardId cell_id) {
+  runner.run(cells.size(), [&](sim::ShardId shard) {
+    const std::size_t cell_id = dispatch[shard];
     const Cell& cell = cells[cell_id];
     CellResult& res = slots[cell_id];
     if (cell.algo != nullptr) {
@@ -179,7 +189,7 @@ int main(int argc, char** argv) {
         policy.telemetry = {};
         mem::SimHeap heap;
         htm::DesMachine machine(config, kind, threads, heap, seed);
-        machine.bind_shard(cell_id);
+        machine.bind_shard(shard);
         bench::ScopedFault fault(machine, fault_spec, seed);
         // Time the run_* call alone, not the report built after it.
         double seconds = 0;
@@ -211,7 +221,7 @@ int main(int argc, char** argv) {
       const graph::Block1D part(in.g.num_vertices(), nodes);
       mem::SimHeap heap;
       net::Cluster cluster(config, kind, nodes, per_node, heap, seed);
-      cluster.machine().bind_shard(cell_id);
+      cluster.machine().bind_shard(shard);
       bench::ScopedFault fault(cluster, fault_spec, seed);
       algorithms::DistPrOptions o;
       o.iterations = 3;

@@ -172,11 +172,12 @@ bool validate_bfs_tree(const graph::Graph& graph, graph::Vertex root,
     const bool visited = parent[v] != kInvalidVertex;
     if (reachable != visited) return false;
     if (!visited || v == root) continue;
-    // The parent edge must exist...
+    // The parent edge must exist (rows are sorted, so a hub parent costs
+    // a binary search, not a scan of its row)...
     const Vertex p = parent[v];
     if (p >= graph.num_vertices()) return false;
     const auto nbrs = graph.neighbors(p);
-    if (std::find(nbrs.begin(), nbrs.end(), v) == nbrs.end()) return false;
+    if (!std::binary_search(nbrs.begin(), nbrs.end(), v)) return false;
     // ...and the parent must sit exactly one BFS level above.
     if (levels[p] + 1 != levels[v]) return false;
   }

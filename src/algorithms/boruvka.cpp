@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <unordered_map>
 
 #include "algorithms/operators.hpp"
 #include "core/executor_impl.hpp"
@@ -46,22 +48,52 @@ struct MinEdge {
   MergeEdge edge;
 };
 
-/// Keeps the lighter of `m` and the entry for its component in `mins`.
-void upsert_min(std::vector<MinEdge>& mins, const MinEdge& m) {
-  for (MinEdge& cur : mins) {
-    if (cur.root == m.root) {
-      if (lighter(m.edge, cur.edge)) cur.edge = m.edge;
-      return;
+/// A worker's lightest outgoing edge per component, in first-appearance
+/// order (which fixes the order of the round's merges, and so its
+/// batches), with an index from root to position. The index is derived
+/// state: checkpoints hold only the entries, and the index is rebuilt
+/// from them.
+class MinEdges {
+ public:
+  const std::vector<MinEdge>& entries() const { return entries_; }
+
+  /// Keeps the lighter of `m` and the entry for its component.
+  void upsert(const MinEdge& m) {
+    const auto [it, fresh] = slot_.try_emplace(
+        m.root, static_cast<std::uint32_t>(entries_.size()));
+    if (fresh) {
+      entries_.push_back(m);
+    } else if (lighter(m.edge, entries_[it->second].edge)) {
+      entries_[it->second].edge = m.edge;
     }
   }
-  mins.push_back(m);
-}
+
+  void clear() {
+    entries_.clear();
+    slot_.clear();
+  }
+
+  /// Checkpoint support. Rebuilding the index is what a restore needs;
+  /// after a save it rebuilds the same index.
+  template <typename IO>
+  void durable(IO&& io) {
+    io(entries_);
+    slot_.clear();
+    for (std::uint32_t i = 0; i < entries_.size(); ++i) {
+      slot_.emplace(entries_[i].root, i);
+    }
+  }
+
+ private:
+  std::vector<MinEdge> entries_;
+  std::unordered_map<Vertex, std::uint32_t> slot_;
+};
 
 class BoruvkaWorker : public htm::Worker {
  public:
   explicit BoruvkaWorker(BoruvkaState& state) : state_(state) {}
 
-  std::vector<MinEdge>& min_edges() { return min_edges_; }
+  MinEdges& min_edges() { return min_edges_; }
 
   bool next(htm::ThreadCtx& ctx) override {
     return state_.scanning_phase ? scan_step(ctx) : merge_step(ctx);
@@ -70,7 +102,7 @@ class BoruvkaWorker : public htm::Worker {
   // Checkpoint support; batch_ is never live at a safe instant.
   template <typename IO>
   void durable(IO&& io) {
-    io(min_edges_);
+    min_edges_.durable(io);
   }
 
  private:
@@ -88,14 +120,18 @@ class BoruvkaWorker : public htm::Worker {
       const Vertex rv = find_root(ctx, v);
       const auto nbrs = g.neighbors(v);
       const auto ws = g.weights(v);
+      // v's lightest outgoing edge; one upsert per vertex, since all of
+      // v's edges share its root.
+      std::optional<MergeEdge> best;
       for (std::size_t e = 0; e < nbrs.size(); ++e) {
         const Vertex w = nbrs[e];
         if (find_root(ctx, w) == rv) continue;  // internal edge
         const MergeEdge cand{v, w, ws[e],
                              static_cast<std::uint64_t>(
                                  std::min(v, w)) << 32 | std::max(v, w)};
-        upsert_min(min_edges_, {rv, cand});
+        if (!best || lighter(cand, *best)) best = cand;
       }
+      if (best) min_edges_.upsert({rv, *best});
     }
     return true;
   }
@@ -146,7 +182,7 @@ class BoruvkaWorker : public htm::Worker {
   }
 
   BoruvkaState& state_;
-  std::vector<MinEdge> min_edges_;
+  MinEdges min_edges_;
   std::vector<MergeEdge> batch_;
 };
 
@@ -172,21 +208,34 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
 
   BoruvkaResult result;
   std::uint64_t merges_before_round = 0;
+  constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> best_slot(n, kNoSlot);
   runner.run(
       options.barrier_cost_ns,
       [&](int) { return BoruvkaWorker(state); },
       [&] {
         if (state.scanning_phase) {
           // Reduce the per-thread minima into one candidate edge per
-          // component, in worker order.
-          std::vector<MinEdge> best;
+          // component, in first-appearance order over the workers in
+          // worker order. best_slot maps a root to its merge and is all
+          // kNoSlot again once the round's merges are formed.
+          state.merges.clear();
+          std::vector<Vertex> roots;
           for (auto& w : runner.workers()) {
-            for (const MinEdge& m : w.min_edges()) upsert_min(best, m);
+            for (const MinEdge& m : w.min_edges().entries()) {
+              std::uint32_t& slot = best_slot[m.root];
+              if (slot == kNoSlot) {
+                slot = static_cast<std::uint32_t>(state.merges.size());
+                state.merges.push_back(m.edge);
+                roots.push_back(m.root);
+              } else if (lighter(m.edge, state.merges[slot])) {
+                state.merges[slot] = m.edge;
+              }
+            }
             w.min_edges().clear();
           }
-          if (best.empty()) return false;  // forest complete
-          state.merges.clear();
-          for (const MinEdge& m : best) state.merges.push_back(m.edge);
+          for (const Vertex r : roots) best_slot[r] = kNoSlot;
+          if (state.merges.empty()) return false;  // forest complete
           state.scanning_phase = false;
           merges_before_round = state.edges_in_forest;
           merge_cursor.reset_direct();

@@ -15,6 +15,8 @@ struct Arc {
   float weight;
 };
 
+// Sorting by (src, dst) lays out the rows and sorts each one: the
+// sorted-row invariant of csr.hpp rests on this sort.
 Graph build(Vertex n, std::vector<Arc>& arcs, bool dedupe, bool weighted,
             std::vector<std::uint64_t>& offsets, std::vector<Vertex>& adj,
             std::vector<float>& weights) {

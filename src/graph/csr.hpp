@@ -7,6 +7,10 @@
 // MST, coloring all mutate per-vertex *state*, not the topology — Boruvka
 // operates on a separate mutable supervertex structure). Vertex state
 // arrays live on the SimHeap; the topology lives in ordinary host memory.
+//
+// Every row is sorted ascending by target vertex (strictly ascending when
+// duplicates are removed), whichever constructor built it: membership
+// tests may binary-search neighbors(v).
 
 #include <cstdint>
 #include <span>
@@ -47,6 +51,7 @@ class Graph {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
+  /// v's targets, sorted ascending.
   std::span<const Vertex> neighbors(Vertex v) const {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }

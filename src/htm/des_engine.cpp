@@ -265,6 +265,16 @@ void DesMachine::enter_run() {
   for (std::uint32_t t = 0; t < threads_.size(); ++t) wake(t);
 }
 
+bool DesMachine::resume_after_quiescence() {
+  if (!quiescence_ || !quiescence_(*this)) return false;
+  AAM_CHECK_MSG(!queue_.empty(),
+                "quiescence hook returned true without injecting work");
+  // The hook ran single-threaded between rounds (next-round resets,
+  // frontier swaps), like host code between runs.
+  if (write_observer_ != nullptr) write_observer_->on_run_start();
+  return true;
+}
+
 void DesMachine::run() {
   enter_run();
   // Run entry is always a safe instant: no transactions are in flight yet.
@@ -306,9 +316,7 @@ void DesMachine::run() {
     if (recovery_ != nullptr && checkpoint_safe()) {
       recovery_->on_quiescence(*this);
     }
-    if (!quiescence_ || !quiescence_(*this)) break;
-    AAM_CHECK_MSG(!queue_.empty(),
-                  "quiescence hook returned true without injecting work");
+    if (!resume_after_quiescence()) break;
   }
 }
 
@@ -365,9 +373,7 @@ void DesMachine::run_controlled(sim::ScheduleController& controller) {
   drain();
   while (true) {
     if (frontier.empty()) {
-      if (!quiescence_ || !quiescence_(*this)) break;
-      AAM_CHECK_MSG(!queue_.empty(),
-                    "quiescence hook returned true without injecting work");
+      if (!resume_after_quiescence()) break;
       drain();
       continue;
     }

@@ -373,7 +373,8 @@ class DesMachine {
   std::uint32_t conflict_shift() const { return conflict_shift_; }
 
   /// Registers (or clears, with nullptr) the observer notified of every
-  /// modelled write that reaches committed memory and of each run() entry.
+  /// modelled write that reaches committed memory, of each run() entry and
+  /// of each quiescence hook that injects more work.
   /// Not owned; used by check::Checker's escaped-write detector. Costs one
   /// predictable branch per committed write when unset.
   void set_write_observer(mem::WriteObserver* observer) {
@@ -426,6 +427,12 @@ class DesMachine {
   /// Entry protocol shared by run() and run_controlled(): observer
   /// notification, progress stamp, waking every worker.
   void enter_run();
+
+  /// Quiescence protocol shared by run() and run_controlled(): consults
+  /// the hook and returns whether it injected more work. A hook that did
+  /// is treated like the instant between two runs: the write observer is
+  /// resynchronised, so the hook's host writes are sanctioned.
+  bool resume_after_quiescence();
 
   /// Per-thread engine state. Defined here (not in the .cpp) so the
   /// accessor hot paths below can inline straight into operator bodies.

@@ -207,9 +207,10 @@ class WriteObserver {
   virtual void on_legitimate_write(std::uint64_t offset,
                                    std::uint32_t len) = 0;
 
-  /// The machine is (re)entering its event loop. Host-side setup writes
-  /// made since the previous run (initialisation, inter-phase fixups) are
-  /// single-threaded and therefore sanctioned wholesale.
+  /// The machine is (re)entering its event loop, or resuming it after a
+  /// quiescence hook injected more work. Host-side writes made since the
+  /// previous run or round (initialisation, inter-phase fixups, next-round
+  /// resets) are single-threaded and therefore sanctioned wholesale.
   virtual void on_run_start() = 0;
 };
 

@@ -140,6 +140,44 @@ TEST(Bfs, LevelTimesSumToTotal) {
                   r.level_times_ns.size() + 1));
 }
 
+// validate_bfs_tree rejects each way a parent array can be wrong. The
+// graph: root 0 with children hub 1 and vertex 2, adjacent to each other;
+// the hub's long row holds 0, 2 and every even id in [4, 2002]; vertex 2's
+// only child is the odd id 1001; vertex 2003 is isolated.
+TEST(Bfs, ValidateRejectsBadParents) {
+  constexpr Vertex kRoot = 0, kHub = 1, kSide = 2, kOdd = 1001,
+                   kIsolated = 2003;
+  graph::EdgeList edges = {{kRoot, kHub}, {kRoot, kSide}, {kHub, kSide},
+                           {kSide, kOdd}};
+  for (Vertex leaf = 4; leaf <= 2002; leaf += 2) edges.emplace_back(kHub, leaf);
+  const Graph g = Graph::from_edges(kIsolated + 1, edges, true);
+  ASSERT_GT(g.degree(kHub), 1000u);
+
+  std::vector<Vertex> tree(g.num_vertices(), graph::kInvalidVertex);
+  tree[kRoot] = kRoot;
+  tree[kHub] = kRoot;
+  tree[kSide] = kRoot;
+  tree[kOdd] = kSide;
+  for (Vertex leaf = 4; leaf <= 2002; leaf += 2) tree[leaf] = kHub;
+  ASSERT_TRUE(validate_bfs_tree(g, kRoot, tree));
+
+  // A parent one level up but not adjacent: 1001 sits between the hub's
+  // neighbours 1000 and 1002, in the middle of its row.
+  std::vector<Vertex> bad = tree;
+  bad[kOdd] = kHub;
+  EXPECT_FALSE(validate_bfs_tree(g, kRoot, bad));
+
+  // An adjacent parent one level off: hub and side are both on level 1.
+  bad = tree;
+  bad[kSide] = kHub;
+  EXPECT_FALSE(validate_bfs_tree(g, kRoot, bad));
+
+  // A parented vertex the root cannot reach.
+  bad = tree;
+  bad[kIsolated] = kRoot;
+  EXPECT_FALSE(validate_bfs_tree(g, kRoot, bad));
+}
+
 // ------------------------------------------------------------- PageRank
 
 TEST(PageRank, MatchesSequentialReference) {

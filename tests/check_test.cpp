@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "algorithms/boruvka.hpp"
 #include "algorithms/coloring.hpp"
 #include "algorithms/pagerank.hpp"
+#include "algorithms/pagerank_dist.hpp"
 #include "algorithms/sssp.hpp"
 #include "algorithms/st_connectivity.hpp"
 #include "check/check.hpp"
@@ -23,6 +25,8 @@
 #include "core/runtime.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
+#include "graph/partition.hpp"
+#include "net/cluster.hpp"
 
 namespace aam {
 namespace {
@@ -366,6 +370,77 @@ TEST(Checker, AllAlgorithmsAllMechanismsBothMachinesPassAllChecks) {
           << setup.config->name << "/" << core::to_string(mech);
     }
   }
+}
+
+// Distributed PageRank resets the next iteration's ranks with host writes
+// from its quiescence hook, mid-run. A hook that injects work counts as
+// the instant between runs, so those resets are sanctioned and a clean
+// run reports nothing; a raw write planted inside a later iteration,
+// after the hooks have resynchronised the shadow, is still caught.
+
+// Overwrites the heap double at `offset` at the first event boundary at or
+// after `at_ns`. The engine consults inject_crash at every event boundary,
+// so the write lands mid-iteration without queueing an event of its own
+// (a pending callback would hold off the quiescence hooks).
+class PlantRawWrite final : public htm::FaultHook {
+ public:
+  PlantRawWrite(mem::SimHeap& heap, std::uint64_t offset, double at_ns)
+      : heap_(heap), offset_(offset), at_ns_(at_ns) {}
+  bool inject_other_abort(std::uint32_t, double, double, double&) override {
+    return false;
+  }
+  double slowdown(std::uint32_t, double) override { return 1.0; }
+  bool inject_crash(std::uint32_t, double now_ns) override {
+    if (!planted_ && now_ns >= at_ns_) {
+      const double escaped = -1.0;  // raw escape: must be flagged
+      std::memcpy(heap_.addr_of(offset_), &escaped, sizeof escaped);
+      planted_ = true;
+    }
+    return false;
+  }
+
+ private:
+  mem::SimHeap& heap_;
+  std::uint64_t offset_;
+  double at_ns_;
+  bool planted_ = false;
+};
+
+TEST(Checker, DistributedPagerankRacesSanctionHookWritesOnly) {
+  util::Rng rng(3);
+  const graph::Graph g = graph::erdos_renyi(512, 0.02, rng);
+  const graph::Block1D part(g.num_vertices(), 4);
+  algorithms::DistPrOptions o;
+  o.iterations = 4;
+  // Returns the checker's violations and the makespan; with
+  // `plant_at_ns` >= 0 the first word of the first rank array is
+  // overwritten raw at that virtual time.
+  const auto run = [&](double plant_at_ns) {
+    mem::SimHeap heap;
+    net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 4, heap, 1);
+    check::Checker checker(cluster.machine(), {.races = true});
+    // run_distributed_pagerank allocates its two rank arrays first; the
+    // first one is only read during the third iteration.
+    const std::uint64_t rank_offset =
+        (heap.used_bytes() + alignof(double) - 1) & ~(alignof(double) - 1);
+    PlantRawWrite plant(heap, rank_offset, plant_at_ns);
+    if (plant_at_ns >= 0) cluster.machine().set_fault_hook(&plant);
+    o.recorder = &checker;
+    const auto r = algorithms::run_distributed_pagerank(cluster, g, part, o);
+    EXPECT_GT(checker.batches_checked(), 0u);
+    return std::pair(checker.violations(), r.total_time_ns);
+  };
+
+  const auto [clean, makespan] = run(-1);
+  EXPECT_TRUE(clean.empty()) << clean.size() << " violations, first: "
+                             << clean.front().detail;
+
+  // The middle of the third of four iterations.
+  const auto planted = run(makespan * 0.625).first;
+  ASSERT_EQ(planted.size(), 1u);
+  EXPECT_EQ(planted.front().kind, check::Violation::Kind::kEscapedWrite);
+  EXPECT_NE(planted.front().detail.find("pagerank.rank"), std::string::npos)
+      << planted.front().detail;
 }
 
 }  // namespace

@@ -67,6 +67,48 @@ TEST(Csr, AvgDegree) {
   EXPECT_DOUBLE_EQ(g.avg_degree(), 6.0 / 4.0);
 }
 
+/// csr.hpp's row invariant: every row ascending, strictly when the build
+/// removed duplicates.
+void expect_rows_sorted(const Graph& g, bool strict) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto row = g.neighbors(v);
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      if (strict) {
+        ASSERT_LT(row[i - 1], row[i]) << "row " << v;
+      } else {
+        ASSERT_LE(row[i - 1], row[i]) << "row " << v;
+      }
+    }
+  }
+}
+
+/// Edges in a random order, with duplicates and self-loops.
+EdgeList scrambled_edges(Vertex n, std::size_t count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  EdgeList edges;
+  for (std::size_t i = 0; i < count; ++i) {
+    edges.emplace_back(static_cast<Vertex>(rng.next_below(n)),
+                       static_cast<Vertex>(rng.next_below(n)));
+  }
+  return edges;
+}
+
+TEST(Csr, RowsSortedOnEveryConstructor) {
+  const EdgeList edges = scrambled_edges(50, 2000, 3);
+  for (const bool undirected : {false, true}) {
+    SCOPED_TRACE(undirected);
+    const Graph deduped = Graph::from_edges(50, edges, undirected);
+    expect_rows_sorted(deduped, /*strict=*/true);
+    const Graph kept =
+        Graph::from_edges(50, edges, undirected, /*dedupe=*/false);
+    EXPECT_GT(kept.num_edges(), deduped.num_edges());  // duplicates kept
+    expect_rows_sorted(kept, /*strict=*/false);
+    const Graph weighted = Graph::from_weighted_edges(
+        50, edges, std::vector<float>(edges.size(), 1.0f), undirected);
+    expect_rows_sorted(weighted, /*strict=*/true);
+  }
+}
+
 // ----------------------------------------------------------- Generators
 
 TEST(Generators, KroneckerSizeAndDeterminism) {
@@ -196,6 +238,20 @@ std::string write_temp(const std::string& name, const char* text) {
   std::fputs(text, f);
   std::fclose(f);
   return path;
+}
+
+TEST(Io, LoadedRowsSorted) {
+  // Descending ids and a repeated edge, compacted and zero-based.
+  const std::string path = write_temp(
+      "aam_io_sorted.el", "9 3\n9 1\n9 7\n3 1\n9 3\n7 1\n1 9\n");
+  for (const bool zero_based : {false, true}) {
+    SCOPED_TRACE(zero_based);
+    LoadOptions opt;
+    opt.zero_based = zero_based;
+    const Graph g = load_edge_list(path, opt);
+    expect_rows_sorted(g, /*strict=*/true);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Io, AcceptsExtraTrailingColumns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/bfs.hpp"
@@ -208,6 +209,117 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// Boruvka's per-worker minima are non-empty only inside a scan phase,
+// and their root index is rebuilt on restore, not checkpointed. Pin the
+// crash inside the second scan phase, where components span several
+// chunks, with checkpoints dense enough that the restored one is taken
+// after that phase's first scan step: the restore brings back non-empty
+// minima, and the replayed scans upsert into them through the rebuilt
+// index. An index left over from the crashed timeline would drop minima
+// and change the run.
+
+/// Forwards to a RecoveryManager and records the simulated instants of
+/// quiescences, of sealed checkpoints and of the checkpoint each crash
+/// restores.
+class RecoveryProbe final : public htm::RecoveryClient {
+ public:
+  RecoveryProbe(htm::DesMachine& machine, RecoveryManager& inner)
+      : machine_(machine), inner_(inner) {
+    machine_.set_recovery_client(this);
+  }
+  ~RecoveryProbe() override { machine_.set_recovery_client(&inner_); }
+
+  std::vector<double> quiescences;
+  std::vector<double> restored_checkpoints;
+
+  void on_run_entry(htm::DesMachine& m) override {
+    inner_.on_run_entry(m);
+    note_checkpoint(m);
+  }
+  void on_quiescence(htm::DesMachine& m) override {
+    quiescences.push_back(m.now());
+    inner_.on_quiescence(m);
+    note_checkpoint(m);
+  }
+  void on_event_boundary(htm::DesMachine& m) override {
+    inner_.on_event_boundary(m);
+    note_checkpoint(m);
+  }
+  bool on_crash(htm::DesMachine& m, const htm::CrashDiagnostic& d) override {
+    restored_checkpoints.push_back(last_checkpoint_ns_);
+    return inner_.on_crash(m, d);
+  }
+  std::uint64_t register_host_state(htm::HostStateFns fns) override {
+    return inner_.register_host_state(std::move(fns));
+  }
+  void unregister_host_state(std::uint64_t token) override {
+    inner_.unregister_host_state(token);
+  }
+  std::uint64_t last_checkpoint_id() const override {
+    return inner_.last_checkpoint_id();
+  }
+  std::uint64_t inflight_messages() const override {
+    return inner_.inflight_messages();
+  }
+
+ private:
+  void note_checkpoint(const htm::DesMachine& m) {
+    if (inner_.stats().checkpoints != checkpoints_seen_) {
+      checkpoints_seen_ = inner_.stats().checkpoints;
+      last_checkpoint_ns_ = m.now();
+    }
+  }
+
+  htm::DesMachine& machine_;
+  RecoveryManager& inner_;
+  std::uint64_t checkpoints_seen_ = 0;
+  double last_checkpoint_ns_ = -1;
+};
+
+TEST(Recovery, BoruvkaCrashMidScanRestoresMinimaBitExactly) {
+  const std::uint64_t seed = 5;
+  const auto entries = algorithms::registry();
+  const auto entry = std::find_if(
+      entries.begin(), entries.end(),
+      [](const auto& e) { return std::string_view(e.name) == "boruvka"; });
+  ASSERT_NE(entry, entries.end());
+  // 16 scan chunks of 256 vertices over 8 workers.
+  const algorithms::Inputs in = algorithms::make_inputs(
+      {.weighted_vertices = 4096, .weighted_p = 0.003});
+
+  // Fault-free run. Quiescences alternate between the end of a scan
+  // phase and the end of a merge phase.
+  mem::SimHeap base_heap;
+  htm::DesMachine base(model::has_c(), model::HtmKind::kRtm, 8, base_heap,
+                       seed);
+  RecoveryManager base_rec(base, RecoveryOptions{0});
+  RecoveryProbe base_probe(base, base_rec);
+  const algorithms::RunReport want = entry->run(base, in, entry->exec);
+  ASSERT_GE(base_probe.quiescences.size(), 4u);
+  const double scan_begin = base_probe.quiescences[1];
+  const double scan_end = base_probe.quiescences[2];
+
+  mem::SimHeap heap;
+  htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap, seed);
+  fault::FaultPlan plan = fault::parse("crash-restart", model::has_c().fault);
+  plan.crash_at_ns = (scan_begin + scan_end) / 2;
+  plan.crash_ckpt_ns = (scan_end - scan_begin) / 16;
+  fault::FaultInjector inj(plan, seed, machine.num_threads());
+  inj.attach(machine);
+  RecoveryManager rec(machine, RecoveryOptions{plan.crash_ckpt_ns});
+  RecoveryProbe probe(machine, rec);
+  const algorithms::RunReport got = entry->run(machine, in, entry->exec);
+
+  // Every event of the phase follows one of its scan steps, which leave
+  // their worker's minima non-empty until the next round hook.
+  ASSERT_FALSE(probe.restored_checkpoints.empty());
+  EXPECT_GT(probe.restored_checkpoints.front(), scan_begin);
+  EXPECT_LE(probe.restored_checkpoints.front(), scan_end);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.sim_ns, want.sim_ns);
+  EXPECT_EQ(got.stats, want.stats);
+}
 
 // ---------------------------------------------------------------------------
 // Crash recovery, distributed: crashes under a lossy network must keep the
