@@ -43,7 +43,7 @@ void BM_EpochSetInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_EpochSetInsert)->Arg(16)->Arg(256);
 
-void BM_WordMapWriteBuffer(benchmark::State& state) {
+void BM_WordMapInsert(benchmark::State& state) {
   mem::WordMap map(1024);
   const auto batch = static_cast<std::uintptr_t>(state.range(0));
   for (auto _ : state) {
@@ -57,7 +57,7 @@ void BM_WordMapWriteBuffer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_WordMapWriteBuffer)->Arg(16)->Arg(256);
+BENCHMARK(BM_WordMapInsert)->Arg(16)->Arg(256);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   sim::EventQueue queue;

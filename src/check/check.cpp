@@ -150,6 +150,13 @@ void Checker::on_run_start() {
   legit_.clear();
 }
 
+void Checker::on_quiescence() {
+  // A write made after the round's last batch scan would otherwise be
+  // sanctioned by the resynchronisation that follows a hook, or by the
+  // next run's entry.
+  scan_shadow(batches_ == 0 ? 0 : batches_ - 1);
+}
+
 void Checker::on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
                             std::uint64_t count,
                             std::span<const std::uint64_t> results) {

@@ -119,6 +119,7 @@ class Checker final : public core::BatchRecorder, public mem::WriteObserver {
   // mem::WriteObserver (registered on the machine only in races mode)
   void on_legitimate_write(std::uint64_t offset, std::uint32_t len) override;
   void on_run_start() override;
+  void on_quiescence() override;
 
   const CheckConfig& config() const { return config_; }
   htm::DesMachine& machine() { return machine_; }

@@ -46,6 +46,7 @@ void Txn::cover_heap_address(std::uintptr_t addr) {
   // Allocated after the attempt began.
   m.footprints_.cover(m.heap_.used_bytes());
   covered_bytes_ = m.footprints_.covered_bytes();
+  word_slots_ = m.footprints_.word_slots();
 }
 
 // ---------------------------------------------------------------------------
@@ -266,6 +267,9 @@ void DesMachine::enter_run() {
 }
 
 bool DesMachine::resume_after_quiescence() {
+  // The round's writes are all made: the observer audits them before the
+  // hook's host writes are sanctioned below.
+  if (write_observer_ != nullptr) write_observer_->on_quiescence();
   if (!quiescence_ || !quiescence_(*this)) return false;
   AAM_CHECK_MSG(!queue_.empty(),
                 "quiescence hook returned true without injecting work");
@@ -509,9 +513,10 @@ void DesMachine::begin_footprint(ThreadState& ts, double start,
     tx.load_ns_ = costs_.read_ns + a.load_ns;
     tx.store_ns_ = costs_.write_ns + a.store_ns;
   }
-  tx.write_buffer_.clear();
+  tx.write_log_.clear();
   footprints_.cover(heap_.used_bytes());
   tx.covered_bytes_ = footprints_.covered_bytes();
+  tx.word_slots_ = footprints_.word_slots();
   tx.tracker_.begin_attempt();
 }
 
@@ -647,10 +652,7 @@ void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
     return;
   }
 
-  ts.txn.write_buffer_.for_each(
-      [this](std::uintptr_t addr, std::uint64_t word) {
-        write_committed_word(addr, word);
-      });
+  write_back(ts.txn);
   for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
     bump_unit(unit);
   }
@@ -736,7 +738,7 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
     AAM_CHECK_MSG(a.reason == AbortReason::kExplicit,
                   "non-explicit abort on the serialized path");
     aborted = true;
-    ts.txn.write_buffer_.clear();
+    ts.txn.write_log_.clear();
   }
   (void)aborted;
 
@@ -753,10 +755,7 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
 void DesMachine::on_serial_commit(std::uint32_t tid) {
   auto& ts = *threads_[tid];
   const double end = now_;
-  ts.txn.write_buffer_.for_each(
-      [this](std::uintptr_t addr, std::uint64_t word) {
-        write_committed_word(addr, word);
-      });
+  write_back(ts.txn);
   for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
     bump_unit(unit);
   }
@@ -825,8 +824,8 @@ void DesMachine::finish_txn(std::uint32_t tid, bool serialized,
 //     its own checkpointed protocol state.
 //   * EventQueue::next_seq_ and events_processed_: only the *relative*
 //     order of re-pushed events matters; both keep counting up.
-//   * In-flight transaction scratch (write buffers, trackers): dead at a
-//     safe instant by definition.
+//   * In-flight transaction scratch (write logs, trackers, the footprint
+//     table's tags and write index): dead at a safe instant by definition.
 
 void DesMachine::save_core(util::BlobWriter& w) const {
   AAM_CHECK_MSG(checkpoint_safe(), "save_core outside a safe instant");
@@ -922,7 +921,7 @@ void DesMachine::restore_core(util::BlobReader& r) {
     ts.aborts_this_txn = 0;
     ts.capacity_aborts_this_txn = 0;
     ts.escalated_this_txn = false;
-    ts.txn.write_buffer_.clear();
+    ts.txn.write_log_.clear();
   }
 
   const std::uint64_t num_domains = r.get<std::uint64_t>();

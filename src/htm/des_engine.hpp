@@ -122,19 +122,29 @@ class Txn {
   /// to memory allocated since the attempt began and refreshes the cache.
   void cover_heap_address(std::uintptr_t addr);
 
+  /// One buffered word: its address and the value commit writes back.
+  struct LoggedWord {
+    std::uintptr_t addr = 0;
+    std::uint64_t value = 0;
+  };
+
   DesMachine* machine_ = nullptr;
   std::uintptr_t heap_base_ = 0;
 
   // The attempt's access path, set up by DesMachine::begin_footprint(): the
-  // per-access charges of its path (speculative or serialized), a copy of
-  // the footprint table's cover, and the attempt-scoped footprint.
+  // per-access charges of its path (speculative or serialized), copies of
+  // the footprint table's cover and write index, and the attempt-scoped
+  // footprint.
   double start_ = 0;
   bool serialized_ = false;
   std::size_t covered_bytes_ = 0;  ///< FootprintTable::covered_bytes() copy
+  std::uint32_t* word_slots_ = nullptr;  ///< FootprintTable::word_slots() copy
   double load_ns_ = 0;   ///< charge per load
   double store_ns_ = 0;  ///< charge per store
   double duration_ = 0;  ///< accumulated cost of the attempt
-  mem::WordMap write_buffer_;
+  /// The redo log: the attempt's buffered words in first-write order, which
+  /// is the order commit writes them back in. word_slots_ finds an entry.
+  std::vector<LoggedWord> write_log_;
   mem::FootprintTracker tracker_;
 };
 
@@ -400,6 +410,10 @@ class DesMachine {
   /// read/write sets against the accesses the operator actually made.
   const mem::FootprintTracker& thread_footprint(std::uint32_t tid) const;
 
+  /// The machine's shared footprint table; its cover stays zero until the
+  /// first transactional attempt.
+  const mem::FootprintTable& footprint_table() const { return footprints_; }
+
   /// Marks the conflict unit containing `p` as committed "now" in
   /// processing order: bumps the global commit stamp onto it so that
   /// overlapping transactions abort. Two events at the same virtual
@@ -428,10 +442,11 @@ class DesMachine {
   /// notification, progress stamp, waking every worker.
   void enter_run();
 
-  /// Quiescence protocol shared by run() and run_controlled(): consults
-  /// the hook and returns whether it injected more work. A hook that did
-  /// is treated like the instant between two runs: the write observer is
-  /// resynchronised, so the hook's host writes are sanctioned.
+  /// Quiescence protocol shared by run() and run_controlled(): tells the
+  /// write observer the round is over, consults the hook and returns
+  /// whether it injected more work. A hook that did is treated like the
+  /// instant between two runs: the write observer is resynchronised, so
+  /// the hook's host writes are sanctioned.
   bool resume_after_quiescence();
 
   /// Per-thread engine state. Defined here (not in the .cpp) so the
@@ -474,12 +489,14 @@ class DesMachine {
   /// footprint, charging the costs of the speculative or serialized path.
   void begin_footprint(ThreadState& ts, double start, bool serialized);
 
-  /// Commit write-back of one buffered word.
-  void write_committed_word(std::uintptr_t addr, std::uint64_t word) {
-    std::memcpy(reinterpret_cast<void*>(addr), &word, 8);
-    if (write_observer_ != nullptr) {
-      write_observer_->on_legitimate_write(
-          heap_.offset_of(reinterpret_cast<const void*>(addr)), 8);
+  /// Commit write-back of `tx`'s buffered words, in first-write order.
+  void write_back(const Txn& tx) {
+    for (const Txn::LoggedWord& w : tx.write_log_) {
+      std::memcpy(reinterpret_cast<void*>(w.addr), &w.value, 8);
+      if (write_observer_ != nullptr) {
+        write_observer_->on_legitimate_write(
+            heap_.offset_of(reinterpret_cast<const void*>(w.addr)), 8);
+      }
     }
   }
 
@@ -527,10 +544,10 @@ class DesMachine {
   void bump_unit(std::uint64_t unit) {
     unit_stamps_[unit] = ++commit_stamp_;
   }
-  /// First-touch dedup for every thread's tracker, covering the heap's
-  /// used prefix from the first attempt on. One table serves the whole
-  /// machine because attempt_speculative() and enter_serialized() run
-  /// each body synchronously, one at a time.
+  /// First-touch dedup and the write index for every thread's attempt,
+  /// covering the heap's used prefix from the first attempt on. One table
+  /// serves the whole machine because attempt_speculative() and
+  /// enter_serialized() run each body synchronously, one at a time.
   mem::FootprintTable footprints_;
 
   mem::WriteObserver* write_observer_ = nullptr;
@@ -582,17 +599,28 @@ inline std::uint64_t Txn::load_word(std::uintptr_t addr) {
   return current_word(offset, addr);
 }
 
+// The write log is found through the machine-wide write index, which only
+// the running body reads. A slot is this attempt's exactly when it names a
+// log entry holding the same word: every word this attempt wrote had its
+// slot set during this body, and no other body has run since. A slot left
+// by another body either points past this log or at an entry for another
+// word, because this log holds each word once, at the position its slot
+// was set to.
+
 inline std::uint64_t Txn::current_word(std::uint64_t offset,
                                        std::uintptr_t addr) const {
   // Every buffered word lies in a unit this attempt wrote (store_word
   // records the write before buffering), so an unwritten unit skips the
-  // write-buffer probe.
+  // write-index probe.
   const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
-  std::uint64_t word;
-  if (!tracker_.wrote_unit(offset) ||
-      !write_buffer_.lookup(word_addr, word)) {
-    std::memcpy(&word, reinterpret_cast<const void*>(word_addr), 8);
+  if (tracker_.wrote_unit(offset)) {
+    const std::uint32_t i = word_slots_[offset >> 3];
+    if (i < write_log_.size() && write_log_[i].addr == word_addr) {
+      return write_log_[i].value;
+    }
   }
+  std::uint64_t word;
+  std::memcpy(&word, reinterpret_cast<const void*>(word_addr), 8);
   return word;
 }
 
@@ -603,7 +631,14 @@ inline void Txn::store_word(std::uint64_t offset, std::uintptr_t addr,
       !serialized_) [[unlikely]] {
     throw TxAbort{AbortReason::kCapacity};
   }
-  write_buffer_.insert_or_assign(addr & ~std::uintptr_t{7}, word);
+  const std::uintptr_t word_addr = addr & ~std::uintptr_t{7};
+  std::uint32_t& slot = word_slots_[offset >> 3];
+  if (slot < write_log_.size() && write_log_[slot].addr == word_addr) {
+    write_log_[slot].value = word;
+    return;
+  }
+  slot = static_cast<std::uint32_t>(write_log_.size());
+  write_log_.push_back(LoggedWord{word_addr, word});
 }
 
 inline void ThreadCtx::charge_load() {

@@ -58,6 +58,13 @@ void FootprintTable::cover(std::size_t bytes) {
   covered_bytes_ = bytes;
   unit_tags_.resize((bytes >> conflict_shift_) + 1, 0);
   line_tags_.resize(bytes / kLineBytes + 1, 0);
+  word_slots_.resize((bytes >> 3) + 1, 0);
+}
+
+void FootprintTable::fit_sets(std::uint32_t sets) {
+  if (sets <= set_count_.size()) return;
+  set_count_.resize(sets, 0);
+  set_serial_.resize(sets, 0);
 }
 
 std::uint64_t FootprintTable::begin_attempt() {
@@ -82,9 +89,7 @@ void FootprintTracker::configure(FootprintTable& table,
   read_tag_ = 0;
   write_geom_ = write_geometry;
   read_capacity_lines_ = read_capacity_lines;
-  set_count_.assign(write_geom_.sets, 0);
-  set_epoch_.assign(write_geom_.sets, 0);
-  epoch_ = 1;
+  table.fit_sets(write_geom_.sets);
   write_units_.clear();
   read_units_.clear();
   write_lines_ = 0;
@@ -98,7 +103,6 @@ void FootprintTracker::begin_attempt() {
   read_units_.clear();
   write_lines_ = 0;
   read_lines_ = 0;
-  ++epoch_;
 }
 
 FootprintTracker::Add FootprintTracker::first_write(std::uint64_t offset) {
@@ -121,11 +125,11 @@ FootprintTracker::Add FootprintTracker::first_write(std::uint64_t offset) {
   // Physical set index: lines are heap-offset indices, so modulo models a
   // physically-indexed cache.
   const std::size_t set = line % write_geom_.sets;
-  if (set_epoch_[set] != epoch_) {
-    set_epoch_[set] = epoch_;
-    set_count_[set] = 0;
+  if (table_->set_serial_[set] != attempt_) {
+    table_->set_serial_[set] = attempt_;
+    table_->set_count_[set] = 0;
   }
-  if (++set_count_[set] > write_geom_.ways) {
+  if (++table_->set_count_[set] > write_geom_.ways) {
     return Add::kOverflow;  // associativity eviction of speculative state
   }
   return Add::kOk;

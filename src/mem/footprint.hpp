@@ -5,14 +5,18 @@
 // A speculative transaction rebuilds its footprint state from scratch on
 // every (re)execution, so each structure clears in O(1):
 //
-//  * WordMap   — the redo log: word-granularity speculative write buffer
-//                (address -> 8-byte value), iterable for commit.
+//  * WordMap   — a hashed address -> 8-byte value map in insertion order:
+//                the checker recorder's pre-images and overlay.
 //  * EpochSet  — a hashed u64 set: the checker's per-batch word sets.
 //  * FootprintTable / FootprintTracker — the distinct conflict units and
 //                cache lines of one HTM attempt, deduplicated through a
 //                machine-wide dense tag table, with capacity overflows
-//                (the "buffer overflow" abort class of §5).
-
+//                (the "buffer overflow" abort class of §5). The table also
+//                holds the write index of the running body: per heap word,
+//                the word's position in that attempt's write log
+//                (htm::Txn), so the transactional store and load paths
+//                find a buffered word by array index, not by hashing.
+//
 // The accessor hot paths (EpochSet/WordMap probes, FootprintTracker adds)
 // are defined inline here: they run several times per modelled memory
 // access, and the cross-TU call overhead is measurable in end-to-end
@@ -160,9 +164,11 @@ class WordMap {
 /// because transaction bodies run one at a time: the owner of the table is
 /// the attempt that called FootprintTracker::begin_attempt() last, and a
 /// tracker that records a first touch for any other attempt aborts the
-/// process. The tags cover only the heap prefix passed to cover() (a
-/// machine that never starts a transaction allocates none) and are zeroed
-/// when the id wraps.
+/// process. Everything here is scratch of the running body: the tags, the
+/// write geometry's per-set occupancy (stamped by attempt serial) and the
+/// write index (word_slots()). The tags and the index cover only the heap
+/// prefix passed to cover() (a machine that never starts a transaction
+/// allocates none); the tags are zeroed when the id wraps.
 class FootprintTable {
  public:
   /// `conflict_shift` is log2 of the conflict-detection granularity.
@@ -175,33 +181,48 @@ class FootprintTable {
   /// Attempts between two id wraps (each wrap zeroes every tag).
   static constexpr std::uint64_t kAttemptsPerWrap = 0x7fff;
 
-  /// Extends the tags to heap offsets [0, bytes); never shrinks.
+  /// Extends the tags and the write index to heap offsets [0, bytes);
+  /// never shrinks. Invalidates word_slots().
   void cover(std::size_t bytes);
   /// Trackers may add offsets below this.
   std::size_t covered_bytes() const { return covered_bytes_; }
 
   std::uint32_t conflict_shift() const { return conflict_shift_; }
 
+  /// The write index: one slot per 8-byte word of the covered prefix,
+  /// indexed by heap offset >> 3. The running body keeps at the slot of
+  /// each word it wrote that word's position in its write log. Every other
+  /// slot holds zero or a leftover of an earlier body, so a reader must
+  /// confirm a hit against the log entry's address (see htm::Txn).
+  std::uint32_t* word_slots() { return word_slots_.data(); }
+
  private:
   friend class FootprintTracker;
 
   /// Makes a new attempt the owner; returns its serial number.
   std::uint64_t begin_attempt();
+  /// Sizes the per-set occupancy for a write geometry of `sets` sets.
+  void fit_sets(std::uint32_t sets);
 
   std::uint32_t conflict_shift_;
   std::size_t covered_bytes_ = 0;
   std::vector<std::uint16_t> unit_tags_;
   std::vector<std::uint16_t> line_tags_;
+  std::vector<std::uint32_t> word_slots_;
   std::uint64_t attempt_ = 0;  ///< serial of the owning attempt (0: none)
   std::uint16_t read_tag_ = 0;  ///< the owner's tag; read_tag_ | 1 = written
+  /// Written lines per write-geometry set; a count is the owner's only
+  /// when its set_serial_ entry equals the owner's serial.
+  std::vector<std::uint32_t> set_count_;
+  std::vector<std::uint64_t> set_serial_;
 };
 
 /// The footprint of one transactional attempt: the distinct conflict units
 /// it read and wrote (commit validation and stamp bumping) and its distinct
 /// cache lines mapped into the HTM variant's cache geometry (capacity
 /// aborts, the "buffer overflow" class of §5). First-touch dedup lives in
-/// a FootprintTable shared with the machine's other trackers; the tracker
-/// keeps what outlives the body.
+/// a FootprintTable shared with the machine's other trackers, and so does
+/// the per-set occupancy; the tracker keeps what outlives the body.
 class FootprintTracker {
  public:
   FootprintTracker() = default;
@@ -285,11 +306,6 @@ class FootprintTracker {
   std::vector<std::uint64_t> read_units_;
   std::size_t write_lines_ = 0;
   std::size_t read_lines_ = 0;
-
-  // Epoch-stamped per-set occupancy for the write geometry.
-  std::vector<std::uint32_t> set_count_;
-  std::vector<std::uint64_t> set_epoch_;
-  std::uint64_t epoch_ = 1;
 };
 
 }  // namespace aam::mem

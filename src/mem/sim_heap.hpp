@@ -212,6 +212,12 @@ class WriteObserver {
   /// previous run or round (initialisation, inter-phase fixups, next-round
   /// resets) are single-threaded and therefore sanctioned wholesale.
   virtual void on_run_start() = 0;
+
+  /// Every thread is parked and no event is pending, and the machine has
+  /// not yet consulted its quiescence hook: the round's writes are all
+  /// made, and any of them not reported through on_legitimate_write()
+  /// escaped.
+  virtual void on_quiescence() = 0;
 };
 
 /// Per-line contention metadata for the whole heap (the atomics model).

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -178,6 +179,48 @@ TEST(Checker, RacesCatchesEscapedRawWrite) {
   EXPECT_EQ(v.kind, check::Violation::Kind::kEscapedWrite);
   EXPECT_NE(v.detail.find("buggy.data"), std::string::npos) << v.detail;
   EXPECT_NE(report_of(checker).find("escaped-write"), std::string::npos);
+}
+
+// A raw write made inside a run but outside every batch, after the round's
+// last shadow scan, is reported by the scan the checker makes when the
+// machine goes quiescent. Only the quiescence hook's own host writes are
+// sanctioned, by the resynchronisation that follows the hook.
+TEST(Checker, RacesCatchesRawWriteAfterTheRoundsLastScan) {
+  mem::SimHeap heap;
+  htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 1, heap);
+  auto data = heap.alloc<std::uint64_t>(2, "round.data");
+  check::Checker checker(machine, {.races = true});
+  class RoundWorker final : public htm::Worker {
+   public:
+    explicit RoundWorker(std::span<std::uint64_t> data) : data_(data) {}
+    bool next(htm::ThreadCtx& ctx) override {
+      if (rounds_++ == 0) {
+        ctx.store(data_[1], std::uint64_t{5});  // modelled: fine
+        data_[0] = 1;  // raw escape, and no batch scans after it
+      }
+      return false;
+    }
+
+   private:
+    std::span<std::uint64_t> data_;
+    int rounds_ = 0;
+  };
+  RoundWorker worker(data);
+  machine.set_worker(0, &worker);
+  int hooks = 0;
+  machine.set_quiescence_hook([&](htm::DesMachine& m) {
+    if (hooks++ > 0) return false;
+    data[1] = 7;  // a host write between rounds: sanctioned
+    m.wake(0);
+    return true;
+  });
+  machine.run();
+  EXPECT_EQ(hooks, 2);
+  ASSERT_EQ(checker.violations().size(), 1u) << report_of(checker);
+  const auto& v = checker.violations().front();
+  EXPECT_EQ(v.kind, check::Violation::Kind::kEscapedWrite);
+  EXPECT_NE(v.detail.find("round.data"), std::string::npos) << v.detail;
+  EXPECT_EQ(v.offset, heap.offset_of(data.data()));
 }
 
 // An operator that derives its stores from mutable host state outside the

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 
+#include "algorithms/boruvka.hpp"
 #include "graph/analogs.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
 #include "graph/io.hpp"
 #include "graph/partition.hpp"
+#include "htm/des_engine.hpp"
+#include "model/machines.hpp"
 
 namespace aam::graph {
 namespace {
@@ -60,6 +65,50 @@ TEST(Csr, WeightedEdges) {
       EXPECT_FLOAT_EQ(w1[i], 7.0f);
     }
   }
+}
+
+TEST(Csr, DuplicateWeightedEdgesKeepTheMinimumOnBothDirections) {
+  // 200,000 random weighted edges over 300 vertices repeat most pairs many
+  // times, in both orientations and with different weights.
+  constexpr Vertex kN = 300;
+  util::Rng rng(11);
+  EdgeList edges;
+  for (int i = 0; i < 200000; ++i) {
+    edges.emplace_back(static_cast<Vertex>(rng.next_below(kN)),
+                       static_cast<Vertex>(rng.next_below(kN)));
+  }
+  const auto weights = random_weights(edges.size(), 1.0f, 100.0f, rng);
+  const Graph g = Graph::from_weighted_edges(kN, edges, weights, true);
+
+  std::map<std::pair<Vertex, Vertex>, float> lightest;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [u, v] = edges[i];
+    if (u == v) continue;
+    const auto key = std::minmax(u, v);
+    const auto [it, fresh] = lightest.emplace(key, weights[i]);
+    if (!fresh) it->second = std::min(it->second, weights[i]);
+  }
+  ASSERT_EQ(g.num_edges(), 2 * lightest.size());
+  for (Vertex u = 0; u < kN; ++u) {
+    const auto row = g.neighbors(u);
+    const auto ws = g.weights(u);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const Vertex v = row[i];
+      const auto mirror = g.neighbors(v);
+      const auto at = std::lower_bound(mirror.begin(), mirror.end(), u);
+      ASSERT_TRUE(at != mirror.end() && *at == u) << u << "-" << v;
+      const auto back = static_cast<std::size_t>(at - mirror.begin());
+      ASSERT_EQ(ws[i], g.weights(v)[back]) << u << "-" << v;
+      ASSERT_EQ(ws[i], lightest.at(std::minmax(u, v))) << u << "-" << v;
+    }
+  }
+
+  mem::SimHeap heap;
+  htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap);
+  const auto mst = algorithms::run_boruvka(machine, g, {});
+  EXPECT_EQ(mst.edges_in_forest, kN - 1u);
+  // 299 float weights in [1, 100) sum exactly in a double, in any order.
+  EXPECT_EQ(mst.total_weight, algorithms::mst_reference_weight(g));
 }
 
 TEST(Csr, AvgDegree) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "htm/des_engine.hpp"
+#include "sim/schedule.hpp"
+#include "util/blob.hpp"
 
 namespace aam::htm {
 namespace {
@@ -45,6 +50,34 @@ class RepeatOpWorker : public Worker {
   std::function<void(ThreadCtx&)> fn_;
 };
 
+/// Records every committed write the machine reports.
+class WriteRecorder : public mem::WriteObserver {
+ public:
+  void on_legitimate_write(std::uint64_t offset, std::uint32_t len) override {
+    writes.emplace_back(offset, len);
+  }
+  void on_run_start() override {}
+  void on_quiescence() override {}
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> writes;
+};
+
+/// Stages each body once, in order.
+class ScriptWorker : public Worker {
+ public:
+  explicit ScriptWorker(std::vector<TxnBody> bodies)
+      : bodies_(std::move(bodies)) {}
+
+  bool next(ThreadCtx& ctx) override {
+    if (next_ == bodies_.size()) return false;
+    ctx.stage_transaction(bodies_[next_++]);
+    return true;
+  }
+
+ private:
+  std::vector<TxnBody> bodies_;
+  std::size_t next_ = 0;
+};
+
 TEST(DesMachine, SingleThreadTxnCommits) {
   mem::SimHeap heap;
   DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
@@ -83,7 +116,7 @@ TEST(DesMachine, TxnWritesAreBufferedUntilCommit) {
 }
 
 TEST(DesMachine, ReadYourOwnWritesThroughWriteBufferFilter) {
-  // A load consults the write buffer only when this attempt wrote the
+  // A load consults the write log only when this attempt wrote the
   // load's conflict unit. Store word A, then load A (buffered value) and
   // its neighbour B in the same 64 B line (committed value): B shares A's
   // unit on Haswell (64 B units) and not on BG/Q (8 B units). Both paths
@@ -290,19 +323,33 @@ TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {
 }
 
 TEST(DesMachine, SubWordStoresSpliceCorrectly) {
+  const model::MachineConfig config =
+      without_other_aborts(model::has_c(), HtmKind::kRtm);
   mem::SimHeap heap;
-  DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
+  DesMachine m(config, HtmKind::kRtm, 1, heap);
   auto arr = heap.alloc<std::uint32_t>(2);  // shares one 8-byte word
   arr[0] = 0x11111111;
   arr[1] = 0x22222222;
+  WriteRecorder recorder;
+  m.set_write_observer(&recorder);
+  std::uint32_t seen[2] = {0, 0};
   RepeatTxnWorker w(1, [&](Txn& tx) {
     tx.store(arr[0], 0xaaaaaaaau);
     tx.store(arr[1], 0xbbbbbbbbu);
+    seen[0] = tx.load(arr[0]);
+    seen[1] = tx.load(arr[1]);
   });
   m.set_worker(0, &w);
   m.run();
+  EXPECT_EQ(seen[0], 0xaaaaaaaau);
+  EXPECT_EQ(seen[1], 0xbbbbbbbbu);
   EXPECT_EQ(arr[0], 0xaaaaaaaau);
   EXPECT_EQ(arr[1], 0xbbbbbbbbu);
+  // Commit wrote the word back once: both stores share one log entry.
+  ASSERT_EQ(recorder.writes.size(), 1u);
+  EXPECT_EQ(recorder.writes[0],
+            (std::pair<std::uint64_t, std::uint32_t>{heap.offset_of(arr.data()),
+                                                     8u}));
 }
 
 TEST(DesMachine, ConflictingTxnsSerializeCorrectly) {
@@ -629,6 +676,237 @@ TEST(DesMachine, ResetClocksBetweenPhases) {
   m.reset_clocks(0.0, /*clear_stats=*/true);
   EXPECT_DOUBLE_EQ(m.makespan(), 0.0);
   EXPECT_EQ(m.stats().atomic_acc, 0u);
+}
+
+
+// ------------------------------------------------------------ write log
+//
+// A transaction's buffered words live in its own write log, found through
+// the machine-wide write index of the footprint table. Only the running
+// body may read the index; these tests pin the cases where a slot could be
+// stale.
+
+TEST(WriteLog, MidBodyAllocationKeepsBufferedWords) {
+  // The allocation grows the footprint table's cover, and with it the
+  // write index, from a few hundred bytes to megabytes: the words buffered
+  // before the growth must still read back, and so must those after it.
+  for (const CostCase& c : kCostCases) {
+    SCOPED_TRACE(describe(c));
+    const model::MachineConfig config = without_other_aborts(*c.config, c.kind);
+    mem::SimHeap heap;
+    DesMachine m(config, c.kind, 1, heap);
+    auto early = heap.alloc<std::uint64_t>(4, "early");
+    std::span<std::uint64_t> late;
+    bool all_seen = false;
+    RepeatTxnWorker w(1, [&](Txn& tx) {
+      if (c.serialized && !tx.serialized()) tx.abort();
+      for (std::size_t i = 0; i < early.size(); ++i) {
+        tx.store(early[i], std::uint64_t{10 + i});
+      }
+      if (late.empty()) late = heap.alloc<std::uint64_t>(std::size_t{1} << 20);
+      tx.store(late.back(), std::uint64_t{99});
+      tx.store(early[0], std::uint64_t{20});  // updates the early entry
+      bool ok = tx.load(late.back()) == 99 && tx.load(early[0]) == 20;
+      for (std::size_t i = 1; i < early.size(); ++i) {
+        ok = ok && tx.load(early[i]) == 10 + i && early[i] == 0;
+      }
+      all_seen = ok;
+    });
+    m.set_worker(0, &w);
+    m.run();
+    EXPECT_TRUE(all_seen);
+    EXPECT_EQ(early[0], 20u);
+    for (std::size_t i = 1; i < early.size(); ++i) EXPECT_EQ(early[i], 10 + i);
+    EXPECT_EQ(late.back(), 99u);
+  }
+}
+
+TEST(WriteLog, AnotherInFlightBodysWordReadsAsCommitted) {
+  // Thread 0 buffers X and Y (log positions 0 and 1) and is still in
+  // flight when thread 1's body runs. Thread 1 writes W, in Y's line and so
+  // in Y's 64 B conflict unit, which makes its loads of Y consult the write
+  // index. Y's slot holds 1: past thread 1's one-entry log at the first
+  // load, inside its two-entry log (at Z's entry) at the second.
+  const model::MachineConfig config =
+      without_other_aborts(model::has_c(), HtmKind::kRtm);
+  mem::SimHeap heap;
+  DesMachine m(config, HtmKind::kRtm, 2, heap);
+  ASSERT_EQ(m.conflict_shift(), 6u);
+  auto far = heap.alloc<std::uint64_t>(16, "far");  // X, Z: other lines
+  auto line = heap.alloc<std::uint64_t>(8, "line");
+  std::uint64_t& x = far[0];
+  std::uint64_t& z = far[8];
+  std::uint64_t& y = line[0];
+  std::uint64_t& w = line[1];
+  y = 5;
+  int bodies_run = 0;
+  bool thread0_first = false;
+  std::uint64_t y_past_log = 0;
+  std::uint64_t y_inside_log = 0;
+  ScriptWorker w0({TxnBody([&](Txn& tx) {
+    if (bodies_run++ == 0) thread0_first = true;
+    tx.store(x, std::uint64_t{1});
+    tx.store(y, std::uint64_t{2});
+  })});
+  ScriptWorker w1({TxnBody([&](Txn& tx) {
+    const bool first = bodies_run++ == 1;
+    tx.store(w, std::uint64_t{3});
+    const std::uint64_t past = tx.load(y);
+    tx.store(z, std::uint64_t{4});
+    const std::uint64_t inside = tx.load(y);
+    if (first) {
+      y_past_log = past;
+      y_inside_log = inside;
+    }
+  })});
+  m.set_worker(0, &w0);
+  m.set_worker(1, &w1);
+  m.run();
+  ASSERT_TRUE(thread0_first);
+  EXPECT_EQ(y_past_log, 5u);
+  EXPECT_EQ(y_inside_log, 5u);
+  EXPECT_EQ(y, 2u);  // both committed in the end, thread 0's Y included
+  EXPECT_EQ(w, 3u);
+}
+
+TEST(WriteLog, SerializedBodiesLeaveNoStaleHit) {
+  // X, Y and W share one line. A serialized body commits X; another stores
+  // Y and then aborts explicitly, which on the serialized path drops its
+  // log. Both left their word's slot at 0. A later speculative body puts W
+  // at log position 0 and must still read X and Y from committed memory.
+  const model::MachineConfig config =
+      without_other_aborts(model::has_c(), HtmKind::kRtm);
+  mem::SimHeap heap;
+  DesMachine m(config, HtmKind::kRtm, 1, heap);
+  auto line = heap.alloc<std::uint64_t>(8);
+  std::uint64_t& x = line[0];
+  std::uint64_t& y = line[1];
+  std::uint64_t& w = line[2];
+  std::uint64_t seen_x = 0;
+  std::uint64_t seen_y = 1;
+  ScriptWorker worker({TxnBody([&](Txn& tx) {
+                         if (!tx.serialized()) tx.abort();
+                         tx.store(x, std::uint64_t{7});
+                       }),
+                       TxnBody([&](Txn& tx) {
+                         if (!tx.serialized()) tx.abort();
+                         tx.store(y, std::uint64_t{99});
+                         tx.abort();  // a no-op completion when serialized
+                       }),
+                       TxnBody([&](Txn& tx) {
+                         tx.store(w, std::uint64_t{3});
+                         seen_x = tx.load(x);
+                         seen_y = tx.load(y);
+                       })});
+  m.set_worker(0, &worker);
+  m.run();
+  EXPECT_EQ(m.stats().serialized, 2u);
+  EXPECT_EQ(m.stats().committed, 1u);
+  EXPECT_EQ(seen_x, 7u);
+  EXPECT_EQ(seen_y, 0u);
+  EXPECT_EQ(x, 7u);
+  EXPECT_EQ(y, 0u);
+  EXPECT_EQ(w, 3u);
+}
+
+/// Dispatches the first `events` picks in frontier order, then stops.
+class StopAfter : public sim::ScheduleController {
+ public:
+  explicit StopAfter(int events) : left_(events) {}
+  std::size_t choose(std::span<const sim::Choice>) override {
+    if (left_ == 0) return kStopRun;
+    --left_;
+    return 0;
+  }
+
+ private:
+  int left_;
+};
+
+TEST(WriteLog, RestoreLeavesNoStaleHit) {
+  // A body buffers X at log position 0 and the machine is restored before
+  // it commits. The restored run's body puts W, in X's line, at position 0
+  // and must read X from committed memory.
+  mem::SimHeap heap;
+  DesMachine m(model::has_c(), HtmKind::kRtm, 1, heap);
+  auto line = heap.alloc<std::uint64_t>(8);
+  std::uint64_t& x = line[0];
+  std::uint64_t& w = line[1];
+  util::BlobWriter core;
+  m.save_core(core);
+  std::uint64_t seen_x = 1;
+  ScriptWorker worker({TxnBody([&](Txn& tx) {
+                         tx.store(x, std::uint64_t{42});
+                       }),
+                       TxnBody([&](Txn& tx) {
+                         tx.store(w, std::uint64_t{3});
+                         seen_x = tx.load(x);
+                       })});
+  m.set_worker(0, &worker);
+  StopAfter one(1);
+  m.run_controlled(one);  // the first body ran; its commit is pending
+  EXPECT_EQ(x, 0u);
+  util::BlobReader reader(core.bytes());
+  m.restore_core(reader);
+  m.run();  // the restored machine stages the second body
+  EXPECT_EQ(seen_x, 0u);
+  EXPECT_EQ(x, 0u);
+  EXPECT_EQ(w, 3u);
+}
+
+TEST(WriteLog, CommitWriteBackFollowsFirstWriteOrder) {
+  for (const CostCase& c : kCostCases) {
+    SCOPED_TRACE(describe(c));
+    const model::MachineConfig config = without_other_aborts(*c.config, c.kind);
+    mem::SimHeap heap;
+    DesMachine m(config, c.kind, 1, heap);
+    auto words = heap.alloc<std::uint64_t>(64);
+    WriteRecorder recorder;
+    m.set_write_observer(&recorder);
+    // Rewrites do not move a word: first writes order c, a, b.
+    const std::size_t a = 3, b = 40, cw = 17;
+    RepeatTxnWorker w(1, [&](Txn& tx) {
+      if (c.serialized && !tx.serialized()) tx.abort();
+      tx.store(words[cw], std::uint64_t{1});
+      tx.store(words[a], std::uint64_t{2});
+      tx.store(words[b], std::uint64_t{3});
+      tx.store(words[a], std::uint64_t{4});
+      tx.store(words[cw], std::uint64_t{5});
+    });
+    m.set_worker(0, &w);
+    m.run();
+    const auto at = [&](std::size_t i) {
+      return std::pair<std::uint64_t, std::uint32_t>{
+          heap.offset_of(&words[i]), 8u};
+    };
+    EXPECT_EQ(recorder.writes,
+              (std::vector<std::pair<std::uint64_t, std::uint32_t>>{
+                  at(cw), at(a), at(b)}));
+    EXPECT_EQ(words[cw], 5u);
+    EXPECT_EQ(words[a], 4u);
+    EXPECT_EQ(words[b], 3u);
+  }
+}
+
+TEST(WriteLog, MachineWithoutTransactionsAllocatesNoIndex) {
+  mem::SimHeap heap;
+  DesMachine m(model::bgq(), HtmKind::kBgqShort, 4, heap);
+  auto* counter = heap.alloc_one<std::uint64_t>(0);
+  RepeatOpWorker w(8, [counter](ThreadCtx& ctx) {
+    ctx.fetch_add(*counter, std::uint64_t{1});
+  });
+  for (std::uint32_t t = 0; t < 4; ++t) m.set_worker(t, &w);
+  m.run();
+  EXPECT_EQ(*counter, 8u);
+  // The table's tags and write index are sized by its cover alone.
+  EXPECT_EQ(m.footprint_table().covered_bytes(), 0u);
+
+  RepeatTxnWorker txn(1, [counter](Txn& tx) {
+    tx.fetch_add(*counter, std::uint64_t{1});
+  });
+  m.set_worker(0, &txn);
+  m.run();
+  EXPECT_GE(m.footprint_table().covered_bytes(), heap.used_bytes());
 }
 
 }  // namespace
