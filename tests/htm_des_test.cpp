@@ -738,6 +738,7 @@ TEST(WriteLog, AnotherInFlightBodysWordReadsAsCommitted) {
   std::uint64_t& z = far[8];
   std::uint64_t& y = line[0];
   std::uint64_t& w = line[1];
+  ASSERT_EQ(heap.line_of(&y), heap.line_of(&w));
   y = 5;
   int bodies_run = 0;
   bool thread0_first = false;
@@ -782,6 +783,7 @@ TEST(WriteLog, SerializedBodiesLeaveNoStaleHit) {
   std::uint64_t& x = line[0];
   std::uint64_t& y = line[1];
   std::uint64_t& w = line[2];
+  ASSERT_EQ(heap.line_of(&x), heap.line_of(&w));
   std::uint64_t seen_x = 0;
   std::uint64_t seen_y = 1;
   ScriptWorker worker({TxnBody([&](Txn& tx) {
@@ -832,6 +834,7 @@ TEST(WriteLog, RestoreLeavesNoStaleHit) {
   auto line = heap.alloc<std::uint64_t>(8);
   std::uint64_t& x = line[0];
   std::uint64_t& w = line[1];
+  ASSERT_EQ(heap.line_of(&x), heap.line_of(&w));
   util::BlobWriter core;
   m.save_core(core);
   std::uint64_t seen_x = 1;
