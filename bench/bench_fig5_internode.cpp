@@ -29,6 +29,13 @@ class Producer : public core::DistributedRuntime::Worker {
       : core::DistributedRuntime::Worker(rt), rt2_(rt), left_(count),
         target_(target_node), pool_(vertex_pool), rng_(rng) {}
 
+  // Under --fault=crash-restart the count and the stream roll back with
+  // the items they produced.
+  void durable(util::BlobIo& io) override {
+    core::DistributedRuntime::Worker::durable(io);
+    io(left_, rng_);
+  }
+
  protected:
   bool produce(htm::ThreadCtx& ctx) override {
     if (left_ == 0) return false;

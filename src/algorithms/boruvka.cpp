@@ -75,8 +75,7 @@ class MinEdges {
 
   /// Checkpoint support. Rebuilding the index is what a restore needs;
   /// after a save it rebuilds the same index.
-  template <typename IO>
-  void durable(IO&& io) {
+  void durable(util::BlobIo& io) {
     io(entries_);
     slot_.clear();
     for (std::uint32_t i = 0; i < entries_.size(); ++i) {
@@ -100,10 +99,7 @@ class BoruvkaWorker : public htm::Worker {
   }
 
   // Checkpoint support; batch_ is never live at a safe instant.
-  template <typename IO>
-  void durable(IO&& io) {
-    min_edges_.durable(io);
-  }
+  void durable(util::BlobIo& io) { io(min_edges_); }
 
  private:
   // Phase A: find, per component, the minimum outgoing edge. Threads scan

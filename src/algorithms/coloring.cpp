@@ -76,8 +76,7 @@ class ColorWorker
   // The worker RNG is durable too: coin flips after a restore must replay
   // the original draws. coins_ is only live while a staged transaction is
   // in flight.
-  template <typename IO>
-  void durable(IO&& io) {
+  void durable(util::BlobIo& io) {
     io(rng_);
     FrontierWorker::durable(io);
   }

@@ -63,14 +63,7 @@ class PrWorker : public htm::Worker {
 
   // Checkpoint support: the production cursor and flush flag are the
   // worker's only durable state (slice bounds are reconstructed).
-  void save(util::BlobWriter& w) const {
-    w.put<Vertex>(pos_);
-    w.put<std::uint8_t>(flushed_ ? 1 : 0);
-  }
-  void restore(util::BlobReader& r) {
-    pos_ = r.get<Vertex>();
-    flushed_ = r.get<std::uint8_t>() != 0;
-  }
+  void durable(util::BlobIo& io) { io(pos_, flushed_); }
 
  private:
   static constexpr Vertex kChunk = 16;
@@ -188,25 +181,14 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
   // std::swap runs after the pre-quiescence checkpoint, so the span
   // identities are durable host state). Worker cursors ride along.
   htm::ScopedHostState ckpt(
-      machine.recovery_client(),
-      {.save =
-           [&](std::vector<std::uint8_t>& out) {
-             util::BlobWriter w;
-             w.put<std::int32_t>(iterations_left);
-             w.put<std::uint8_t>(old_rank.data() < new_rank.data() ? 1 : 0);
-             for (auto& wk : workers) wk->save(w);
-             out = w.take();
-           },
-       .restore =
-           [&](const std::uint8_t* data, std::size_t len) {
-             util::BlobReader r(data, len);
-             iterations_left = r.get<std::int32_t>();
-             const bool old_is_first = r.get<std::uint8_t>() != 0;
-             if ((old_rank.data() < new_rank.data()) != old_is_first) {
-               std::swap(old_rank, new_rank);
-             }
-             for (auto& wk : workers) wk->restore(r);
-           }});
+      machine.recovery_client(), [&](util::BlobIo& io) {
+        bool old_is_first = old_rank.data() < new_rank.data();
+        io(iterations_left, old_is_first);
+        if ((old_rank.data() < new_rank.data()) != old_is_first) {
+          std::swap(old_rank, new_rank);
+        }
+        for (auto& wk : workers) io(*wk);
+      });
 
   machine.run();
   machine.set_quiescence_hook(nullptr);

@@ -89,25 +89,9 @@ class AdaptiveBatch {
 
   /// Checkpoint support (src/recovery/): the controller's full decision
   /// state, so a restored run re-climbs the M curve identically.
-  void save_state(util::BlobWriter& w) const {
-    w.put<std::int32_t>(batch_);
-    w.put<std::int64_t>(activities_);
-    w.put<std::int64_t>(aborts_);
-    w.put<std::int64_t>(serialized_);
-    w.put<std::uint8_t>(recovering_ ? 1 : 0);
-    w.put<std::int32_t>(restore_target_);
-    w.put<std::int32_t>(cooldown_left_);
-    w.put<std::int32_t>(calm_windows_);
-  }
-  void restore_state(util::BlobReader& r) {
-    batch_ = r.get<std::int32_t>();
-    activities_ = r.get<std::int64_t>();
-    aborts_ = r.get<std::int64_t>();
-    serialized_ = r.get<std::int64_t>();
-    recovering_ = r.get<std::uint8_t>() != 0;
-    restore_target_ = r.get<std::int32_t>();
-    cooldown_left_ = r.get<std::int32_t>();
-    calm_windows_ = r.get<std::int32_t>();
+  void durable(util::BlobIo& io) {
+    io(batch_, activities_, aborts_, serialized_, recovering_,
+       restore_target_, cooldown_left_, calm_windows_);
   }
 
   void reset(int m) {

@@ -88,36 +88,16 @@ void AutoExecutor::set_adaptive(AdaptiveBatch* adaptive) {
   }
 }
 
-void AutoExecutor::save_state(util::BlobWriter& w) const {
-  ActivityExecutor::save_state(w);
-  for (const OpState& st : state_) {
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(st.level));
-    w.put<std::uint64_t>(st.window_done);
-    w.put<std::uint64_t>(st.window_aborts);
-  }
-  w.put_vector(per_thread_op_);
-  for (const auto& executor : inners_) {
-    w.put<std::uint8_t>(executor != nullptr ? 1 : 0);
-    if (executor != nullptr) executor->save_state(w);
-  }
-}
-
-void AutoExecutor::restore_state(util::BlobReader& r) {
-  ActivityExecutor::restore_state(r);
+void AutoExecutor::durable(util::BlobIo& io) {
+  ActivityExecutor::durable(io);
   for (OpState& st : state_) {
-    st.level = static_cast<Mechanism>(r.get<std::uint8_t>());
-    st.window_done = r.get<std::uint64_t>();
-    st.window_aborts = r.get<std::uint64_t>();
+    io.as<std::uint8_t>(st.level);
+    io(st.window_done, st.window_aborts);
   }
-  const auto ops = r.get_vector<OperatorId>();
-  AAM_CHECK_MSG(ops.size() == per_thread_op_.size(),
-                "auto snapshot thread count mismatch");
-  per_thread_op_ = ops;
+  io.each(per_thread_op_, "auto snapshot thread count mismatch");
   for (auto& executor : inners_) {
-    const bool present = r.get<std::uint8_t>() != 0;
-    AAM_CHECK_MSG(present == (executor != nullptr),
-                  "auto snapshot inner executor set mismatch");
-    if (executor != nullptr) executor->restore_state(r);
+    io.expect(executor != nullptr, "auto snapshot inner executor set mismatch");
+    if (executor != nullptr) executor->durable(io);
   }
 }
 

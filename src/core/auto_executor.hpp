@@ -107,8 +107,7 @@ class AutoExecutor final : public ActivityExecutor {
   /// windows, the per-thread batch attribution, and every inner executor's
   /// own state. Policy telemetry is deliberately NOT rolled back — like
   /// the fault injector it counts work *performed*, replays included.
-  void save_state(util::BlobWriter& w) const override;
-  void restore_state(util::BlobReader& r) override;
+  void durable(util::BlobIo& io) override;
 
  private:
   struct OpState {

@@ -9,17 +9,7 @@ DistributedRuntime::DistributedRuntime(net::Cluster& cluster, Options options)
       options_(options),
       executor_(make_executor(cluster.machine(), options.exec)),
       ckpt_(cluster.machine().recovery_client(),
-            {.save =
-                 [this](std::vector<std::uint8_t>& out) {
-                   util::BlobWriter w;
-                   save_state(w);
-                   out = w.take();
-                 },
-             .restore =
-                 [this](const std::uint8_t* data, std::size_t len) {
-                   util::BlobReader r(data, len);
-                   restore_state(r);
-                 }}) {
+            [this](util::BlobIo& io) { durable(io); }) {
   AAM_CHECK(options_.coalesce >= 1 && options_.exec.batch >= 1);
 
   // Incoming operator batches: queue them for transactional execution by
@@ -187,56 +177,16 @@ void DistributedRuntime::reply(htm::ThreadCtx& ctx, int reply_node,
   }
 }
 
-void DistributedRuntime::save_state(util::BlobWriter& w) const {
-  executor_->save_state(w);
-  w.put<std::uint64_t>(coalescers_.size());
-  for (const auto& c : coalescers_) c.save_state(w);
-  w.put<std::uint64_t>(local_buffers_.size());
-  for (const auto& buf : local_buffers_) w.put_vector(buf);
-  const auto put_queues = [&w](const std::vector<std::deque<Batch>>& queues) {
-    w.put<std::uint64_t>(queues.size());
-    for (const auto& q : queues) {
-      w.put<std::uint64_t>(q.size());
-      for (const Batch& b : q) {
-        w.put<std::int32_t>(b.reply_node);
-        w.put_vector(b.items);
-      }
-    }
-  };
-  put_queues(pending_);
-  put_queues(pending_sharded_);
-  w.put<std::uint64_t>(pending_total_);
-  w.put<std::uint64_t>(items_executed_);
-  w.put<std::uint64_t>(batches_executed_);
-}
-
-void DistributedRuntime::restore_state(util::BlobReader& r) {
-  executor_->restore_state(r);
-  AAM_CHECK_MSG(r.get<std::uint64_t>() == coalescers_.size(),
-                "distributed runtime thread count changed since checkpoint");
-  for (auto& c : coalescers_) c.restore_state(r);
-  AAM_CHECK_MSG(r.get<std::uint64_t>() == local_buffers_.size(),
-                "distributed runtime thread count changed since checkpoint");
-  for (auto& buf : local_buffers_) buf = r.get_vector<std::uint64_t>();
-  const auto get_queues = [&r](std::vector<std::deque<Batch>>& queues) {
-    AAM_CHECK_MSG(r.get<std::uint64_t>() == queues.size(),
-                  "distributed runtime topology changed since checkpoint");
-    for (auto& q : queues) {
-      q.clear();
-      const auto count = r.get<std::uint64_t>();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        Batch b;
-        b.reply_node = r.get<std::int32_t>();
-        b.items = r.get_vector<std::uint64_t>();
-        q.push_back(std::move(b));
-      }
-    }
-  };
-  get_queues(pending_);
-  get_queues(pending_sharded_);
-  pending_total_ = r.get<std::uint64_t>();
-  items_executed_ = r.get<std::uint64_t>();
-  batches_executed_ = r.get<std::uint64_t>();
+void DistributedRuntime::durable(util::BlobIo& io) {
+  executor_->durable(io);
+  io.each(coalescers_,
+          "distributed runtime thread count changed since checkpoint");
+  io.each(local_buffers_,
+          "distributed runtime thread count changed since checkpoint");
+  io.each(pending_, "distributed runtime topology changed since checkpoint");
+  io.each(pending_sharded_,
+          "distributed runtime topology changed since checkpoint");
+  io(pending_total_, items_executed_, batches_executed_);
 }
 
 bool DistributedRuntime::drained() const {

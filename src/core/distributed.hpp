@@ -135,18 +135,22 @@ class DistributedRuntime {
   std::uint64_t batches_executed() const { return batches_executed_; }
   net::Cluster& cluster() { return cluster_; }
 
-  /// Checkpoint support (src/recovery/): serializes the runtime's durable
-  /// host state — coalescer and local-batch buffers, the pending batch
-  /// queues, and the executor's control state. Registered automatically
-  /// with the machine's RecoveryClient; these are public for tests.
-  void save_state(util::BlobWriter& w) const;
-  void restore_state(util::BlobReader& r);
+  /// Checkpoint support (src/recovery/): the runtime's durable host
+  /// state — coalescer and local-batch buffers, the pending batch queues,
+  /// and the executor's control state. Registered automatically with the
+  /// machine's RecoveryClient.
+  void durable(util::BlobIo& io);
 
   /// A convenience worker: drains incoming work, then produces spawns via
   /// `produce` (return false when out of items), then flushes and parks.
+  /// It registers durable() with the machine's RecoveryClient, which must
+  /// outlive it.
   class Worker : public htm::Worker {
    public:
-    explicit Worker(DistributedRuntime& rt) : rt_(rt) {}
+    explicit Worker(DistributedRuntime& rt)
+        : rt_(rt),
+          ckpt_(rt.cluster().machine().recovery_client(),
+                [this](util::BlobIo& io) { durable(io); }) {}
     bool next(htm::ThreadCtx& ctx) final;
 
    protected:
@@ -160,26 +164,23 @@ class DistributedRuntime {
 
    public:
     /// Checkpoint support: the production/flush phase flags are durable.
-    /// Subclasses with their own production state extend both.
-    virtual void save_state(util::BlobWriter& w) const {
-      w.put<std::uint8_t>(production_done_ ? 1 : 0);
-      w.put<std::uint8_t>(flushed_ ? 1 : 0);
-    }
-    virtual void restore_state(util::BlobReader& r) {
-      production_done_ = r.get<std::uint8_t>() != 0;
-      flushed_ = r.get<std::uint8_t>() != 0;
-    }
+    /// Subclasses with their own production state call this first, then
+    /// list their own fields.
+    virtual void durable(util::BlobIo& io) { io(production_done_, flushed_); }
 
    private:
     DistributedRuntime& rt_;
     bool production_done_ = false;
     bool flushed_ = false;
+    htm::ScopedHostState ckpt_;
   };
 
  private:
   struct Batch {
     std::vector<std::uint64_t> items;
     int reply_node = -1;  ///< for FR: where results go (-1: local batch)
+
+    void durable(util::BlobIo& io) { io(reply_node, items); }
   };
 
   enum class Mode { kNone, kFf, kFr, kPlain };

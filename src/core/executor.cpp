@@ -100,18 +100,11 @@ MechanismSelection mechanism_selection_flag(util::Cli& cli,
   return *parsed;
 }
 
-void ActivityExecutor::save_state(util::BlobWriter& w) const {
-  w.put<std::int32_t>(batch_);
-  w.put<std::uint8_t>(adaptive_ != nullptr ? 1 : 0);
-  if (adaptive_ != nullptr) adaptive_->save_state(w);
-}
-
-void ActivityExecutor::restore_state(util::BlobReader& r) {
-  batch_ = r.get<std::int32_t>();
-  const bool had_adaptive = r.get<std::uint8_t>() != 0;
-  AAM_CHECK_MSG(had_adaptive == (adaptive_ != nullptr),
-                "adaptive controller attachment changed since checkpoint");
-  if (adaptive_ != nullptr) adaptive_->restore_state(r);
+void ActivityExecutor::durable(util::BlobIo& io) {
+  io(batch_);
+  io.expect(adaptive_ != nullptr,
+            "adaptive controller attachment changed since checkpoint");
+  if (adaptive_ != nullptr) io(*adaptive_);
 }
 
 std::unique_ptr<ActivityExecutor> make_executor(htm::DesMachine& machine,

@@ -172,15 +172,14 @@ class ActivityExecutor {
   /// after the adaptive controller; other mechanisms never do).
   void set_outcome_hook(OutcomeHook hook) { outcome_hook_ = std::move(hook); }
 
-  /// Checkpoint support (src/recovery/): serializes the executor's durable
-  /// host-side control state — batch size, the attached adaptive
-  /// controller, and mechanism-specific fields (e.g. the serial lock's
-  /// virtual-time release point, the auto dispatcher's ladder rungs).
-  /// Heap-resident tables (lock stripes, orecs) restore with the heap
-  /// image and are not re-serialized here. Overrides must call the base
-  /// first and append in the same order on both sides.
-  virtual void save_state(util::BlobWriter& w) const;
-  virtual void restore_state(util::BlobReader& r);
+  /// Checkpoint support (src/recovery/): the executor's durable host-side
+  /// control state — batch size, the attached adaptive controller, and
+  /// mechanism-specific fields (e.g. the serial lock's virtual-time
+  /// release point, the auto dispatcher's ladder rungs). Heap-resident
+  /// tables (lock stripes, orecs) restore with the heap image and are not
+  /// re-serialized here. An override calls the base first, then lists its
+  /// own fields; the one list serves save and restore alike.
+  virtual void durable(util::BlobIo& io);
 
  protected:
   ActivityExecutor(std::optional<Mechanism> mechanism, const ExecConfig& exec)

@@ -501,13 +501,9 @@ class SerialLockExecutor final : public StagedExecutor {
 
   // free_at_ is host-side virtual-time state (the lock word itself lives
   // on the heap and restores with the heap image).
-  void save_state(util::BlobWriter& w) const override {
-    ActivityExecutor::save_state(w);
-    w.put<double>(free_at_);
-  }
-  void restore_state(util::BlobReader& r) override {
-    ActivityExecutor::restore_state(r);
-    free_at_ = r.get<double>();
+  void durable(util::BlobIo& io) override {
+    ActivityExecutor::durable(io);
+    io(free_at_);
   }
 
  private:

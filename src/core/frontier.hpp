@@ -41,9 +41,8 @@
 namespace aam::core {
 
 /// Runs an algorithm as rounds of work on every thread of a DesMachine.
-/// `W` is the worker type: an htm::Worker with a `durable(io)` member that
-/// calls `io` once with every field of the worker that outlives a
-/// dispatch.
+/// `W` is the worker type: an htm::Worker with a `durable(util::BlobIo&)`
+/// member that lists every field of the worker that outlives a dispatch.
 template <typename W>
 class RoundRunner {
  public:
@@ -60,10 +59,10 @@ class RoundRunner {
   /// Resets the machine's clocks and statistics, installs `make(t)` as
   /// thread t's worker and runs to the final quiescence. At each
   /// quiescence `round_end()` returns whether another round follows; if
-  /// so, the threads pass a barrier of `barrier_cost_ns`. `durable(io)`
-  /// calls `io` once with every host field of the algorithm that a round
-  /// changes: with the executor's control state and the workers' fields
-  /// they are the run's checkpointed host state.
+  /// so, the threads pass a barrier of `barrier_cost_ns`.
+  /// `durable(util::BlobIo& io)` calls `io` once with every host field of
+  /// the algorithm that a round changes: with the executor's control state
+  /// and the workers' fields they are the run's checkpointed host state.
   template <typename Make, typename RoundEnd, typename Durable>
   void run(double barrier_cost_ns, Make make, RoundEnd round_end,
            Durable durable) {
@@ -80,25 +79,12 @@ class RoundRunner {
       m.barrier_release(barrier_cost_ns);
       return true;
     });
-    htm::ScopedHostState ckpt(
-        machine_.recovery_client(),
-        {.save =
-             [&](std::vector<std::uint8_t>& out) {
-               util::BlobWriter w;
-               const auto put = [&w](const auto&... f) { w.put_all(f...); };
-               durable(put);
-               executor_->save_state(w);
-               for (W& worker : workers_) worker.durable(put);
-               out = w.take();
-             },
-         .restore =
-             [&](const std::uint8_t* data, std::size_t len) {
-               util::BlobReader r(data, len);
-               const auto get = [&r](auto&... f) { r.get_all(f...); };
-               durable(get);
-               executor_->restore_state(r);
-               for (W& worker : workers_) worker.durable(get);
-             }});
+    htm::ScopedHostState ckpt(machine_.recovery_client(),
+                              [&](util::BlobIo& io) {
+                                durable(io);
+                                executor_->durable(io);
+                                for (W& worker : workers_) io(worker);
+                              });
     machine_.run();
     machine_.set_quiescence_hook(nullptr);
   }
@@ -160,10 +146,7 @@ class FrontierWorker : public htm::Worker {
 
   /// Checkpointed state. batch_ is only live while a staged transaction
   /// is in flight, which checkpoint-safe instants exclude.
-  template <typename IO>
-  void durable(IO&& io) {
-    io(pending_, next_, done_scanning_);
-  }
+  void durable(util::BlobIo& io) { io(pending_, next_, done_scanning_); }
 
   /// Appends this round's results to `out` and rearms the scan.
   void hand_over(std::vector<Next>& out) {

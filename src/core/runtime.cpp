@@ -31,17 +31,7 @@ AamRuntime::AamRuntime(htm::DesMachine& machine, Options options)
       executor_(make_executor(machine, options)),
       cursor_(machine.heap()),
       ckpt_(machine.recovery_client(),
-            {.save =
-                 [this](std::vector<std::uint8_t>& out) {
-                   util::BlobWriter w;
-                   executor_->save_state(w);
-                   out = w.take();
-                 },
-             .restore =
-                 [this](const std::uint8_t* data, std::size_t len) {
-                   util::BlobReader r(data, len);
-                   executor_->restore_state(r);
-                 }}) {
+            [this](util::BlobIo& io) { executor_->durable(io); }) {
   const int threads = machine_.num_threads();
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {

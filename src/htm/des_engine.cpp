@@ -809,7 +809,7 @@ void DesMachine::finish_txn(std::uint32_t tid, bool serialized,
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint core save/restore
+// Checkpoint core
 // ---------------------------------------------------------------------------
 //
 // The durable core is everything the engine needs to replay the exact
@@ -827,90 +827,70 @@ void DesMachine::finish_txn(std::uint32_t tid, bool serialized,
 //   * In-flight transaction scratch (write logs, trackers, the footprint
 //     table's tags and write index): dead at a safe instant by definition.
 
-void DesMachine::save_core(util::BlobWriter& w) const {
-  AAM_CHECK_MSG(checkpoint_safe(), "save_core outside a safe instant");
-  w.put(now_);
-  w.put(last_progress_);
-  w.put(commit_stamp_);
+void DesMachine::durable(util::BlobIo& io) {
+  if (io.saving()) {
+    AAM_CHECK_MSG(checkpoint_safe(), "checkpoint outside a safe instant");
+  }
+  io(now_, last_progress_, commit_stamp_);
 
-  const std::uint64_t used_units =
-      (heap_.used_bytes() >> conflict_shift_) + 1;
-  w.put(used_units);
-  for (std::uint64_t u = 0; u < used_units; ++u) w.put(unit_stamps_[u]);
+  std::uint64_t used_units = (heap_.used_bytes() >> conflict_shift_) + 1;
+  io(used_units);
+  AAM_CHECK_MSG(used_units <= unit_stamps_.size(),
+                "core snapshot does not match this heap layout");
+  io.elements(std::span(unit_stamps_.data(), used_units));
 
-  const std::uint64_t used_lines =
-      heap_.used_bytes() / mem::kLineBytes + 1;
-  w.put(used_lines);
-  for (std::uint64_t l = 0; l < used_lines; ++l) {
-    w.put(stripes_.available_at(l));
-    w.put(stripes_.owner(l));
+  std::uint64_t used_lines = heap_.used_bytes() / mem::kLineBytes + 1;
+  io(used_lines);
+  AAM_CHECK_MSG(used_lines <= stripes_.num_lines(),
+                "core snapshot does not match this heap layout");
+  for (mem::LineId l = 0; l < used_lines; ++l) {
+    sim::Time available_at = stripes_.available_at(l);
+    std::uint32_t owner = stripes_.owner(l);  // kNoOwner when untouched
+    io(available_at, owner);
+    if (io.restoring()) {
+      stripes_.set_available_at(l, available_at);
+      stripes_.set_owner(l, owner);
+    }
   }
 
-  w.put<std::uint64_t>(threads_.size());
-  for (const auto& ts : threads_) {
-    AAM_CHECK_MSG(!ts->txn_inflight, "save_core with an in-flight txn");
-    w.put(ts->ctx.clock_);
-    std::uint64_t rng_state[4];
-    ts->ctx.rng_.save_state(rng_state);
-    for (std::uint64_t word : rng_state) w.put(word);
-    w.put<std::uint8_t>(ts->parked ? 1 : 0);
-    w.put(ts->consec_aborts);
-    w.put(ts->stats);
+  io.count(threads_.size(), "core snapshot thread count mismatch");
+  for (auto& tsp : threads_) {
+    ThreadState& ts = *tsp;
+    if (io.saving()) {
+      AAM_CHECK_MSG(!ts.txn_inflight, "checkpoint with an in-flight txn");
+    }
+    io(ts.ctx.clock_, ts.ctx.rng_, ts.parked, ts.consec_aborts, ts.stats);
   }
 
-  w.put<std::uint64_t>(domains_.size());
-  for (const auto& d : domains_) {
-    AAM_CHECK_MSG(!d.held && d.waiters.empty(),
-                  "save_core with an active serializer");
-    w.put(d.free_at);
-    w.put(d.atomic_free);
+  io.count(domains_.size(), "core snapshot domain count mismatch");
+  for (SerialDomain& d : domains_) {
+    if (io.saving()) {
+      AAM_CHECK_MSG(!d.held && d.waiters.empty(),
+                    "checkpoint with an active serializer");
+    }
+    io(d.free_at, d.atomic_free);
   }
 
   std::vector<sim::Event> pending;
-  queue_.for_each([&pending](const sim::Event& e) {
-    if (e.kind != kCallback) pending.push_back(e);
-  });
-  std::sort(pending.begin(), pending.end(),
-            [](const sim::Event& a, const sim::Event& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.seq < b.seq;
-            });
-  w.put_vector(pending);
+  if (io.saving()) {
+    queue_.for_each([&pending](const sim::Event& e) {
+      if (e.kind != kCallback) pending.push_back(e);
+    });
+    std::sort(pending.begin(), pending.end(),
+              [](const sim::Event& a, const sim::Event& b) {
+                if (a.time != b.time) return a.time < b.time;
+                return a.seq < b.seq;
+              });
+  }
+  io(pending);
+  if (io.restoring()) drop_volatile_and_requeue(pending);
 }
 
-void DesMachine::restore_core(util::BlobReader& r) {
-  now_ = r.get<double>();
-  last_progress_ = r.get<double>();
-  commit_stamp_ = r.get<std::uint64_t>();
-
-  const std::uint64_t used_units = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(used_units <= unit_stamps_.size(),
-                "core snapshot does not match this heap layout");
-  for (std::uint64_t u = 0; u < used_units; ++u) {
-    unit_stamps_[u] = r.get<std::uint64_t>();
-  }
-
-  const std::uint64_t used_lines = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(used_lines <= stripes_.num_lines(),
-                "core snapshot does not match this heap layout");
-  for (std::uint64_t l = 0; l < used_lines; ++l) {
-    stripes_.set_available_at(l, r.get<sim::Time>());
-    stripes_.set_owner(l, r.get<std::uint32_t>());
-  }
-
-  const std::uint64_t num_threads = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(num_threads == threads_.size(),
-                "core snapshot thread count mismatch");
+void DesMachine::drop_volatile_and_requeue(
+    const std::vector<sim::Event>& pending) {
+  // In-flight state dies with the crash.
   for (auto& tsp : threads_) {
-    auto& ts = *tsp;
-    ts.ctx.clock_ = r.get<double>();
-    std::uint64_t rng_state[4];
-    for (auto& word : rng_state) word = r.get<std::uint64_t>();
-    ts.ctx.rng_.restore_state(rng_state);
-    ts.parked = r.get<std::uint8_t>() != 0;
-    ts.consec_aborts = r.get<int>();
-    ts.stats = r.get<HtmStats>();
-    // Volatile in-flight state dies with the crash.
+    ThreadState& ts = *tsp;
     ts.txn_inflight = false;
     ts.want_serialize = false;
     ts.body = nullptr;
@@ -923,15 +903,9 @@ void DesMachine::restore_core(util::BlobReader& r) {
     ts.escalated_this_txn = false;
     ts.txn.write_log_.clear();
   }
-
-  const std::uint64_t num_domains = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(num_domains == domains_.size(),
-                "core snapshot domain count mismatch");
-  for (auto& d : domains_) {
+  for (SerialDomain& d : domains_) {
     d.held = false;
     d.waiters.clear();
-    d.free_at = r.get<double>();
-    d.atomic_free = r.get<double>();
   }
   inflight_txns_ = 0;
 
@@ -942,7 +916,6 @@ void DesMachine::restore_core(util::BlobReader& r) {
   callbacks_.clear();
   callback_free_.clear();
   generic_callbacks_pending_ = 0;
-  const std::vector<sim::Event> pending = r.get_vector<sim::Event>();
   for (const sim::Event& e : pending) {
     AAM_CHECK_MSG(e.kind != kCallback, "callback event in a core snapshot");
     queue_.push(e.time, e.thread, e.kind, e.payload);

@@ -344,27 +344,21 @@ class DesMachine {
   void set_recovery_client(RecoveryClient* client) { recovery_ = client; }
   RecoveryClient* recovery_client() const { return recovery_; }
 
-  /// True at instants where save_core captures a complete, restorable
+  /// True at instants where durable() captures a complete, restorable
   /// machine state.
   bool checkpoint_safe() const {
     return !controlled_ && inflight_txns_ == 0 &&
            generic_callbacks_pending_ == 0;
   }
 
-  /// Serializes the durable core into `w`. Must be called at a safe
-  /// instant (checkpoint_safe()); aborts otherwise.
-  void save_core(util::BlobWriter& w) const;
-
-  /// Restores the durable core from `r` (a blob produced by save_core on
-  /// this same machine/heap layout). Drops all volatile state: in-flight
-  /// transactions, pending events, and every scheduled callback. Pending
-  /// non-callback events are re-pushed in saved (time, seq) order, so the
-  /// post-restore schedule is bit-identical to the checkpoint's future.
-  void restore_core(util::BlobReader& r);
-
-  /// Generic (non-droppable) callbacks currently scheduled; must be zero
-  /// for a checkpoint to be safe.
-  int generic_callbacks_pending() const { return generic_callbacks_pending_; }
+  /// Saves or restores the durable core. Saving must happen at a safe
+  /// instant (checkpoint_safe()); it aborts otherwise. Restoring needs
+  /// the same machine and heap layout, and drops all volatile state:
+  /// in-flight transactions, pending events and every scheduled callback.
+  /// Pending non-callback events are re-pushed in saved (time, seq)
+  /// order, so the post-restore schedule is bit-identical to the
+  /// checkpoint's future.
+  void durable(util::BlobIo& io);
 
   // --- introspection -------------------------------------------------------
   double now() const { return now_; }
@@ -474,6 +468,10 @@ class DesMachine {
     Txn txn;  ///< the current attempt's access path and footprint
     HtmStats stats;
   };
+
+  /// The restore-only tail of durable(): resets in-flight state, drops
+  /// every pending event and callback, then pushes `pending` back.
+  void drop_volatile_and_requeue(const std::vector<sim::Event>& pending);
 
   void dispatch(const sim::Event& e);
   sim::ChoiceKind classify_choice(const sim::Event& e) const;

@@ -24,7 +24,10 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <vector>
+
+namespace aam::util {
+class BlobIo;
+}  // namespace aam::util
 
 namespace aam::htm {
 
@@ -125,14 +128,12 @@ class CrashError : public std::runtime_error {
   CrashDiagnostic diagnostic;
 };
 
-/// Host-side durable state a component contributes to every checkpoint.
-/// `save` appends the component's bytes; `restore` consumes exactly what
-/// save wrote. Registered via RecoveryClient::register_host_state and
-/// invoked in registration order (restore in the same order).
-struct HostStateFns {
-  std::function<void(std::vector<std::uint8_t>&)> save;
-  std::function<void(const std::uint8_t*, std::size_t)> restore;
-};
+/// Host-side durable state a component contributes to every checkpoint:
+/// one field list (see util::BlobIo) that saves the component's fields at
+/// a checkpoint and restores them, in the same order, after a crash.
+/// Registered via RecoveryClient::register_host_state; registrations run
+/// in registration order in both directions.
+using HostState = std::function<void(util::BlobIo&)>;
 
 /// The engine's view of the recovery subsystem (implemented by
 /// recovery::RecoveryManager). The DesMachine calls the checkpoint hooks
@@ -159,7 +160,7 @@ class RecoveryClient {
   virtual bool on_crash(DesMachine& machine, const CrashDiagnostic& d) = 0;
 
   /// Registers host-side durable state; returns a token for unregister.
-  virtual std::uint64_t register_host_state(HostStateFns fns) = 0;
+  virtual std::uint64_t register_host_state(HostState durable) = 0;
   virtual void unregister_host_state(std::uint64_t token) = 0;
 
   /// Telemetry surfaced into StallDiagnostic.
@@ -172,9 +173,9 @@ class RecoveryClient {
 /// unconditionally and stay inert in non-recovery runs.
 class ScopedHostState {
  public:
-  ScopedHostState(RecoveryClient* client, HostStateFns fns)
+  ScopedHostState(RecoveryClient* client, HostState durable)
       : client_(client) {
-    if (client_) token_ = client_->register_host_state(std::move(fns));
+    if (client_) token_ = client_->register_host_state(std::move(durable));
   }
   ~ScopedHostState() {
     if (client_) client_->unregister_host_state(token_);

@@ -162,95 +162,14 @@ void Cluster::send_ack(int src, int dst, std::uint64_t seq, double at) {
       });
 }
 
-namespace {
-
-void put_message(util::BlobWriter& w, const Message& m) {
-  w.put(m.src_node);
-  w.put(m.dst_node);
-  w.put(m.handler);
-  w.put(m.arg0);
-  w.put(m.arg1);
-  w.put(m.seq);
-  w.put_vector(m.payload);
+void Cluster::durable(util::BlobIo& io) {
+  io(stats_, in_flight_);
+  io.each(queues_, "net snapshot node count mismatch");
+  io.each(send_channels_, "net snapshot channel count mismatch");
+  io.each(recv_channels_, "net snapshot channel count mismatch");
 }
 
-Message get_message(util::BlobReader& r) {
-  Message m;
-  m.src_node = r.get<int>();
-  m.dst_node = r.get<int>();
-  m.handler = r.get<std::uint32_t>();
-  m.arg0 = r.get<std::uint64_t>();
-  m.arg1 = r.get<std::uint64_t>();
-  m.seq = r.get<std::uint64_t>();
-  m.payload = r.get_vector<std::uint64_t>();
-  return m;
-}
-
-}  // namespace
-
-void Cluster::save_net(util::BlobWriter& w) const {
-  w.put(stats_);
-  w.put(in_flight_);
-  w.put<std::uint64_t>(queues_.size());
-  for (const auto& q : queues_) {
-    w.put<std::uint64_t>(q.size());
-    for (const Message& m : q) put_message(w, m);
-  }
-  w.put<std::uint64_t>(send_channels_.size());
-  for (const SendChannel& ch : send_channels_) {
-    w.put(ch.next_seq);
-    w.put<std::uint64_t>(ch.pending.size());
-    for (const auto& [seq, p] : ch.pending) {
-      w.put(seq);
-      w.put(p.rto_ns);
-      put_message(w, p.msg);
-    }
-  }
-  w.put<std::uint64_t>(recv_channels_.size());
-  for (const RecvChannel& rc : recv_channels_) {
-    w.put(rc.next_expected);
-    w.put<std::uint64_t>(rc.seen_ahead.size());
-    for (std::uint64_t s : rc.seen_ahead) w.put(s);
-  }
-}
-
-std::uint64_t Cluster::restore_net(util::BlobReader& r) {
-  stats_ = r.get<NetStats>();
-  in_flight_ = r.get<std::uint64_t>();
-  const std::uint64_t num_queues = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(num_queues == queues_.size(),
-                "net snapshot node count mismatch");
-  for (auto& q : queues_) {
-    q.clear();
-    const std::uint64_t n = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) q.push_back(get_message(r));
-  }
-  const std::uint64_t num_send = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(num_send == send_channels_.size(),
-                "net snapshot channel count mismatch");
-  for (SendChannel& ch : send_channels_) {
-    ch.next_seq = r.get<std::uint64_t>();
-    ch.pending.clear();
-    const std::uint64_t n = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t seq = r.get<std::uint64_t>();
-      const double rto = r.get<double>();
-      Message m = get_message(r);
-      ch.pending.emplace(seq, PendingSend{std::move(m), rto});
-    }
-  }
-  const std::uint64_t num_recv = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(num_recv == recv_channels_.size(),
-                "net snapshot channel count mismatch");
-  for (RecvChannel& rc : recv_channels_) {
-    rc.next_expected = r.get<std::uint64_t>();
-    rc.seen_ahead.clear();
-    const std::uint64_t n = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      rc.seen_ahead.insert(r.get<std::uint64_t>());
-    }
-  }
-
+std::uint64_t Cluster::replay_pending_sends() {
   // Peer-assisted replay: each still-pending (unacked) send gets a fresh
   // timeout anchored at the restore instant. Its first fire retransmits
   // the retained copy; the receiver either applies it (the original copy
@@ -328,18 +247,9 @@ void Coalescer::flush_all(htm::ThreadCtx& ctx) {
   for (int node = 0; node < cluster_.num_nodes(); ++node) flush(ctx, node);
 }
 
-void Coalescer::save_state(util::BlobWriter& w) const {
-  w.put<std::uint64_t>(buffers_.size());
-  for (const auto& buf : buffers_) w.put_vector(buf);
-  w.put_vector(arg0_);
-}
-
-void Coalescer::restore_state(util::BlobReader& r) {
-  const auto n = r.get<std::uint64_t>();
-  AAM_CHECK_MSG(n == buffers_.size(),
-                "coalescer destination count changed since checkpoint");
-  for (auto& buf : buffers_) buf = r.get_vector<std::uint64_t>();
-  arg0_ = r.get_vector<std::uint64_t>();
+void Coalescer::durable(util::BlobIo& io) {
+  io.each(buffers_, "coalescer destination count changed since checkpoint");
+  io(arg0_);
 }
 
 // ------------------------------------------------------------- RemoteAtomics

@@ -29,6 +29,7 @@
 #include "htm/des_engine.hpp"
 #include "mem/sim_heap.hpp"
 #include "model/machines.hpp"
+#include "util/blob.hpp"
 
 namespace aam::net {
 
@@ -46,6 +47,10 @@ struct Message {
 
   /// Modelled wire size: a fixed header plus 8 bytes per payload item.
   std::size_t wire_bytes() const { return 32 + payload.size() * 8; }
+
+  void durable(util::BlobIo& io) {
+    io(src_node, dst_node, handler, arg0, arg1, seq, payload);
+  }
 };
 
 /// Receiver-side handler; runs on a polling thread of the target node.
@@ -146,19 +151,19 @@ class Cluster {
 
   // --- crash-stop recovery (src/recovery/) --------------------------------
 
-  /// Serializes the cluster's durable network state: statistics, the
-  /// in-flight count, per-node receive queues, and the reliable-delivery
-  /// channel state (sender pending maps with their current RTOs, receiver
-  /// watermarks and out-of-order sets).
-  void save_net(util::BlobWriter& w) const;
+  /// Saves or restores the cluster's durable network state: statistics,
+  /// the in-flight count, per-node receive queues, and the
+  /// reliable-delivery channel state (sender pending maps with their
+  /// current RTOs, receiver watermarks and out-of-order sets).
+  void durable(util::BlobIo& io);
 
-  /// Restores the state captured by save_net and re-arms a retransmit
-  /// timer for every still-pending send: in-flight wire copies and timer
+  /// The restore-only step after durable(): re-arms a retransmit timer
+  /// for every still-pending send. In-flight wire copies and timer
   /// callbacks lost in the crash are re-derived from the pending maps —
   /// the receiver-side dedup path discards anything already accepted.
-  /// Must run after DesMachine::restore_core (which drops all callbacks).
+  /// Must run after the engine's restore (which drops all callbacks).
   /// Returns the number of pending sends whose replay was re-armed.
-  std::uint64_t restore_net(util::BlobReader& r);
+  std::uint64_t replay_pending_sends();
 
  private:
   bool protocol_active() const {
@@ -182,14 +187,20 @@ class Cluster {
   struct PendingSend {
     Message msg;        ///< retained copy for retransmission
     double rto_ns = 0;  ///< current timeout (doubles per retransmit)
+
+    void durable(util::BlobIo& io) { io(rto_ns, msg); }
   };
   struct SendChannel {
     std::uint64_t next_seq = 1;
     std::map<std::uint64_t, PendingSend> pending;
+
+    void durable(util::BlobIo& io) { io(next_seq, pending); }
   };
   struct RecvChannel {
     std::uint64_t next_expected = 1;  ///< all seq below this were accepted
     std::set<std::uint64_t> seen_ahead;
+
+    void durable(util::BlobIo& io) { io(next_expected, seen_ahead); }
 
     /// True if `seq` is new (advances the watermark); false = duplicate.
     bool accept(std::uint64_t seq) {
@@ -245,8 +256,7 @@ class Coalescer {
   /// Checkpoint support (src/recovery/): the partial per-destination
   /// buffers are durable spawner state — items buffered but not yet sent
   /// would otherwise vanish in a crash without being retransmittable.
-  void save_state(util::BlobWriter& w) const;
-  void restore_state(util::BlobReader& r);
+  void durable(util::BlobIo& io);
 
  private:
   Cluster& cluster_;

@@ -41,9 +41,9 @@ void RecoveryManager::on_event_boundary(htm::DesMachine& machine) {
   take_checkpoint(machine);
 }
 
-std::uint64_t RecoveryManager::register_host_state(htm::HostStateFns fns) {
+std::uint64_t RecoveryManager::register_host_state(htm::HostState durable) {
   const std::uint64_t token = next_token_++;
-  host_state_.emplace_back(token, std::move(fns));
+  host_state_.emplace_back(token, std::move(durable));
   return token;
 }
 
@@ -57,14 +57,35 @@ void RecoveryManager::unregister_host_state(std::uint64_t token) {
   AAM_CHECK_MSG(false, "unregister_host_state: unknown token");
 }
 
+namespace {
+
+/// The bytes `durable` saves.
+template <typename Durable>
+std::vector<std::uint8_t> to_bytes(Durable&& durable) {
+  util::BlobWriter w;
+  util::BlobIo io(w);
+  durable(io);
+  return w.take();
+}
+
+/// Restores `durable` from `bytes`, which it must consume exactly.
+template <typename Durable>
+void from_bytes(const std::vector<std::uint8_t>& bytes, Durable&& durable,
+                const char* trailing) {
+  util::BlobReader r(bytes);
+  util::BlobIo io(r);
+  durable(io);
+  AAM_CHECK_MSG(r.exhausted(), trailing);
+}
+
+}  // namespace
+
 void RecoveryManager::take_checkpoint(htm::DesMachine& machine) {
   AAM_CHECK_MSG(machine.checkpoint_safe(),
                 "checkpoint requested at an unsafe instant");
   Snapshot snap;
-
-  util::BlobWriter core;
-  machine.save_core(core);
-  snap.add_section(Snapshot::kCore, core.take());
+  snap.add_section(Snapshot::kCore,
+                   to_bytes([&](util::BlobIo& io) { machine.durable(io); }));
 
   util::BlobWriter heap;
   const auto raw = machine.heap().raw_bytes();
@@ -73,18 +94,15 @@ void RecoveryManager::take_checkpoint(htm::DesMachine& machine) {
 
   util::BlobWriter host;
   host.put<std::uint64_t>(host_state_.size());
-  for (const auto& [token, fns] : host_state_) {
+  for (const auto& [token, durable] : host_state_) {
     host.put<std::uint64_t>(token);
-    std::vector<std::uint8_t> blob;
-    fns.save(blob);
-    host.put_vector(blob);
+    host.put_vector(to_bytes(durable));
   }
   snap.add_section(Snapshot::kHost, host.take());
 
   if (cluster_ != nullptr) {
-    util::BlobWriter net;
-    cluster_->save_net(net);
-    snap.add_section(Snapshot::kNet, net.take());
+    snap.add_section(Snapshot::kNet,
+                     to_bytes([&](util::BlobIo& io) { cluster_->durable(io); }));
   }
 
   const std::uint64_t id = next_ckpt_id_++;
@@ -100,13 +118,12 @@ void RecoveryManager::take_checkpoint(htm::DesMachine& machine) {
 void RecoveryManager::apply(const Snapshot& snap) {
   // Order matters: core first (drops every pending callback and resets
   // volatile engine state), heap bytes next, then host components (they
-  // may consult restored heap contents), then net (restore_net re-arms
+  // may consult restored heap contents), then net (its replay re-arms
   // droppable retransmit callbacks on the freshly restored engine clock).
   const std::vector<std::uint8_t>* core = snap.find(Snapshot::kCore);
   AAM_CHECK_MSG(core != nullptr, "snapshot missing core section");
-  util::BlobReader core_r(*core);
-  machine_.restore_core(core_r);
-  AAM_CHECK_MSG(core_r.exhausted(), "core section has trailing bytes");
+  from_bytes(*core, [&](util::BlobIo& io) { machine_.durable(io); },
+          "core section has trailing bytes");
 
   const std::vector<std::uint8_t>* heap = snap.find(Snapshot::kHeap);
   AAM_CHECK_MSG(heap != nullptr, "snapshot missing heap section");
@@ -127,17 +144,17 @@ void RecoveryManager::apply(const Snapshot& snap) {
     const auto token = host_r.get<std::uint64_t>();
     AAM_CHECK_MSG(token == host_state_[i].first,
                   "host-state registration order changed since checkpoint");
-    const auto blob = host_r.get_vector<std::uint8_t>();
-    host_state_[i].second.restore(blob.data(), blob.size());
+    from_bytes(host_r.get_vector<std::uint8_t>(), host_state_[i].second,
+            "host-state blob has trailing bytes");
   }
   AAM_CHECK_MSG(host_r.exhausted(), "host section has trailing bytes");
 
   if (cluster_ != nullptr) {
     const std::vector<std::uint8_t>* net = snap.find(Snapshot::kNet);
     AAM_CHECK_MSG(net != nullptr, "snapshot missing net section");
-    util::BlobReader net_r(*net);
-    stats_.replayed_sends += cluster_->restore_net(net_r);
-    AAM_CHECK_MSG(net_r.exhausted(), "net section has trailing bytes");
+    from_bytes(*net, [&](util::BlobIo& io) { cluster_->durable(io); },
+            "net section has trailing bytes");
+    stats_.replayed_sends += cluster_->replay_pending_sends();
   }
 
   last_ckpt_now_ = snap.now_ns();
@@ -178,16 +195,6 @@ bool RecoveryManager::on_crash(htm::DesMachine& machine,
 }
 
 void RecoveryManager::take_checkpoint_now() { take_checkpoint(machine_); }
-
-bool RecoveryManager::restore_last() {
-  if (active_ < 0) return false;
-  std::string error;
-  auto snap = Snapshot::open(sealed_[active_], &error);
-  AAM_CHECK_MSG(snap.has_value(),
-                ("last checkpoint failed verification: " + error).c_str());
-  apply(*snap);
-  return true;
-}
 
 const std::vector<std::uint8_t>& RecoveryManager::last_snapshot_bytes() const {
   static const std::vector<std::uint8_t> kEmpty;

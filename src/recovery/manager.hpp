@@ -16,8 +16,8 @@
 //
 // A crash (htm::CrashError out of the engine) rolls the whole system back
 // to the last sealed snapshot: volatile engine state and all in-sim
-// callbacks are dropped, host components rewind through their restore
-// closures, and the network layer re-arms a retransmit timer for every
+// callbacks are dropped, host components rewind through the same
+// durable() field lists that saved them, and the network layer re-arms a retransmit timer for every
 // send that was unacked at the checkpoint — peers replay those messages
 // and the receiver's sequence dedup discards the ones it had already
 // applied. Crash draws live in the FaultInjector (the external world) and
@@ -83,7 +83,7 @@ class RecoveryManager final : public htm::RecoveryClient {
   void on_event_boundary(htm::DesMachine& machine) override;
   bool on_crash(htm::DesMachine& machine,
                 const htm::CrashDiagnostic& diagnostic) override;
-  std::uint64_t register_host_state(htm::HostStateFns fns) override;
+  std::uint64_t register_host_state(htm::HostState durable) override;
   void unregister_host_state(std::uint64_t token) override;
   std::uint64_t last_checkpoint_id() const override { return last_ckpt_id_; }
   std::uint64_t inflight_messages() const override {
@@ -93,9 +93,6 @@ class RecoveryManager final : public htm::RecoveryClient {
   /// Forces a checkpoint at the current instant (must be checkpoint_safe);
   /// test surface for the round-trip property test.
   void take_checkpoint_now();
-  /// Restores the last sealed snapshot; false if none exists.
-  bool restore_last();
-  bool has_checkpoint() const { return active_ >= 0; }
   /// The last sealed snapshot, byte-exact (empty if none). Tests truncate
   /// or flip bits in a copy and feed it to restore_from_bytes.
   const std::vector<std::uint8_t>& last_snapshot_bytes() const;
@@ -122,7 +119,7 @@ class RecoveryManager final : public htm::RecoveryClient {
   // until the first checkpoint seals.
   std::vector<std::uint8_t> sealed_[2];
   int active_ = -1;
-  std::vector<std::pair<std::uint64_t, htm::HostStateFns>> host_state_;
+  std::vector<std::pair<std::uint64_t, htm::HostState>> host_state_;
   std::uint64_t next_token_ = 1;
   RecoveryStats stats_;
 };

@@ -86,7 +86,9 @@ bool Cli::get_bool(const std::string& name, bool def) {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  invalid_value(name, v, "true/false/1/0/yes/no/on/off");
 }
 
 std::vector<std::int64_t> Cli::get_int_list(

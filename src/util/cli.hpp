@@ -24,6 +24,7 @@ class Cli {
   std::string get_string(const std::string& name, const std::string& def);
   std::int64_t get_int(const std::string& name, std::int64_t def);
   double get_double(const std::string& name, double def);
+  /// true/1/yes/on or false/0/no/off; any other value exits 2.
   bool get_bool(const std::string& name, bool def);
   /// Comma-separated integer list, e.g. --sizes=1,2,4,8 (no empty items).
   std::vector<std::int64_t> get_int_list(const std::string& name,

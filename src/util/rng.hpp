@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/blob.hpp"
 #include "util/check.hpp"
 
 namespace aam::util {
@@ -94,12 +95,7 @@ class Rng {
 
   /// Checkpoint support: the stream position is the four state words.
   /// Restoring them replays the exact draw sequence from that point.
-  constexpr void save_state(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = state_[i];
-  }
-  constexpr void restore_state(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = in[i];
-  }
+  void durable(BlobIo& io) { io(state_); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

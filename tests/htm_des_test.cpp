@@ -836,7 +836,8 @@ TEST(WriteLog, RestoreLeavesNoStaleHit) {
   std::uint64_t& w = line[1];
   ASSERT_EQ(heap.line_of(&x), heap.line_of(&w));
   util::BlobWriter core;
-  m.save_core(core);
+  util::BlobIo save(core);
+  m.durable(save);
   std::uint64_t seen_x = 1;
   ScriptWorker worker({TxnBody([&](Txn& tx) {
                          tx.store(x, std::uint64_t{42});
@@ -850,7 +851,8 @@ TEST(WriteLog, RestoreLeavesNoStaleHit) {
   m.run_controlled(one);  // the first body ran; its commit is pending
   EXPECT_EQ(x, 0u);
   util::BlobReader reader(core.bytes());
-  m.restore_core(reader);
+  util::BlobIo restore(reader);
+  m.durable(restore);
   m.run();  // the restored machine stages the second body
   EXPECT_EQ(seen_x, 0u);
   EXPECT_EQ(x, 0u);

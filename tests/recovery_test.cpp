@@ -9,6 +9,8 @@
 #include "algorithms/bfs.hpp"
 #include "algorithms/pagerank_dist.hpp"
 #include "algorithms/registry.hpp"
+#include "core/auto_executor.hpp"
+#include "core/distributed.hpp"
 #include "core/runtime.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
@@ -18,6 +20,7 @@
 #include "net/cluster.hpp"
 #include "recovery/manager.hpp"
 #include "recovery/snapshot.hpp"
+#include "util/blob.hpp"
 
 namespace aam::recovery {
 namespace {
@@ -27,6 +30,24 @@ namespace {
 // reproduce the original snapshot bit-for-bit, section by section, under
 // every synchronization mechanism (each serializes different executor and
 // heap-resident state: lock stripes, orecs, the serial lock word, ...).
+
+/// Expects two sealed snapshots to hold the same instant and the same
+/// bytes in every section (checkpoint ids are monotone, so they differ).
+void expect_sections_equal(const std::vector<std::uint8_t>& sealed_a,
+                           const std::vector<std::uint8_t>& sealed_b) {
+  std::string err;
+  const auto a = Snapshot::open(sealed_a, &err);
+  ASSERT_TRUE(a.has_value()) << err;
+  const auto b = Snapshot::open(sealed_b, &err);
+  ASSERT_TRUE(b.has_value()) << err;
+  ASSERT_EQ(a->sections().size(), b->sections().size());
+  EXPECT_DOUBLE_EQ(a->now_ns(), b->now_ns());
+  for (std::size_t i = 0; i < a->sections().size(); ++i) {
+    EXPECT_EQ(a->sections()[i].tag, b->sections()[i].tag);
+    EXPECT_EQ(a->sections()[i].bytes, b->sections()[i].bytes)
+        << "section tag " << a->sections()[i].tag;
+  }
+}
 
 TEST(Recovery, CheckpointRoundTripIsBitIdenticalPerMechanism) {
   for (const core::Mechanism mech : core::all_mechanisms()) {
@@ -60,19 +81,279 @@ TEST(Recovery, CheckpointRoundTripIsBitIdenticalPerMechanism) {
     EXPECT_EQ(counters[0], value_a);  // heap rewound with the snapshot
 
     rec.take_checkpoint_now();
-    const std::vector<std::uint8_t>& snap_b = rec.last_snapshot_bytes();
-    const auto a = Snapshot::open(snap_a, &err);
-    ASSERT_TRUE(a.has_value()) << err;
-    const auto b = Snapshot::open(snap_b, &err);
-    ASSERT_TRUE(b.has_value()) << err;
-    // Checkpoint ids differ (they are monotone); every section must not.
-    ASSERT_EQ(a->sections().size(), b->sections().size());
-    EXPECT_DOUBLE_EQ(a->now_ns(), b->now_ns());
-    for (std::size_t i = 0; i < a->sections().size(); ++i) {
-      EXPECT_EQ(a->sections()[i].tag, b->sections()[i].tag);
-      EXPECT_EQ(a->sections()[i].bytes, b->sections()[i].bytes)
-          << "section tag " << a->sections()[i].tag;
+    expect_sections_equal(snap_a, rec.last_snapshot_bytes());
+  }
+}
+
+// The same property for the auto executor with an adaptive controller:
+// the ladder rungs, validation windows, per-thread attribution, every
+// inner executor and the controller's window all round-trip.
+TEST(Recovery, CheckpointRoundTripIsBitIdenticalUnderAutoWithAdaptiveBatch) {
+  mem::SimHeap heap;
+  htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap, 7);
+  RecoveryManager rec(machine, RecoveryOptions{1.0e9});
+  auto counters = heap.alloc<std::uint64_t>(2, "counters");
+  std::fill(counters.begin(), counters.end(), 0);
+
+  core::AutoPolicy policy;
+  for (auto& plan : policy.plans) {
+    plan.recommended = core::Mechanism::kHtmCoarsened;
+  }
+  core::AamRuntime::Options o;
+  o.batch = 8;
+  o.auto_policy = &policy;
+  core::AamRuntime rt(machine, o);
+  core::AdaptiveBatch::Options ao;
+  ao.initial = 128;
+  ao.window = 4;
+  core::AdaptiveBatch adaptive(ao);
+  rt.set_adaptive(&adaptive);
+  // Two hot counters: conflicts move the controller between checkpoints.
+  const auto bump = [&](auto& access, std::uint64_t i) {
+    access.fetch_add(counters[i % 2], std::uint64_t{1});
+  };
+  rt.for_each(1024, bump);
+
+  rec.take_checkpoint_now();
+  const std::vector<std::uint8_t> snap_a = rec.last_snapshot_bytes();
+  const int batch_a = adaptive.batch();
+
+  rt.for_each(1024, bump);
+  EXPECT_EQ(counters[0], 1024u);
+  EXPECT_NE(adaptive.batch(), batch_a);
+
+  std::string err;
+  ASSERT_TRUE(rec.restore_from_bytes(snap_a, &err)) << err;
+  EXPECT_EQ(counters[0], 512u);
+  EXPECT_EQ(adaptive.batch(), batch_a);
+
+  rec.take_checkpoint_now();
+  expect_sections_equal(snap_a, rec.last_snapshot_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// The same property for the distributed runtime on a 2-node cluster whose
+// reliable-delivery protocol runs (a crash plan turns it on). The probe
+// checkpoints at the first safe instant where coalescer buffers, pending
+// batch queues and unacked sends all hold something, lets the run move on,
+// restores, checkpoints again and compares; the run then finishes from the
+// restored state and must still apply every item exactly once.
+
+/// Spawns its items one per dispatch without running any batch, then parks
+/// holding a coalescer tail, local batches and the sends in flight. Once a
+/// delivery wakes it, it drains, flushes and parks for good.
+class HoldingWorker final : public htm::Worker {
+ public:
+  static constexpr std::uint64_t kLocal = 5;   // 2 batches of M = 2, 1 left
+  static constexpr std::uint64_t kRemote = 6;  // 1 message of C = 4, 2 left
+
+  HoldingWorker(core::DistributedRuntime& rt, net::Cluster& cluster,
+                std::uint32_t tid)
+      : rt_(rt), cluster_(cluster), tid_(tid) {}
+
+  bool holding() const { return held_ && !woken_; }
+  bool flushed() const { return flushed_; }
+
+  bool next(htm::ThreadCtx& ctx) override {
+    const int node = cluster_.node_of_thread(tid_);
+    if (spawned_ < kLocal + kRemote) {
+      const bool local = spawned_ < kLocal;
+      rt_.spawn(ctx, local ? node : 1 - node, tid_ * 100 + spawned_);
+      ++spawned_;
+      return true;
     }
+    if (!held_) {
+      held_ = true;
+      return false;
+    }
+    woken_ = true;
+    if (rt_.progress(ctx)) return true;
+    if (!flushed_) {
+      flushed_ = true;
+      rt_.flush(ctx);
+      return true;
+    }
+    return false;
+  }
+
+  void durable(util::BlobIo& io) { io(spawned_, held_, woken_, flushed_); }
+
+ private:
+  core::DistributedRuntime& rt_;
+  net::Cluster& cluster_;
+  std::uint32_t tid_;
+  std::uint64_t spawned_ = 0;
+  bool held_ = false;
+  bool woken_ = false;
+  bool flushed_ = false;
+};
+
+/// Forwards to a RecoveryManager; takes snapshot A at the first safe
+/// instant where every worker holds its work and sends are in flight,
+/// restores A at the first safe instant after every worker has flushed,
+/// and snapshots B right away.
+class RoundTripProbe final : public htm::RecoveryClient {
+ public:
+  RoundTripProbe(net::Cluster& cluster, RecoveryManager& inner,
+                 const std::vector<HoldingWorker>& workers)
+      : cluster_(cluster), inner_(inner), workers_(workers) {
+    cluster_.machine().set_recovery_client(this);
+  }
+  ~RoundTripProbe() override {
+    cluster_.machine().set_recovery_client(&inner_);
+  }
+
+  std::vector<std::uint8_t> snap_a;
+  std::vector<std::uint8_t> snap_b;
+  std::uint64_t in_flight_at_a = 0;
+
+  void on_run_entry(htm::DesMachine& m) override { inner_.on_run_entry(m); }
+  void on_quiescence(htm::DesMachine& m) override { inner_.on_quiescence(m); }
+  void on_event_boundary(htm::DesMachine& m) override {
+    if (snap_a.empty()) {
+      if (all(&HoldingWorker::holding) && cluster_.in_flight() > 0) {
+        inner_.take_checkpoint_now();
+        snap_a = inner_.last_snapshot_bytes();
+        in_flight_at_a = cluster_.in_flight();
+      }
+    } else if (snap_b.empty() && all(&HoldingWorker::flushed)) {
+      std::string err;
+      AAM_CHECK_MSG(inner_.restore_from_bytes(snap_a, &err), err.c_str());
+      inner_.take_checkpoint_now();
+      snap_b = inner_.last_snapshot_bytes();
+      return;
+    }
+    inner_.on_event_boundary(m);
+  }
+  bool on_crash(htm::DesMachine& m, const htm::CrashDiagnostic& d) override {
+    return inner_.on_crash(m, d);
+  }
+  std::uint64_t register_host_state(htm::HostState durable) override {
+    return inner_.register_host_state(std::move(durable));
+  }
+  void unregister_host_state(std::uint64_t token) override {
+    inner_.unregister_host_state(token);
+  }
+  std::uint64_t last_checkpoint_id() const override {
+    return inner_.last_checkpoint_id();
+  }
+  std::uint64_t inflight_messages() const override {
+    return inner_.inflight_messages();
+  }
+
+ private:
+  bool all(bool (HoldingWorker::*phase)() const) const {
+    return std::all_of(workers_.begin(), workers_.end(),
+                       [&](const HoldingWorker& w) { return (w.*phase)(); });
+  }
+
+  net::Cluster& cluster_;
+  RecoveryManager& inner_;
+  const std::vector<HoldingWorker>& workers_;
+};
+
+TEST(Recovery, CheckpointRoundTripIsBitIdenticalForDistributedRuntime) {
+  const std::uint64_t seed = 3;
+  const int nodes = 2;
+  const int threads = 2;
+  mem::SimHeap heap;
+  net::Cluster cluster(model::has_p(), model::HtmKind::kRtm, nodes, threads,
+                       heap, seed);
+  const fault::FaultPlan plan =
+      fault::parse("crash-restart", model::has_p().fault);
+  fault::FaultInjector inj(plan, seed, nodes * threads, threads);
+  inj.attach(cluster);
+  RecoveryManager rec(cluster, RecoveryOptions{plan.crash_ckpt_ns});
+  std::vector<HoldingWorker> workers;
+  RoundTripProbe probe(cluster, rec, workers);
+
+  auto hits = heap.alloc<std::uint64_t>(4 * 100, "hits");
+  std::fill(hits.begin(), hits.end(), 0);
+  core::DistributedRuntime::Options o;
+  o.coalesce = 4;
+  o.exec.batch = 2;
+  core::DistributedRuntime rt(cluster, o);
+  rt.set_operator([&](auto& access, std::uint64_t item) {
+    access.fetch_add(hits[item], std::uint64_t{1});
+  });
+  workers.reserve(nodes * threads);
+  for (std::uint32_t t = 0; t < nodes * threads; ++t) {
+    workers.emplace_back(rt, cluster, t);
+    cluster.machine().set_worker(t, &workers.back());
+  }
+  htm::ScopedHostState ckpt(cluster.machine().recovery_client(),
+                            [&](util::BlobIo& io) {
+                              for (HoldingWorker& w : workers) io(w);
+                            });
+  cluster.machine().run();
+
+  ASSERT_FALSE(probe.snap_a.empty()) << "no instant held all three";
+  ASSERT_FALSE(probe.snap_b.empty()) << "the run ended before the restore";
+  EXPECT_GT(probe.in_flight_at_a, 0u);
+  expect_sections_equal(probe.snap_a, probe.snap_b);
+
+  // Replayed from A to the end: every item applied exactly once.
+  for (std::uint32_t t = 0; t < nodes * threads; ++t) {
+    for (std::uint64_t i = 0; i < HoldingWorker::kLocal + HoldingWorker::kRemote;
+         ++i) {
+      EXPECT_EQ(hits[t * 100 + i], 1u) << "thread " << t << " item " << i;
+    }
+  }
+  EXPECT_TRUE(rt.drained());
+  EXPECT_EQ(cluster.in_flight(), 0u);
+}
+
+// A producer derived from DistributedRuntime::Worker: its cursor is durable
+// through the worker's own registration, so a crash-restored run spawns
+// every item exactly once.
+class CountingProducer final : public core::DistributedRuntime::Worker {
+ public:
+  CountingProducer(core::DistributedRuntime& rt, std::uint64_t count)
+      : core::DistributedRuntime::Worker(rt), rt_(rt), left_(count) {}
+
+  void durable(util::BlobIo& io) override {
+    core::DistributedRuntime::Worker::durable(io);
+    io(left_);
+  }
+
+ protected:
+  bool produce(htm::ThreadCtx& ctx) override {
+    if (left_ == 0) return false;
+    for (int burst = 0; burst < 8 && left_ > 0; ++burst) {
+      --left_;
+      rt_.spawn(ctx, /*owner_node=*/1, left_ % 64);
+    }
+    return true;
+  }
+
+ private:
+  core::DistributedRuntime& rt_;
+  std::uint64_t left_;
+};
+
+TEST(Recovery, DistributedWorkerCursorRollsBackWithItsItems) {
+  mem::SimHeap heap;
+  net::Cluster cluster(model::has_p(), model::HtmKind::kRtm, 2, 1, heap, 1);
+  const fault::FaultPlan plan =
+      fault::parse("crash-restart", model::has_p().fault);
+  fault::FaultInjector inj(plan, 1, 2, 1);
+  inj.attach(cluster);
+  RecoveryManager rec(cluster, RecoveryOptions{plan.crash_ckpt_ns});
+  auto hits = heap.alloc<std::uint64_t>(64, "hits");
+  std::fill(hits.begin(), hits.end(), 0);
+  core::DistributedRuntime rt(cluster, {.coalesce = 16, .exec = {.batch = 16}});
+  rt.set_operator([&](auto& access, std::uint64_t item) {
+    access.fetch_add(hits[item], std::uint64_t{1});
+  });
+  CountingProducer producer(rt, 4096);
+  core::DistributedRuntime::Worker sink(rt);
+  cluster.machine().set_worker(0, &producer);
+  cluster.machine().set_worker(1, &sink);
+  cluster.machine().run();
+
+  EXPECT_GE(rec.stats().crashes, 1u);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 64u) << "item " << i;
   }
 }
 
@@ -250,8 +531,8 @@ class RecoveryProbe final : public htm::RecoveryClient {
     restored_checkpoints.push_back(last_checkpoint_ns_);
     return inner_.on_crash(m, d);
   }
-  std::uint64_t register_host_state(htm::HostStateFns fns) override {
-    return inner_.register_host_state(std::move(fns));
+  std::uint64_t register_host_state(htm::HostState durable) override {
+    return inner_.register_host_state(std::move(durable));
   }
   void unregister_host_state(std::uint64_t token) override {
     inner_.unregister_host_state(token);

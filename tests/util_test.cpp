@@ -2,7 +2,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
+#include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -225,6 +230,21 @@ TEST(Cli, HexIntegersStayValid) {
   EXPECT_EQ(cli.get_int_list("sizes", {}), (std::vector<std::int64_t>{2, 3}));
 }
 
+TEST(Cli, BoolAcceptsEverySpelling) {
+  for (const char* on : {"true", "1", "yes", "on"}) {
+    const std::string arg = std::string("--json=") + on;
+    const char* argv[] = {"prog", arg.c_str()};
+    Cli cli(2, const_cast<char**>(argv));
+    EXPECT_TRUE(cli.get_bool("json", false)) << on;
+  }
+  for (const char* off : {"false", "0", "no", "off"}) {
+    const std::string arg = std::string("--json=") + off;
+    const char* argv[] = {"prog", arg.c_str()};
+    Cli cli(2, const_cast<char**>(argv));
+    EXPECT_FALSE(cli.get_bool("json", true)) << off;
+  }
+}
+
 /// Parses `arg` as the only flag and reads it back with `get`.
 template <typename Get>
 void parse_one(const char* arg, Get get) {
@@ -261,6 +281,16 @@ TEST(CliDeathTest, MalformedNumbersExitTwo) {
               "invalid --p=; expected a number");
   EXPECT_EXIT(parse_one("--p=1e999", get_p), ::testing::ExitedWithCode(2),
               "expected a number");
+}
+
+TEST(CliDeathTest, MalformedBoolsExitTwo) {
+  const auto get_json = [](Cli& cli) { cli.get_bool("json", false); };
+  EXPECT_EXIT(parse_one("--json=TRUE", get_json), ::testing::ExitedWithCode(2),
+              "invalid --json=TRUE; expected true/false/1/0/yes/no/on/off");
+  EXPECT_EXIT(parse_one("--json=flase", get_json),
+              ::testing::ExitedWithCode(2), "invalid --json=flase");
+  EXPECT_EXIT(parse_one("--json=", get_json), ::testing::ExitedWithCode(2),
+              "invalid --json=;");
 }
 
 TEST(CliDeathTest, MalformedIntListsExitTwo) {
@@ -322,27 +352,155 @@ TEST(Blob, RoundTripsEmptyAndNonEmptyVectors) {
   EXPECT_TRUE(r.exhausted());
 }
 
-TEST(Blob, PutAllMatchesFieldWiseLayoutAndGetAllRestoresIt) {
-  std::vector<std::uint32_t> items{4, 5};
-  bool flag = true;
-  double value = 2.5;
-  BlobWriter all;
-  all.put_all(items, flag, value);
-  BlobWriter fieldwise;
-  fieldwise.put_vector(items);
-  fieldwise.put<std::uint8_t>(1);
-  fieldwise.put<double>(value);
-  EXPECT_EQ(all.bytes(), fieldwise.bytes());
+/// A component with a nested durable part and fields of every encoding.
+struct Inner {
+  std::uint32_t id = 0;
+  std::vector<std::uint64_t> items;
 
-  std::vector<std::uint32_t> items_back;
-  bool flag_back = false;
-  double value_back = 0;
-  BlobReader r(all.bytes());
-  r.get_all(items_back, flag_back, value_back);
-  EXPECT_EQ(items_back, items);
-  EXPECT_TRUE(flag_back);
-  EXPECT_EQ(value_back, value);
+  void durable(BlobIo& io) { io(id, items); }
+};
+
+enum class Level : int { kLow = 1, kHigh = 200 };
+
+struct Outer {
+  double clock = 0;
+  bool flag = false;
+  Level level = Level::kLow;
+  Inner inner;
+  std::deque<Inner> queue;
+  std::map<std::uint64_t, Inner> pending;
+  std::set<std::uint64_t> seen;
+  std::vector<Inner> fixed = std::vector<Inner>(2);
+
+  void durable(BlobIo& io) {
+    io(clock, flag);
+    io.as<std::uint8_t>(level);
+    io(inner, queue, pending, seen);
+    io.each(fixed, "fixed size changed");
+  }
+};
+
+Outer sample_outer() {
+  Outer o;
+  o.clock = 2.5;
+  o.flag = true;
+  o.level = Level::kHigh;
+  o.inner = {7, {1, 2, 3}};
+  o.queue = {{1, {}}, {2, {9}}};
+  o.pending = {{4, {5, {6}}}, {8, {9, {}}}};
+  o.seen = {11, 3};
+  o.fixed = {{21, {22}}, {23, {}}};
+  return o;
+}
+
+std::vector<std::uint8_t> save_bytes(Outer& o) {
+  BlobWriter w;
+  BlobIo io(w);
+  o.durable(io);
+  return w.take();
+}
+
+TEST(BlobIo, RoundTripsScalarsVectorsContainersAndNestedDurables) {
+  Outer saved = sample_outer();
+  const std::vector<std::uint8_t> bytes = save_bytes(saved);
+
+  Outer back;
+  back.queue = {{99, {99}}};  // restoring replaces, not appends
+  back.seen = {42};
+  BlobReader r(bytes);
+  BlobIo io(r);
+  back.durable(io);
   EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(back.clock, 2.5);
+  EXPECT_TRUE(back.flag);
+  EXPECT_EQ(back.level, Level::kHigh);
+  EXPECT_EQ(back.inner.id, 7u);
+  EXPECT_EQ(back.inner.items, (std::vector<std::uint64_t>{1, 2, 3}));
+  ASSERT_EQ(back.queue.size(), 2u);
+  EXPECT_EQ(back.queue[1].id, 2u);
+  EXPECT_EQ(back.queue[1].items, (std::vector<std::uint64_t>{9}));
+  ASSERT_EQ(back.pending.size(), 2u);
+  EXPECT_EQ(back.pending.at(4).id, 5u);
+  EXPECT_EQ(back.pending.at(4).items, (std::vector<std::uint64_t>{6}));
+  EXPECT_EQ(back.seen, (std::set<std::uint64_t>{3, 11}));
+  EXPECT_EQ(back.fixed[0].items, (std::vector<std::uint64_t>{22}));
+  EXPECT_EQ(back.fixed[1].id, 23u);
+  // Saving the restored copy reproduces the bytes.
+  EXPECT_EQ(save_bytes(back), bytes);
+}
+
+TEST(BlobIo, OutputEqualsTheHandWrittenWriterSequence) {
+  Outer o = sample_outer();
+  BlobWriter w;
+  w.put<double>(2.5);
+  w.put<std::uint8_t>(1);
+  w.put<std::uint8_t>(200);
+  w.put<std::uint32_t>(7);
+  w.put_vector(std::vector<std::uint64_t>{1, 2, 3});
+  w.put<std::uint64_t>(2);  // queue
+  w.put<std::uint32_t>(1);
+  w.put_vector(std::vector<std::uint64_t>{});
+  w.put<std::uint32_t>(2);
+  w.put_vector(std::vector<std::uint64_t>{9});
+  w.put<std::uint64_t>(2);  // pending, in key order
+  w.put<std::uint64_t>(4);
+  w.put<std::uint32_t>(5);
+  w.put_vector(std::vector<std::uint64_t>{6});
+  w.put<std::uint64_t>(8);
+  w.put<std::uint32_t>(9);
+  w.put_vector(std::vector<std::uint64_t>{});
+  w.put<std::uint64_t>(2);  // seen, in order
+  w.put<std::uint64_t>(3);
+  w.put<std::uint64_t>(11);
+  w.put<std::uint64_t>(2);  // fixed: the checked count, then each element
+  w.put<std::uint32_t>(21);
+  w.put_vector(std::vector<std::uint64_t>{22});
+  w.put<std::uint32_t>(23);
+  w.put_vector(std::vector<std::uint64_t>{});
+  EXPECT_EQ(save_bytes(o), w.bytes());
+}
+
+TEST(BlobIo, NonzeroBoolByteRestoresAsTrue) {
+  BlobWriter w;
+  w.put<std::uint8_t>(0x7f);
+  w.put<std::uint8_t>(0);
+  bool on = false;
+  bool off = true;
+  BlobReader r(w.bytes());
+  BlobIo io(r);
+  io(on, off);
+  EXPECT_TRUE(on);
+  EXPECT_FALSE(off);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BlobIo, ElementsCarryNoLengthPrefix) {
+  std::uint64_t words[3] = {1, 2, 3};
+  BlobWriter w;
+  BlobIo save(w);
+  save.elements(std::span<std::uint64_t>(words));
+  EXPECT_EQ(w.size(), sizeof(words));
+
+  std::uint64_t back[3] = {};
+  BlobReader r(w.bytes());
+  BlobIo restore(r);
+  restore.elements(std::span<std::uint64_t>(back));
+  EXPECT_EQ(back[2], 3u);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BlobIoDeathTest, CountMismatchOnRestoreAbortsWithItsDiagnostic) {
+  Outer saved = sample_outer();
+  const std::vector<std::uint8_t> bytes = save_bytes(saved);
+  EXPECT_DEATH(
+      {
+        Outer back;
+        back.fixed.resize(3);
+        BlobReader r(bytes);
+        BlobIo io(r);
+        back.durable(io);
+      },
+      "fixed size changed");
 }
 
 TEST(BlobDeathTest, WrappingVectorLengthIsTruncation) {

@@ -51,10 +51,18 @@
 # iteration (e.g. draining into a sorted vector before use) is annotated
 # with a `lint:allow-unordered-iter` comment marker.
 #
+# Pass 6 — hand-paired serializers. A checkpointed component lists its
+# fields once, in `durable(util::BlobIo&)`, and the one list saves and
+# restores them. After stripping comments, flags any BlobWriter or
+# BlobReader outside src/util/blob.*, src/recovery/ and tests/: a
+# component spelling either is back to writing its fields twice, once per
+# direction, where the two lists can drift apart.
+#
 # Usage: lint_operators.sh [file...]
 #   With no arguments, passes 1-2 lint src/algorithms/*.cpp and *.hpp,
-#   pass 3 lints every src/**/*.cpp|hpp outside src/sim/, and pass 5
-#   lints every src/**/*.cpp|hpp.
+#   pass 3 lints every src/**/*.cpp|hpp outside src/sim/, pass 5 lints
+#   every src/**/*.cpp|hpp, and pass 6 lints every .cpp|hpp under src/,
+#   bench/, examples/ and tools/ (fixtures excluded).
 #   With arguments, all passes lint exactly those files (used by the
 #   self-test: tools/lint_operators_selftest.sh runs this against
 #   known-good and known-bad fixtures in tools/lint_fixtures/).
@@ -71,28 +79,36 @@ if [ "$#" -eq 0 ]; then
   set -- src/algorithms/*.cpp src/algorithms/*.hpp
 fi
 
+# The awk function the passes share: `line` without its // and /* */
+# comments; `inblock` carries an unclosed /* to the next line.
+strip='
+function strip(line,    i, s, e) {
+  if (inblock) {
+    i = index(line, "*/")
+    if (i == 0) return ""
+    line = substr(line, i + 2)
+    inblock = 0
+  }
+  while ((s = index(line, "/*")) > 0) {
+    e = index(substr(line, s + 2), "*/")
+    if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
+    line = substr(line, 1, s - 1) substr(line, s + e + 3)
+  }
+  sub(/\/\/.*/, "", line)
+  return line
+}
+'
+
 status=0
 for f in "$@"; do
   # Pass 1: raw subscripted mutations inside access-taking bodies.
-  awk '
+  awk "$strip"'
     # Track regions that run under an access surface: from a signature line
     # with a generic access lambda or a templated access parameter, to the
     # close of its brace pair.
     /\(auto& access|\(Acc& a[,)]/ && region == 0 { region = 1; depth = 0; entered = 0 }
     region == 1 {
-      line = $0
-      if (inblock) {
-        i = index(line, "*/")
-        if (i == 0) next
-        line = substr(line, i + 2)
-        inblock = 0
-      }
-      while ((s = index(line, "/*")) > 0) {
-        e = index(substr(line, s + 2), "*/")
-        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
-        line = substr(line, 1, s - 1) substr(line, s + e + 3)
-      }
-      sub(/\/\/.*/, "", line)  # strip trailing comments
+      line = strip($0)
       if (entered &&
           (line ~ /[A-Za-z_][A-Za-z0-9_]*\[[^]]*\][ \t]*(=[^=]|\+=|-=|\*=|\/=|\|=|&=|\^=|<<=|>>=|\+\+|--)/ ||
            line ~ /(\+\+|--)[ \t]*[A-Za-z_][A-Za-z0-9_]*\[/)) {
@@ -109,21 +125,9 @@ for f in "$@"; do
   ' "$f" || status=1
 
   # Pass 2: comment-stripped scan for `core::Access&` parameters.
-  awk '
+  awk "$strip"'
     {
-      line = $0
-      if (inblock) {
-        i = index(line, "*/")
-        if (i == 0) next
-        line = substr(line, i + 2)
-        inblock = 0
-      }
-      while ((s = index(line, "/*")) > 0) {
-        e = index(substr(line, s + 2), "*/")
-        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
-        line = substr(line, 1, s - 1) substr(line, s + e + 3)
-      }
-      sub(/\/\/.*/, "", line)
+      line = strip($0)
       if (line ~ /[(,][ \t]*(const[ \t]+)?core::Access[ \t]*&/) {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
         bad = 1
@@ -142,22 +146,10 @@ if [ "$explicit_files" -eq 0 ]; then
 fi
 
 for f in "$@"; do
-  awk '
+  awk "$strip"'
     {
       raw = $0
-      line = $0
-      if (inblock) {
-        i = index(line, "*/")
-        if (i == 0) next
-        line = substr(line, i + 2)
-        inblock = 0
-      }
-      while ((s = index(line, "/*")) > 0) {
-        e = index(substr(line, s + 2), "*/")
-        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
-        line = substr(line, 1, s - 1) substr(line, s + e + 3)
-      }
-      sub(/\/\/.*/, "", line)
+      line = strip($0)
       if (raw ~ /lint:allow-mechanism/) next
       if (line ~ /Mechanism[ \t]*::/) {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
@@ -175,22 +167,10 @@ if [ "$explicit_files" -eq 0 ]; then
 fi
 
 for f in "$@"; do
-  awk '
+  awk "$strip"'
     {
       raw = $0
-      line = $0
-      if (inblock) {
-        i = index(line, "*/")
-        if (i == 0) next
-        line = substr(line, i + 2)
-        inblock = 0
-      }
-      while ((s = index(line, "/*")) > 0) {
-        e = index(substr(line, s + 2), "*/")
-        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
-        line = substr(line, 1, s - 1) substr(line, s + e + 3)
-      }
-      sub(/\/\/.*/, "", line)
+      line = strip($0)
       if (raw ~ /lint:allow-wallclock/) next
       if (line ~ /std::rand[ \t]*\(|[^A-Za-z0-9_]srand[ \t]*\(|gettimeofday|clock_gettime|steady_clock|system_clock|high_resolution_clock/) {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
@@ -212,7 +192,7 @@ for f in "$@"; do
   # declared with an unordered container type, the second flags iteration
   # over any of them (plus range-fors whose range expression spells an
   # unordered type directly).
-  awk '
+  awk "$strip"'
     NR == FNR {
       line = $0
       sub(/\/\/.*/, "", line)
@@ -239,19 +219,7 @@ for f in "$@"; do
     FNR == 1 { inblock = 0 }
     {
       raw = $0
-      line = $0
-      if (inblock) {
-        i = index(line, "*/")
-        if (i == 0) next
-        line = substr(line, i + 2)
-        inblock = 0
-      }
-      while ((s = index(line, "/*")) > 0) {
-        e = index(substr(line, s + 2), "*/")
-        if (e == 0) { line = substr(line, 1, s - 1); inblock = 1; break }
-        line = substr(line, 1, s - 1) substr(line, s + e + 3)
-      }
-      sub(/\/\/.*/, "", line)
+      line = strip($0)
       if (raw ~ /lint:allow-unordered-iter/) next
       hit = 0
       if (line ~ /for[ \t]*\([^;]*:[ \t]*[^;]*unordered_(map|set)/) hit = 1
@@ -270,6 +238,31 @@ for f in "$@"; do
   ' "$f" "$f" || status=1
 done
 
+# Pass 6 file set: the explicit arguments, or every C++ file of the
+# program outside the fixtures. Either way the serializer's own files,
+# the recovery layer and the tests are exempt by path.
+if [ "$explicit_files" -eq 0 ]; then
+  set -- $(find src bench examples tools -name '*.cpp' -o -name '*.hpp' |
+           grep -v '^tools/lint_fixtures/' | sort)
+fi
+
+for f in "$@"; do
+  case "$f" in
+    src/util/blob.* | */src/util/blob.* | src/recovery/* | */src/recovery/* | \
+      tests/* | */tests/*) continue ;;
+  esac
+  awk "$strip"'
+    {
+      line = strip($0)
+      if (line ~ /(^|[^A-Za-z0-9_])Blob(Writer|Reader)([^A-Za-z0-9_]|$)/) {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+        bad = 1
+      }
+    }
+    END { exit bad ? 1 : 0 }
+  ' "$f" || status=1
+done
+
 if [ "$status" -ne 0 ]; then
   echo "lint_operators: operator bodies must route mutations through the" >&2
   echo "access surface (access.store/cas/fetch_add), take it as a templated" >&2
@@ -277,6 +270,9 @@ if [ "$status" -ne 0 ]; then
   echo "draw time/randomness from the DES clock and util::Rng, not the host" >&2
   echo "(mark intentional host-time reads with lint:allow-wallclock), and" >&2
   echo "src/ must never iterate an unordered container (hash order is not" >&2
-  echo "deterministic; mark exceptions with lint:allow-unordered-iter)" >&2
+  echo "deterministic; mark exceptions with lint:allow-unordered-iter)," >&2
+  echo "and checkpointed state must be listed once in durable(util::BlobIo&)" >&2
+  echo "(BlobWriter/BlobReader belong to src/util/blob.*, src/recovery/ and" >&2
+  echo "tests/ only)" >&2
 fi
 exit "$status"

@@ -47,7 +47,15 @@ if ! "$lint" "$fixtures/good_unordered_marker.hpp"; then
   echo "FAIL: good_unordered_marker.hpp rejected (lookup or marker broken)" >&2
   fail=1
 fi
-# The real tree must still be clean under both passes.
+if "$lint" "$fixtures/bad_blob_serializer.hpp" >/dev/null 2>&1; then
+  echo "FAIL: bad_blob_serializer.hpp accepted (serializer pass broken)" >&2
+  fail=1
+fi
+if ! "$lint" "$fixtures/good_blob_durable.hpp"; then
+  echo "FAIL: good_blob_durable.hpp rejected (serializer pass broken)" >&2
+  fail=1
+fi
+# The real tree must still be clean under every pass.
 if ! "$lint"; then
   echo "FAIL: src/algorithms/ no longer passes the lint" >&2
   fail=1
