@@ -19,24 +19,21 @@ namespace {
 
 using namespace aam;
 
-double run_workload(const model::MachineConfig& config, model::HtmKind kind,
-                    int threads, int fixed_m, bool adaptive, bool hotspot,
-                    std::uint64_t items, std::uint64_t seed, int* final_m,
-                    const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap, seed);
-  bench::ScopedChecker scoped(machine, check_cfg);
+double run_workload(const bench::MachineSpec& spec, int fixed_m,
+                    bool adaptive, bool hotspot, std::uint64_t items,
+                    int* final_m, const bench::RunFlags& flags) {
+  bench::Cell cell(spec, flags);
   const std::uint64_t span = hotspot ? 16 : items;
-  auto data = heap.alloc<std::uint64_t>(span * 8);
-  core::AamRuntime rt(machine,
-                      {.batch = fixed_m, .recorder = scoped.recorder()});
+  auto data = cell.heap().alloc<std::uint64_t>(span * 8);
+  core::AamRuntime rt(cell.machine(),
+                      {.batch = fixed_m, .recorder = cell.recorder()});
   core::AdaptiveBatch controller;
   if (adaptive) rt.set_adaptive(&controller);
   rt.for_each(items, [&](auto& access, std::uint64_t i) {
     access.fetch_add(data[(i % span) * 8], std::uint64_t{1});
   });
   if (final_m != nullptr) *final_m = adaptive ? controller.batch() : fixed_m;
-  return machine.makespan();
+  return cell.machine().makespan();
 }
 
 }  // namespace
@@ -47,9 +44,7 @@ int main(int argc, char** argv) {
   io.csv_path = cli.get_string("csv", "");
   const auto items = static_cast<std::uint64_t>(cli.get_int("items", 1 << 16));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -57,8 +52,8 @@ int main(int argc, char** argv) {
       "Fixed transaction sizes vs the AdaptiveBatch controller on an "
       "overhead-bound and an abort-bound workload (BGQ short mode, T=16).");
 
-  const auto& config = model::bgq();
-  const auto kind = model::HtmKind::kBgqShort;
+  const bench::MachineSpec bgq{model::bgq(), model::HtmKind::kBgqShort, 16,
+                               seed};
 
   for (bool hotspot : {false, true}) {
     util::Table table({"policy", "runtime", "vs best fixed", "final M"});
@@ -66,15 +61,15 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, std::pair<double, int>>> rows;
     for (int m : {1, 8, 32, 80, 144, 320}) {
       int final_m = 0;
-      const double t = run_workload(config, kind, 16, m, false, hotspot,
-                                    items, seed, &final_m, check_cfg);
+      const double t =
+          run_workload(bgq, m, false, hotspot, items, &final_m, flags);
       rows.emplace_back("fixed M=" + std::to_string(m),
                         std::make_pair(t, final_m));
       if (best_fixed == 0 || t < best_fixed) best_fixed = t;
     }
     int final_m = 0;
-    const double adaptive_t = run_workload(config, kind, 16, 8, true, hotspot,
-                                           items, seed, &final_m, check_cfg);
+    const double adaptive_t =
+        run_workload(bgq, 8, true, hotspot, items, &final_m, flags);
     rows.emplace_back("adaptive", std::make_pair(adaptive_t, final_m));
 
     for (const auto& [name, tm] : rows) {

@@ -11,16 +11,13 @@
 // HTM (per-transaction begin/commit overhead dominates), and coarsened
 // HTM at the M sweet spot beats atomics by amortizing that overhead.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "algorithms/registry.hpp"
-#include "analysis/conflict.hpp"
-#include "analysis/recommend.hpp"
 #include "bench_common.hpp"
-#include "core/auto_executor.hpp"
-#include "core/executor.hpp"
 #include "sim/host_pool.hpp"
 
 using namespace aam;
@@ -42,11 +39,9 @@ int main(int argc, char** argv) {
   const int has_m = static_cast<int>(cli.get_int("has-m", 2));
   // Restrict the sweep to one mechanism column ("htm" keeps both M=1 and
   // M=opt); default sweeps everything.
-  std::vector<std::string> choices = {"all"};
-  for (const auto m : core::all_mechanisms()) choices.push_back(core::to_string(m));
-  choices.push_back("auto");
-  const std::string only = cli.get_choice("mechanism", "all", choices);
-  const check::CheckConfig check_cfg = check::check_flag(cli);
+  const std::vector<core::MechanismSelection> selections =
+      bench::mechanism_selections(cli);
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   const int host_threads = bench::get_host_threads(cli);
   cli.check_unknown();
 
@@ -67,82 +62,62 @@ int main(int argc, char** argv) {
   const auto algos = algorithms::registry();
 
   struct Setup {
-    const model::MachineConfig* config;
-    model::HtmKind kind;
-    int threads;
+    bench::MachineSpec machine;
     int opt_m;
   };
   const std::vector<Setup> setups = {
-      {&model::bgq(), model::HtmKind::kBgqShort, 64, bgq_m},
-      {&model::has_c(), model::HtmKind::kRtm, 8, has_m},
+      {{model::bgq(), model::HtmKind::kBgqShort, 64, seed}, bgq_m},
+      {{model::has_c(), model::HtmKind::kRtm, 8, seed}, has_m},
   };
 
   struct Variant {
     std::string label;
-    core::Mechanism mech;
-    int batch;  ///< 0 = use the machine's optimum M
-    bool is_auto = false;
+    core::MechanismSelection selection;
+    int batch;
   };
 
   for (const Setup& setup : setups) {
-    std::vector<Variant> variants = {
-        {"atomics", core::Mechanism::kAtomicOps, 0},
-        {"fine-locks", core::Mechanism::kFineLocks, 0},
-        {"serial-lock", core::Mechanism::kSerialLock, 0},
-        {"stm", core::Mechanism::kStm, 0},
-        {"htm M=1", core::Mechanism::kHtmCoarsened, 1},
-        {"htm M=" + std::to_string(setup.opt_m),
-         core::Mechanism::kHtmCoarsened, 0},
-        {"auto", core::Mechanism::kHtmCoarsened, 0, true},
-    };
-    if (only != "all") {
-      std::erase_if(variants, [&](const Variant& v) {
-        return only != (v.is_auto ? "auto" : core::to_string(v.mech));
-      });
+    // HTM runs at M=1 and at the optimum M, after the other fixed
+    // mechanisms (atomics first, so every later row has its "vs atomics"
+    // figure) and before auto.
+    std::vector<Variant> variants;
+    for (const core::MechanismSelection& s : selections) {
+      if (s.fixed == core::Mechanism::kHtmCoarsened) {
+        variants.push_back({"htm M=1", s, 1});
+        variants.push_back(
+            {"htm M=" + std::to_string(setup.opt_m), s, setup.opt_m});
+      } else {
+        variants.push_back({bench::label(s), s, setup.opt_m});
+      }
     }
-
-    // Static routing tables for the auto variant, one per input graph.
-    const core::AutoPolicy policy_g = analysis::make_auto_policy(
-        *setup.config, setup.kind,
-        analysis::workload_from_graph(in.g, setup.threads, setup.opt_m));
-    const core::AutoPolicy policy_wg = analysis::make_auto_policy(
-        *setup.config, setup.kind,
-        analysis::workload_from_graph(in.wg, setup.threads, setup.opt_m));
+    const auto rank = [](const Variant& v) {
+      if (v.selection.is_auto()) return 2;
+      return v.selection.fixed == core::Mechanism::kHtmCoarsened ? 1 : 0;
+    };
+    std::stable_sort(variants.begin(), variants.end(),
+                     [&](const Variant& a, const Variant& b) {
+                       return rank(a) < rank(b);
+                     });
+    const bench::GraphPolicies policies(setup.machine, in, setup.opt_m);
 
     // Each (algorithm, variant) pair is an independent cell (own heap and
     // machine), so the sweep runs on the parallel DES backend. The "vs
     // atomics" column is derived from the gathered slots afterwards, in
     // deterministic cell order, so the table is identical at any
-    // --host-threads value. --check runs stay sequential: the checker's
-    // verdict handling (ScopedChecker exits the process on a violation)
-    // is not a per-shard effect.
+    // --host-threads value. --check runs stay sequential: a checked cell
+    // exits the process on a violation, which is not a per-shard effect.
     const std::size_t n_cells = algos.size() * variants.size();
     std::vector<algorithms::RunReport> slots(n_cells);
-    sim::ShardRunner runner(check_cfg.enabled() ? 1 : host_threads);
+    sim::ShardRunner runner(flags.check.enabled() ? 1 : host_threads);
     runner.run(n_cells, [&](sim::ShardId cell_id) {
       const algorithms::AlgorithmEntry& algo =
           algos[cell_id / variants.size()];
       const Variant& v = variants[cell_id % variants.size()];
-      mem::SimHeap heap;
-      htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
-                              heap, seed);
-      machine.bind_shard(cell_id);
-      bench::ScopedChecker scoped(machine, check_cfg);
-      // Private policy copy: AutoTelemetry is mutable inside the shared
-      // per-graph policies, so parallel auto cells must not share one.
-      const core::AutoPolicy policy_copy =
-          algo.weighted ? policy_wg : policy_g;
-      const core::AutoPolicy* policy = v.is_auto ? &policy_copy : nullptr;
-      // Audit the auto dispatcher against its own capacity analysis.
-      if (scoped.checker() != nullptr) {
-        scoped.checker()->set_capacity_policy(policy);
-      }
+      bench::Cell cell(setup.machine, flags, cell_id);
       core::ExecConfig exec = algo.exec;
-      exec.batch = v.batch == 0 ? setup.opt_m : v.batch;
-      exec.mechanism = v.mech;
-      exec.recorder = scoped.recorder();
-      exec.auto_policy = policy;
-      slots[cell_id] = algo.run(machine, in, exec);
+      exec.batch = v.batch;
+      exec = cell.configure(exec, v.selection, &policies.of(algo));
+      slots[cell_id] = algo.run(cell.machine(), in, exec);
       AAM_CHECK(slots[cell_id].valid);
     });
 
@@ -153,7 +128,9 @@ int main(int argc, char** argv) {
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
         const Variant& v = variants[vi];
         const algorithms::RunReport& r = slots[a * variants.size() + vi];
-        if (v.mech == core::Mechanism::kAtomicOps) atomics_time = r.sim_ns;
+        if (v.selection.fixed == core::Mechanism::kAtomicOps) {
+          atomics_time = r.sim_ns;
+        }
         const std::string speedup =
             atomics_time > 0 ? bench::speedup_str(atomics_time / r.sim_ns) + "x"
                              : "-";
@@ -163,8 +140,9 @@ int main(int argc, char** argv) {
             .cell(r.stats.atomic_cas).cell(r.stats.atomic_acc);
       }
     }
-    table.print(setup.config->name + ", T=" + std::to_string(setup.threads));
-    io.maybe_write_csv(table, setup.config->name);
+    const bench::MachineSpec& m = setup.machine;
+    table.print(m.config.name + ", T=" + std::to_string(m.threads));
+    io.maybe_write_csv(table, m.config.name);
   }
   std::printf(
       "\npaper claims (§4.1, Fig 3/6): atomics beat single-vertex HTM; "

@@ -33,11 +33,7 @@
 
 #include "algorithms/pagerank_dist.hpp"
 #include "algorithms/registry.hpp"
-#include "analysis/conflict.hpp"
-#include "analysis/recommend.hpp"
 #include "bench_common.hpp"
-#include "core/auto_executor.hpp"
-#include "core/executor.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 
@@ -56,33 +52,31 @@ struct DistCell {
   std::string protocol_error;   ///< "" when the exact accounting holds
 };
 
-DistCell run_dist_cell(const model::MachineConfig& config,
-                       model::HtmKind kind, const graph::Graph& g,
-                       const std::string& fault_spec, std::uint64_t seed) {
+DistCell run_dist_cell(const bench::MachineSpec& setup, const graph::Graph& g,
+                       const std::string& fault_spec) {
   const int nodes = 4;
-  const int threads = 4;
   const graph::Block1D part(g.num_vertices(), nodes);
-  mem::SimHeap heap;
-  net::Cluster cluster(config, kind, nodes, threads, heap, seed);
-  bench::ScopedFault fault(cluster, fault_spec, seed);
+  bench::Cell run({setup.config, setup.kind, 4, setup.seed, nodes},
+                  {.fault = fault_spec});
   algorithms::DistPrOptions o;
   o.iterations = 3;
-  const auto r = algorithms::run_distributed_pagerank(cluster, g, part, o);
+  const auto r =
+      algorithms::run_distributed_pagerank(run.cluster(), g, part, o);
   DistCell cell;
   cell.rank = r.rank;
   cell.net = r.net;
   cell.stats = r.stats;
-  if (fault.recovery() != nullptr) cell.rec = fault.recovery()->stats();
+  if (run.recovery() != nullptr) cell.rec = run.recovery()->stats();
   char buf[160];
-  if (cluster.in_flight() != 0) {
+  if (run.cluster().in_flight() != 0) {
     std::snprintf(buf, sizeof(buf), "quiescence violated: %llu in flight",
-                  static_cast<unsigned long long>(cluster.in_flight()));
+                  static_cast<unsigned long long>(run.cluster().in_flight()));
     cell.protocol_error = buf;
-  } else if (fault.injector() != nullptr && fault.injector()->net_active()) {
+  } else if (run.injector() != nullptr && run.injector()->net_active()) {
     // NetStats counters are rolled back with every restore; the injector's
     // counters never forget. Exact accounting across crash/restore:
     // injected == surviving-timeline NetStats + rolled_back_* deltas.
-    const auto& inj = fault.injector()->injected();
+    const auto& inj = run.injector()->injected();
     if (cell.net.dropped + cell.rec.rolled_back_dropped != inj.net_dropped ||
         cell.net.duplicated + cell.rec.rolled_back_duplicated !=
             inj.net_duplicated) {
@@ -134,15 +128,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::string fault_filter = cli.get_string("fault", "all");
-  const std::string algo_filter = cli.get_string("algorithm", "all");
-  std::vector<std::string> mech_choices = {"all"};
-  for (const auto m : core::all_mechanisms()) {
-    mech_choices.push_back(core::to_string(m));
-  }
-  mech_choices.push_back("auto");
-  const std::string only_mech =
-      cli.get_choice("mechanism", "all", mech_choices);
-  const std::string machine_filter = cli.get_string("machine", "all");
+  if (fault_filter != "all") bench::check_fault_spec(fault_filter);
+  const std::string algo_filter = bench::get_algorithm_filter(cli);
+  const std::vector<core::MechanismSelection> selections =
+      bench::mechanism_selections(cli);
+  const std::string machine_filter = cli.get_choice(
+      "machine", "all", {"all", model::bgq().name, model::has_c().name});
   cli.check_unknown();
 
   // Scenario list: every canned scenario except "none" (each is compared
@@ -154,30 +145,16 @@ int main(int argc, char** argv) {
     }
     scenarios.push_back("brownout");
   } else {
-    fault::FaultPlan probe;
-    const auto error =
-        fault::try_parse(fault_filter, model::FaultProfile{}, probe);
-    if (error.has_value()) {
-      std::cerr << "invalid --fault=" << fault_filter << "; " << *error
-                << "\n";
-      return 2;
-    }
     scenarios.push_back(fault_filter);
   }
 
-  struct Setup {
-    const model::MachineConfig* config;
-    model::HtmKind kind;
-    int threads;
-  };
-  std::vector<Setup> setups;
+  std::vector<bench::MachineSpec> setups;
   if (machine_filter == "all" || machine_filter == "BGQ") {
-    setups.push_back({&model::bgq(), model::HtmKind::kBgqShort, 16});
+    setups.push_back({model::bgq(), model::HtmKind::kBgqShort, 16, seed});
   }
   if (machine_filter == "all" || machine_filter == "Has-C") {
-    setups.push_back({&model::has_c(), model::HtmKind::kRtm, 8});
+    setups.push_back({model::has_c(), model::HtmKind::kRtm, 8, seed});
   }
-  AAM_CHECK_MSG(!setups.empty(), "unknown --machine (BGQ, Has-C, all)");
 
   algorithms::Inputs in =
       algorithms::make_inputs({.scale = scale, .seed = seed});
@@ -187,57 +164,32 @@ int main(int argc, char** argv) {
 
   int cells = 0;
   int failures = 0;
-  for (const Setup& setup : setups) {
-    // Static routing tables for the auto cells, one per input graph.
-    const core::AutoPolicy policy_g = analysis::make_auto_policy(
-        *setup.config, setup.kind,
-        analysis::workload_from_graph(in.g, setup.threads, 16));
-    const core::AutoPolicy policy_wg = analysis::make_auto_policy(
-        *setup.config, setup.kind,
-        analysis::workload_from_graph(in.wg, setup.threads, 16));
-    struct Cell {
-      const char* label;
-      core::Mechanism mech;
-      bool is_auto;
-    };
-    std::vector<Cell> mech_cells;
-    for (const core::Mechanism mech : core::all_mechanisms()) {
-      if (only_mech == "all" || only_mech == core::to_string(mech)) {
-        mech_cells.push_back({core::to_string(mech), mech, false});
-      }
-    }
-    if (only_mech == "all" || only_mech == "auto") {
-      mech_cells.push_back({"auto", core::Mechanism::kHtmCoarsened, true});
-    }
+  for (const bench::MachineSpec& setup : setups) {
+    const bench::GraphPolicies policies(setup, in, 16);
 
     // Shared-memory cells.
     for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
       if (algo_filter != "all" && algo_filter != algo.name) continue;
-      for (const Cell& cell : mech_cells) {
-        core::ExecConfig exec = algo.exec;
-        exec.mechanism = cell.mech;
-        exec.auto_policy =
-            cell.is_auto ? (algo.weighted ? &policy_wg : &policy_g) : nullptr;
+      for (const core::MechanismSelection& selection : selections) {
+        const auto run = [&](bench::Cell& cell) {
+          const core::ExecConfig exec =
+              cell.configure(algo.exec, selection, &policies.of(algo));
+          return algo.run(cell.machine(), in, exec).projection;
+        };
         algorithms::Projection base;
         {
-          mem::SimHeap heap;
-          htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
-                                  heap, seed);
-          base = algo.run(machine, in, exec).projection;
+          bench::Cell cell(setup);
+          base = run(cell);
         }
         for (const std::string& scenario : scenarios) {
           ++cells;
-          mem::SimHeap heap;
-          htm::DesMachine machine(*setup.config, setup.kind, setup.threads,
-                                  heap, seed);
-          bench::ScopedFault fault(machine, scenario, seed);
-          const algorithms::Projection got =
-              algo.run(machine, in, exec).projection;
+          bench::Cell cell(setup, {.fault = scenario});
+          const algorithms::Projection got = run(cell);
           std::string diff = algorithms::compare(base, got);
-          if (diff.empty() && fault.recovery() != nullptr) {
+          if (diff.empty() && cell.recovery() != nullptr) {
             // Every injected crash-stop must have been recovered from.
-            const auto& rec = fault.recovery()->stats();
-            const auto fired = fault.injector()->injected().crashes;
+            const auto& rec = cell.recovery()->stats();
+            const auto fired = cell.injector()->injected().crashes;
             if (rec.crashes != fired) {
               char buf[96];
               std::snprintf(buf, sizeof(buf),
@@ -250,24 +202,23 @@ int main(int argc, char** argv) {
           const bool ok = diff.empty();
           if (!ok) ++failures;
           const std::string rec_suffix = recovery_suffix(
-              fault.recovery() != nullptr ? &fault.recovery()->stats()
-                                          : nullptr);
+              cell.recovery() != nullptr ? &cell.recovery()->stats()
+                                         : nullptr);
           std::printf("%-5s %-8s %-13s %-12s %s%s%s%s\n",
-                      setup.config->name.c_str(), algo.name, cell.label,
-                      scenario.c_str(), ok ? "OK" : "MISMATCH",
-                      ok ? "" : ": ", diff.c_str(), rec_suffix.c_str());
+                      setup.config.name.c_str(), algo.name,
+                      bench::label(selection).c_str(), scenario.c_str(),
+                      ok ? "OK" : "MISMATCH", ok ? "" : ": ", diff.c_str(),
+                      rec_suffix.c_str());
         }
       }
     }
     // Distributed pagerank cell: compare against the fault-free cluster
     // run and enforce the delivery protocol's exact accounting.
     if (algo_filter == "all" || algo_filter == "pagerank-dist") {
-      const DistCell base =
-          run_dist_cell(*setup.config, setup.kind, dg, "none", seed);
+      const DistCell base = run_dist_cell(setup, dg, "none");
       for (const std::string& scenario : scenarios) {
         ++cells;
-        const DistCell got =
-            run_dist_cell(*setup.config, setup.kind, dg, scenario, seed);
+        const DistCell got = run_dist_cell(setup, dg, scenario);
         std::string diff = got.protocol_error;
         if (diff.empty()) {
           algorithms::Projection pb, pg;
@@ -286,7 +237,7 @@ int main(int argc, char** argv) {
         std::printf(
             "%-5s %-8s %-13s %-12s %s%s%s (dropped=%llu dup=%llu "
             "retx=%llu deduped=%llu)%s\n",
-            setup.config->name.c_str(), "pr-dist", "am", scenario.c_str(),
+            setup.config.name.c_str(), "pr-dist", "am", scenario.c_str(),
             ok ? "OK" : "MISMATCH", ok ? "" : ": ", diff.c_str(),
             static_cast<unsigned long long>(got.net.dropped),
             static_cast<unsigned long long>(got.net.duplicated),

@@ -7,7 +7,6 @@
 // heavy middle levels where most of the frontier lives.
 
 #include "algorithms/bfs.hpp"
-#include "baselines/named.hpp"
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
@@ -22,9 +21,7 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(cli.get_int("threads", 64));
   const int batch = static_cast<int>(cli.get_int("batch", 128));  // 2^7
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -41,30 +38,13 @@ int main(int argc, char** argv) {
   const graph::Graph g = graph::kronecker(params, rng);
   const graph::Vertex root = graph::pick_nonisolated_vertex(g);
 
-  algorithms::BfsResult atomics_result;
-  {
-    mem::SimHeap heap;
-    htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, threads,
-                            heap, seed);
-    bench::ScopedChecker scoped(machine, check_cfg);
-    atomics_result = baselines::graph500_bfs(machine, g, root,
-                                             scoped.recorder());
-  }
-  algorithms::BfsResult aam_result;
-  {
-    mem::SimHeap heap;
-    htm::DesMachine machine(model::bgq(), model::HtmKind::kBgqShort, threads,
-                            heap, seed);
-    bench::ScopedChecker scoped(machine, check_cfg);
-    algorithms::BfsOptions options;
-    options.root = root;
-    options.mechanism = core::Mechanism::kHtmCoarsened;
-    options.batch = batch;
-    options.recorder = scoped.recorder();
-    aam_result = algorithms::run_bfs(machine, g, options);
-  }
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, atomics_result.parent));
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, aam_result.parent));
+  const bench::MachineSpec bgq{model::bgq(), model::HtmKind::kBgqShort,
+                               threads, seed};
+  const algorithms::BfsResult atomics_result = bench::checked_bfs(
+      bgq, flags, g, root, {.fixed = core::Mechanism::kAtomicOps}, 1);
+  const algorithms::BfsResult aam_result = bench::checked_bfs(
+      bgq, flags, g, root, {.fixed = core::Mechanism::kHtmCoarsened},
+      batch);
 
   util::Table table({"phase (BFS level)", "atomics (BGQ-CAS)",
                      "AAM-HTM (M=" + std::to_string(batch) + ")",

@@ -63,14 +63,13 @@ class ActivityWorker : public htm::Worker {
 
 double measure(const model::MachineConfig& config, model::HtmKind kind,
                int n, int activities, bool use_htm) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, 1, heap);
-  auto vertices = heap.alloc<std::uint64_t>(
+  bench::Cell cell({config, kind, 1});
+  auto vertices = cell.heap().alloc<std::uint64_t>(
       static_cast<std::size_t>(std::max(n * 8, 4096)));
   ActivityWorker worker(vertices, n, activities, use_htm);
-  machine.set_worker(0, &worker);
-  machine.run();
-  return machine.makespan() / static_cast<double>(activities);
+  cell.machine().set_worker(0, &worker);
+  cell.machine().run();
+  return cell.machine().makespan() / static_cast<double>(activities);
 }
 
 void run_machine(const model::MachineConfig& config, model::HtmKind kind,
@@ -115,11 +114,8 @@ void run_machine(const model::MachineConfig& config, model::HtmKind kind,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   aam::bench::BenchIo io;
-  io.cli = &cli;
   io.csv_path = cli.get_string("csv", "");
   const int activities = static_cast<int>(cli.get_int("activities", 2000));
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
   cli.check_unknown();
 
   aam::bench::print_header(

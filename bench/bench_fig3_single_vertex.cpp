@@ -98,11 +98,12 @@ bool g_naive_mark = false;  // --naive-mark: HTM mark stores unconditionally
 Measurement measure(const model::MachineConfig& config, model::HtmKind kind,
                     Mechanism mechanism, Activity activity, int threads,
                     int ops, int reps) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap);
+  bench::Cell cell({config, kind, threads});
+  htm::DesMachine& machine = cell.machine();
   // One shared vertex per repetition, each on its own line.
-  auto visited = heap.alloc<std::uint64_t>(static_cast<std::size_t>(reps) * 8);
-  auto ranks = heap.alloc<double>(static_cast<std::size_t>(reps) * 8);
+  const auto lines = static_cast<std::size_t>(reps) * 8;
+  auto visited = cell.heap().alloc<std::uint64_t>(lines);
+  auto ranks = cell.heap().alloc<double>(lines);
 
   std::vector<std::unique_ptr<SingleVertexWorker>> workers;
   for (int t = 0; t < threads; ++t) {
@@ -205,12 +206,9 @@ void run_activity(Activity activity, int ops, int reps,
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   aam::bench::BenchIo io;
-  io.cli = &cli;
   io.csv_path = cli.get_string("csv", "");
   const int reps = static_cast<int>(cli.get_int("reps", 200));
   g_naive_mark = cli.get_bool("naive-mark", false);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
   cli.check_unknown();
 
   aam::bench::print_header(

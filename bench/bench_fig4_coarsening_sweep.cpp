@@ -19,7 +19,6 @@
 #include <map>
 
 #include "algorithms/bfs.hpp"
-#include "baselines/named.hpp"
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
@@ -27,29 +26,6 @@
 namespace {
 
 using namespace aam;
-
-struct Point {
-  double time_ns = 0;
-  htm::HtmStats stats;
-};
-
-Point run_point(const model::MachineConfig& config, model::HtmKind kind,
-                int threads, int batch, const graph::Graph& g,
-                graph::Vertex root, std::uint64_t seed, bool baseline,
-                const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap, seed);
-  bench::ScopedChecker scoped(machine, check_cfg);
-  algorithms::BfsOptions options;
-  options.root = root;
-  options.mechanism = baseline ? core::Mechanism::kAtomicOps
-                               : core::Mechanism::kHtmCoarsened;
-  options.batch = batch;
-  options.recorder = scoped.recorder();
-  const auto result = algorithms::run_bfs(machine, g, options);
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, result.parent));
-  return {result.total_time_ns, result.stats};
-}
 
 struct Scenario {
   const model::MachineConfig* config;
@@ -68,10 +44,10 @@ int main(int argc, char** argv) {
   const auto batch_list = cli.get_int_list(
       "batches", {1, 2, 4, 8, 16, 32, 48, 64, 80, 96, 128, 144, 176, 208,
                   240, 272, 320});
-  const std::string only_machine = cli.get_string("machine", "");
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const std::string only_machine = cli.get_choice(
+      "machine", "all",
+      {"all", model::bgq().name, model::has_c().name, model::has_p().name});
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -103,14 +79,15 @@ int main(int argc, char** argv) {
 
   for (const Scenario& scenario : scenarios) {
     const auto& config = *scenario.config;
-    if (!only_machine.empty() && config.name != only_machine) continue;
+    if (only_machine != "all" && config.name != only_machine) continue;
     for (int threads : bench::standard_thread_counts(config)) {
-      const Point base = run_point(config, scenario.kinds[0], threads, 1, g,
-                                   root, seed, /*baseline=*/true, check_cfg);
+      const algorithms::BfsResult base = bench::checked_bfs(
+          {config, scenario.kinds[0], threads, seed}, flags, g, root,
+          {.fixed = core::Mechanism::kAtomicOps}, 1);
       util::Table table({"mode", "M", "runtime", "txns", "aborts",
                          "overflows", "serialized", "annot %"});
       table.row().cell("Atomic-CAS").cell("-")
-          .cell(util::format_time_ns(base.time_ns)).cell("-").cell("-")
+          .cell(util::format_time_ns(base.total_time_ns)).cell("-").cell("-")
           .cell("-").cell("-").cell("-");
 
       for (model::HtmKind kind : scenario.kinds) {
@@ -118,8 +95,9 @@ int main(int argc, char** argv) {
         int best_m = 0;
         for (std::int64_t m64 : batch_list) {
           const int m = static_cast<int>(m64);
-          const Point p = run_point(config, kind, threads, m, g, root, seed,
-                                    false, check_cfg);
+          const algorithms::BfsResult p = bench::checked_bfs(
+              {config, kind, threads, seed}, flags, g, root,
+              {.fixed = core::Mechanism::kHtmCoarsened}, m);
           const auto& s = p.stats;
           // BGQ annotation: serializations / aborts; Haswell: overflow
           // share of aborts (the percentages printed in Fig 4).
@@ -134,19 +112,19 @@ int main(int argc, char** argv) {
                                static_cast<double>(s.total_aborts())
                          : 0.0);
           table.row().cell(model::to_string(kind)).cell(m)
-              .cell(util::format_time_ns(p.time_ns))
+              .cell(util::format_time_ns(p.total_time_ns))
               .cell(s.started).cell(s.total_aborts())
               .cell(s.aborts_capacity).cell(s.serialized).cell(annot, 1);
-          if (best_m == 0 || p.time_ns < best_time) {
-            best_time = p.time_ns;
+          if (best_m == 0 || p.total_time_ns < best_time) {
+            best_time = p.total_time_ns;
             best_m = m;
           }
         }
         const auto paper_it = paper_m_min.find({config.name, threads});
         summary.row().cell(config.name).cell(model::to_string(kind))
-            .cell(threads).cell(util::format_time_ns(base.time_ns))
+            .cell(threads).cell(util::format_time_ns(base.total_time_ns))
             .cell(util::format_time_ns(best_time)).cell(best_m)
-            .cell(bench::speedup_str(base.time_ns / best_time))
+            .cell(bench::speedup_str(base.total_time_ns / best_time))
             .cell(paper_it == paper_m_min.end()
                       ? std::string("-")
                       : std::to_string(paper_it->second));

@@ -68,18 +68,15 @@ struct Setup {
 // for vertices on the last node; handler batches run as one transaction.
 double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
                   std::uint64_t ops, bool use_acc, std::uint64_t pool_size,
-                  std::uint64_t seed, const check::CheckConfig& check_cfg,
-                  const std::string& fault_spec) {
-  mem::SimHeap heap;
-  net::Cluster cluster(*setup.config, setup.kind, num_nodes,
-                       setup.recv_threads, heap, seed);
-  bench::ScopedChecker scoped(cluster.machine(), check_cfg);
-  bench::ScopedFault fault(cluster, fault_spec, seed);
+                  std::uint64_t seed, const bench::RunFlags& flags) {
+  bench::Cell cell(
+      {*setup.config, setup.kind, setup.recv_threads, seed, num_nodes}, flags);
+  net::Cluster& cluster = cell.cluster();
   // The remote vertex pool lives on the last node.
-  auto visited = heap.alloc<std::uint64_t>(pool_size * 8);
+  auto visited = cell.heap().alloc<std::uint64_t>(pool_size * 8);
   core::DistributedRuntime rt(
       cluster, {.coalesce = coalesce,
-                .exec = {.batch = coalesce, .recorder = scoped.recorder()}});
+                .exec = {.batch = coalesce, .recorder = cell.recorder()}});
   if (use_acc) {
     rt.set_operator([&](auto& access, std::uint64_t item) {
       access.fetch_add(visited[item * 8], std::uint64_t{1});
@@ -118,10 +115,10 @@ double run_htm_am(const Setup& setup, int num_nodes, int coalesce,
 double run_remote_atomics(const Setup& setup, int num_nodes, std::uint64_t ops,
                           bool use_acc, std::uint64_t pool_size,
                           std::uint64_t seed) {
-  mem::SimHeap heap;
-  net::Cluster cluster(*setup.config, setup.kind, num_nodes,
-                       setup.recv_threads, heap, seed);
-  auto visited = heap.alloc<std::uint64_t>(pool_size * 8);
+  bench::Cell cell(
+      {*setup.config, setup.kind, setup.recv_threads, seed, num_nodes});
+  net::Cluster& cluster = cell.cluster();
+  auto visited = cell.heap().alloc<std::uint64_t>(pool_size * 8);
   net::RemoteAtomics rmw(cluster);
 
   class RmwProducer : public htm::Worker {
@@ -169,16 +166,15 @@ double run_remote_atomics(const Setup& setup, int num_nodes, std::uint64_t ops,
 
 void sweep_coalescing(const Setup& setup, const char* figure, bool use_acc,
                       std::uint64_t ops, std::uint64_t pool, std::uint64_t seed,
-                      const check::CheckConfig& check_cfg,
-                      const std::string& fault_spec, bench::BenchIo& io) {
+                      const bench::RunFlags& flags, bench::BenchIo& io) {
   const double atomics_time =
       run_remote_atomics(setup, 2, ops, use_acc, pool, seed);
   util::Table table({"mechanism", "C", "time", "vs remote atomics"});
   table.row().cell(use_acc ? "remote ACC (one-sided)" : "remote CAS (one-sided)")
       .cell("-").cell(util::format_time_ns(atomics_time)).cell("1.00x");
   for (int c : {1, 2, 4, 8, 16, 32, 64}) {
-    const double t = run_htm_am(setup, 2, c, ops, use_acc, pool, seed,
-                                check_cfg, fault_spec);
+    const double t =
+        run_htm_am(setup, 2, c, ops, use_acc, pool, seed, flags);
     table.row().cell("Inter-node-HTM").cell(c).cell(util::format_time_ns(t))
         .cell(bench::speedup_str(atomics_time / t) + "x");
   }
@@ -190,13 +186,13 @@ void sweep_coalescing(const Setup& setup, const char* figure, bool use_acc,
 
 void sweep_nodes(const Setup& setup, const char* figure, bool use_acc,
                  std::uint64_t ops, int coalesce, std::uint64_t pool,
-                 std::uint64_t seed, const check::CheckConfig& check_cfg,
-                 const std::string& fault_spec, bench::BenchIo& io) {
+                 std::uint64_t seed, const bench::RunFlags& flags,
+                 bench::BenchIo& io) {
   util::Table table({"N", "remote atomics", "Inter-node-HTM-C", "speedup"});
   for (int n : {2, 4, 8, 16}) {
     const double at = run_remote_atomics(setup, n, ops, use_acc, pool, seed);
-    const double am = run_htm_am(setup, n, coalesce, ops, use_acc, pool,
-                                seed, check_cfg, fault_spec);
+    const double am =
+        run_htm_am(setup, n, coalesce, ops, use_acc, pool, seed, flags);
     table.row().cell(n).cell(util::format_time_ns(at))
         .cell(util::format_time_ns(am))
         .cell(bench::speedup_str(at / am) + "x");
@@ -215,10 +211,8 @@ int main(int argc, char** argv) {
   io.csv_path = cli.get_string("csv", "");
   const auto ops = static_cast<std::uint64_t>(cli.get_int("ops", 8192));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const std::string fault_spec = bench::get_fault_spec(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli),
+                              .fault = bench::get_fault_spec(cli)};
   cli.check_unknown();
 
   bench::print_header("Figure 5c-5h — inter-node activities (§5.6)",
@@ -232,19 +226,16 @@ int main(int argc, char** argv) {
 
   // CAS family: distinct vertices -> negligible target-side conflicts.
   sweep_coalescing(bgq_pair, "5c", /*use_acc=*/false, ops, /*pool=*/ops,
-                   seed, check_cfg, fault_spec, io);
+                   seed, flags, io);
   sweep_nodes(bgq_node, "5d", false, ops, /*coalesce=*/16, ops, seed,
-              check_cfg, fault_spec, io);
+              flags, io);
   // ACC family: a hot pool of 64 vertices processed by several handler
   // threads -> the costly HTM ACC aborts of §5.4.2 appear at the target.
   sweep_coalescing(bgq_acc, "5e", /*use_acc=*/true, ops, /*pool=*/64, seed,
-                   check_cfg, fault_spec, io);
-  sweep_nodes(bgq_node, "5f", true, ops, 16, 64, seed, check_cfg, fault_spec,
-              io);
+                   flags, io);
+  sweep_nodes(bgq_node, "5f", true, ops, 16, 64, seed, flags, io);
   // Has-P over InfiniBand/MPI-RMA (2 nodes only, as on Greina).
-  sweep_coalescing(hasp_pair, "5g", false, ops, ops, seed, check_cfg,
-                   fault_spec, io);
-  sweep_coalescing(hasp_pair, "5h", true, ops, 64, seed, check_cfg,
-                   fault_spec, io);
+  sweep_coalescing(hasp_pair, "5g", false, ops, ops, seed, flags, io);
+  sweep_coalescing(hasp_pair, "5h", true, ops, 64, seed, flags, io);
   return 0;
 }

@@ -6,7 +6,6 @@
 // SMT siblings evicting speculative state), while Has-P shows the reverse
 // trend (its larger L1 rarely overflows, so conflicts dominate).
 
-#include "algorithms/bfs.hpp"
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
@@ -20,9 +19,7 @@ int main(int argc, char** argv) {
   const int edge_factor = static_cast<int>(cli.get_int("edge-factor", 16));
   const int batch = static_cast<int>(cli.get_int("batch", 2));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -43,16 +40,9 @@ int main(int argc, char** argv) {
   for (const model::MachineConfig* config : {&model::has_c(),
                                              &model::has_p()}) {
     for (int threads = 2; threads <= config->max_threads(); threads *= 2) {
-      mem::SimHeap heap;
-      htm::DesMachine machine(*config, model::HtmKind::kRtm, threads, heap,
-                              seed);
-      bench::ScopedChecker scoped(machine, check_cfg);
-      algorithms::BfsOptions options;
-      options.root = root;
-      options.batch = batch;
-      options.recorder = scoped.recorder();
-      const auto result = algorithms::run_bfs(machine, g, options);
-      AAM_CHECK(algorithms::validate_bfs_tree(g, root, result.parent));
+      const auto result = bench::checked_bfs(
+          {*config, model::HtmKind::kRtm, threads, seed}, flags, g, root,
+          {.fixed = core::Mechanism::kHtmCoarsened}, batch);
       const auto& s = result.stats;
       const double share =
           s.total_aborts()

@@ -21,8 +21,6 @@ int main(int argc, char** argv) {
       static_cast<graph::Vertex>(cli.get_int("vertices", 1 << 14));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int scale_x = static_cast<int>(cli.get_int("scale-x", 10));
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
   cli.check_unknown();
 
   bench::print_header(
@@ -45,13 +43,11 @@ int main(int argc, char** argv) {
   util::Table table({"scenario", "x/process", "a", "b", "total time",
                      "CAS fails", "backoffs", "blocked", "time/txn"});
   for (const Scenario& s : scenarios) {
-    mem::SimHeap heap;
-    net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, nodes, 1,
-                         heap, seed);
-    auto markers = heap.alloc<std::uint64_t>(vertices);
-    auto values = heap.alloc<std::uint64_t>(vertices);
+    bench::Cell cell({model::bgq(), model::HtmKind::kBgqShort, 1, seed, nodes});
+    auto markers = cell.heap().alloc<std::uint64_t>(vertices);
+    auto values = cell.heap().alloc<std::uint64_t>(vertices);
     graph::Block1D part(vertices, nodes);
-    core::OwnershipProtocol proto(cluster, markers, values, part);
+    core::OwnershipProtocol proto(cell.cluster(), markers, values, part);
     core::OwnershipProtocol::Params params;
     params.txns_per_process = s.x;
     params.local_elements = s.a;

@@ -11,53 +11,12 @@
 
 #include <string>
 
-#include "algorithms/bfs.hpp"
-#include "analysis/conflict.hpp"
-#include "analysis/recommend.hpp"
-#include "baselines/named.hpp"
 #include "bench_common.hpp"
-#include "core/auto_executor.hpp"
-#include "core/executor.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
 
-namespace {
-
-using namespace aam;
-
-double run_one(const model::MachineConfig& config, model::HtmKind kind,
-               int threads, int batch, const graph::Graph& g,
-               graph::Vertex root, std::uint64_t seed,
-               core::MechanismSelection selection,
-               const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap, seed);
-  bench::ScopedChecker scoped(machine, check_cfg);
-  // The auto policy probes the concrete input graph (degree, skew) the
-  // sweep cell is about to run.
-  core::AutoPolicy policy;
-  algorithms::BfsOptions options;
-  options.root = root;
-  if (selection.is_auto()) {
-    policy = analysis::make_auto_policy(
-        config, kind, analysis::workload_from_graph(g, threads, batch));
-    options.auto_policy = &policy;
-    if (scoped.checker() != nullptr) {
-      scoped.checker()->set_capacity_policy(&policy);
-    }
-  } else {
-    options.mechanism = *selection.fixed;
-  }
-  options.batch = batch;
-  options.recorder = scoped.recorder();
-  const auto r = algorithms::run_bfs(machine, g, options);
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
-  return r.total_time_ns;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace aam;
   util::Cli cli(argc, argv);
   bench::BenchIo io;
   io.csv_path = cli.get_string("csv", "");
@@ -73,9 +32,7 @@ int main(int argc, char** argv) {
   // baseline (default: coarse HTM, the paper's configuration).
   const core::MechanismSelection selection =
       core::mechanism_selection_flag(cli, "mechanism", "htm");
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -96,9 +53,7 @@ int main(int argc, char** argv) {
 
   for (const MachineRun& mr : machines) {
     const std::string contender =
-        std::string(selection.is_auto() ? "auto"
-                                        : core::to_string(*selection.fixed)) +
-        " (M=" + std::to_string(mr.batch) + ")";
+        bench::label(selection) + " (M=" + std::to_string(mr.batch) + ")";
     util::Table table({"|V|", "edge factor", "measured d", "Graph500",
                        contender, "speedup"});
     for (std::int64_t scale : scales) {
@@ -110,12 +65,15 @@ int main(int argc, char** argv) {
         params.edge_factor = std::max<int>(1, static_cast<int>(d / 2));
         const graph::Graph g = graph::kronecker(params, rng);
         const graph::Vertex root = graph::pick_nonisolated_vertex(g);
-        const double base = run_one(
-            *mr.config, mr.kind, mr.threads, mr.batch, g, root, seed,
-            {.fixed = core::Mechanism::kAtomicOps}, check_cfg);
+        const bench::MachineSpec spec{*mr.config, mr.kind, mr.threads, seed};
+        const double base =
+            bench::checked_bfs(spec, flags, g, root,
+                               {.fixed = core::Mechanism::kAtomicOps},
+                               mr.batch)
+                .total_time_ns;
         const double aam =
-            run_one(*mr.config, mr.kind, mr.threads, mr.batch, g, root,
-                    seed, selection, check_cfg);
+            bench::checked_bfs(spec, flags, g, root, selection, mr.batch)
+                .total_time_ns;
         table.row().cell("2^" + std::to_string(scale))
             .cell(std::uint64_t(params.edge_factor))
             .cell(g.avg_degree(), 1)

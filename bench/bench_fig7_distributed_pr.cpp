@@ -22,22 +22,18 @@ struct RunResult {
 
 RunResult run_pair(const graph::Graph& g, int nodes, int threads,
                    int iterations, std::uint64_t seed,
-                   const check::CheckConfig& check_cfg,
-                   const std::string& fault_spec) {
+                   const bench::RunFlags& flags) {
   algorithms::DistPrOptions options;
   options.iterations = iterations;
   RunResult out;
   std::vector<double> aam_rank;
   {
     const graph::Block1D part(g.num_vertices(), nodes);
-    mem::SimHeap heap;
-    net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, nodes,
-                         threads, heap, seed);
-    bench::ScopedChecker scoped(cluster.machine(), check_cfg);
-    bench::ScopedFault fault(cluster, fault_spec, seed);
+    bench::Cell cell(
+        {model::bgq(), model::HtmKind::kBgqShort, threads, seed, nodes}, flags);
     options.mode = algorithms::DistPrMode::kAam;
-    options.recorder = scoped.recorder();
-    const auto r = run_distributed_pagerank(cluster, g, part, options);
+    options.recorder = cell.recorder();
+    const auto r = run_distributed_pagerank(cell.cluster(), g, part, options);
     out.aam_ns = r.total_time_ns;
     aam_rank = r.rank;
   }
@@ -45,14 +41,12 @@ RunResult run_pair(const graph::Graph& g, int nodes, int threads,
     // PBGL has no threading (§6.2): one *process* per hardware thread, so
     // even node-local contributions cross the messaging layer.
     const graph::Block1D part(g.num_vertices(), nodes * threads);
-    mem::SimHeap heap;
-    net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort,
-                         nodes * threads, 1, heap, seed);
-    bench::ScopedChecker scoped(cluster.machine(), check_cfg);
-    bench::ScopedFault fault(cluster, fault_spec, seed);
+    bench::Cell cell(
+        {model::bgq(), model::HtmKind::kBgqShort, 1, seed, nodes * threads},
+        flags);
     options.mode = algorithms::DistPrMode::kPbgl;
-    options.recorder = scoped.recorder();
-    const auto r = run_distributed_pagerank(cluster, g, part, options);
+    options.recorder = cell.recorder();
+    const auto r = run_distributed_pagerank(cell.cluster(), g, part, options);
     out.pbgl_ns = r.total_time_ns;
     // Both engines must compute the same ranks (up to float32 payloads).
     const auto reference = algorithms::pagerank_reference(
@@ -76,10 +70,8 @@ int main(int argc, char** argv) {
   const double er_p = cli.get_double("er-p", 0.005);
   const int iterations = static_cast<int>(cli.get_int("iterations", 3));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const std::string fault_spec = bench::get_fault_spec(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli),
+                              .fault = bench::get_fault_spec(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -93,8 +85,7 @@ int main(int argc, char** argv) {
     const graph::Graph g = graph::erdos_renyi(base_vertices, er_p, rng);
     util::Table table({"N", "T/node", "AAM", "PBGL-like", "speedup"});
     for (int nodes : {2, 4, 8, 16}) {
-      const RunResult r = run_pair(g, nodes, 4, iterations, seed, check_cfg,
-                                   fault_spec);
+      const RunResult r = run_pair(g, nodes, 4, iterations, seed, flags);
       table.row().cell(nodes).cell(4).cell(util::format_time_ns(r.aam_ns))
           .cell(util::format_time_ns(r.pbgl_ns))
           .cell(bench::speedup_str(r.pbgl_ns / r.aam_ns));
@@ -110,8 +101,7 @@ int main(int argc, char** argv) {
     const graph::Graph g = graph::erdos_renyi(base_vertices, er_p, rng);
     util::Table table({"T/node", "N", "AAM", "PBGL-like", "speedup"});
     for (int threads : {1, 2, 4, 8, 16}) {
-      const RunResult r = run_pair(g, 4, threads, iterations, seed,
-                                   check_cfg, fault_spec);
+      const RunResult r = run_pair(g, 4, threads, iterations, seed, flags);
       table.row().cell(threads).cell(4).cell(util::format_time_ns(r.aam_ns))
           .cell(util::format_time_ns(r.pbgl_ns))
           .cell(bench::speedup_str(r.pbgl_ns / r.aam_ns));
@@ -131,8 +121,7 @@ int main(int argc, char** argv) {
       const double p = er_p * static_cast<double>(base_vertices) /
                        static_cast<double>(n);
       const graph::Graph g = graph::erdos_renyi(n, p, rng);
-      const RunResult r = run_pair(g, 4, 4, iterations, seed, check_cfg,
-                                   fault_spec);
+      const RunResult r = run_pair(g, 4, 4, iterations, seed, flags);
       table.row().cell(util::format_count(n))
           .cell(util::format_count(n / 4))
           .cell(util::format_time_ns(r.aam_ns))

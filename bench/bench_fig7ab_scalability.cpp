@@ -7,7 +7,6 @@
 // HAMA by another 2-3x). AAM runs at the scale-appropriate M
 // (--aam-batch; the paper's 144 applies at |V|=2^21).
 
-#include "algorithms/bfs.hpp"
 #include "baselines/bsp_engine.hpp"
 #include "baselines/named.hpp"
 #include "bench_common.hpp"
@@ -18,21 +17,12 @@ namespace {
 
 using namespace aam;
 
-double bfs_time(const model::MachineConfig& config, model::HtmKind kind,
-                int threads, const graph::Graph& g, graph::Vertex root,
-                std::uint64_t seed, core::Mechanism mechanism, int batch,
-                const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap, seed);
-  bench::ScopedChecker scoped(machine, check_cfg);
-  algorithms::BfsOptions options;
-  options.root = root;
-  options.mechanism = mechanism;
-  options.batch = batch;
-  options.recorder = scoped.recorder();
-  const auto r = algorithms::run_bfs(machine, g, options);
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
-  return r.total_time_ns;
+double bfs_time(const bench::MachineSpec& spec, const bench::RunFlags& flags,
+                const graph::Graph& g, graph::Vertex root,
+                core::Mechanism mechanism, int batch) {
+  return bench::checked_bfs(spec, flags, g, root, {.fixed = mechanism},
+                            batch)
+      .total_time_ns;
 }
 
 }  // namespace
@@ -48,9 +38,7 @@ int main(int argc, char** argv) {
   // The paper's M=144 optimum holds at |V|=2^21; at scaled-down sizes the
   // conflict-bound optimum is smaller (see Fig 4 / EXPERIMENTS.md).
   const int aam_batch = static_cast<int>(cli.get_int("aam-batch", 16));
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -70,13 +58,12 @@ int main(int argc, char** argv) {
     util::Table table({"T", "AAM-BGQ (M=" + std::to_string(aam_batch) + ")",
                        "Graph500-BGQ", "AAM speedup"});
     for (int t : {1, 2, 4, 8, 16, 32, 64}) {
-      const double aam = bfs_time(model::bgq(), model::HtmKind::kBgqShort, t,
-                                  g, root, seed,
-                                  core::Mechanism::kHtmCoarsened, aam_batch,
-                                  check_cfg);
-      const double base = bfs_time(model::bgq(), model::HtmKind::kBgqShort, t,
-                                   g, root, seed,
-                                   core::Mechanism::kAtomicOps, 1, check_cfg);
+      const bench::MachineSpec bgq{model::bgq(), model::HtmKind::kBgqShort, t,
+                                   seed};
+      const double aam = bfs_time(bgq, flags, g, root,
+                                  core::Mechanism::kHtmCoarsened, aam_batch);
+      const double base =
+          bfs_time(bgq, flags, g, root, core::Mechanism::kAtomicOps, 1);
       table.row().cell(t).cell(util::format_time_ns(aam))
           .cell(util::format_time_ns(base))
           .cell(bench::speedup_str(base / aam));
@@ -90,33 +77,24 @@ int main(int argc, char** argv) {
     util::Table table({"T", "AAM (M=2)", "Graph500", "Galois-like",
                        "HAMA-like", "SNAP-like"});
     for (int t : {1, 2, 4, 8}) {
-      const double aam = bfs_time(model::has_c(), model::HtmKind::kRtm, t, g,
-                                  root, seed,
-                                  core::Mechanism::kHtmCoarsened, 2,
-                                  check_cfg);
-      const double base = bfs_time(model::has_c(), model::HtmKind::kRtm, t, g,
-                                   root, seed,
-                                   core::Mechanism::kAtomicOps, 1, check_cfg);
-      const double galois = bfs_time(model::has_c(), model::HtmKind::kRtm, t,
-                                     g, root, seed,
-                                     core::Mechanism::kFineLocks, 1,
-                                     check_cfg);
+      const bench::MachineSpec has_c{model::has_c(), model::HtmKind::kRtm, t,
+                                     seed};
+      const double aam =
+          bfs_time(has_c, flags, g, root, core::Mechanism::kHtmCoarsened, 2);
+      const double base =
+          bfs_time(has_c, flags, g, root, core::Mechanism::kAtomicOps, 1);
+      const double galois =
+          bfs_time(has_c, flags, g, root, core::Mechanism::kFineLocks, 1);
       double hama = 0;
       if (run_hama) {
-        mem::SimHeap heap;
-        htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, t, heap,
-                                seed);
+        bench::Cell cell(has_c);
         baselines::BspEngine::Result result;
-        baselines::bsp_bfs(machine, g, root, {}, &result);
+        baselines::bsp_bfs(cell.machine(), g, root, {}, &result);
         hama = result.total_time_ns;
       }
-      double snap = 0;
-      {
-        mem::SimHeap heap;
-        htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm,
-                                std::max(1, t), heap, seed);
-        snap = baselines::snap_bfs(machine, g, root).total_time_ns;
-      }
+      bench::Cell snap_cell(has_c);
+      const double snap =
+          baselines::snap_bfs(snap_cell.machine(), g, root).total_time_ns;
       table.row().cell(t).cell(util::format_time_ns(aam))
           .cell(util::format_time_ns(base))
           .cell(util::format_time_ns(galois))

@@ -15,9 +15,9 @@
 // respond on Haswell; HAMA is 2-4 orders of magnitude slower (worst on
 // high-diameter road networks).
 
-#include "algorithms/bfs.hpp"
+#include <algorithm>
+
 #include "baselines/bsp_engine.hpp"
-#include "baselines/named.hpp"
 #include "bench_common.hpp"
 #include "graph/analogs.hpp"
 #include "graph/gstats.hpp"
@@ -26,21 +26,12 @@ namespace {
 
 using namespace aam;
 
-double bfs_time(const model::MachineConfig& config, model::HtmKind kind,
-                int threads, const graph::Graph& g, graph::Vertex root,
-                std::uint64_t seed, core::Mechanism mechanism, int batch,
-                const check::CheckConfig& check_cfg) {
-  mem::SimHeap heap;
-  htm::DesMachine machine(config, kind, threads, heap, seed);
-  bench::ScopedChecker scoped(machine, check_cfg);
-  algorithms::BfsOptions options;
-  options.root = root;
-  options.mechanism = mechanism;
-  options.batch = batch;
-  options.recorder = scoped.recorder();
-  const auto r = algorithms::run_bfs(machine, g, options);
-  AAM_CHECK(algorithms::validate_bfs_tree(g, root, r.parent));
-  return r.total_time_ns;
+double bfs_time(const bench::MachineSpec& spec, const bench::RunFlags& flags,
+                const graph::Graph& g, graph::Vertex root,
+                core::Mechanism mechanism, int batch) {
+  return bench::checked_bfs(spec, flags, g, root, {.fixed = mechanism},
+                            batch)
+      .total_time_ns;
 }
 
 }  // namespace
@@ -52,10 +43,10 @@ int main(int argc, char** argv) {
   const auto divisor = static_cast<std::uint64_t>(cli.get_int("divisor", 16));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const bool run_hama = cli.get_bool("hama", true);
-  const std::string only = cli.get_string("only", "");
-  const check::CheckConfig check_cfg = check::check_flag(cli);
-  const int host_threads = bench::get_host_threads(cli);
-  (void)host_threads;
+  std::vector<std::string> ids;
+  for (const auto& analog : graph::table1_catalog()) ids.push_back(analog.id);
+  const std::vector<std::string> only = cli.get_choice_list("only", ids);
+  const bench::RunFlags flags{.check = check::check_flag(cli)};
   cli.check_unknown();
 
   bench::print_header(
@@ -72,23 +63,24 @@ int main(int argc, char** argv) {
                          "S HAMA", "paper"});
 
   for (const auto& analog : graph::table1_catalog()) {
-    if (!only.empty() && only.find(analog.id) == std::string::npos) continue;
+    if (!only.empty() && std::find(only.begin(), only.end(), analog.id) ==
+                             only.end()) {
+      continue;
+    }
     util::Rng rng(seed);
     const graph::Graph g = graph::synthesize(analog, divisor, rng);
     const graph::Vertex root = graph::pick_nonisolated_vertex(g);
 
     // ----- BGQ (T=64, short mode)
-    const auto& bq = model::bgq();
-    const auto kS = model::HtmKind::kBgqShort;
-    const double bgq_base = bfs_time(bq, kS, 64, g, root, seed,
-                                     core::Mechanism::kAtomicOps, 1,
-                                     check_cfg);
-    const double bgq_m24 = bfs_time(bq, kS, 64, g, root, seed,
-                                    core::Mechanism::kHtmCoarsened, 24,
-                                    check_cfg);
-    const double bgq_opt =
-        bfs_time(bq, kS, 64, g, root, seed, core::Mechanism::kHtmCoarsened,
-                 analog.paper_bgq_opt_m, check_cfg);
+    const bench::MachineSpec bgq{model::bgq(), model::HtmKind::kBgqShort, 64,
+                                 seed};
+    const double bgq_base =
+        bfs_time(bgq, flags, g, root, core::Mechanism::kAtomicOps, 1);
+    const double bgq_m24 =
+        bfs_time(bgq, flags, g, root, core::Mechanism::kHtmCoarsened, 24);
+    const double bgq_opt = bfs_time(bgq, flags, g, root,
+                                    core::Mechanism::kHtmCoarsened,
+                                    analog.paper_bgq_opt_m);
     bgq_table.row().cell(analog.id).cell(graph::to_string(analog.family))
         .cell(util::format_count(g.num_vertices()))
         .cell(g.avg_degree(), 1)
@@ -99,25 +91,23 @@ int main(int argc, char** argv) {
         .cell(bench::speedup_str(analog.paper_bgq_s_opt));
 
     // ----- Haswell (Has-C, T=8, RTM)
-    const auto& hc = model::has_c();
-    const auto kR = model::HtmKind::kRtm;
-    const double has_base = bfs_time(hc, kR, 8, g, root, seed,
-                                     core::Mechanism::kAtomicOps, 1,
-                                     check_cfg);
-    const double has_m2 = bfs_time(hc, kR, 8, g, root, seed,
-                                   core::Mechanism::kHtmCoarsened, 2,
-                                   check_cfg);
-    const double has_opt =
-        bfs_time(hc, kR, 8, g, root, seed, core::Mechanism::kHtmCoarsened,
-                 analog.paper_has_opt_m, check_cfg);
-    const double galois = bfs_time(hc, kR, 8, g, root, seed,
-                                   core::Mechanism::kFineLocks, 1, check_cfg);
+    const bench::MachineSpec has_c{model::has_c(), model::HtmKind::kRtm, 8,
+                                   seed};
+    const double has_base =
+        bfs_time(has_c, flags, g, root, core::Mechanism::kAtomicOps, 1);
+    const double has_m2 =
+        bfs_time(has_c, flags, g, root, core::Mechanism::kHtmCoarsened, 2);
+    const double has_opt = bfs_time(has_c, flags, g, root,
+                                    core::Mechanism::kHtmCoarsened,
+                                    analog.paper_has_opt_m);
+    const double galois =
+        bfs_time(has_c, flags, g, root, core::Mechanism::kFineLocks, 1);
     double hama = 0;
     if (run_hama) {
-      mem::SimHeap heap;
-      htm::DesMachine machine(hc, kR, 8, heap, seed);
+      bench::Cell cell(has_c);
       baselines::BspEngine::Result result;
-      const auto level = baselines::bsp_bfs(machine, g, root, {}, &result);
+      const auto level = baselines::bsp_bfs(cell.machine(), g, root, {},
+                                            &result);
       AAM_CHECK(level == graph::bfs_levels(g, root));
       hama = result.total_time_ns;
     }

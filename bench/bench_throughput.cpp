@@ -32,17 +32,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "algorithms/pagerank_dist.hpp"
 #include "algorithms/registry.hpp"
-#include "analysis/conflict.hpp"
-#include "analysis/recommend.hpp"
 #include "bench_common.hpp"
-#include "core/auto_executor.hpp"
-#include "core/executor.hpp"
 #include "graph/partition.hpp"
 #include "sim/host_pool.hpp"
 
@@ -66,15 +63,11 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int repeats = static_cast<int>(cli.get_int("repeats", 1));
-  const std::string machine_name = cli.get_string("machine", "BGQ");
-  const std::string algo_filter = cli.get_string("algorithm", "all");
-  std::vector<std::string> mech_choices = {"all"};
-  for (const auto m : core::all_mechanisms()) {
-    mech_choices.push_back(core::to_string(m));
-  }
-  mech_choices.push_back("auto");
-  const std::string only_mech =
-      cli.get_choice("mechanism", "all", mech_choices);
+  const std::string machine_name =
+      cli.get_choice("machine", "BGQ", model::machine_names());
+  const std::string algo_filter = bench::get_algorithm_filter(cli);
+  const std::vector<core::MechanismSelection> selections =
+      bench::mechanism_selections(cli);
   const std::string json_path = cli.get_string("json", "");
   const int batch = static_cast<int>(cli.get_int("batch", 16));
   int threads = static_cast<int>(cli.get_int("threads", 0));
@@ -87,6 +80,8 @@ int main(int argc, char** argv) {
   if (threads == 0) threads = config.max_threads();
   const model::HtmKind kind =
       config.name == "BGQ" ? model::HtmKind::kBgqShort : model::HtmKind::kRtm;
+  const bench::MachineSpec spec{config, kind, threads, seed};
+  const bench::RunFlags flags{.fault = fault_spec};
 
   // Shared inputs: a Kronecker graph for the traversal algorithms and a
   // smaller weighted graph for SSSP/Boruvka (matching the ablation bench).
@@ -94,12 +89,8 @@ int main(int argc, char** argv) {
       {.scale = scale, .edge_factor = edge_factor, .seed = seed,
        .weighted_vertices = 1500, .weighted_p = 0.01});
 
-  // Static routing tables for the --mechanism=auto rows, one per input
-  // graph (the conflict model conditions on the workload it will run on).
-  const core::AutoPolicy policy_g = analysis::make_auto_policy(
-      config, kind, analysis::workload_from_graph(in.g, threads, batch));
-  const core::AutoPolicy policy_wg = analysis::make_auto_policy(
-      config, kind, analysis::workload_from_graph(in.wg, threads, batch));
+  // Static routing tables for the --mechanism=auto rows.
+  const bench::GraphPolicies policies(spec, in, batch);
 
   std::string json = "{\n";
   json += "  \"schema\": \"aam-bench-wallclock-v5\",\n";
@@ -112,32 +103,17 @@ int main(int argc, char** argv) {
   json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
   json += "  \"fault\": \"" + fault_spec + "\",\n";
 
-  struct Selection {
-    std::string label;
-    core::Mechanism mech = core::Mechanism::kHtmCoarsened;
-    bool is_auto = false;
-  };
-  std::vector<Selection> selections;
-  for (const core::Mechanism mech : core::all_mechanisms()) {
-    if (only_mech == "all" || only_mech == core::to_string(mech)) {
-      selections.push_back({core::to_string(mech), mech, false});
-    }
-  }
-  if (only_mech == "all" || only_mech == "auto") {
-    selections.push_back({"auto", core::Mechanism::kHtmCoarsened, true});
-  }
-
   // Every (algorithm, mechanism) pair — plus the Cluster-backed
-  // distributed-PageRank row — is an independent *cell*: its own SimHeap,
-  // DesMachine, fault injector, and (for auto rows) AutoPolicy copy, no
-  // shared mutable state. Cells are therefore shards for the parallel DES
-  // backend: sim::ShardRunner executes them across --host-threads host
+  // distributed-PageRank row — is an independent *cell*: its own
+  // bench::Cell (heap, machine, fault injector and, for auto rows,
+  // AutoPolicy copy), no shared mutable state. Cells are therefore shards
+  // for the parallel DES backend: sim::ShardRunner executes them across --host-threads host
   // workers, results land in slot [cell index], and the table/JSON are
   // assembled in cell order — identical for every --host-threads value
   // while wall-clock drops with parallelism.
-  struct Cell {
+  struct Job {
     const algorithms::AlgorithmEntry* algo = nullptr;  ///< nullptr = pr-dist
-    Selection sel;
+    core::MechanismSelection selection;
   };
   struct CellResult {
     std::string algorithm;
@@ -149,10 +125,12 @@ int main(int argc, char** argv) {
     core::AutoTelemetry tele;
     recovery::RecoveryStats rec;  ///< zeroes unless the plan crashes
   };
-  std::vector<Cell> cells;
+  std::vector<Job> cells;
   for (const algorithms::AlgorithmEntry& algo : algorithms::registry()) {
     if (algo_filter != "all" && algo_filter != algo.name) continue;
-    for (const Selection& sel : selections) cells.push_back({&algo, sel});
+    for (const core::MechanismSelection& s : selections) {
+      cells.push_back({&algo, s});
+    }
   }
   if (algo_filter == "all" || algo_filter == "pagerank-dist") {
     cells.push_back({nullptr, {}});
@@ -171,76 +149,63 @@ int main(int argc, char** argv) {
   sim::ShardRunner runner(host_threads);
   runner.run(cells.size(), [&](sim::ShardId shard) {
     const std::size_t cell_id = dispatch[shard];
-    const Cell& cell = cells[cell_id];
+    const Job& job = cells[cell_id];
     CellResult& res = slots[cell_id];
-    if (cell.algo != nullptr) {
-      const algorithms::AlgorithmEntry& algo = *cell.algo;
-      const Selection& sel = cell.sel;
-      // Private policy copy: AutoTelemetry is mutable inside the shared
-      // per-graph policy, so parallel auto cells each route via their own.
-      core::AutoPolicy policy = algo.weighted ? policy_wg : policy_g;
-      core::ExecConfig exec = algo.exec;
-      exec.batch = batch;
-      exec.mechanism = sel.mech;
-      exec.auto_policy = sel.is_auto ? &policy : nullptr;
-      double best_seconds = 0;
-      algorithms::RunReport out;
-      for (int rep = 0; rep < repeats; ++rep) {
-        policy.telemetry = {};
-        mem::SimHeap heap;
-        htm::DesMachine machine(config, kind, threads, heap, seed);
-        machine.bind_shard(shard);
-        bench::ScopedFault fault(machine, fault_spec, seed);
-        // Time the run_* call alone, not the report built after it.
-        double seconds = 0;
-        out = algo.run(machine, in, exec, [&](const auto& call) {
-          const auto t0 = Clock::now();
-          call();
-          seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-        });
-        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-        if (fault.recovery() != nullptr) res.rec = fault.recovery()->stats();
-      }
-      res.algorithm = algo.name;
-      res.mechanism = sel.label;
-      res.elements = out.elements;
-      res.best_seconds = best_seconds;
-      res.sim_time_ns = out.sim_ns;
-      res.stats = out.stats;
-      if (sel.is_auto) res.tele = policy.telemetry;
-      return;
-    }
-    // Distributed PageRank cell: the one Cluster-backed entry, so network
-    // fault scenarios exercise the reliable-delivery protocol end to end.
+    // The distributed PageRank cell is the one Cluster-backed entry, so
+    // network fault scenarios exercise the reliable-delivery protocol end
+    // to end.
     const int nodes = 4;
-    const int per_node = std::max(1, threads / nodes);
-    double best_seconds = 0;
-    algorithms::DistPrResult r;
-    std::uint64_t elements = 0;
+    const bench::MachineSpec run_spec =
+        job.algo != nullptr
+            ? spec
+            : bench::MachineSpec{config, kind, std::max(1, threads / nodes),
+                                 seed, nodes};
     for (int rep = 0; rep < repeats; ++rep) {
-      const graph::Block1D part(in.g.num_vertices(), nodes);
-      mem::SimHeap heap;
-      net::Cluster cluster(config, kind, nodes, per_node, heap, seed);
-      cluster.machine().bind_shard(shard);
-      bench::ScopedFault fault(cluster, fault_spec, seed);
-      algorithms::DistPrOptions o;
-      o.iterations = 3;
-      o.local_batch = batch;
-      const auto t0 = Clock::now();
-      r = algorithms::run_distributed_pagerank(cluster, in.g, part, o);
-      const double seconds =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-      if (fault.recovery() != nullptr) res.rec = fault.recovery()->stats();
-      elements = static_cast<std::uint64_t>(o.iterations) *
-                 (in.g.num_edges() + in.g.num_vertices());
+      bench::Cell cell(run_spec, flags, shard);
+      // Time the run alone, not the report built after it.
+      double seconds = 0;
+      const algorithms::RunBracket timed =
+          [&](const std::function<void()>& call) {
+            const auto t0 = Clock::now();
+            call();
+            seconds =
+                std::chrono::duration<double>(Clock::now() - t0).count();
+          };
+      if (job.algo != nullptr) {
+        const algorithms::AlgorithmEntry& algo = *job.algo;
+        core::ExecConfig exec = algo.exec;
+        exec.batch = batch;
+        exec = cell.configure(exec, job.selection, &policies.of(algo));
+        const algorithms::RunReport out =
+            algo.run(cell.machine(), in, exec, timed);
+        res.algorithm = algo.name;
+        res.mechanism = bench::label(job.selection);
+        res.elements = out.elements;
+        res.sim_time_ns = out.sim_ns;
+        res.stats = out.stats;
+        if (cell.auto_policy() != nullptr) {
+          res.tele = cell.auto_policy()->telemetry;
+        }
+      } else {
+        const graph::Block1D part(in.g.num_vertices(), nodes);
+        algorithms::DistPrOptions o;
+        o.iterations = 3;
+        o.local_batch = batch;
+        algorithms::DistPrResult r;
+        timed([&] {
+          r = algorithms::run_distributed_pagerank(cell.cluster(), in.g, part,
+                                                   o);
+        });
+        res.algorithm = "pagerank-dist";
+        res.mechanism = "am";
+        res.elements = static_cast<std::uint64_t>(o.iterations) *
+                       (in.g.num_edges() + in.g.num_vertices());
+        res.sim_time_ns = r.total_time_ns;
+        res.stats = r.stats;
+      }
+      if (rep == 0 || seconds < res.best_seconds) res.best_seconds = seconds;
+      if (cell.recovery() != nullptr) res.rec = cell.recovery()->stats();
     }
-    res.algorithm = "pagerank-dist";
-    res.mechanism = "am";
-    res.elements = elements;
-    res.best_seconds = best_seconds;
-    res.sim_time_ns = r.total_time_ns;
-    res.stats = r.stats;
   });
   const double sweep_wall_ms =
       std::chrono::duration<double>(Clock::now() - sweep_t0).count() * 1e3;

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace aam;
   util::Cli cli(argc, argv);
   const auto divisor = static_cast<std::uint64_t>(cli.get_int("divisor", 32));
-  const std::string machine_name = cli.get_string("machine", "BGQ");
+  const std::string machine_name =
+      cli.get_choice("machine", "BGQ", model::machine_names());
   cli.check_unknown();
 
   const auto& config = model::machine_by_name(machine_name);

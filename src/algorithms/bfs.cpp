@@ -15,6 +15,8 @@ namespace {
 using graph::Vertex;
 using graph::kInvalidVertex;
 
+constexpr int kScanChunk = 512;  // frontier *edges* claimed per work unit
+
 struct Candidate {
   Vertex vertex;
   Vertex parent;
@@ -125,7 +127,7 @@ BfsResult run_bfs(htm::DesMachine& machine, const graph::Graph& graph,
   BfsState state;
   state.graph = &graph;
   state.parent = machine.heap().alloc<Vertex>(n, "bfs.parent");
-  core::FrontierLoop<BfsWorker> loop(machine, options, options.scan_chunk);
+  core::FrontierLoop<BfsWorker> loop(machine, options, kScanChunk);
   state.executor = &loop.executor();
 
   for (Vertex v = 0; v < n; ++v) state.parent[v] = kInvalidVertex;
@@ -136,7 +138,7 @@ BfsResult run_bfs(htm::DesMachine& machine, const graph::Graph& graph,
   BfsResult result;
   double level_start = 0.0;
   loop.run(
-      options.barrier_cost_ns,
+      kBfsBarrierCostNs,
       [&](int) { return BfsWorker(state, loop.claim()); },
       [&](std::vector<Vertex>& next) {
         const double now = machine.makespan();
@@ -145,7 +147,7 @@ BfsResult run_bfs(htm::DesMachine& machine, const graph::Graph& graph,
         result.vertices_visited += next.size();
         state.frontier = std::move(next);
         state.build_prefix(graph);
-        level_start = now + options.barrier_cost_ns;
+        level_start = now + kBfsBarrierCostNs;
         return true;
       },
       [&](auto&& io) {

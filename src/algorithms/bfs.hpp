@@ -22,10 +22,11 @@
 
 namespace aam::algorithms {
 
+/// Per-level synchronization cost of run_bfs.
+inline constexpr double kBfsBarrierCostNs = 400.0;
+
 struct BfsOptions : core::ExecConfig {
   graph::Vertex root = 0;
-  int scan_chunk = 512;  ///< frontier *edges* claimed per work unit
-  double barrier_cost_ns = 400.0;  ///< per-level synchronization cost
 };
 
 struct BfsResult {

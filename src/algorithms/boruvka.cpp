@@ -16,11 +16,18 @@ namespace {
 
 using graph::Vertex;
 
+constexpr double kBarrierCostNs = 600.0;
+constexpr int kMaxRounds = 64;
+
 struct MergeEdge {
   Vertex u = graph::kInvalidVertex;
   Vertex v = graph::kInvalidVertex;
   float weight = 0;
   std::uint64_t id = 0;  ///< deterministic tie-break
+
+  // A field list, not the bytes: the padding after `weight` is
+  // indeterminate and would make snapshots differ run to run.
+  void durable(util::BlobIo& io) { io(u, v, weight, id); }
 };
 
 bool lighter(const MergeEdge& a, const MergeEdge& b) {
@@ -46,6 +53,8 @@ struct BoruvkaState {
 struct MinEdge {
   Vertex root;
   MergeEdge edge;
+
+  void durable(util::BlobIo& io) { io(root, edge); }
 };
 
 /// A worker's lightest outgoing edge per component, in first-appearance
@@ -207,7 +216,7 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
   constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> best_slot(n, kNoSlot);
   runner.run(
-      options.barrier_cost_ns,
+      kBarrierCostNs,
       [&](int) { return BoruvkaWorker(state); },
       [&] {
         if (state.scanning_phase) {
@@ -243,7 +252,7 @@ BoruvkaResult run_boruvka(htm::DesMachine& machine, const graph::Graph& graph,
         // out.
         ++result.rounds;
         const bool progressed = state.edges_in_forest > merges_before_round;
-        if (!progressed || result.rounds >= options.max_rounds) return false;
+        if (!progressed || result.rounds >= kMaxRounds) return false;
         state.scanning_phase = true;
         scan_cursor.reset_direct();
         return true;

@@ -23,8 +23,6 @@ namespace aam::algorithms {
 
 struct BoruvkaOptions : core::ExecConfig {
   BoruvkaOptions() : ExecConfig{.batch = 4} {}  ///< default M: 4 merges
-  double barrier_cost_ns = 600.0;
-  int max_rounds = 64;
 };
 
 struct BoruvkaResult {

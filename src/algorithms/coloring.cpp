@@ -14,6 +14,11 @@ namespace {
 
 using graph::Vertex;
 
+constexpr int kScanChunk = 32;
+constexpr double kBarrierCostNs = 400.0;
+// A safety bound: the heuristic converges long before.
+constexpr int kMaxRounds = 256;
+
 struct ColorState {
   const graph::Graph* graph = nullptr;
   std::span<std::uint32_t> color;  // 0 = uncolored
@@ -110,7 +115,7 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
   ColorState state;
   state.graph = &graph;
   state.color = machine.heap().alloc<std::uint32_t>(n, "coloring.color");
-  core::FrontierLoop<ColorWorker> loop(machine, options, options.scan_chunk);
+  core::FrontierLoop<ColorWorker> loop(machine, options, kScanChunk);
   state.executor = &loop.executor();
   state.worklist.resize(n);
   for (Vertex v = 0; v < n; ++v) state.worklist[v] = v;
@@ -118,7 +123,7 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
   const util::Rng root(options.seed);
   ColoringResult result;
   loop.run(
-      options.barrier_cost_ns,
+      kBarrierCostNs,
       [&](int t) {
         return ColorWorker(state, loop.claim(),
                            root.fork(static_cast<std::uint64_t>(t) + 1));
@@ -128,7 +133,7 @@ ColoringResult run_boman_coloring(htm::DesMachine& machine,
         // The same vertex may be reported by several activities.
         std::sort(next.begin(), next.end());
         next.erase(std::unique(next.begin(), next.end()), next.end());
-        if (next.empty() || result.rounds >= options.max_rounds) return false;
+        if (next.empty() || result.rounds >= kMaxRounds) return false;
         state.worklist = std::move(next);
         return true;
       },

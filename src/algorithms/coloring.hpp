@@ -22,10 +22,7 @@ namespace aam::algorithms {
 
 struct ColoringOptions : core::ExecConfig {
   ColoringOptions() : ExecConfig{.batch = 8} {}  ///< default M: 8 operators
-  int scan_chunk = 32;
   std::uint64_t seed = 1;
-  double barrier_cost_ns = 400.0;
-  int max_rounds = 256;  ///< safety bound; the heuristic converges long before
 };
 
 struct ColoringResult {

@@ -17,6 +17,9 @@ const char* to_string(DistPrMode mode) {
 
 namespace {
 
+constexpr double kPbglItemOverheadNs = 300.0;  // generic AM framework cost/item
+constexpr double kBarrierCostNs = 3000.0;      // per-iteration global barrier
+
 std::uint64_t pack(Vertex w, float contribution) {
   return (static_cast<std::uint64_t>(w) << 32) |
          std::bit_cast<std::uint32_t>(contribution);
@@ -127,7 +130,7 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
           ctx.fetch_add(new_rank[unpack_vertex(item)],
                         static_cast<double>(unpack_contribution(item)));
         },
-        options.pbgl_item_overhead_ns);
+        kPbglItemOverheadNs);
   } else {
     rt.set_operator(
         [&](auto& access, std::uint64_t item) {
@@ -171,7 +174,7 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
     std::swap(old_rank, new_rank);
     if (--iterations_left == 0) return false;
     begin_iteration();
-    m.barrier_release(options.barrier_cost_ns);
+    m.barrier_release(kBarrierCostNs);
     return true;
   });
 

@@ -45,8 +45,6 @@ struct DistPrOptions {
   int local_batch = 16;    ///< M for locally-executed batches
   /// Synchronization mechanism for the AAM mode's receiver-side batches.
   core::Mechanism mechanism = core::Mechanism::kHtmCoarsened;
-  double pbgl_item_overhead_ns = 300.0;  ///< generic AM framework cost/item
-  double barrier_cost_ns = 3000.0;       ///< per-iteration global barrier
   /// Optional --check recorder (check::Checker); nullptr = unchecked.
   core::BatchRecorder* recorder = nullptr;
 };

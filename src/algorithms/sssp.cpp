@@ -16,10 +16,16 @@ namespace {
 using graph::Vertex;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kScanChunk = 64;
+constexpr double kBarrierCostNs = 400.0;
 
 struct Relax {
   Vertex vertex;
   double distance;
+
+  // A field list, not the bytes: the padding after `vertex` is
+  // indeterminate and would make snapshots differ run to run.
+  void durable(util::BlobIo& io) { io(vertex, distance); }
 };
 
 struct SsspState {
@@ -92,12 +98,12 @@ SsspResult run_sssp(htm::DesMachine& machine, const graph::Graph& graph,
   for (Vertex v = 0; v < n; ++v) state.distance[v] = kInf;
   state.distance[options.source] = 0.0;
   state.frontier = {options.source};
-  core::FrontierLoop<SsspWorker> loop(machine, options, options.scan_chunk);
+  core::FrontierLoop<SsspWorker> loop(machine, options, kScanChunk);
   state.executor = &loop.executor();
 
   SsspResult result;
   loop.run(
-      options.barrier_cost_ns,
+      kBarrierCostNs,
       [&](int) { return SsspWorker(state, loop.claim()); },
       [&](std::vector<Vertex>& next) {
         ++result.rounds;

@@ -16,8 +16,6 @@ namespace aam::algorithms {
 
 struct SsspOptions : core::ExecConfig {
   graph::Vertex source = 0;
-  int scan_chunk = 64;
-  double barrier_cost_ns = 400.0;
 };
 
 struct SsspResult {

@@ -16,6 +16,8 @@ using graph::Vertex;
 constexpr std::uint32_t kWhite = 0;
 constexpr std::uint32_t kGrey = 1;   // the s-wave
 constexpr std::uint32_t kGreen = 2;  // the t-wave
+constexpr int kScanChunk = 64;
+constexpr double kBarrierCostNs = 400.0;
 
 struct Candidate {
   Vertex vertex;
@@ -103,7 +105,7 @@ StConnResult run_st_connectivity(htm::DesMachine& machine,
   StState state;
   state.graph = &graph;
   state.color = machine.heap().alloc<std::uint32_t>(n, "stconn.color");
-  core::FrontierLoop<StWorker> loop(machine, options, options.scan_chunk);
+  core::FrontierLoop<StWorker> loop(machine, options, kScanChunk);
   state.executor = &loop.executor();
 
   state.color[options.s] = kGrey;
@@ -113,7 +115,7 @@ StConnResult run_st_connectivity(htm::DesMachine& machine,
 
   StConnResult result;
   loop.run(
-      options.barrier_cost_ns,
+      kBarrierCostNs,
       [&](int) { return StWorker(state, loop.claim()); },
       [&](std::vector<Candidate>& next) {
         ++result.levels;

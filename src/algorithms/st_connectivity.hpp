@@ -19,8 +19,6 @@ namespace aam::algorithms {
 struct StConnOptions : core::ExecConfig {
   graph::Vertex s = 0;
   graph::Vertex t = 1;
-  int scan_chunk = 64;
-  double barrier_cost_ns = 400.0;
 };
 
 struct StConnResult {

@@ -157,14 +157,11 @@ class FaultInjector final : public htm::FaultHook, public net::NetFaultHook {
   double initial_rto_ns() const override { return plan_.net_rto_ns; }
   double rto_cap_ns() const override { return plan_.net_rto_cap_ns; }
 
-  const FaultPlan& plan() const { return plan_; }
   const InjectedStats& injected() const { return injected_; }
   /// True if thread `tid` is in the deterministic straggler subset.
   bool is_straggler(std::uint32_t tid) const {
     return straggler_[tid] != 0;
   }
-  /// Crashes fired so far (== injected().crashes; convenience).
-  std::uint64_t crashes_fired() const { return crashes_fired_; }
 
  private:
   FaultPlan plan_;

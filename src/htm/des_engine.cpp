@@ -312,8 +312,15 @@ void DesMachine::run() {
       // Crash-stop: with a recovery client installed, restore from the
       // last checkpoint and resume the event loop; otherwise the crash is
       // fatal to the run and propagates to the caller.
-      if (recovery_ != nullptr && recovery_->on_crash(*this, e.diagnostic)) {
-        continue;
+      if (recovery_ != nullptr) {
+        // The restore rewrites the heap behind the observer's back: audit
+        // the writes made before the crash, then resync to the restored
+        // bytes as at a run start.
+        if (write_observer_ != nullptr) write_observer_->on_quiescence();
+        if (recovery_->on_crash(*this, e.diagnostic)) {
+          if (write_observer_ != nullptr) write_observer_->on_run_start();
+          continue;
+        }
       }
       throw;
     }

@@ -216,7 +216,9 @@ class WriteObserver {
   /// Every thread is parked and no event is pending, and the machine has
   /// not yet consulted its quiescence hook: the round's writes are all
   /// made, and any of them not reported through on_legitimate_write()
-  /// escaped.
+  /// escaped. Also called when a crash-stop is about to restore a
+  /// checkpoint over the heap, which is followed by on_run_start() once
+  /// the restored bytes are in place.
   virtual void on_quiescence() = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "model/machines.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace aam::model {
@@ -242,11 +244,29 @@ const MachineConfig& has_p() {
   return m;
 }
 
+namespace {
+
+constexpr std::pair<const char*, const MachineConfig& (*)()> kNames[] = {
+    {"BGQ", bgq},    {"bgq", bgq},     {"Has-C", has_c}, {"has-c", has_c},
+    {"hasc", has_c}, {"Has-P", has_p}, {"has-p", has_p}, {"hasp", has_p},
+};
+
+}  // namespace
+
 const MachineConfig& machine_by_name(const std::string& name) {
-  if (name == "BGQ" || name == "bgq") return bgq();
-  if (name == "Has-C" || name == "has-c" || name == "hasc") return has_c();
-  if (name == "Has-P" || name == "has-p" || name == "hasp") return has_p();
+  for (const auto& [alias, machine] : kNames) {
+    if (name == alias) return machine();
+  }
   AAM_CHECK_MSG(false, "unknown machine name (use BGQ, Has-C, Has-P)");
+}
+
+const std::vector<std::string>& machine_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& entry : kNames) out.emplace_back(entry.first);
+    return out;
+  }();
+  return names;
 }
 
 }  // namespace aam::model

@@ -180,4 +180,8 @@ const MachineConfig& has_p();
 /// Look up by name ("BGQ", "Has-C", "Has-P"); aborts on unknown names.
 const MachineConfig& machine_by_name(const std::string& name);
 
+/// Every spelling machine_by_name accepts: each canonical name, then its
+/// aliases (for a --machine flag's list of valid choices).
+const std::vector<std::string>& machine_names();
+
 }  // namespace aam::model

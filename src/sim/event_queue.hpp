@@ -28,6 +28,7 @@
 
 #include "sim/shard.hpp"
 #include "sim/time.hpp"
+#include "util/blob.hpp"
 #include "util/check.hpp"
 
 namespace aam::sim {
@@ -38,6 +39,8 @@ struct Event {
   std::uint32_t thread = 0; ///< logical thread (or node endpoint) id
   std::uint32_t kind = 0;   ///< engine-defined discriminator
   std::uint64_t payload = 0;///< engine-defined payload (e.g. message id)
+
+  void durable(util::BlobIo& io) { io(time, seq, thread, kind, payload); }
 };
 
 class EventQueue {

@@ -14,6 +14,7 @@
 // checkpointed fields once, in `void durable(util::BlobIo& io)`, and the
 // same list saves and restores them (BlobIo below).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -115,12 +116,26 @@ class BlobReader {
   }
 
   bool exhausted() const { return pos_ == len_; }
+  std::size_t remaining() const { return len_ - pos_; }
 
  private:
   const std::uint8_t* data_;
   std::size_t len_;
   std::size_t pos_ = 0;
 };
+
+/// Types a BlobIo stores as their bytes: scalars, arrays of scalars, and
+/// classes without padding. Padding bytes hold whatever the stack or the
+/// allocator left there, so a padded class stored whole would make two
+/// runs of one binary seal different snapshots; it lists its fields in a
+/// `durable(BlobIo&)` member instead. Scalars pass by kind, because
+/// std::has_unique_object_representations is false for float and double
+/// (so a class with a floating-point member lists its fields too).
+template <typename T>
+concept BlobBytes =
+    std::is_trivially_copyable_v<T> &&
+    (std::is_scalar_v<std::remove_all_extents_t<T>> ||
+     std::has_unique_object_representations_v<T>);
 
 /// One pass over a component's checkpointed fields that either saves them
 /// to a BlobWriter or restores them from a BlobReader, so a component
@@ -134,8 +149,9 @@ class BlobReader {
 /// A field is stored as
 ///   - bool: one byte, 0 or 1 (a restored nonzero byte reads as true);
 ///   - a type with a `durable(BlobIo&)` member: its own field list;
-///   - any other trivially-copyable type: its bytes;
-///   - std::vector of a trivially-copyable type: as BlobWriter::put_vector;
+///   - any other BlobBytes type: its bytes (a padded class without a
+///     field list does not compile);
+///   - std::vector of such a type: as BlobWriter::put_vector;
 ///   - std::vector, std::deque, std::set or std::map of other fields: a
 ///     u64 length, then each element (each key, then its value, for a
 ///     map).
@@ -188,6 +204,7 @@ class BlobIo {
   /// the length).
   template <typename T>
   void elements(std::span<T> values) {
+    static_assert(BlobBytes<T>, "a padded class needs a durable() field list");
     if (saving()) {
       writer_->put_span(std::span<const T>(values));
     } else {
@@ -204,9 +221,11 @@ class BlobIo {
       } else {
         value = reader_->get<std::uint8_t>() != 0;
       }
-    } else if constexpr (requires { value.durable(*this); }) {
+    } else if constexpr (kHasFieldList<T>) {
       value.durable(*this);
     } else if constexpr (std::is_trivially_copyable_v<T>) {
+      static_assert(BlobBytes<T>,
+                    "a padded class needs a durable() field list");
       if (saving()) {
         writer_->put(value);
       } else {
@@ -221,8 +240,8 @@ class BlobIo {
   void container(C& c) {
     using E = typename C::value_type;
     constexpr bool kMap = requires { typename C::mapped_type; };
-    if constexpr (std::is_same_v<C, std::vector<E>> &&
-                  std::is_trivially_copyable_v<E>) {
+    if constexpr (std::is_same_v<C, std::vector<E>> && BlobBytes<E> &&
+                  !kHasFieldList<E>) {
       if (saving()) {
         writer_->put_vector(c);
       } else {
@@ -241,9 +260,13 @@ class BlobIo {
       }
     } else {
       // Element by element: a hostile length runs into the truncation
-      // check instead of one huge allocation.
+      // check instead of one huge allocation. A vector still reserves, up
+      // to the blob's remaining byte count, so a restore does not regrow it.
       const auto n = reader_->get<std::uint64_t>();
       c.clear();
+      if constexpr (requires { c.reserve(n); }) {
+        c.reserve(std::min<std::uint64_t>(n, reader_->remaining()));
+      }
       for (std::uint64_t i = 0; i < n; ++i) {
         if constexpr (kMap) {
           typename C::key_type key{};
@@ -259,6 +282,10 @@ class BlobIo {
       }
     }
   }
+
+  template <typename T>
+  static constexpr bool kHasFieldList =
+      requires(T& value, BlobIo& io) { value.durable(io); };
 
   BlobWriter* writer_ = nullptr;
   BlobReader* reader_ = nullptr;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,32 @@ namespace {
   std::fprintf(stderr, "invalid --%s=%s; expected %s\n", name.c_str(),
                value.c_str(), expected);
   std::exit(2);
+}
+
+/// Exits 2 unless `value` is one of `allowed`, listing the choices.
+void require_choice(const std::string& name, const std::string& flag_value,
+                    const std::string& value,
+                    const std::vector<std::string>& allowed) {
+  if (std::find(allowed.begin(), allowed.end(), value) != allowed.end()) {
+    return;
+  }
+  std::fprintf(stderr, "invalid --%s=%s; valid choices:", name.c_str(),
+               flag_value.c_str());
+  for (const auto& c : allowed) std::fprintf(stderr, " %s", c.c_str());
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
+
+/// The comma-separated items of `s` (an empty `s` is one empty item).
+std::vector<std::string> split_commas(const std::string& s) {
+  std::vector<std::string> items;
+  for (std::size_t pos = 0, comma = 0; comma != std::string::npos;
+       pos = comma + 1) {
+    comma = s.find(',', pos);
+    // comma - pos overshoots the end when comma is npos; substr clamps.
+    items.push_back(s.substr(pos, comma - pos));
+  }
+  return items;
 }
 
 /// strtoll (base 0, so hex stays valid) over the whole of `s`: false on an
@@ -97,18 +124,12 @@ std::vector<std::int64_t> Cli::get_int_list(
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   std::vector<std::int64_t> out;
-  const std::string& s = it->second;
-  std::size_t pos = 0;
-  while (true) {
-    const auto comma = s.find(',', pos);
+  for (const std::string& item : split_commas(it->second)) {
     std::int64_t v = 0;
-    // comma - pos overshoots the end when comma is npos; substr clamps.
-    if (!parse_int(s.substr(pos, comma - pos), v)) {
-      invalid_value(name, s, "a comma-separated list of integers");
+    if (!parse_int(item, v)) {
+      invalid_value(name, it->second, "a comma-separated list of integers");
     }
     out.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return out;
 }
@@ -116,14 +137,20 @@ std::vector<std::int64_t> Cli::get_int_list(
 std::string Cli::get_choice(const std::string& name, const std::string& def,
                             const std::vector<std::string>& allowed) {
   const std::string value = get_string(name, def);
-  for (const auto& choice : allowed) {
-    if (value == choice) return value;
+  require_choice(name, value, value, allowed);
+  return value;
+}
+
+std::vector<std::string> Cli::get_choice_list(
+    const std::string& name, const std::vector<std::string>& allowed) {
+  consumed_.insert(name);
+  const auto it = values_.find(name);
+  if (it == values_.end()) return {};
+  std::vector<std::string> items = split_commas(it->second);
+  for (const std::string& item : items) {
+    require_choice(name, it->second, item, allowed);
   }
-  std::fprintf(stderr, "invalid --%s=%s; valid choices:", name.c_str(),
-               value.c_str());
-  for (const auto& choice : allowed) std::fprintf(stderr, " %s", choice.c_str());
-  std::fprintf(stderr, "\n");
-  std::exit(2);
+  return items;
 }
 
 void Cli::check_unknown() const {

@@ -33,6 +33,10 @@ class Cli {
   /// the provided value is not one of them.
   std::string get_choice(const std::string& name, const std::string& def,
                          const std::vector<std::string>& allowed);
+  /// Comma-separated items of `allowed` (empty when the flag is absent);
+  /// exits 2 listing the valid choices on any other item.
+  std::vector<std::string> get_choice_list(
+      const std::string& name, const std::vector<std::string>& allowed);
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
 

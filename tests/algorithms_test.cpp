@@ -136,7 +136,7 @@ TEST(Bfs, LevelTimesSumToTotal) {
   for (double t : r.level_times_ns) sum += t;
   // Levels partition the run up to per-level barrier costs.
   EXPECT_NEAR(sum, r.total_time_ns,
-              options.barrier_cost_ns * static_cast<double>(
+              kBfsBarrierCostNs * static_cast<double>(
                   r.level_times_ns.size() + 1));
 }
 

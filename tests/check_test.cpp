@@ -28,6 +28,7 @@
 #include "graph/gstats.hpp"
 #include "graph/partition.hpp"
 #include "net/cluster.hpp"
+#include "recovery/manager.hpp"
 
 namespace aam {
 namespace {
@@ -480,6 +481,83 @@ TEST(Checker, DistributedPagerankRacesSanctionHookWritesOnly) {
 
   // The middle of the third of four iterations.
   const auto planted = run(makespan * 0.625).first;
+  ASSERT_EQ(planted.size(), 1u);
+  EXPECT_EQ(planted.front().kind, check::Violation::Kind::kEscapedWrite);
+  EXPECT_NE(planted.front().detail.find("pagerank.rank"), std::string::npos)
+      << planted.front().detail;
+}
+
+// A crash-stop restores a checkpoint over the heap. The checker resyncs
+// its shadow to the restored bytes, so a clean crashed run reports
+// nothing; and it audits the heap before the restore, so a raw write made
+// just before the crash is still reported although the restore erases it.
+
+// Crashes the machine once, at the first event boundary at or after
+// `at_ns`; with `plant`, first overwrites the heap double at `offset`.
+class PlantThenCrash final : public htm::FaultHook {
+ public:
+  PlantThenCrash(mem::SimHeap& heap, std::uint64_t offset, double at_ns,
+                 bool plant)
+      : heap_(heap), offset_(offset), at_ns_(at_ns), plant_(plant) {}
+  bool inject_other_abort(std::uint32_t, double, double, double&) override {
+    return false;
+  }
+  double slowdown(std::uint32_t, double) override { return 1.0; }
+  bool inject_crash(std::uint32_t, double now_ns) override {
+    if (fired_ || now_ns < at_ns_) return false;
+    fired_ = true;
+    if (plant_) {
+      const double escaped = -1.0;  // raw escape: must be flagged
+      std::memcpy(heap_.addr_of(offset_), &escaped, sizeof escaped);
+    }
+    return true;
+  }
+
+ private:
+  mem::SimHeap& heap_;
+  std::uint64_t offset_;
+  double at_ns_;
+  bool plant_;
+  bool fired_ = false;
+};
+
+TEST(Checker, CrashRestoreResyncsTheShadowButReportsEarlierEscapes) {
+  util::Rng rng(3);
+  const graph::Graph g = graph::erdos_renyi(512, 0.02, rng);
+  const graph::Block1D part(g.num_vertices(), 4);
+  algorithms::DistPrOptions o;
+  o.iterations = 4;
+  double makespan = 0;
+  {
+    mem::SimHeap heap;
+    net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 4, heap, 1);
+    makespan =
+        algorithms::run_distributed_pagerank(cluster, g, part, o).total_time_ns;
+  }
+  const auto run = [&](bool plant) {
+    mem::SimHeap heap;
+    net::Cluster cluster(model::bgq(), HtmKind::kBgqShort, 4, 4, heap, 1);
+    check::Checker checker(cluster.machine(), {.races = true});
+    // The first word of the first rank array (see the test above).
+    const std::uint64_t rank_offset =
+        (heap.used_bytes() + alignof(double) - 1) & ~(alignof(double) - 1);
+    PlantThenCrash crash(heap, rank_offset, makespan * 0.625, plant);
+    cluster.machine().set_fault_hook(&crash);
+    std::optional<recovery::RecoveryManager> recovery;
+    recovery.emplace(cluster, recovery::RecoveryOptions{1.0e4});
+    o.recorder = &checker;
+    algorithms::run_distributed_pagerank(cluster, g, part, o);
+    EXPECT_EQ(recovery->stats().crashes, 1u);
+    recovery.reset();
+    cluster.machine().set_fault_hook(nullptr);
+    return checker.violations();
+  };
+
+  const auto clean = run(false);
+  EXPECT_TRUE(clean.empty()) << clean.size() << " violations, first: "
+                             << clean.front().detail;
+
+  const auto planted = run(true);
   ASSERT_EQ(planted.size(), 1u);
   EXPECT_EQ(planted.front().kind, check::Violation::Kind::kEscapedWrite);
   EXPECT_NE(planted.front().detail.find("pagerank.rank"), std::string::npos)

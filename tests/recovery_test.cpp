@@ -502,7 +502,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Forwards to a RecoveryManager and records the simulated instants of
 /// quiescences, of sealed checkpoints and of the checkpoint each crash
-/// restores.
+/// restores, and a hash of every sealed snapshot.
 class RecoveryProbe final : public htm::RecoveryClient {
  public:
   RecoveryProbe(htm::DesMachine& machine, RecoveryManager& inner)
@@ -513,6 +513,7 @@ class RecoveryProbe final : public htm::RecoveryClient {
 
   std::vector<double> quiescences;
   std::vector<double> restored_checkpoints;
+  std::vector<std::uint64_t> sealed_hashes;  ///< FNV-1a of each snapshot
 
   void on_run_entry(htm::DesMachine& m) override {
     inner_.on_run_entry(m);
@@ -549,6 +550,11 @@ class RecoveryProbe final : public htm::RecoveryClient {
     if (inner_.stats().checkpoints != checkpoints_seen_) {
       checkpoints_seen_ = inner_.stats().checkpoints;
       last_checkpoint_ns_ = m.now();
+      std::uint64_t h = 0xcbf29ce484222325ULL;
+      for (const std::uint8_t b : inner_.last_snapshot_bytes()) {
+        h = (h ^ b) * 0x100000001b3ULL;
+      }
+      sealed_hashes.push_back(h);
     }
   }
 
@@ -601,6 +607,52 @@ TEST(Recovery, BoruvkaCrashMidScanRestoresMinimaBitExactly) {
   EXPECT_EQ(got.sim_ns, want.sim_ns);
   EXPECT_EQ(got.stats, want.stats);
 }
+
+// Sealed snapshots are a function of the run alone. The same crashed run
+// twice, after filling the host allocator's free memory with different
+// bytes: the padding of a checkpointed host struct (SSSP's relaxations,
+// Boruvka's merge edges and minima) would carry that memory into the
+// snapshots, where their field lists keep it out.
+
+class SnapshotBytes : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SnapshotBytes, IgnoreWhatTheHostAllocatorLeftBehind) {
+  const std::uint64_t seed = 5;
+  const auto entries = algorithms::registry();
+  const auto entry =
+      std::find_if(entries.begin(), entries.end(),
+                   [](const auto& e) { return e.name == GetParam(); });
+  ASSERT_NE(entry, entries.end());
+  const algorithms::Inputs in = algorithms::make_inputs({});
+
+  const auto sealed = [&](unsigned char fill) {
+    {
+      std::vector<std::vector<unsigned char>> junk;
+      for (std::size_t n = 16; n <= 1024; n += 8) {
+        for (int k = 0; k < 16; ++k) junk.emplace_back(n, fill);
+      }
+    }
+    mem::SimHeap heap;
+    htm::DesMachine machine(model::has_c(), model::HtmKind::kRtm, 8, heap,
+                            seed);
+    const fault::FaultPlan plan =
+        fault::parse("crash-restart", model::has_c().fault);
+    fault::FaultInjector inj(plan, seed, machine.num_threads());
+    inj.attach(machine);
+    RecoveryManager rec(machine, RecoveryOptions{plan.crash_ckpt_ns});
+    RecoveryProbe probe(machine, rec);
+    entry->run(machine, in, entry->exec);
+    EXPECT_GE(rec.stats().crashes, 1u);
+    return probe.sealed_hashes;
+  };
+  const std::vector<std::uint64_t> clean = sealed(0x00);
+  EXPECT_GT(clean.size(), 1u);
+  EXPECT_EQ(clean, sealed(0xAB));
+}
+
+INSTANTIATE_TEST_SUITE_P(PaddedState, SnapshotBytes,
+                         ::testing::Values("sssp", "boruvka"),
+                         [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
 // Crash recovery, distributed: crashes under a lossy network must keep the

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
+#include <new>
 #include <set>
 #include <span>
 #include <string>
@@ -487,6 +489,49 @@ TEST(BlobIo, ElementsCarryNoLengthPrefix) {
   restore.elements(std::span<std::uint64_t>(back));
   EXPECT_EQ(back[2], 3u);
   EXPECT_TRUE(r.exhausted());
+}
+
+// A class stored whole must have no padding; a padded one lists its
+// fields. Scalars pass by kind (float and double have no unique object
+// representation).
+struct Padded {
+  std::uint32_t id;
+  double value;
+};
+struct PaddedWithFields {
+  std::uint32_t id;
+  double value;
+  void durable(BlobIo& io) { io(id, value); }
+};
+struct Flat {
+  std::uint32_t a;
+  std::uint32_t b;
+};
+static_assert(!BlobBytes<Padded>);
+static_assert(!BlobBytes<PaddedWithFields>);
+static_assert(BlobBytes<Flat>);
+static_assert(BlobBytes<double>);
+static_assert(BlobBytes<float[4]>);
+static_assert(BlobBytes<Level>);
+
+TEST(BlobIo, PaddingNeverReachesTheBlob) {
+  // The same value built over storage pre-filled with 0xAB and with 0x00.
+  const auto saved = [](unsigned char fill) {
+    alignas(PaddedWithFields) unsigned char storage[sizeof(PaddedWithFields)];
+    std::memset(storage, fill, sizeof storage);
+    auto* p = new (storage) PaddedWithFields;
+    p->id = 7;
+    p->value = 1.5;
+    std::vector<PaddedWithFields> many(2, *p);
+    BlobWriter w;
+    BlobIo io(w);
+    io(*p, many);
+    return w.take();
+  };
+  const std::vector<std::uint8_t> clean = saved(0x00);
+  EXPECT_EQ(saved(0xAB), clean);
+  // Fields only: 4 + 8 bytes, then the vector's length and its elements.
+  EXPECT_EQ(clean.size(), 12u + 8u + 2u * 12u);
 }
 
 TEST(BlobIoDeathTest, CountMismatchOnRestoreAbortsWithItsDiagnostic) {

@@ -22,8 +22,6 @@
 // effect reviewable line-by-line.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,79 +31,7 @@
 #include "analysis/report.hpp"
 #include "analysis/signature.hpp"
 #include "util/cli.hpp"
-
-namespace {
-
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  ok = true;
-  return buf.str();
-}
-
-/// Line-by-line diff: prints the first divergent lines of each side.
-void print_drift(const std::string& expected, const std::string& actual) {
-  std::istringstream exp(expected);
-  std::istringstream act(actual);
-  std::string eline;
-  std::string aline;
-  std::size_t lineno = 0;
-  for (;;) {
-    const bool has_e = static_cast<bool>(std::getline(exp, eline));
-    const bool has_a = static_cast<bool>(std::getline(act, aline));
-    ++lineno;
-    if (!has_e && !has_a) break;
-    if (has_e && has_a && eline == aline) continue;
-    std::fprintf(stderr, "line %zu:\n", lineno);
-    if (has_e) std::fprintf(stderr, "  -golden:  %s\n", eline.c_str());
-    if (has_a) std::fprintf(stderr, "  +current: %s\n", aline.c_str());
-  }
-}
-
-/// Writes or diffs one golden rendering; shared by both modes.
-int run_golden(const std::string& what, const std::string& current,
-               const std::string& golden_path,
-               const std::string& write_golden_path,
-               const std::string& regen_flags) {
-  if (!write_golden_path.empty()) {
-    std::ofstream out(write_golden_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "aam_analyze: cannot write %s\n",
-                   write_golden_path.c_str());
-      return 1;
-    }
-    out << current;
-    std::printf("wrote %s (%zu bytes)\n", write_golden_path.c_str(),
-                current.size());
-    return 0;
-  }
-  bool ok = false;
-  const std::string committed = read_file(golden_path, ok);
-  if (!ok) {
-    std::fprintf(stderr, "aam_analyze: cannot read golden %s\n",
-                 golden_path.c_str());
-    return 1;
-  }
-  if (committed != current) {
-    std::fprintf(stderr,
-                 "aam_analyze: %s drifted from %s\n"
-                 "If the change is intentional, regenerate with:\n"
-                 "  ./build/tools/aam_analyze %s--write-golden %s\n",
-                 what.c_str(), golden_path.c_str(), regen_flags.c_str(),
-                 golden_path.c_str());
-    print_drift(committed, current);
-    return 1;
-  }
-  std::printf("%s match %s\n", what.c_str(), golden_path.c_str());
-  return 0;
-}
-
-}  // namespace
+#include "util/golden.hpp"
 
 int main(int argc, char** argv) {
   aam::util::Cli cli(argc, argv);
@@ -132,10 +58,11 @@ int main(int argc, char** argv) {
     const auto recs =
         aam::analysis::recommend(signatures, wbounds, workload);
     if (!golden_path.empty() || !write_golden_path.empty()) {
-      return run_golden(
-          "mechanism recommendations",
+      return aam::util::run_golden(
+          {"aam_analyze", "mechanism recommendations", "match",
+           "--recommend "},
           aam::analysis::render_recommend_golden(recs, workload), golden_path,
-          write_golden_path, "--recommend ");
+          write_golden_path);
     }
     if (json) {
       std::printf(
@@ -152,10 +79,10 @@ int main(int argc, char** argv) {
   const auto bounds = aam::analysis::capacity_bounds(signatures, degree, chain);
 
   if (!golden_path.empty() || !write_golden_path.empty()) {
-    return run_golden(
-        "effect signatures",
+    return aam::util::run_golden(
+        {"aam_analyze", "effect signatures", "match", ""},
         aam::analysis::render_golden(signatures, bounds, degree, chain),
-        golden_path, write_golden_path, "");
+        golden_path, write_golden_path);
   }
 
   if (json) {

@@ -19,81 +19,15 @@
 // verdict must come with a regenerated manifest, reviewable line by line.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "mc/explorer.hpp"
 #include "mc/harness.hpp"
 #include "mc/trace.hpp"
 #include "util/cli.hpp"
+#include "util/golden.hpp"
 
 namespace {
-
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  ok = true;
-  return buf.str();
-}
-
-/// Line-by-line diff: prints the first divergent lines of each side.
-void print_drift(const std::string& expected, const std::string& actual) {
-  std::istringstream exp(expected);
-  std::istringstream act(actual);
-  std::string eline;
-  std::string aline;
-  std::size_t lineno = 0;
-  for (;;) {
-    const bool has_e = static_cast<bool>(std::getline(exp, eline));
-    const bool has_a = static_cast<bool>(std::getline(act, aline));
-    ++lineno;
-    if (!has_e && !has_a) break;
-    if (has_e && has_a && eline == aline) continue;
-    std::fprintf(stderr, "line %zu:\n", lineno);
-    if (has_e) std::fprintf(stderr, "  -golden:  %s\n", eline.c_str());
-    if (has_a) std::fprintf(stderr, "  +current: %s\n", aline.c_str());
-  }
-}
-
-int run_golden(const std::string& current, const std::string& golden_path,
-               const std::string& write_golden_path) {
-  if (!write_golden_path.empty()) {
-    std::ofstream out(write_golden_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "aam_mc: cannot write %s\n",
-                   write_golden_path.c_str());
-      return 1;
-    }
-    out << current;
-    std::printf("wrote %s (%zu bytes)\n", write_golden_path.c_str(),
-                current.size());
-    return 0;
-  }
-  bool ok = false;
-  const std::string committed = read_file(golden_path, ok);
-  if (!ok) {
-    std::fprintf(stderr, "aam_mc: cannot read golden %s\n",
-                 golden_path.c_str());
-    return 1;
-  }
-  if (committed != current) {
-    std::fprintf(stderr,
-                 "aam_mc: certification manifest drifted from %s\n"
-                 "If the change is intentional, regenerate with:\n"
-                 "  ./build/tools/aam_mc --write-golden %s\n",
-                 golden_path.c_str(), golden_path.c_str());
-    print_drift(committed, current);
-    return 1;
-  }
-  std::printf("certification manifest matches %s\n", golden_path.c_str());
-  return 0;
-}
 
 void print_violations(const aam::mc::RunResult& result) {
   for (const aam::mc::ViolationInfo& v : result.violations) {
@@ -142,8 +76,9 @@ int main(int argc, char** argv) {
     options.max_runs = budget;
     const aam::mc::CertReport report = aam::mc::certify(options);
     if (!golden_path.empty() || !write_golden_path.empty()) {
-      return run_golden(aam::mc::render_golden(report), golden_path,
-                        write_golden_path);
+      return aam::util::run_golden(
+          {"aam_mc", "certification manifest", "matches", ""},
+          aam::mc::render_golden(report), golden_path, write_golden_path);
     }
     if (json) {
       std::printf("%s", aam::mc::render_json(report).c_str());
