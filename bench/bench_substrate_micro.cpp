@@ -3,11 +3,13 @@
 // Unlike the figure harnesses — which report *simulated* time from the
 // calibrated machine models — these measure the real-world throughput of
 // the library's own building blocks: the epoch-cleared footprint
-// structures, the event queue, the RNG, and the discrete-event machine's
-// dispatch rate.
+// structures, the event queue, the RNG, the discrete-event machine's
+// dispatch rate, and the graph set-up every bench pays before its first
+// cell (Kronecker generation and the CSR build).
 
 #include <benchmark/benchmark.h>
 
+#include "graph/generators.hpp"
 #include "htm/des_engine.hpp"
 #include "mem/footprint.hpp"
 #include "sim/event_queue.hpp"
@@ -136,6 +138,38 @@ void BM_DesMachineEventRate(benchmark::State& state) {
                           1000);
 }
 BENCHMARK(BM_DesMachineEventRate);
+
+// The perfbench graph: scale 14, edge factor 8.
+graph::KroneckerParams set_up_params() {
+  graph::KroneckerParams p;
+  p.scale = 14;
+  p.edge_factor = 8;
+  return p;
+}
+
+void BM_KroneckerEdges(benchmark::State& state) {
+  const graph::KroneckerParams p = set_up_params();
+  for (auto _ : state) {
+    util::Rng rng(1);
+    benchmark::DoNotOptimize(graph::kronecker_edges(p, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (p.edge_factor << p.scale));
+}
+BENCHMARK(BM_KroneckerEdges)->Unit(benchmark::kMillisecond);
+
+void BM_CsrBuild(benchmark::State& state) {
+  const graph::KroneckerParams p = set_up_params();
+  util::Rng rng(1);
+  const graph::EdgeList edges = graph::kronecker_edges(p, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::Graph::from_edges(
+        graph::Vertex{1} << p.scale, edges, p.undirected));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    edges.size()));
+}
+BENCHMARK(BM_CsrBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -7,11 +7,13 @@
 // afford. Element counts are deterministic properties of the run (edges
 // scanned, relaxations, ...), so elements/sec moves only with host-side
 // cost per access: exactly the executor/footprint hot path this metric
-// exists to track. Output is JSON (schema aam-bench-wallclock-v5) so CI
+// exists to track. Output is JSON (schema aam-bench-wallclock-v6) so CI
 // can diff runs; tools/bench_record.sh wraps this into BENCH_wallclock.json.
 // --host-threads=N runs the independent (algorithm, mechanism) cells on N
 // host workers via the parallel DES backend; results are identical at any
 // N, and the top-level wall_ms field captures the whole-sweep wall-clock.
+// The shared set-up before it (graph generation, CSR builds and the auto
+// policies) is timed apart as setup_ms.
 //
 // Besides the fixed mechanisms, every algorithm also runs one
 // --mechanism=auto row: the static recommendation table
@@ -85,15 +87,18 @@ int main(int argc, char** argv) {
 
   // Shared inputs: a Kronecker graph for the traversal algorithms and a
   // smaller weighted graph for SSSP/Boruvka (matching the ablation bench).
+  const auto setup_t0 = Clock::now();
   const algorithms::Inputs in = algorithms::make_inputs(
       {.scale = scale, .edge_factor = edge_factor, .seed = seed,
        .weighted_vertices = 1500, .weighted_p = 0.01});
 
   // Static routing tables for the --mechanism=auto rows.
   const bench::GraphPolicies policies(spec, in, batch);
+  const double setup_ms =
+      std::chrono::duration<double>(Clock::now() - setup_t0).count() * 1e3;
 
   std::string json = "{\n";
-  json += "  \"schema\": \"aam-bench-wallclock-v5\",\n";
+  json += "  \"schema\": \"aam-bench-wallclock-v6\",\n";
   json += "  \"scale\": " + std::to_string(scale) + ",\n";
   json += "  \"edge_factor\": " + std::to_string(edge_factor) + ",\n";
   json += "  \"machine\": \"" + config.name + "\",\n";
@@ -210,9 +215,11 @@ int main(int argc, char** argv) {
   const double sweep_wall_ms =
       std::chrono::duration<double>(Clock::now() - sweep_t0).count() * 1e3;
 
+  json += "  \"setup_ms\": " + json_escape_double(setup_ms) + ",\n";
   json += "  \"wall_ms\": " + json_escape_double(sweep_wall_ms) + ",\n";
   json += "  \"results\": [\n";
   bool first = true;
+  std::printf("set-up %.2f ms, sweep %.2f ms\n\n", setup_ms, sweep_wall_ms);
   std::printf("%-10s %-12s %14s %12s %14s\n", "algorithm", "mechanism",
               "elements", "wall ms", "elems/sec");
   for (const CellResult& res : slots) {

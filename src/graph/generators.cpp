@@ -14,7 +14,11 @@ EdgeList kronecker_edges(const KroneckerParams& params, util::Rng& rng) {
   const std::uint64_t m =
       static_cast<std::uint64_t>(params.edge_factor) * n;
   const double ab = params.a + params.b;
-  const double c_norm = params.c / (1.0 - ab);
+  // Integer thresholds draw the same stream and pick the same quadrants
+  // as comparing next_double() with ab, c / (1 - ab) and a / ab.
+  const std::uint64_t t_ab = util::Rng::double_threshold(ab);
+  const std::uint64_t t_c = util::Rng::double_threshold(params.c / (1.0 - ab));
+  const std::uint64_t t_a = util::Rng::double_threshold(params.a / ab);
 
   EdgeList edges;
   edges.reserve(m);
@@ -22,12 +26,10 @@ EdgeList kronecker_edges(const KroneckerParams& params, util::Rng& rng) {
     Vertex u = 0;
     Vertex v = 0;
     for (int bit = 0; bit < params.scale; ++bit) {
-      const double r1 = rng.next_double();
-      const double r2 = rng.next_double();
       // Choose the quadrant: (0,0) w.p. a, (0,1) w.p. b, (1,0) w.p. c,
       // (1,1) w.p. d = 1-a-b-c. Graph500 reference formulation.
-      const bool u_bit = r1 > ab;
-      const bool v_bit = r2 > (u_bit ? c_norm : params.a / ab);
+      const bool u_bit = util::Rng::double_above(rng(), t_ab);
+      const bool v_bit = util::Rng::double_above(rng(), u_bit ? t_c : t_a);
       u |= static_cast<Vertex>(u_bit) << bit;
       v |= static_cast<Vertex>(v_bit) << bit;
     }

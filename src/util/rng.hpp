@@ -84,6 +84,21 @@ class Rng {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
+  /// The integer form of a comparison with next_double(): for
+  /// t = double_threshold(p), the double a draw x yields exceeds p exactly
+  /// when double_above(x, t), so `double_above(rng(), t)` draws like
+  /// `rng.next_double() > p` with no conversion. next_double() is
+  /// (x >> 11)·2^-53, and scaling by a power of two is exact, so
+  /// x >> 11 > p·2^53 compares the same reals, and an integer exceeds
+  /// p·2^53 exactly when it exceeds its floor.
+  static constexpr std::uint64_t double_threshold(double p) {
+    AAM_CHECK_MSG(p >= 0.0 && p <= 1.0, "threshold outside [0, 1]");
+    return static_cast<std::uint64_t>(p * 0x1.0p53);
+  }
+  static constexpr bool double_above(std::uint64_t x, std::uint64_t t) {
+    return (x >> 11) > t;
+  }
+
   /// Bernoulli trial with probability p.
   constexpr bool next_bool(double p) { return next_double() < p; }
 

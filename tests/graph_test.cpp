@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "algorithms/boruvka.hpp"
 #include "graph/analogs.hpp"
@@ -158,6 +159,116 @@ TEST(Csr, RowsSortedOnEveryConstructor) {
   }
 }
 
+/// A CSR as flat arrays, weights concatenated row by row.
+struct FlatCsr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<Vertex> adj;
+  std::vector<float> weights;
+  bool operator==(const FlatCsr&) const = default;
+};
+
+FlatCsr flatten(const Graph& g) {
+  FlatCsr f{{g.offsets().begin(), g.offsets().end()},
+            {g.adjacency().begin(), g.adjacency().end()},
+            {}};
+  if (g.has_weights()) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const auto w = g.weights(v);
+      f.weights.insert(f.weights.end(), w.begin(), w.end());
+    }
+  }
+  return f;
+}
+
+/// The build the counting sorts replace: sort (src, dst, weight) triples
+/// and keep the first of each (src, dst). `weights` is empty when
+/// unweighted.
+FlatCsr sorted_reference(Vertex n, const EdgeList& edges,
+                         const std::vector<float>& weights, bool undirected,
+                         bool dedupe) {
+  std::vector<std::tuple<Vertex, Vertex, float>> arcs;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto [u, v] = edges[i];
+    if (u == v) continue;
+    const float w = weights.empty() ? 0.0f : weights[i];
+    arcs.emplace_back(u, v, w);
+    if (undirected) arcs.emplace_back(v, u, w);
+  }
+  std::sort(arcs.begin(), arcs.end());
+  if (dedupe) {
+    arcs.erase(std::unique(arcs.begin(), arcs.end(),
+                           [](const auto& a, const auto& b) {
+                             return std::get<0>(a) == std::get<0>(b) &&
+                                    std::get<1>(a) == std::get<1>(b);
+                           }),
+               arcs.end());
+  }
+  FlatCsr f;
+  f.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const auto& [u, v, w] : arcs) {
+    ++f.offsets[u + 1];
+    f.adj.push_back(v);
+    if (!weights.empty()) f.weights.push_back(w);
+  }
+  for (Vertex v = 0; v < n; ++v) f.offsets[v + 1] += f.offsets[v];
+  return f;
+}
+
+TEST(Csr, CountingBuildMatchesSortedReference) {
+  constexpr Vertex kN = 400;
+  constexpr Vertex kHub = 137;
+  util::Rng rng(23);
+  // Duplicates and self-loops from a small vertex set, one hub row of
+  // thousands of arcs, and repeated (u, v) pairs in both orientations.
+  EdgeList edges = scrambled_edges(kN, 6000, 29);
+  for (int i = 0; i < 5000; ++i) {
+    edges.emplace_back(kHub, static_cast<Vertex>(rng.next_below(kN)));
+  }
+  for (int i = 0; i < 500; ++i) {
+    const auto [u, v] = edges[rng.next_below(edges.size())];
+    edges.emplace_back(i % 2 == 0 ? std::pair{u, v} : std::pair{v, u});
+  }
+  // Weights from a small set, so some duplicates tie on weight too.
+  std::vector<float> weights(edges.size());
+  for (float& w : weights) w = static_cast<float>(1 + rng.next_below(50));
+
+  for (const bool undirected : {false, true}) {
+    SCOPED_TRACE(undirected);
+    for (const bool dedupe : {false, true}) {
+      SCOPED_TRACE(dedupe);
+      EXPECT_EQ(flatten(Graph::from_edges(kN, edges, undirected, dedupe)),
+                sorted_reference(kN, edges, {}, undirected, dedupe));
+    }
+    const FlatCsr weighted =
+        flatten(Graph::from_weighted_edges(kN, edges, weights, undirected));
+    EXPECT_EQ(weighted,
+              sorted_reference(kN, edges, weights, undirected, true));
+    EXPECT_EQ(weighted.offsets[kHub + 1] - weighted.offsets[kHub], kN - 1)
+        << "the hub row reaches every other vertex";
+  }
+}
+
+TEST(CsrDeathTest, OutOfRangeEndpointDiesBeforeAnyWrite) {
+  // The bad endpoint comes last and far out of range: a build that
+  // indexed by it before checking would write out of bounds first.
+  const EdgeList good = scrambled_edges(64, 500, 31);
+  const EdgeList bad_edges = {
+      {64, 0}, {3, 64}, {0xfffffff0u, 1}, {2, kInvalidVertex - 1}};
+  for (const auto& bad : bad_edges) {
+    EdgeList edges = good;
+    edges.push_back(bad);
+    const std::vector<float> weights(edges.size(), 1.0f);
+    for (const bool undirected : {false, true}) {
+      EXPECT_DEATH(Graph::from_edges(64, edges, undirected),
+                   "edge endpoint out of range");
+      EXPECT_DEATH(Graph::from_weighted_edges(64, edges, weights, undirected),
+                   "edge endpoint out of range");
+    }
+  }
+  EXPECT_DEATH(Graph::from_edges(0, {{0, 0}}, true),
+               "edge endpoint out of range");
+}
+
 // ----------------------------------------------------------- Generators
 
 TEST(Generators, KroneckerSizeAndDeterminism) {
@@ -173,6 +284,68 @@ TEST(Generators, KroneckerSizeAndDeterminism) {
   // Power-law-ish skew: max degree far above the mean.
   const DegreeStats s = degree_stats(a);
   EXPECT_GT(s.max, 4 * s.mean);
+}
+
+/// FNV-1a over each edge's endpoints, four little-endian bytes each.
+std::uint64_t fnv1a(const EdgeList& edges) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& [u, v] : edges) {
+    for (const Vertex x : {u, v}) {
+      for (int byte = 0; byte < 4; ++byte) {
+        h ^= (x >> (8 * byte)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Generators, KroneckerEdgeListDigestPinned) {
+  // Recorded from the generator that compared next_double() with the
+  // initiator's probabilities; the integer thresholds must draw the same
+  // stream and produce the same edges.
+  const struct {
+    int scale;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } pinned[] = {{10, 1, 0xb019eb6afbde8f8eULL},
+                {10, 2, 0x10a673c1b42049cbULL},
+                {10, 3, 0x5062bade03b506d5ULL},
+                {14, 1, 0x8141b4059f7257b2ULL}};
+  for (const auto& pin : pinned) {
+    KroneckerParams p;
+    p.scale = pin.scale;
+    p.edge_factor = 8;
+    util::Rng rng(pin.seed);
+    const EdgeList edges = kronecker_edges(p, rng);
+    EXPECT_EQ(edges.size(), 8u << pin.scale);
+    EXPECT_EQ(fnv1a(edges), pin.digest)
+        << "scale " << pin.scale << " seed " << pin.seed;
+  }
+}
+
+TEST(Generators, IntegerThresholdMatchesNextDouble) {
+  const KroneckerParams p;
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  for (const double v : {p.a, p.a / (p.a + p.b), p.c / (1 - p.a - p.b), 0.5,
+                         0.25, 1e-3, 1.0}) {
+    SCOPED_TRACE(v);
+    const std::uint64_t t = util::Rng::double_threshold(v);
+    for (const std::uint64_t k : {std::uint64_t{0}, t - 1, t, t + 1, kTop}) {
+      if (k > kTop) continue;  // no draw yields it
+      const bool above = static_cast<double>(k) * 0x1.0p-53 > v;
+      // The 11 low bits of a draw never reach next_double().
+      EXPECT_EQ(util::Rng::double_above(k << 11, t), above) << k;
+      EXPECT_EQ(util::Rng::double_above(k << 11 | 0x7ff, t), above) << k;
+    }
+    // The same draws, compared both ways.
+    util::Rng as_double(7);
+    util::Rng as_integer(7);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(as_double.next_double() > v,
+                util::Rng::double_above(as_integer(), t));
+    }
+  }
 }
 
 TEST(Generators, ErdosRenyiDegreeConcentrates) {

@@ -12,18 +12,19 @@
 # shares, and per row the median "wall_seconds" and "elements_per_sec" of
 # the trials with the row's "wall_seconds_min" and "wall_seconds_iqr"
 # (interquartile range). The top-level "wall_ms" is the median sweep
-# wall-clock. A "host" block names the machine and build the times belong
-# to (nproc, compiler, build type; the last two read from the CMake build
-# tree holding the binary, "unknown" outside one). A "parallel" block
-# holds the whole-sweep wall-clock at --host-threads=1 and
-# --host-threads=$BENCH_HOST_THREADS (default 4), median of the trials,
-# and the resulting speedup. The simulated per-row fields of every trial
-# must agree (the parallel backend's determinism contract); a mismatch
-# fails the recording. Rows stay one per line: tests/conflict_test.cpp
-# reads the file line by line.
+# wall-clock and "setup_ms" the median time of the shared set-up before it
+# (graph generation, CSR builds, auto policies). A "host" block names the
+# machine and build the times belong to (nproc, compiler, build type; the
+# last two read from the CMake build tree holding the binary, "unknown"
+# outside one). A "parallel" block holds the whole-sweep wall-clock at
+# --host-threads=1 and --host-threads=$BENCH_HOST_THREADS (default 4),
+# median of the trials, and the resulting speedup. The simulated per-row
+# fields of every trial must agree (the parallel backend's determinism
+# contract); a mismatch fails the recording. Rows stay one per line:
+# tests/conflict_test.cpp reads the file line by line.
 #
 # Exits non-zero when the binary fails or the JSON does not match the
-# aam-bench-wallclock-v5 schema (missing keys, empty results, or
+# aam-bench-wallclock-v6 schema (missing keys, empty results, or
 # non-positive throughput).
 set -euo pipefail
 
@@ -87,10 +88,10 @@ for doc in seq + par:
              "— the parallel backend broke determinism")
 
 doc = seq[0]
-if doc.get("schema") != "aam-bench-wallclock-v5":
+if doc.get("schema") != "aam-bench-wallclock-v6":
     fail(f"unexpected schema {doc.get('schema')!r}")
-for key in ("scale", "machine", "threads", "host_threads", "wall_ms",
-            "fault", "results"):
+for key in ("scale", "machine", "threads", "host_threads", "setup_ms",
+            "wall_ms", "fault", "results"):
     if key not in doc:
         fail(f"missing top-level key {key!r}")
 results = doc["results"]
@@ -161,6 +162,7 @@ def build_info(binary):
 seq_ms = statistics.median(d["wall_ms"] for d in seq)
 par_ms = statistics.median(d["wall_ms"] for d in par)
 speedup = round(seq_ms / par_ms, 3) if par_ms > 0 else 0
+doc["setup_ms"] = round(statistics.median(d["setup_ms"] for d in seq), 3)
 doc["wall_ms"] = round(seq_ms, 3)
 doc["host"] = {"nproc": os.cpu_count(), **build_info(binary)}
 doc["parallel"] = {
