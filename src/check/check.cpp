@@ -116,7 +116,6 @@ Checker::Checker(htm::DesMachine& machine, CheckConfig config)
                     /*log_writes=*/config.races, /*replays=*/config.serial),
       machine_(machine),
       config_(config) {
-  AAM_CHECK(config_.scan_interval >= 1);
   footprint_stats_.resize(
       static_cast<std::size_t>(core::OperatorId::kStVisit) + 1);
   if (config_.races) {
@@ -189,10 +188,9 @@ void Checker::on_batch_done(std::uint32_t tid, core::Mechanism mechanism,
   if (config_.serial && count > 0) {
     diff_serial(rec, results, batch_no);
   }
-  if (config_.races &&
-      (batch_no + 1) % static_cast<std::uint64_t>(config_.scan_interval) == 0) {
-    scan_shadow(batch_no);
-  }
+  // The shadow scan runs after every batch, so an escape is attributed to
+  // the batch that made it.
+  if (config_.races) scan_shadow(batch_no);
 }
 
 void Checker::audit_footprint_for(std::uint32_t tid, std::uint64_t batch_no) {

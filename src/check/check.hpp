@@ -60,10 +60,6 @@ struct CheckConfig {
   bool races = false;      ///< escaped-write detector
   bool serial = false;     ///< serial re-execution differ
   bool footprint = false;  ///< declared-footprint audit + commit digest
-  /// Batches between shadow scans (races). 1 = scan after every batch,
-  /// attributing escapes to the batch that made them; larger values trade
-  /// attribution precision for scan cost.
-  int scan_interval = 1;
 
   bool enabled() const { return races || serial || footprint; }
 };

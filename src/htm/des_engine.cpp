@@ -357,13 +357,19 @@ sim::ChoiceKind DesMachine::classify_choice(const sim::Event& e) const {
 bool DesMachine::commit_would_conflict(std::uint32_t tid) const {
   const auto& ts = *threads_[tid];
   AAM_CHECK_MSG(ts.txn_inflight, "commit_would_conflict without a txn");
-  for (std::uint64_t unit : ts.txn.tracker_.read_units()) {
-    if (unit_stamps_[unit] > ts.start_stamp) return true;
-  }
-  for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
-    if (unit_stamps_[unit] > ts.start_stamp) return true;
-  }
-  return false;
+  return footprint_committed_since(ts.txn, ts.start_stamp);
+}
+
+bool DesMachine::footprint_committed_since(const Txn& tx, std::uint64_t stamp,
+                                           bool reads) const {
+  const auto committed = [&](const std::vector<std::uint64_t>& units) {
+    for (std::uint64_t unit : units) {
+      if (unit_stamps_[unit] > stamp) return true;
+    }
+    return false;
+  };
+  return (reads && committed(tx.tracker_.read_units())) ||
+         committed(tx.tracker_.write_units());
 }
 
 void DesMachine::run_controlled(sim::ScheduleController& controller) {
@@ -493,6 +499,7 @@ void DesMachine::on_next(std::uint32_t tid) {
     ts.aborts_this_txn = 0;
     ts.capacity_aborts_this_txn = 0;
     ts.escalated_this_txn = false;
+    ts.replayable = false;
     ts.first_start = ts.ctx.clock_;
     ++inflight_txns_;
     attempt_speculative(tid);
@@ -546,18 +553,30 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
   }
 
   ++ts.stats.started;
+  // Replayed retry: a body's result is a function of its captures and its
+  // Txn reads. When no unit of the last body run's footprint (the lock
+  // subscription included) was committed since that run began, a new run
+  // would read the same words and end the same way: keep its footprint,
+  // write log, cost and outcome. The serialized path never replays: its
+  // per-access charges differ.
+  const bool replay =
+      ts.replayable && !footprint_committed_since(ts.txn, ts.start_stamp);
   ts.start_stamp = commit_stamp_;
-  begin_footprint(ts, start, /*serialized=*/false);
-  // Subscribe to the domain's fallback lock word (lazy subscription).
-  ts.txn.tracker_.add_read(heap_.offset_of(dom.lock));
-
-  AbortReason reason{};
-  bool aborted = false;
-  try {
-    ts.body(ts.txn);
-  } catch (const TxAbort& a) {
-    aborted = true;
-    reason = a.reason;
+  if (replay) {
+    ts.txn.start_ = start;
+    ts.txn.duration_ = ts.body_ns;
+  } else {
+    begin_footprint(ts, start, /*serialized=*/false);
+    // Subscribe to the domain's fallback lock word (lazy subscription).
+    ts.txn.tracker_.add_read(heap_.offset_of(dom.lock));
+    ts.body_abort.reset();
+    try {
+      ts.body(ts.txn);
+    } catch (const TxAbort& a) {
+      ts.body_abort = a.reason;
+    }
+    ts.body_ns = ts.txn.duration_;
+    ts.replayable = true;
   }
 
   if (fault_hook_ != nullptr) {
@@ -567,9 +586,9 @@ void DesMachine::attempt_speculative(std::uint32_t tid) {
     if (factor > 1.0) ts.txn.duration_ *= factor;
   }
 
-  if (aborted) {
+  if (ts.body_abort) {
     // The footprint accumulated up to the faulting access was paid for.
-    handle_abort(tid, reason, start + ts.txn.duration_);
+    handle_abort(tid, *ts.body_abort, start + ts.txn.duration_);
     return;
   }
 
@@ -632,24 +651,9 @@ void DesMachine::on_commit(std::uint32_t tid, std::uint64_t is_final) {
   // by an overlapping transaction, atomic, or plain store aborts us.
   // SeededBug::kSkipReadValidation drops the read-set half of this check —
   // a planted defect the model checker's mutation fixtures must catch.
-  bool conflict = false;
-  if (seeded_bug_ != SeededBug::kSkipReadValidation) {
-    for (std::uint64_t unit : ts.txn.tracker_.read_units()) {
-      if (unit_stamps_[unit] > ts.start_stamp) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (!conflict) {
-    for (std::uint64_t unit : ts.txn.tracker_.write_units()) {
-      if (unit_stamps_[unit] > ts.start_stamp) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (conflict) {
+  if (footprint_committed_since(
+          ts.txn, ts.start_stamp,
+          /*reads=*/seeded_bug_ != SeededBug::kSkipReadValidation)) {
     handle_abort(tid, AbortReason::kConflict, end);
     return;
   }
@@ -734,6 +738,7 @@ void DesMachine::enter_serialized(std::uint32_t tid, double ready_time) {
   // this domain: they subscribed to this word and will fail validation.
   bump_addr(dom.lock);
 
+  ts.replayable = false;
   begin_footprint(ts, start, /*serialized=*/true);
 
   bool aborted = false;
@@ -908,6 +913,7 @@ void DesMachine::drop_volatile_and_requeue(
     ts.aborts_this_txn = 0;
     ts.capacity_aborts_this_txn = 0;
     ts.escalated_this_txn = false;
+    ts.replayable = false;
     ts.txn.write_log_.clear();
   }
   for (SerialDomain& d : domains_) {

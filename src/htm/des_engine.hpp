@@ -18,7 +18,9 @@
 //     committer wins);
 //   * aborted transactions retry per the variant policy: RTM retries in
 //     software with exponential backoff, HLE serializes after the first
-//     abort, BG/Q auto-retries up to max_rollbacks then serializes.
+//     abort, BG/Q auto-retries up to max_rollbacks then serializes. A
+//     speculative retry whose footprint no commit touched since its last
+//     body run would repeat that run exactly, so it reuses it.
 //
 // Capacity aborts fire during the speculative run when the footprint
 // exceeds the variant's cache geometry; "other" aborts are injected with a
@@ -35,6 +37,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "htm/abort.hpp"
@@ -96,9 +99,6 @@ class Txn {
 
   /// True when running on the serialized (irrevocable) fallback path.
   bool serialized() const { return serialized_; }
-
-  /// Virtual time at which this attempt began.
-  double start_time() const { return start_; }
 
   Txn(const Txn&) = delete;
   Txn& operator=(const Txn&) = delete;
@@ -210,6 +210,9 @@ class ThreadCtx {
   /// Stage a transactional activity. Must be the last action of the
   /// current Worker::next() call; the body may run several times (retries)
   /// and `done` fires once the activity completes (committed/serialized).
+  /// What the body does must be a function of its captures and its Txn
+  /// reads: a retry whose footprint nothing committed to since the last
+  /// run reuses that run instead of calling the body again.
   void stage_transaction(TxnBody body, TxnDone done = {});
 
   /// True if a transaction has been staged in the current next() call.
@@ -466,6 +469,12 @@ class DesMachine {
     double first_start = 0;   ///< time of the first speculative attempt
     std::uint64_t start_stamp = 0;  ///< global commit stamp at attempt start
     Txn txn;  ///< the current attempt's access path and footprint
+    /// Set while txn holds the last speculative body run of the staged
+    /// transaction (its footprint and write log, taken at start_stamp): a
+    /// retry whose footprint nothing committed to since reuses that run.
+    bool replayable = false;
+    double body_ns = 0;  ///< txn.duration_ when that body returned or threw
+    std::optional<AbortReason> body_abort;  ///< how that body ended
     HtmStats stats;
   };
 
@@ -483,6 +492,11 @@ class DesMachine {
   void enter_serialized(std::uint32_t tid, double ready_time);
   void on_serial_commit(std::uint32_t tid);
   void finish_txn(std::uint32_t tid, bool serialized, double end_time);
+  /// True when some unit of `tx`'s footprint (only its writes when `reads`
+  /// is false) was committed after `stamp`: first-committer-wins
+  /// validation, and the test that a retry may replay its last body run.
+  bool footprint_committed_since(const Txn& tx, std::uint64_t stamp,
+                                 bool reads = true) const;
   /// Starts `ts`'s attempt at `start` on an empty write buffer and
   /// footprint, charging the costs of the speculative or serialized path.
   void begin_footprint(ThreadState& ts, double start, bool serialized);

@@ -189,6 +189,32 @@ model::MachineConfig without_other_aborts(const model::MachineConfig& base,
   return config;
 }
 
+/// A fault hook that slows nothing down. It turns the first `aborts`
+/// speculative attempts to reach it into "other" aborts striking half-way
+/// through, and records the start the engine passes to slowdown() right
+/// after a body that set `armed`.
+class ScriptedHook final : public FaultHook {
+ public:
+  bool inject_other_abort(std::uint32_t, double, double,
+                          double& frac_out) override {
+    if (aborts == 0) return false;
+    --aborts;
+    frac_out = 0.5;
+    return true;
+  }
+  double slowdown(std::uint32_t, double now_ns) override {
+    if (armed) {
+      start = now_ns;
+      armed = false;
+    }
+    return 1.0;
+  }
+
+  int aborts = 0;
+  bool armed = false;
+  double start = -1;
+};
+
 struct CostCase {
   const model::MachineConfig* config;
   HtmKind kind;
@@ -223,10 +249,12 @@ TEST(DesMachine, AttemptCostIsExactSumOfAccessCharges) {
     DesMachine m(config, c.kind, 1, heap);
     auto early = heap.alloc<std::uint64_t>(64, "early");
     std::span<std::uint64_t> late;
-    double start = -1;
+    // The hook reports the final attempt's start, which the body cannot see.
+    ScriptedHook probe;
+    m.set_fault_hook(&probe);
     RepeatTxnWorker w(1, [&](Txn& tx) {
       if (c.serialized && !tx.serialized()) tx.abort();
-      start = tx.start_time();
+      probe.armed = true;
       if (late.empty()) late = heap.alloc<std::uint64_t>(4096, "late");
       for (int i = 0; i < kLoads; ++i) {
         // Alternate between the early and the late allocation, one line
@@ -252,7 +280,7 @@ TEST(DesMachine, AttemptCostIsExactSumOfAccessCharges) {
     }
     if (!c.serialized) expect += costs.commit_ns;
     // The attempt's end is the thread's clock; compared bit for bit.
-    EXPECT_EQ(m.makespan(), start + expect);
+    EXPECT_EQ(m.makespan(), probe.start + expect);
 
     const HtmStats s = m.stats();
     EXPECT_EQ(s.committed, c.serialized ? 0u : 1u);
@@ -310,6 +338,120 @@ TEST(DesMachine, ReadCapacityBindsSpeculationOnly) {
       }
     }
   }
+}
+
+/// BG/Q short mode with no modelled "other" aborts and no backoff, so an
+/// attempt's timeline is the exact sum of its charges.
+model::MachineConfig quiet_bgq() {
+  model::MachineConfig config =
+      without_other_aborts(model::bgq(), HtmKind::kBgqShort);
+  auto& costs = config.htm_costs_[static_cast<int>(HtmKind::kBgqShort)];
+  costs.backoff_base_ns = 0;
+  costs.backoff_max_ns = 0;
+  return config;
+}
+
+TEST(ReplayedRetry, CleanRetryReusesTheLastBodyRun) {
+  // Two injected "other" aborts leave the footprint untouched, so both
+  // retries replay the first body run: one run, three attempts, and the
+  // clock of three attempts that each paid the full body charges.
+  const model::MachineConfig config = quiet_bgq();
+  mem::SimHeap heap;
+  DesMachine m(config, HtmKind::kBgqShort, 1, heap);
+  ScriptedHook hook;
+  hook.aborts = 2;
+  m.set_fault_hook(&hook);
+  auto* x = heap.alloc_one<std::uint64_t>(5);
+  auto* y = heap.alloc_one<std::uint64_t>(0);
+  int runs = 0;
+  RepeatTxnWorker w(1, [&runs, x, y](Txn& tx) {
+    ++runs;
+    tx.store(*y, tx.load(*x) + 1);
+  });
+  m.set_worker(0, &w);
+  m.run();
+
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(*x, 5u);
+  EXPECT_EQ(*y, 6u);
+  const HtmStats s = m.stats();
+  EXPECT_EQ(s.started, 3u);
+  EXPECT_EQ(s.aborts_other, 2u);
+  EXPECT_EQ(s.total_aborts(), 2u);
+  EXPECT_EQ(s.committed, 1u);
+  EXPECT_EQ(s.serialized, 0u);
+  // Each abort strikes half-way through a full attempt, then pays abort_ns
+  // (backoff is zero); the third attempt commits after the whole duration.
+  const model::HtmCosts& c = config.htm(HtmKind::kBgqShort);
+  const auto& a = config.atomics;
+  const double duration = c.begin_ns + (c.read_ns + a.load_ns) +
+                          (c.write_ns + a.store_ns) + c.commit_ns;
+  double start = 0;
+  for (int i = 0; i < 2; ++i) start = start + 0.5 * duration + c.abort_ns;
+  EXPECT_EQ(m.makespan(), start + duration);
+}
+
+TEST(ReplayedRetry, RetryAfterACommittedStoreToItsReadsRerunsTheBody) {
+  // Thread 1's plain store to x lands between thread 0's first attempt
+  // (aborted by the hook) and its retry, so the retry runs the body again
+  // and commits from the new value.
+  const model::MachineConfig config = quiet_bgq();
+  mem::SimHeap heap;
+  DesMachine m(config, HtmKind::kBgqShort, 2, heap);
+  ScriptedHook hook;
+  hook.aborts = 1;
+  m.set_fault_hook(&hook);
+  auto* x = heap.alloc_one<std::uint64_t>(5);
+  auto* y = heap.alloc_one<std::uint64_t>(0);
+  int runs = 0;
+  RepeatTxnWorker txn(1, [&runs, x, y](Txn& tx) {
+    ++runs;
+    tx.store(*y, tx.load(*x) + 1);
+  });
+  RepeatOpWorker store(1, [x](ThreadCtx& ctx) {
+    ctx.store(*x, std::uint64_t{100});
+  });
+  m.set_worker(0, &txn);
+  m.set_worker(1, &store);
+  m.run();
+
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(*y, 101u);
+  const HtmStats s = m.stats();
+  EXPECT_EQ(s.aborts_other, 1u);
+  EXPECT_EQ(s.total_aborts(), 1u);
+  EXPECT_EQ(s.committed, 1u);
+}
+
+TEST(ReplayedRetry, CapacityOverflowReplaysToTheSameAbortThenSerializes) {
+  // 600 stores to distinct lines overflow RTM's 512-line write geometry on
+  // every speculative run. The retry replays the overflow, and the second
+  // capacity abort sends the transaction to the lock, whose run commits.
+  const model::MachineConfig config =
+      without_other_aborts(model::has_c(), HtmKind::kRtm);
+  constexpr std::size_t kLines = 600;
+  mem::SimHeap heap;
+  DesMachine m(config, HtmKind::kRtm, 1, heap);
+  auto data = heap.alloc<std::uint64_t>(kLines * 8);
+  int runs = 0;
+  bool last_run_serialized = false;
+  RepeatTxnWorker w(1, [&](Txn& tx) {
+    ++runs;
+    last_run_serialized = tx.serialized();
+    for (std::size_t l = 0; l < kLines; ++l) tx.store(data[l * 8], l + 1);
+  });
+  m.set_worker(0, &w);
+  m.run();
+
+  EXPECT_EQ(runs, 2);
+  EXPECT_TRUE(last_run_serialized);
+  const HtmStats s = m.stats();
+  EXPECT_EQ(s.started, 2u);
+  EXPECT_EQ(s.aborts_capacity, 2u);
+  EXPECT_EQ(s.total_aborts(), 2u);
+  EXPECT_EQ(s.serialized, 1u);
+  EXPECT_EQ(s.committed, 0u);
+  for (std::size_t l = 0; l < kLines; ++l) EXPECT_EQ(data[l * 8], l + 1);
 }
 
 TEST(DesMachineDeathTest, OffHeapTransactionalAccessAborts) {

@@ -491,6 +491,74 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// A crash between an aborted attempt and its retry, on BG/Q coloring,
+// where retries often replay their last body run: the restore drops that
+// in-flight replay state with the rest, and the run replays to the
+// crash-free answer, simulated time and engine counters.
+
+/// Crashes once, at the first event boundary at or past `at_ns` that
+/// follows an "other" abort of the dispatched thread. That thread is then
+/// mid-retry: the body run its retry would replay is still held. Injects
+/// no aborts and slows nothing down.
+class CrashMidRetry final : public htm::FaultHook {
+ public:
+  CrashMidRetry(const htm::DesMachine& machine, double at_ns)
+      : machine_(machine),
+        at_ns_(at_ns),
+        seen_(static_cast<std::size_t>(machine.num_threads()), 0) {}
+
+  bool inject_other_abort(std::uint32_t, double, double, double&) override {
+    return false;
+  }
+  double slowdown(std::uint32_t, double) override { return 1.0; }
+  bool inject_crash(std::uint32_t tid, double now_ns) override {
+    const std::uint64_t others = machine_.thread_stats(tid).aborts_other;
+    const bool just_aborted = others > seen_[tid];
+    seen_[tid] = others;
+    if (fired || now_ns < at_ns_ || !just_aborted) return false;
+    fired = true;
+    return true;
+  }
+
+  bool fired = false;
+
+ private:
+  const htm::DesMachine& machine_;
+  double at_ns_;
+  std::vector<std::uint64_t> seen_;
+};
+
+TEST(Recovery, CrashMidRetryMatchesFaultFreeRun) {
+  const std::uint64_t seed = 5;
+  const auto entries = algorithms::registry();
+  const auto entry = std::find_if(
+      entries.begin(), entries.end(),
+      [](const auto& e) { return std::string_view(e.name) == "coloring"; });
+  ASSERT_NE(entry, entries.end());
+  const algorithms::Inputs in = algorithms::make_inputs({});
+  const model::MachineConfig& bgq = model::bgq();
+
+  mem::SimHeap base_heap;
+  htm::DesMachine base(bgq, model::HtmKind::kBgqShort, 8, base_heap, seed);
+  const algorithms::RunReport want = entry->run(base, in, entry->exec);
+  ASSERT_GT(want.stats.aborts_other, 0u);
+
+  mem::SimHeap heap;
+  htm::DesMachine machine(bgq, model::HtmKind::kBgqShort, 8, heap, seed);
+  CrashMidRetry crash(machine, want.sim_ns / 2);
+  machine.set_fault_hook(&crash);
+  RecoveryManager rec(
+      machine,
+      RecoveryOptions{fault::parse("crash-restart", bgq.fault).crash_ckpt_ns});
+  const algorithms::RunReport got = entry->run(machine, in, entry->exec);
+
+  EXPECT_TRUE(crash.fired);
+  EXPECT_EQ(rec.stats().crashes, 1u);
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.sim_ns, want.sim_ns);
+  EXPECT_EQ(got.stats, want.stats);
+}
+
 // Boruvka's per-worker minima are non-empty only inside a scan phase,
 // and their root index is rebuilt on restore, not checkpointed. Pin the
 // crash inside the second scan phase, where components span several
