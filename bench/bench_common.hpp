@@ -45,7 +45,6 @@
 #include "recovery/manager.hpp"
 #include "sim/shard.hpp"
 #include "util/cli.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace aam::bench {

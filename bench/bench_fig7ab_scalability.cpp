@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       if (run_hama) {
         bench::Cell cell(has_c);
         baselines::BspEngine::Result result;
-        baselines::bsp_bfs(cell.machine(), g, root, {}, &result);
+        baselines::bsp_bfs(cell.machine(), g, root, &result);
         hama = result.total_time_ns;
       }
       bench::Cell snap_cell(has_c);

@@ -164,7 +164,7 @@ void BM_CsrBuild(benchmark::State& state) {
   const graph::EdgeList edges = graph::kronecker_edges(p, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::Graph::from_edges(
-        graph::Vertex{1} << p.scale, edges, p.undirected));
+        graph::Vertex{1} << p.scale, edges, /*undirected=*/true));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     edges.size()));

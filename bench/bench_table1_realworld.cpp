@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     if (run_hama) {
       bench::Cell cell(has_c);
       baselines::BspEngine::Result result;
-      const auto level = baselines::bsp_bfs(cell.machine(), g, root, {},
-                                            &result);
+      const auto level =
+          baselines::bsp_bfs(cell.machine(), g, root, &result);
       AAM_CHECK(level == graph::bfs_levels(g, root));
       hama = result.total_time_ns;
     }

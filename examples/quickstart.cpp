@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "algorithms/bfs.hpp"
-#include "baselines/named.hpp"
 #include "graph/generators.hpp"
 #include "graph/gstats.hpp"
 #include "util/cli.hpp"
@@ -53,7 +52,9 @@ int main(int argc, char** argv) {
   mem::SimHeap heap2;
   htm::DesMachine machine2(model::bgq(), model::HtmKind::kBgqShort, threads,
                            heap2);
-  const algorithms::BfsResult base = baselines::graph500_bfs(machine2, g, root);
+  options.mechanism = core::Mechanism::kAtomicOps;  // Graph500 reference
+  options.batch = 1;
+  const algorithms::BfsResult base = algorithms::run_bfs(machine2, g, options);
 
   util::Table table({"mechanism", "time (simulated)", "txns", "aborts",
                      "serialized"});

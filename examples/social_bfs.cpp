@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "algorithms/bfs.hpp"
-#include "baselines/named.hpp"
 #include "graph/analogs.hpp"
 #include "graph/gstats.hpp"
 #include "util/cli.hpp"
@@ -59,18 +58,24 @@ int main(int argc, char** argv) {
       best_m = m;
     }
   }
-  {
+  // The Graph500 reference and the Galois-like engine: one vertex per
+  // activity under CAS or under per-vertex locks.
+  struct Baseline {
+    const char* engine;
+    const char* config;
+    core::Mechanism mechanism;
+  };
+  for (const Baseline& base :
+       {Baseline{"Graph500", "atomics", core::Mechanism::kAtomicOps},
+        Baseline{"Galois-like", "fine locks", core::Mechanism::kFineLocks}}) {
     mem::SimHeap heap;
     htm::DesMachine machine(config, kind, threads, heap);
-    const auto r = baselines::graph500_bfs(machine, g, celebrity);
-    table.row().cell("Graph500").cell("atomics")
-        .cell(util::format_time_ns(r.total_time_ns)).cell(std::uint64_t{0});
-  }
-  {
-    mem::SimHeap heap;
-    htm::DesMachine machine(config, kind, threads, heap);
-    const auto r = baselines::galois_bfs(machine, g, celebrity);
-    table.row().cell("Galois-like").cell("fine locks")
+    algorithms::BfsOptions options;
+    options.root = celebrity;
+    options.mechanism = base.mechanism;
+    options.batch = 1;
+    const auto r = algorithms::run_bfs(machine, g, options);
+    table.row().cell(base.engine).cell(base.config)
         .cell(util::format_time_ns(r.total_time_ns)).cell(std::uint64_t{0});
   }
   table.print("BFS engines on " + config.name + " (T=" +

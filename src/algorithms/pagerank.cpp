@@ -18,7 +18,7 @@ PageRankResult run_pagerank(htm::DesMachine& machine,
   const double init = 1.0 / static_cast<double>(n);
   for (Vertex v = 0; v < n; ++v) old_rank[v] = init;
 
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
+  machine.reset_clocks();
   core::AamRuntime runtime(machine, options);
 
   const double d = options.damping;

@@ -114,7 +114,7 @@ DistPrResult run_distributed_pagerank(net::Cluster& cluster,
   const double base = (1.0 - options.damping) / static_cast<double>(n);
   for (Vertex v = 0; v < n; ++v) old_rank[v] = 1.0 / static_cast<double>(n);
 
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
+  machine.reset_clocks();
 
   const bool pbgl = options.mode == DistPrMode::kPbgl;
   core::DistributedRuntime rt(

@@ -12,9 +12,14 @@ namespace {
 
 using graph::Vertex;
 
+/// Serialize + route + deserialize, per message.
+constexpr double kPerMessageNs = 1800.0;
+/// Framework dispatch per compute() call.
+constexpr double kPerVertexNs = 250.0;
+constexpr int kMaxSupersteps = 100000;
+
 struct BspState {
   const graph::Graph* graph = nullptr;
-  BspEngine::Options options;
   BspEngine::ComputeFn compute;
 
   int superstep = 0;
@@ -47,9 +52,8 @@ class BspWorker : public htm::Worker {
       if (!active) continue;
 
       // Framework dispatch + message deserialization costs.
-      ctx.compute(state_.options.per_vertex_ns +
-                  state_.options.per_message_ns *
-                      static_cast<double>(msgs.size()));
+      ctx.compute(kPerVertexNs +
+                  kPerMessageNs * static_cast<double>(msgs.size()));
 
       BspEngine::VertexContext vctx(v, state_.superstep, msgs,
                                     state_.graph->neighbors(v), &outbox_);
@@ -57,7 +61,7 @@ class BspWorker : public htm::Worker {
       state_.compute(vctx);
       state_.halted[v] = vctx.halted();
       // Message serialization cost at the sender.
-      ctx.compute(state_.options.per_message_ns *
+      ctx.compute(kPerMessageNs *
                   static_cast<double>(outbox_.size() - sent_before));
       msgs.clear();
     }
@@ -79,7 +83,6 @@ BspEngine::Result BspEngine::run(htm::DesMachine& machine,
 
   BspState state;
   state.graph = &graph;
-  state.options = options_;
   state.compute = std::move(compute);
   state.inbox.resize(n);
   state.next_inbox.resize(n);
@@ -87,7 +90,7 @@ BspEngine::Result BspEngine::run(htm::DesMachine& machine,
   core::ChunkCursor cursor(machine.heap());
   state.cursor = &cursor;
 
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
+  machine.reset_clocks();
   std::vector<std::unique_ptr<BspWorker>> workers;
   for (int t = 0; t < machine.num_threads(); ++t) {
     workers.push_back(std::make_unique<BspWorker>(state));
@@ -118,12 +121,12 @@ BspEngine::Result BspEngine::run(htm::DesMachine& machine,
         }
       }
     }
-    if (!any_active || state.superstep >= options_.max_supersteps) {
+    if (!any_active || state.superstep >= kMaxSupersteps) {
       return false;
     }
     std::swap(state.inbox, state.next_inbox);
     cursor.reset_direct();
-    m.barrier_release(options_.superstep_overhead_ns);
+    m.barrier_release(kSuperstepOverheadNs);
     return true;
   });
   machine.run();
@@ -137,12 +140,10 @@ BspEngine::Result BspEngine::run(htm::DesMachine& machine,
 std::vector<std::uint32_t> bsp_bfs(htm::DesMachine& machine,
                                    const graph::Graph& graph,
                                    graph::Vertex root,
-                                   const BspEngine::Options& options,
                                    BspEngine::Result* result) {
   std::vector<std::uint32_t> level(graph.num_vertices(),
                                    graph::kInvalidLevel);
-  BspEngine engine(options);
-  const BspEngine::Result r = engine.run(
+  const BspEngine::Result r = BspEngine::run(
       machine, graph, [&](BspEngine::VertexContext& ctx) {
         const Vertex v = ctx.vertex();
         if (ctx.superstep() == 0) {

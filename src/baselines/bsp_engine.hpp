@@ -12,8 +12,8 @@
 // (§6.1.2): a large per-superstep synchronization overhead (the Hadoop
 // MapReduce barrier) — which multiplies with graph diameter, devastating
 // road networks — plus per-message serialization and per-vertex dispatch
-// costs. The engine itself is a faithful, reusable BSP implementation; the
-// HAMA-calibrated defaults make it the Table 1 / Fig 7 comparator.
+// costs. The engine itself is a faithful, reusable BSP implementation; its
+// HAMA-calibrated cost constants make it the Table 1 / Fig 7 comparator.
 
 #include <cstdint>
 #include <functional>
@@ -26,14 +26,9 @@ namespace aam::baselines {
 
 class BspEngine {
  public:
-  struct Options {
-    /// Per-superstep global synchronization cost. HAMA runs each superstep
-    /// as a Hadoop-style job; the default models tens of milliseconds.
-    double superstep_overhead_ns = 2.0e7;
-    double per_message_ns = 1800.0;  ///< serialize + route + deserialize
-    double per_vertex_ns = 250.0;    ///< framework dispatch per compute()
-    int max_supersteps = 100000;
-  };
+  /// Per-superstep global synchronization cost. HAMA runs each superstep
+  /// as a Hadoop-style job; this models tens of milliseconds.
+  static constexpr double kSuperstepOverheadNs = 2.0e7;
 
   using Message = std::uint64_t;
 
@@ -80,14 +75,9 @@ class BspEngine {
     double total_time_ns = 0;
   };
 
-  explicit BspEngine(Options options) : options_(options) {}
-
   /// Runs the vertex program on all machine threads until convergence.
-  Result run(htm::DesMachine& machine, const graph::Graph& graph,
-             ComputeFn compute);
-
- private:
-  Options options_;
+  static Result run(htm::DesMachine& machine, const graph::Graph& graph,
+                    ComputeFn compute);
 };
 
 /// BFS as a BSP vertex program; returns the level array (host-side) and
@@ -95,7 +85,6 @@ class BspEngine {
 std::vector<std::uint32_t> bsp_bfs(htm::DesMachine& machine,
                                    const graph::Graph& graph,
                                    graph::Vertex root,
-                                   const BspEngine::Options& options,
                                    BspEngine::Result* result);
 
 }  // namespace aam::baselines

@@ -10,13 +10,15 @@ namespace {
 
 using graph::Vertex;
 
+/// Framework dispatch cost charged per expanded vertex.
+constexpr double kPerVertexOverheadNs = 90.0;
+
 // The whole traversal runs on logical thread 0 with modelled costs.
 class SequentialBfsWorker : public htm::Worker {
  public:
   SequentialBfsWorker(const graph::Graph& graph, Vertex root,
-                      double per_vertex_ns,
                       std::vector<std::uint32_t>& level)
-      : graph_(graph), per_vertex_ns_(per_vertex_ns), level_(level) {
+      : graph_(graph), level_(level) {
     level_.assign(graph.num_vertices(), graph::kInvalidLevel);
     level_[root] = 0;
     queue_.push_back(root);
@@ -27,7 +29,7 @@ class SequentialBfsWorker : public htm::Worker {
     if (queue_.empty()) return false;
     const Vertex u = queue_.front();
     queue_.pop_front();
-    ctx.compute(per_vertex_ns_);
+    ctx.compute(kPerVertexOverheadNs);
     for (Vertex w : graph_.neighbors(u)) {
       ctx.compute(ctx.machine().config().atomics.load_ns);
       if (level_[w] == graph::kInvalidLevel) {
@@ -41,7 +43,6 @@ class SequentialBfsWorker : public htm::Worker {
 
  private:
   const graph::Graph& graph_;
-  double per_vertex_ns_;
   std::vector<std::uint32_t>& level_;
   std::deque<Vertex> queue_;
 };
@@ -49,11 +50,10 @@ class SequentialBfsWorker : public htm::Worker {
 }  // namespace
 
 SnapBfsResult snap_bfs(htm::DesMachine& machine, const graph::Graph& graph,
-                       graph::Vertex root, double per_vertex_overhead_ns) {
-  machine.reset_clocks(0.0, /*clear_stats=*/true);
+                       graph::Vertex root) {
+  machine.reset_clocks();
   SnapBfsResult result;
-  SequentialBfsWorker worker(graph, root, per_vertex_overhead_ns,
-                             result.level);
+  SequentialBfsWorker worker(graph, root, result.level);
   machine.set_worker(0, &worker);
   machine.run();
   machine.set_worker(0, nullptr);

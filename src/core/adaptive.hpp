@@ -14,8 +14,8 @@
 // again. An `escalated` outcome (a thread hit the engine's livelock
 // watermark, htm::ResilienceConfig) therefore switches the controller into
 // a cooldown regime: M drops to the minimum, stays pinned for
-// `cooldown_windows` decisions, and then re-grows only after
-// `grow_hysteresis` consecutive calm windows per doubling, until the
+// kCooldownWindows decisions, and then re-grows only after
+// kGrowHysteresis consecutive calm windows per doubling, until the
 // pre-escalation M is restored and normal control resumes. Clean runs
 // never see an escalated outcome and behave exactly as before.
 
@@ -29,27 +29,21 @@ namespace aam::core {
 
 class AdaptiveBatch {
  public:
-  struct Options {
-    int min_batch = 1;
-    int max_batch = 512;
-    int initial = 8;
-    /// Abort-rate thresholds (aborts per completed activity) in a window.
-    double low_water = 0.02;   ///< below: grow M (overhead-bound regime)
-    double high_water = 0.25;  ///< above: shrink M (abort-bound regime)
-    int window = 64;           ///< activities per adjustment decision
-    /// Cooldown regime entered on an escalated outcome: windows pinned at
-    /// min_batch before re-growth may begin.
-    int cooldown_windows = 4;
-    /// Calm (below-low_water) windows required per doubling while
-    /// recovering from an escalation.
-    int grow_hysteresis = 2;
-  };
-
-  AdaptiveBatch() : AdaptiveBatch(Options{}) {}
-  explicit AdaptiveBatch(Options options) : options_(options) {
-    batch_ = std::clamp(options_.initial, options_.min_batch,
-                        options_.max_batch);
-  }
+  static constexpr int kMinBatch = 1;
+  static constexpr int kMaxBatch = 512;
+  static constexpr int kInitialBatch = 8;
+  /// Abort-rate thresholds (aborts per completed activity) in a window:
+  /// below kLowWater M grows (overhead-bound regime), above kHighWater it
+  /// shrinks (abort-bound regime).
+  static constexpr double kLowWater = 0.02;
+  static constexpr double kHighWater = 0.25;
+  static constexpr int kWindow = 64;  ///< activities per adjustment decision
+  /// Cooldown regime entered on an escalated outcome: windows pinned at
+  /// kMinBatch before re-growth may begin.
+  static constexpr int kCooldownWindows = 4;
+  /// Calm (below-kLowWater) windows required per doubling while
+  /// recovering from an escalation.
+  static constexpr int kGrowHysteresis = 2;
 
   /// Feed the outcome of one completed activity.
   void record(const htm::TxnOutcome& outcome) {
@@ -60,23 +54,23 @@ class AdaptiveBatch {
         recovering_ = true;
         restore_target_ = batch_;
       }
-      batch_ = options_.min_batch;
-      cooldown_left_ = options_.cooldown_windows;
+      batch_ = kMinBatch;
+      cooldown_left_ = kCooldownWindows;
       calm_windows_ = 0;
     }
     ++activities_;
     aborts_ += outcome.aborts;
     if (outcome.serialized) ++serialized_;
-    if (activities_ < options_.window) return;
+    if (activities_ < kWindow) return;
 
     const double rate = static_cast<double>(aborts_ + 4 * serialized_) /
                         static_cast<double>(activities_);
     if (recovering_) {
       decide_recovering(rate);
-    } else if (rate > options_.high_water) {
-      batch_ = std::max(options_.min_batch, batch_ / 2);
-    } else if (rate < options_.low_water) {
-      batch_ = std::min(options_.max_batch, batch_ * 2);
+    } else if (rate > kHighWater) {
+      batch_ = std::max(kMinBatch, batch_ / 2);
+    } else if (rate < kLowWater) {
+      batch_ = std::min(kMaxBatch, batch_ * 2);
     }
     activities_ = 0;
     aborts_ = 0;
@@ -94,19 +88,12 @@ class AdaptiveBatch {
        restore_target_, cooldown_left_, calm_windows_);
   }
 
-  void reset(int m) {
-    batch_ = std::clamp(m, options_.min_batch, options_.max_batch);
-    activities_ = aborts_ = serialized_ = 0;
-    recovering_ = false;
-    cooldown_left_ = calm_windows_ = 0;
-  }
-
  private:
   void decide_recovering(double rate) {
-    if (rate > options_.high_water) {
+    if (rate > kHighWater) {
       // Still stormy: hold at min and restart the cooldown clock.
-      batch_ = options_.min_batch;
-      cooldown_left_ = options_.cooldown_windows;
+      batch_ = kMinBatch;
+      cooldown_left_ = kCooldownWindows;
       calm_windows_ = 0;
       return;
     }
@@ -114,23 +101,22 @@ class AdaptiveBatch {
       --cooldown_left_;
       return;
     }
-    calm_windows_ = rate < options_.low_water ? calm_windows_ + 1 : 0;
-    if (calm_windows_ >= options_.grow_hysteresis) {
+    calm_windows_ = rate < kLowWater ? calm_windows_ + 1 : 0;
+    if (calm_windows_ >= kGrowHysteresis) {
       calm_windows_ = 0;
-      batch_ = std::min({batch_ * 2, restore_target_, options_.max_batch});
+      batch_ = std::min({batch_ * 2, restore_target_, kMaxBatch});
       if (batch_ >= restore_target_) recovering_ = false;
     }
   }
 
-  Options options_;
-  int batch_ = 1;
+  int batch_ = kInitialBatch;
   long activities_ = 0;
   long aborts_ = 0;
   long serialized_ = 0;
   // Cooldown state (inactive in clean runs).
   bool recovering_ = false;
   int restore_target_ = 0;   ///< M to climb back to after the storm
-  int cooldown_left_ = 0;    ///< windows still pinned at min_batch
+  int cooldown_left_ = 0;    ///< windows still pinned at kMinBatch
   int calm_windows_ = 0;     ///< consecutive calm windows seen so far
 };
 

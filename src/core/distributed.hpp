@@ -22,7 +22,6 @@
 
 #include "core/executor.hpp"
 #include "core/executor_impl.hpp"
-#include "core/taxonomy.hpp"
 #include "htm/resilience.hpp"
 #include "net/cluster.hpp"
 

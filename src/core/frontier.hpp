@@ -66,7 +66,7 @@ class RoundRunner {
   template <typename Make, typename RoundEnd, typename Durable>
   void run(double barrier_cost_ns, Make make, RoundEnd round_end,
            Durable durable) {
-    machine_.reset_clocks(0.0, /*clear_stats=*/true);
+    machine_.reset_clocks();
     const int threads = machine_.num_threads();
     // The machine keeps pointers to the workers: no reallocation.
     workers_.reserve(static_cast<std::size_t>(threads));

@@ -6,6 +6,15 @@
 
 namespace aam::core {
 
+namespace {
+
+/// The random backoff after a failed acquisition or a blocked local
+/// transaction: first window and cap.
+constexpr double kBackoffBaseNs = 600.0;
+constexpr double kBackoffMaxNs = 80000.0;
+
+}  // namespace
+
 // One driver per cluster thread. A driver walks each of its jobs through:
 //   kPick -> kAcquiring -> kExecute -> (blocked? backoff -> kExecute) ->
 //   release -> kPick ... until all jobs complete.
@@ -121,7 +130,7 @@ class OwnershipProtocol::Driver : public htm::Worker {
     // time: mandatory for livelock freedom (§5.7).
     release_markers(machine, acquired_);
     ++stats_->backoffs;
-    const sim::Backoff backoff(params_.backoff_base_ns, params_.backoff_max_ns);
+    const sim::Backoff backoff(kBackoffBaseNs, kBackoffMaxNs);
     const double wait = backoff.wait(attempt_++, rng_.next_double());
     machine.schedule_callback(machine.now() + wait, [this, tid, &machine] {
       // Retry with a fresh random pick; the job is only consumed when a
@@ -174,8 +183,7 @@ class OwnershipProtocol::Driver : public htm::Worker {
             // random time, and restart from acquisition.
             ++stats_->local_blocked;
             release_markers(machine, remotes_);
-            const sim::Backoff backoff(params_.backoff_base_ns,
-                                       params_.backoff_max_ns);
+            const sim::Backoff backoff(kBackoffBaseNs, kBackoffMaxNs);
             const double wait =
                 backoff.wait(attempt_++, rng_.next_double());
             const std::uint32_t tid = done_ctx.thread_id();

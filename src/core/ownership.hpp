@@ -38,8 +38,6 @@ class OwnershipProtocol {
     int txns_per_process = 1000;  ///< x
     int local_elements = 5;       ///< a
     int remote_elements = 1;      ///< b
-    double backoff_base_ns = 600.0;
-    double backoff_max_ns = 80000.0;
     std::uint64_t seed = 1;
   };
 

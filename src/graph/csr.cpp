@@ -125,9 +125,4 @@ Graph Graph::from_weighted_edges(Vertex n, const EdgeList& edges,
   return g;
 }
 
-std::size_t Graph::memory_bytes() const {
-  return offsets_.size() * sizeof(std::uint64_t) +
-         adj_.size() * sizeof(Vertex) + weights_.size() * sizeof(float);
-}
-
 }  // namespace aam::graph

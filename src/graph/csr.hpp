@@ -65,9 +65,6 @@ class Graph {
   std::span<const std::uint64_t> offsets() const { return offsets_; }
   std::span<const Vertex> adjacency() const { return adj_; }
 
-  /// Approximate memory footprint in bytes (topology only).
-  std::size_t memory_bytes() const;
-
  private:
   Vertex n_ = 0;
   std::vector<std::uint64_t> offsets_;  // size n_+1

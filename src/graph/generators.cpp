@@ -13,12 +13,13 @@ EdgeList kronecker_edges(const KroneckerParams& params, util::Rng& rng) {
   const Vertex n = Vertex{1} << params.scale;
   const std::uint64_t m =
       static_cast<std::uint64_t>(params.edge_factor) * n;
-  const double ab = params.a + params.b;
+  const double ab = kKroneckerA + kKroneckerB;
   // Integer thresholds draw the same stream and pick the same quadrants
   // as comparing next_double() with ab, c / (1 - ab) and a / ab.
   const std::uint64_t t_ab = util::Rng::double_threshold(ab);
-  const std::uint64_t t_c = util::Rng::double_threshold(params.c / (1.0 - ab));
-  const std::uint64_t t_a = util::Rng::double_threshold(params.a / ab);
+  const std::uint64_t t_c =
+      util::Rng::double_threshold(kKroneckerC / (1.0 - ab));
+  const std::uint64_t t_a = util::Rng::double_threshold(kKroneckerA / ab);
 
   EdgeList edges;
   edges.reserve(m);
@@ -54,7 +55,7 @@ EdgeList kronecker_edges(const KroneckerParams& params, util::Rng& rng) {
 Graph kronecker(const KroneckerParams& params, util::Rng& rng) {
   const Vertex n = Vertex{1} << params.scale;
   return Graph::from_edges(n, kronecker_edges(params, rng),
-                           params.undirected);
+                           /*undirected=*/true);
 }
 
 EdgeList erdos_renyi_edges(Vertex n, double p, util::Rng& rng) {
@@ -134,23 +135,6 @@ Graph road_lattice(Vertex width, Vertex height, double shortcut_prob,
     const auto u = static_cast<Vertex>(rng.next_below(n));
     const auto v = static_cast<Vertex>(rng.next_below(n));
     if (u != v) edges.emplace_back(u, v);
-  }
-  return Graph::from_edges(n, edges, /*undirected=*/true);
-}
-
-Graph small_world(Vertex n, int k, double beta, util::Rng& rng) {
-  AAM_CHECK(k >= 1 && n > static_cast<Vertex>(2 * k));
-  EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  for (Vertex u = 0; u < n; ++u) {
-    for (int j = 1; j <= k; ++j) {
-      Vertex v = static_cast<Vertex>((u + static_cast<Vertex>(j)) % n);
-      if (rng.next_bool(beta)) {
-        v = static_cast<Vertex>(rng.next_below(n));
-        if (v == u) v = (u + 1) % n;
-      }
-      edges.emplace_back(u, v);
-    }
   }
   return Graph::from_edges(n, edges, /*undirected=*/true);
 }

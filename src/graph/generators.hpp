@@ -4,9 +4,9 @@
 //
 // The paper evaluates on Kronecker graphs with power-law degree
 // distributions (§5.5, §6.1, Graph500 parameters) and Erdős–Rényi graphs
-// (§6.2). The additional families (preferential attachment, road lattice,
-// small world) are the structural analogs used to stand in for the SNAP
-// real-world graphs of Table 1 — see analogs.hpp.
+// (§6.2). The additional families (preferential attachment, road lattice)
+// are the structural analogs used to stand in for the SNAP real-world
+// graphs of Table 1 — see analogs.hpp.
 
 #include <cstdint>
 
@@ -15,18 +15,20 @@
 
 namespace aam::graph {
 
+/// Graph500 initiator matrix: the probabilities of the (0,0), (0,1) and
+/// (1,0) quadrants; (1,1) takes d = 1 - a - b - c.
+inline constexpr double kKroneckerA = 0.57;
+inline constexpr double kKroneckerB = 0.19;
+inline constexpr double kKroneckerC = 0.19;
+
 struct KroneckerParams {
   int scale = 16;       ///< |V| = 2^scale
   int edge_factor = 16; ///< |E| = edge_factor * |V| (before dedup)
-  // Graph500 initiator matrix.
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
   bool permute = true;  ///< relabel vertices to break generation locality
-  bool undirected = true;
 };
 
-/// Graph500-style Kronecker (R-MAT) generator: power-law-ish degrees.
+/// Graph500-style Kronecker (R-MAT) generator: power-law-ish degrees,
+/// undirected.
 Graph kronecker(const KroneckerParams& params, util::Rng& rng);
 /// Same but returning the raw edge list (for distributed construction).
 EdgeList kronecker_edges(const KroneckerParams& params, util::Rng& rng);
@@ -46,10 +48,6 @@ Graph preferential_attachment(Vertex n, int m, util::Rng& rng);
 /// network analog (Table 1 RNs).
 Graph road_lattice(Vertex width, Vertex height, double shortcut_prob,
                    util::Rng& rng);
-
-/// Watts–Strogatz small world: ring lattice with k neighbors per side,
-/// each edge rewired with probability beta.
-Graph small_world(Vertex n, int k, double beta, util::Rng& rng);
 
 /// Uniform random weights in [lo, hi) for every input edge; used to build
 /// weighted graphs for Boruvka MST.

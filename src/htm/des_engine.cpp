@@ -121,7 +121,6 @@ DesMachine::DesMachine(const model::MachineConfig& config, model::HtmKind kind,
                        int num_threads, mem::SimHeap& heap, std::uint64_t seed,
                        int num_domains)
     : config_(config),
-      kind_(kind),
       costs_(config.htm(kind)),
       heap_(heap),
       stripes_(heap.num_lines()),
@@ -166,11 +165,6 @@ void DesMachine::set_worker(std::uint32_t tid, Worker* worker) {
   threads_[tid]->worker = worker;
 }
 
-double DesMachine::thread_clock(std::uint32_t tid) const {
-  AAM_CHECK(tid < threads_.size());
-  return threads_[tid]->ctx.clock_;
-}
-
 double DesMachine::makespan() const {
   double m = 0;
   for (const auto& ts : threads_) m = std::max(m, ts->ctx.clock_);
@@ -194,20 +188,20 @@ const mem::FootprintTracker& DesMachine::thread_footprint(
   return threads_[tid]->txn.tracker_;
 }
 
-void DesMachine::reset_clocks(double t, bool clear_stats) {
+void DesMachine::reset_clocks() {
   for (auto& d : domains_) {
     AAM_CHECK_MSG(!d.held && d.waiters.empty(),
                   "reset_clocks with an active serializer");
-    d.free_at = std::min(d.free_at, t);
+    d.free_at = std::min(d.free_at, 0.0);
   }
   for (auto& ts : threads_) {
     AAM_CHECK_MSG(ts->parked && !ts->txn_inflight,
                   "reset_clocks requires all threads parked");
-    ts->ctx.clock_ = t;
-    if (clear_stats) ts->stats = HtmStats{};
+    ts->ctx.clock_ = 0.0;
+    ts->stats = HtmStats{};
   }
-  now_ = t;
-  last_progress_ = t;
+  now_ = 0.0;
+  last_progress_ = 0.0;
 }
 
 void DesMachine::wake(std::uint32_t tid) {

@@ -6,15 +6,20 @@
 // threads sharing a SimHeap. Each thread runs a Worker; the engine drives
 // all threads in virtual-time order through a deterministic event queue.
 //
-// Transactions follow an optimistic two-phase protocol that reproduces the
-// dynamics of real HTM under the lazy-subscription model:
+// Transactions follow an optimistic protocol that reproduces the dynamics
+// of real HTM under the lazy-subscription model:
 //
 //   * at its start event, a transaction executes its body speculatively
 //     against the committed memory state of that instant, buffering writes
 //     and accumulating cost from the machine's HTM cost table;
-//   * a commit event is scheduled at start + duration; at that event the
-//     footprint is validated against per-line commit timestamps — any line
-//     committed by an overlapping transaction/atomic aborts it (first
+//   * its footprint is validated twice: by a probe event at start + 0.5 ×
+//     duration (a conflict seen there aborts after half the work, as a
+//     remote write invalidates a speculative line at once on real HTM) and
+//     at the commit event at start + duration. Each validation compares
+//     the commit stamp of every conflict unit in the footprint (64 B lines
+//     on the Haswell models, 8 B words on BG/Q; see conflict_shift()) with
+//     the global stamp taken when the attempt started: a unit committed
+//     since by another transaction, atomic or plain store aborts it (first
 //     committer wins);
 //   * aborted transactions retry per the variant policy: RTM retries in
 //     software with exponential backoff, HLE serializes after the first
@@ -255,9 +260,14 @@ class DesMachine {
   /// per simulated node): each domain has its own elision/fallback lock,
   /// matching per-node HTM fallback on a cluster. Threads are assigned to
   /// domains in contiguous blocks of num_threads/num_domains.
+  /// The machine keeps a reference to `config`, which must outlive it;
+  /// the deleted overload rejects a temporary at compile time.
   DesMachine(const model::MachineConfig& config, model::HtmKind kind,
              int num_threads, mem::SimHeap& heap, std::uint64_t seed = 1,
              int num_domains = 1);
+  DesMachine(model::MachineConfig&& config, model::HtmKind kind,
+             int num_threads, mem::SimHeap& heap, std::uint64_t seed = 1,
+             int num_domains = 1) = delete;
   ~DesMachine();
 
   DesMachine(const DesMachine&) = delete;
@@ -311,7 +321,6 @@ class DesMachine {
     kSkipReadValidation,
   };
   void set_seeded_bug(SeededBug bug) { seeded_bug_ = bug; }
-  SeededBug seeded_bug() const { return seeded_bug_; }
 
   /// Wake a parked thread; it resumes at max(its clock, machine time).
   void wake(std::uint32_t tid);
@@ -365,12 +374,10 @@ class DesMachine {
 
   // --- introspection -------------------------------------------------------
   double now() const { return now_; }
-  double thread_clock(std::uint32_t tid) const;
   /// Makespan: the largest thread clock (all threads' completion time).
   double makespan() const;
   int num_threads() const { return static_cast<int>(threads_.size()); }
   const model::MachineConfig& config() const { return config_; }
-  model::HtmKind htm_kind() const { return kind_; }
   mem::SimHeap& heap() { return heap_; }
   mem::StripeTable& stripes() { return stripes_; }
 
@@ -399,7 +406,6 @@ class DesMachine {
   /// Runtime-hardening knobs (livelock watermark, progress watchdog). The
   /// defaults never trigger in fault-free runs; see ResilienceConfig.
   void set_resilience(const ResilienceConfig& r) { resilience_ = r; }
-  const ResilienceConfig& resilience() const { return resilience_; }
 
   /// The footprint of `tid`'s most recent transactional attempt. Valid
   /// inside the activity's done callback (fires after commit, before the
@@ -425,9 +431,9 @@ class DesMachine {
   const HtmStats& thread_stats(std::uint32_t tid) const;
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Resets all thread clocks to `t` (e.g. between measured phases) and
-  /// clears statistics if requested. All threads must be parked.
-  void reset_clocks(double t, bool clear_stats);
+  /// Resets every thread clock to zero and clears the statistics, so a
+  /// measured run starts from a clean slate. All threads must be parked.
+  void reset_clocks();
 
  private:
   friend class Txn;
@@ -484,7 +490,6 @@ class DesMachine {
 
   void dispatch(const sim::Event& e);
   sim::ChoiceKind classify_choice(const sim::Event& e) const;
-  void activate(std::uint32_t tid);      // call worker->next via kNext
   void on_next(std::uint32_t tid);
   void attempt_speculative(std::uint32_t tid);
   void on_commit(std::uint32_t tid, std::uint64_t attempt_token);
@@ -513,7 +518,6 @@ class DesMachine {
   }
 
   const model::MachineConfig& config_;
-  model::HtmKind kind_;
   const model::HtmCosts& costs_;
   mem::SimHeap& heap_;
   mem::StripeTable stripes_;

@@ -52,7 +52,6 @@ CertRow certify_one(const std::string& workload, const std::string& mechanism,
   dpor.sleep_sets = true;
   dpor.preemption_bound = row.bound;
   dpor.max_runs = options.max_runs;
-  dpor.max_steps = options.max_steps;
   const ExploreResult certified = explore(runner, dpor);
   row.dpor_runs = certified.stats.runs;
   row.dpor_schedules = certified.stats.schedules;
@@ -64,7 +63,6 @@ CertRow certify_one(const std::string& workload, const std::string& mechanism,
     naive.sleep_sets = false;
     naive.preemption_bound = -1;
     naive.max_runs = options.naive_budget;
-    naive.max_steps = options.max_steps;
     const ExploreResult full = explore(runner, naive);
     row.naive_complete = !full.stats.budget_exhausted;
     row.naive_schedules = full.stats.schedules;

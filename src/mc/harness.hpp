@@ -42,9 +42,9 @@ struct CertOptions {
   /// Machine-execution budget for each row's naive (reduction-free)
   /// comparison pass; 0 skips the naive pass entirely.
   std::uint64_t naive_budget = 50000;
-  /// Budgets for the certifying DPOR pass.
+  /// Run budget for the certifying DPOR pass; its step budget is
+  /// ExploreConfig's default.
   std::uint64_t max_runs = 200000;
-  std::uint64_t max_steps = 20'000'000;
 };
 
 /// The per-row configuration conventions: the committed matrix encodes

@@ -236,8 +236,9 @@ RunResult Runner::run(const PickFn& pick) {
   core::AutoPolicy policy;
   if (config_.mech.is_auto()) {
     core::MechanismPlan& plan = policy.plan(core::OperatorId::kUnknown);
+    // The plan predicts no aborts: an observed rate above the band is a
+    // prediction miss.
     plan.recommended = core::Mechanism::kHtmCoarsened;
-    plan.predicted_aborts = config_.auto_predicted_aborts;
     plan.abort_band = config_.auto_abort_band;
     opts.auto_policy = &policy;
   }

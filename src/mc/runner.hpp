@@ -48,8 +48,8 @@ struct RunConfig {
   std::string workload = "counter";
   Mutation mutation = Mutation::kNone;
   core::MechanismSelection mech{core::Mechanism::kHtmCoarsened};
-  /// Auto-dispatch plan for the workload's (untagged) batches.
-  double auto_predicted_aborts = 0;
+  /// Auto-dispatch plan for the workload's (untagged) batches: the
+  /// observed abort rate that counts as a prediction miss.
   double auto_abort_band = 1e9;
   /// Livelock watermark override (0 = engine default): small values make
   /// the escalated htm -> serial-lock path reachable within tiny runs.

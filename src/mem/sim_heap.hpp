@@ -4,9 +4,11 @@
 //
 // All data manipulated inside the discrete-event simulation must live on a
 // SimHeap so that the engine can map any address to a cache line ("stripe")
-// index in O(1) and attach per-line metadata: the commit timestamp of the
-// last writer (for optimistic conflict detection) and the time until which
-// the line is "owned" by an in-flight atomic (for the contention model).
+// index in O(1) and attach per-line metadata: the StripeTable below keeps
+// the time until which the line is "owned" by an in-flight atomic, and by
+// which thread (for the contention model). The commit stamps that
+// optimistic conflict detection validates against are kept per conflict
+// unit by htm::DesMachine, not here.
 //
 // The heap is a bump allocator over one contiguous cache-line-aligned
 // region with no free: a benchmark allocates graph + algorithm state once,

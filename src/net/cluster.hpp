@@ -97,9 +97,14 @@ struct NetStats {
 
 class Cluster {
  public:
+  /// `config` must outlive the cluster (its DesMachine keeps a
+  /// reference); the deleted overload rejects a temporary.
   Cluster(const model::MachineConfig& config, model::HtmKind kind,
           int num_nodes, int threads_per_node, mem::SimHeap& heap,
           std::uint64_t seed = 1);
+  Cluster(model::MachineConfig&& config, model::HtmKind kind, int num_nodes,
+          int threads_per_node, mem::SimHeap& heap,
+          std::uint64_t seed = 1) = delete;
 
   htm::DesMachine& machine() { return machine_; }
   int num_nodes() const { return num_nodes_; }

@@ -1,83 +1,8 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace aam::util {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(n_);
-  const double n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / (n1 + n2);
-  m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void SampleSet::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSet::percentile(double p) const {
-  AAM_CHECK(!samples_.empty());
-  AAM_CHECK(p >= 0.0 && p <= 100.0);
-  ensure_sorted();
-  if (samples_.size() == 1) return samples_[0];
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double SampleSet::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double SampleSet::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back();
-}
 
 LinearFit fit_linear(const std::vector<double>& xs,
                      const std::vector<double>& ys) {
@@ -118,27 +43,6 @@ double crossover(const LinearFit& a, const LinearFit& b) {
   }
   const double x = dint / dslope;
   return x < 0.0 ? 0.0 : x;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  AAM_CHECK(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++under_;
-  } else if (x >= hi_) {
-    ++over_;
-  } else {
-    ++counts_[static_cast<std::size_t>((x - lo_) / width_)];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
 }
 
 }  // namespace aam::util

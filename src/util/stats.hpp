@@ -1,54 +1,11 @@
 #pragma once
 
-// Summary statistics used by benchmark harnesses and the performance model.
+// The §5.3 performance-model fit: least squares and the crossover of two
+// linear cost models.
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace aam::util {
-
-/// Streaming mean / variance / extrema (Welford).
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Collects raw samples; supports exact percentiles. Used where the sample
-/// count is modest (per-benchmark repetitions).
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); }
-  std::size_t count() const { return samples_.size(); }
-  double mean() const;
-  double median() const { return percentile(50.0); }
-  /// Exact percentile with linear interpolation, p in [0,100].
-  double percentile(double p) const;
-  double min() const;
-  double max() const;
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  void ensure_sorted() const;
-};
 
 /// Ordinary least squares fit of y = slope*x + intercept.
 /// This is the §5.3 performance-model fit: t(N) = A·N + B.
@@ -66,23 +23,5 @@ LinearFit fit_linear(const std::vector<double>& xs,
 /// Crossover point between two linear cost models: smallest x >= 0 where
 /// `a` becomes cheaper than `b`; returns a negative value if `a` never wins.
 double crossover(const LinearFit& a, const LinearFit& b);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus under/over.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t underflow() const { return under_; }
-  std::uint64_t overflow() const { return over_; }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t under_ = 0, over_ = 0, total_ = 0;
-};
 
 }  // namespace aam::util

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "algorithms/bfs.hpp"
 #include "algorithms/pagerank.hpp"
 #include "algorithms/pagerank_dist.hpp"
 #include "baselines/bsp_engine.hpp"
@@ -30,7 +31,7 @@ TEST(BspEngine, BfsLevelsMatchReference) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   const Vertex root = graph::pick_nonisolated_vertex(g);
   BspEngine::Result result;
-  const auto level = bsp_bfs(machine, g, root, {}, &result);
+  const auto level = bsp_bfs(machine, g, root, &result);
   const auto reference = graph::bfs_levels(g, root);
   EXPECT_EQ(level, reference);
   EXPECT_GT(result.supersteps, 1);
@@ -43,7 +44,7 @@ TEST(BspEngine, SuperstepCountTracksDiameter) {
   mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   BspEngine::Result result;
-  const auto level = bsp_bfs(machine, g, 0, {}, &result);
+  const auto level = bsp_bfs(machine, g, 0, &result);
   EXPECT_EQ(level, graph::bfs_levels(g, 0));
   // A 30x30 grid from the corner: eccentricity 58 -> ~60 supersteps.
   EXPECT_GE(result.supersteps, 58);
@@ -56,12 +57,10 @@ TEST(BspEngine, SuperstepOverheadDominatesRuntime) {
   const Graph g = graph::road_lattice(20, 20, 0.0, rng);
   mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
-  BspEngine::Options options;
-  options.superstep_overhead_ns = 1e7;
   BspEngine::Result result;
-  bsp_bfs(machine, g, 0, options, &result);
+  bsp_bfs(machine, g, 0, &result);
   EXPECT_GE(result.total_time_ns,
-            options.superstep_overhead_ns *
+            BspEngine::kSuperstepOverheadNs *
                 static_cast<double>(result.supersteps - 1));
 }
 
@@ -70,8 +69,7 @@ TEST(BspEngine, VoteToHaltTerminates) {
   const Graph g = test_graph(11);
   mem::SimHeap heap;
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 4, heap);
-  BspEngine engine({});
-  const auto result = engine.run(
+  const auto result = BspEngine::run(
       machine, g, [](BspEngine::VertexContext& ctx) { ctx.vote_to_halt(); });
   EXPECT_EQ(result.supersteps, 1);
   EXPECT_EQ(result.messages_sent, 0u);
@@ -79,13 +77,25 @@ TEST(BspEngine, VoteToHaltTerminates) {
 
 // -------------------------------------------------------- Named baselines
 
+// The Graph500 reference and the Galois-like engine: run_bfs at M = 1
+// under atomics and under fine locks.
+algorithms::BfsResult baseline_bfs(htm::DesMachine& machine, const Graph& g,
+                                   Vertex root, core::Mechanism mechanism) {
+  algorithms::BfsOptions options;
+  options.root = root;
+  options.mechanism = mechanism;
+  options.batch = 1;
+  return algorithms::run_bfs(machine, g, options);
+}
+
 TEST(NamedBaselines, Graph500AndGaloisProduceValidTrees) {
   const Graph g = test_graph(13);
   const Vertex root = graph::pick_nonisolated_vertex(g);
   {
     mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
-    const auto r = graph500_bfs(machine, g, root);
+    const auto r =
+        baseline_bfs(machine, g, root, core::Mechanism::kAtomicOps);
     EXPECT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
     // The baseline uses no transactions at all.
     EXPECT_EQ(r.stats.started, 0u);
@@ -94,7 +104,8 @@ TEST(NamedBaselines, Graph500AndGaloisProduceValidTrees) {
   {
     mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
-    const auto r = galois_bfs(machine, g, root);
+    const auto r =
+        baseline_bfs(machine, g, root, core::Mechanism::kFineLocks);
     EXPECT_TRUE(algorithms::validate_bfs_tree(g, root, r.parent));
   }
 }
@@ -117,14 +128,15 @@ TEST(NamedBaselines, HamaLikeOrdersOfMagnitudeSlowerThanGraph500) {
   {
     mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
-    g500_time = graph500_bfs(machine, g, root).total_time_ns;
+    g500_time = baseline_bfs(machine, g, root, core::Mechanism::kAtomicOps)
+                    .total_time_ns;
   }
   double hama_time = 0;
   {
     mem::SimHeap heap;
     htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
     BspEngine::Result result;
-    bsp_bfs(machine, g, root, {}, &result);
+    bsp_bfs(machine, g, root, &result);
     hama_time = result.total_time_ns;
   }
   EXPECT_GT(hama_time, 50.0 * g500_time);

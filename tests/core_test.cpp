@@ -4,23 +4,11 @@
 #include "core/distributed.hpp"
 #include "core/ownership.hpp"
 #include "core/runtime.hpp"
-#include "core/taxonomy.hpp"
 
 namespace aam::core {
 namespace {
 
 using model::HtmKind;
-
-// ------------------------------------------------------------- taxonomy
-
-TEST(Taxonomy, FourMessageClasses) {
-  EXPECT_EQ(kFFAS.direction, Direction::kFireAndForget);
-  EXPECT_EQ(kFFAS.commit, CommitMode::kAlwaysSucceed);
-  EXPECT_EQ(kFRMF.direction, Direction::kFireAndReturn);
-  EXPECT_EQ(kFRMF.commit, CommitMode::kMayFail);
-  EXPECT_STREQ(to_string(Direction::kFireAndForget), "FF");
-  EXPECT_STREQ(to_string(CommitMode::kMayFail), "MF");
-}
 
 // ----------------------------------------------------------- AamRuntime
 
@@ -87,57 +75,48 @@ TEST(AamRuntime, AdaptiveBatchShrinksUnderConflicts) {
   htm::DesMachine machine(model::has_c(), HtmKind::kRtm, 8, heap);
   auto* hot = heap.alloc_one<std::uint64_t>(0);
   AamRuntime rt(machine, {.batch = 8});
-  AdaptiveBatch::Options opt;
-  opt.initial = 256;
-  opt.window = 8;
-  AdaptiveBatch adaptive(opt);
+  AdaptiveBatch adaptive;
   rt.set_adaptive(&adaptive);
   rt.for_each(20000, [&](auto& access, std::uint64_t) {
     access.fetch_add(*hot, std::uint64_t{1});
   });
   EXPECT_EQ(*hot, 20000u);
-  EXPECT_LT(adaptive.batch(), 256);
+  EXPECT_LT(adaptive.batch(), AdaptiveBatch::kInitialBatch);
 }
 
 TEST(AdaptiveBatch, GrowsWhenAbortFree) {
-  AdaptiveBatch::Options opt;
-  opt.initial = 4;
-  opt.window = 4;
-  opt.max_batch = 64;
-  AdaptiveBatch ab(opt);
+  // Each calm window doubles M, up to kMaxBatch: 8 -> 512 in six windows.
+  AdaptiveBatch ab;
   htm::TxnOutcome clean;
-  for (int i = 0; i < 100; ++i) ab.record(clean);
-  EXPECT_EQ(ab.batch(), 64);
+  for (int i = 0; i < 7 * AdaptiveBatch::kWindow; ++i) ab.record(clean);
+  EXPECT_EQ(ab.batch(), AdaptiveBatch::kMaxBatch);
 }
 
 TEST(AdaptiveBatch, ShrinksUnderAborts) {
-  AdaptiveBatch::Options opt;
-  opt.initial = 64;
-  opt.window = 4;
-  AdaptiveBatch ab(opt);
+  // Each stormy window halves M, down to kMinBatch: 8 -> 1 in three.
+  AdaptiveBatch ab;
   htm::TxnOutcome bad;
   bad.aborts = 3;
-  for (int i = 0; i < 100; ++i) ab.record(bad);
-  EXPECT_EQ(ab.batch(), opt.min_batch);
+  for (int i = 0; i < 4 * AdaptiveBatch::kWindow; ++i) ab.record(bad);
+  EXPECT_EQ(ab.batch(), AdaptiveBatch::kMinBatch);
 }
 
 TEST(AdaptiveBatch, RecoversFromAbortStormWithCooldown) {
   // Hardening scenario: reach a steady-state M, take an escalation storm
   // (the engine's livelock signal), then calm down. The controller must
-  // (a) degrade to min_batch immediately, (b) hold through the cooldown
+  // (a) degrade to kMinBatch immediately, (b) hold through the cooldown
   // and the storm's tail, and (c) climb back to the pre-storm M within a
-  // bounded number of calm windows — without oscillating mid-storm.
-  AdaptiveBatch::Options opt;
-  opt.initial = 8;
-  opt.window = 4;
-  opt.max_batch = 64;
-  opt.cooldown_windows = 2;
-  opt.grow_hysteresis = 2;
-  AdaptiveBatch ab(opt);
+  // bounded number of calm windows — without oscillating mid-storm or
+  // overshooting the pre-storm M, which lies below kMaxBatch.
+  constexpr int kWindow = AdaptiveBatch::kWindow;
+  constexpr int kMin = AdaptiveBatch::kMinBatch;
+  AdaptiveBatch ab;
 
+  // Three calm windows: 8 -> 64, the fault-free steady state.
   htm::TxnOutcome clean;
-  for (int i = 0; i < 100; ++i) ab.record(clean);
-  ASSERT_EQ(ab.batch(), 64);  // fault-free steady state
+  for (int i = 0; i < 3 * kWindow; ++i) ab.record(clean);
+  const int steady = 8 * AdaptiveBatch::kInitialBatch;
+  ASSERT_EQ(ab.batch(), steady);
   ASSERT_FALSE(ab.recovering());
 
   // Escalation storm: M collapses to min on the first escalated outcome
@@ -147,34 +126,36 @@ TEST(AdaptiveBatch, RecoversFromAbortStormWithCooldown) {
   escalated.escalated = true;
   escalated.aborts = 3;
   ab.record(escalated);
-  EXPECT_EQ(ab.batch(), opt.min_batch);
+  EXPECT_EQ(ab.batch(), kMin);
   EXPECT_TRUE(ab.recovering());
-  for (int i = 0; i < 6 * opt.window; ++i) {
+  for (int i = 0; i < 6 * kWindow; ++i) {
     ab.record(escalated);
-    EXPECT_EQ(ab.batch(), opt.min_batch);
+    EXPECT_EQ(ab.batch(), kMin);
   }
 
   // Calm: recovery must restore the pre-storm M within the budgeted
   // window count — cooldown + hysteresis per doubling (1->64 is six
   // doublings) — and then leave the recovery regime.
   const int budget_windows =
-      opt.cooldown_windows + 6 * opt.grow_hysteresis + 2;
+      AdaptiveBatch::kCooldownWindows + 6 * AdaptiveBatch::kGrowHysteresis + 2;
   int windows_to_recover = -1;
   for (int w = 0; w < budget_windows; ++w) {
-    for (int i = 0; i < opt.window; ++i) ab.record(clean);
-    EXPECT_LE(ab.batch(), 64) << "recovery overshot the pre-storm M";
-    if (ab.batch() == 64) {
+    for (int i = 0; i < kWindow; ++i) ab.record(clean);
+    EXPECT_LE(ab.batch(), steady) << "recovery overshot the pre-storm M";
+    if (ab.batch() == steady) {
       windows_to_recover = w + 1;
       break;
     }
   }
   EXPECT_NE(windows_to_recover, -1)
       << "did not recover within " << budget_windows << " windows";
+  EXPECT_GT(windows_to_recover, AdaptiveBatch::kCooldownWindows)
+      << "re-grew before the cooldown ended";
   EXPECT_FALSE(ab.recovering());
 
-  // Back to normal control: further calm windows may grow M again.
-  for (int i = 0; i < 2 * opt.window; ++i) ab.record(clean);
-  EXPECT_EQ(ab.batch(), 64);
+  // Back to normal control: each further calm window doubles M again.
+  for (int i = 0; i < 2 * kWindow; ++i) ab.record(clean);
+  EXPECT_EQ(ab.batch(), 4 * steady);
 }
 
 // --------------------------------------------------- DistributedRuntime

@@ -110,8 +110,7 @@ std::vector<std::function<std::string(sim::ShardId)>> extra_rows(
                             /*seed=*/1);
     machine.bind_shard(shard);
     baselines::BspEngine::Result result;
-    const auto level =
-        baselines::bsp_bfs(machine, in.g, in.root, {}, &result);
+    const auto level = baselines::bsp_bfs(machine, in.g, in.root, &result);
     char line[256];
     std::snprintf(line, sizeof(line),
                   "Has-C bfs hama time=%a supersteps=%d messages=%llu "
@@ -182,7 +181,7 @@ std::vector<std::function<std::string(sim::ShardId)>> extra_rows(
     for (graph::Vertex v = 0; v < n; ++v) old_rank[v] = 1.0 / n;
     const double damping = 0.85;
     const double base = (1.0 - damping) / n;
-    machine.reset_clocks(0.0, /*clear_stats=*/true);
+    machine.reset_clocks();
     core::AamRuntime rt(machine, {});
     core::AdaptiveBatch adaptive;
     rt.set_adaptive(&adaptive);

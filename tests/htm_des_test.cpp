@@ -2,6 +2,7 @@
 
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -77,6 +78,19 @@ class ScriptWorker : public Worker {
   std::vector<TxnBody> bodies_;
   std::size_t next_ = 0;
 };
+
+TEST(DesMachine, RejectsATemporaryConfig) {
+  // The machine keeps a reference to its config: a temporary would dangle
+  // once the constructing statement ends.
+  static_assert(std::is_constructible_v<DesMachine, const model::MachineConfig&,
+                                        model::HtmKind, int, mem::SimHeap&>);
+  static_assert(!std::is_constructible_v<DesMachine, model::MachineConfig&&,
+                                         model::HtmKind, int, mem::SimHeap&>);
+  static_assert(
+      !std::is_constructible_v<DesMachine, model::MachineConfig&&,
+                               model::HtmKind, int, mem::SimHeap&,
+                               std::uint64_t, int>);
+}
 
 TEST(DesMachine, SingleThreadTxnCommits) {
   mem::SimHeap heap;
@@ -815,7 +829,7 @@ TEST(DesMachine, ResetClocksBetweenPhases) {
   m.run();
   const double first = m.makespan();
   EXPECT_GT(first, 0.0);
-  m.reset_clocks(0.0, /*clear_stats=*/true);
+  m.reset_clocks();
   EXPECT_DOUBLE_EQ(m.makespan(), 0.0);
   EXPECT_EQ(m.stats().atomic_acc, 0u);
 }

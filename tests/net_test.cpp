@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "net/cluster.hpp"
 
 namespace aam::net {
@@ -38,6 +40,14 @@ class SendThenPollWorker : public htm::Worker {
   Cluster& cluster_;
   std::function<void(htm::ThreadCtx&)> fn_;
 };
+
+TEST(Cluster, RejectsATemporaryConfig) {
+  // The cluster's machine keeps a reference to the config.
+  static_assert(std::is_constructible_v<Cluster, const model::MachineConfig&,
+                                        HtmKind, int, int, mem::SimHeap&>);
+  static_assert(!std::is_constructible_v<Cluster, model::MachineConfig&&,
+                                         HtmKind, int, int, mem::SimHeap&>);
+}
 
 TEST(Cluster, ThreadNodeMapping) {
   mem::SimHeap heap;

@@ -100,45 +100,6 @@ TEST(Rng, NextRangeInclusive) {
 
 // --------------------------------------------------------------- Stats
 
-TEST(OnlineStats, MeanVarianceExtrema) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesCombined) {
-  OnlineStats all, a, b;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.next_double() * 100;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SampleSet, Percentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-9);
-}
-
 TEST(LinearFit, RecoversExactLine) {
   std::vector<double> xs, ys;
   for (int i = 1; i <= 32; ++i) {
@@ -184,19 +145,6 @@ TEST(Crossover, AlwaysWins) {
   LinearFit a{1.0, 0.0, 1.0};
   LinearFit b{5.0, 10.0, 1.0};
   EXPECT_DOUBLE_EQ(crossover(a, b), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1.0);
-  h.add(10.0);
-  h.add(100.0);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket(i), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 13u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 3.0);
 }
 
 // ----------------------------------------------------------------- Cli

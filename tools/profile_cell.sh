@@ -5,13 +5,19 @@
 #
 #   tools/profile_cell.sh coloring htm                # scale 14, BG/Q
 #   tools/profile_cell.sh pagerank stm --scale=18
+#   tools/profile_cell.sh pagerank-dist am            # the distributed row
+#
+# The distributed row's mechanism is `am` (its table label), which is not a
+# --mechanism choice: `am` passes no --mechanism flag, since the row runs
+# under every selection.
 #
 # Configures a RelWithDebInfo build instrumented with -pg in its own
 # directory ($PROFILE_BUILD_DIR, default build-gprof at the repo root, so
 # the regular build stays uninstrumented), builds bench_throughput there,
 # runs the one cell on one host thread and prints the 20 functions with the
 # most self time. Extra args go to bench_throughput (default --scale=14).
-# The raw profile stays in <build dir>/gmon.out for `gprof -q` call graphs.
+# The raw profile stays in <build dir>/gmon.out for `gprof -q` call graphs,
+# and the whole flat profile in <build dir>/flat_profile.txt.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -46,9 +52,16 @@ cmake --build "$build" --target bench_throughput -j "$(nproc)" >&2
 bin="$build/bench/bench_throughput"
 # gmon.out is written to the working directory at exit.
 rm -f "$build/gmon.out"
-(cd "$build" && "$bin" --algorithm="$algorithm" --mechanism="$mechanism" \
+mechanism_flag=(--mechanism="$mechanism")
+if [[ "$mechanism" == am ]]; then
+  mechanism_flag=()
+fi
+(cd "$build" && "$bin" --algorithm="$algorithm" "${mechanism_flag[@]}" \
   --host-threads=1 "${args[@]}" >&2)
 
 echo "# gprof flat profile: $algorithm/$mechanism ${args[*]}"
-# -b drops the field legend; the flat profile has a 5-line header.
-gprof -b -p "$bin" "$build/gmon.out" | head -n 25
+# -b drops the field legend; the flat profile has a 5-line header. The
+# profile goes through a file: piped into head, gprof can die of SIGPIPE,
+# which pipefail turns into the script's exit status.
+gprof -b -p "$bin" "$build/gmon.out" > "$build/flat_profile.txt"
+head -n 25 "$build/flat_profile.txt"
