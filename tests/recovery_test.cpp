@@ -566,9 +566,17 @@ TEST(Recovery, CrashMidRetryMatchesFaultFreeRun) {
 // index. An index left over from the crashed timeline would drop minima
 // and change the run.
 
+/// FNV-1a over `bytes`.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
 /// Forwards to a RecoveryManager and records the simulated instants of
 /// quiescences, of sealed checkpoints and of the checkpoint each crash
-/// restores, and a hash of every sealed snapshot.
+/// restores, a hash of every sealed snapshot, and per snapshot the hash
+/// of each section payload and the messages in flight when it sealed.
 class RecoveryProbe final : public htm::RecoveryClient {
  public:
   RecoveryProbe(htm::DesMachine& machine, RecoveryManager& inner)
@@ -580,6 +588,8 @@ class RecoveryProbe final : public htm::RecoveryClient {
   std::vector<double> quiescences;
   std::vector<double> restored_checkpoints;
   std::vector<std::uint64_t> sealed_hashes;  ///< FNV-1a of each snapshot
+  std::vector<std::vector<std::uint64_t>> section_hashes;
+  std::vector<std::uint64_t> in_flight_at_seal;
 
   void on_run_entry(htm::DesMachine& m) override {
     inner_.on_run_entry(m);
@@ -616,11 +626,16 @@ class RecoveryProbe final : public htm::RecoveryClient {
     if (inner_.stats().checkpoints != checkpoints_seen_) {
       checkpoints_seen_ = inner_.stats().checkpoints;
       last_checkpoint_ns_ = m.now();
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint8_t b : inner_.last_snapshot_bytes()) {
-        h = (h ^ b) * 0x100000001b3ULL;
+      sealed_hashes.push_back(fnv1a(inner_.last_snapshot_bytes()));
+      std::string err;
+      const auto snap = Snapshot::open(inner_.last_snapshot_bytes(), &err);
+      AAM_CHECK_MSG(snap.has_value(), err.c_str());
+      std::vector<std::uint64_t> sections;
+      for (const Snapshot::Section& s : snap->sections()) {
+        sections.push_back(fnv1a(s.bytes));
       }
-      sealed_hashes.push_back(h);
+      section_hashes.push_back(std::move(sections));
+      in_flight_at_seal.push_back(inner_.inflight_messages());
     }
   }
 
@@ -769,6 +784,52 @@ TEST(Recovery, NetStatsAccountingIsExactAcrossCrashRestore) {
   for (std::size_t v = 0; v < r.rank.size(); ++v) {
     EXPECT_NEAR(r.rank[v], base_r.rank[v], 1e-5) << "vertex " << v;
   }
+}
+
+// The bytes a crashed distributed run checkpoints, pinned section by
+// section: a digest of each section payload over every snapshot the run
+// seals, at least one of them with sends still unacked. The seal's own
+// digest words lie outside every payload, so how a snapshot is sealed
+// cannot move these constants; what the engine, the host components or
+// the network protocol save can.
+TEST(Recovery, DistributedCheckpointPayloadsArePinned) {
+  const std::uint64_t seed = 3;
+  const int nodes = 4;
+  const int threads = 4;
+  util::Rng grng(seed + 17);
+  const graph::Graph g = graph::erdos_renyi(1 << 10, 0.01, grng);
+  const graph::Block1D part(g.num_vertices(), nodes);
+  algorithms::DistPrOptions o;
+  o.iterations = 3;
+
+  mem::SimHeap heap;
+  net::Cluster cluster(model::has_p(), model::HtmKind::kRtm, nodes, threads,
+                       heap, seed);
+  const fault::FaultPlan plan =
+      fault::parse("crash-combined", model::has_p().fault);
+  fault::FaultInjector inj(plan, seed, nodes * threads, threads);
+  inj.attach(cluster);
+  RecoveryManager rec(cluster, RecoveryOptions{plan.crash_ckpt_ns});
+  RecoveryProbe probe(cluster.machine(), rec);
+  algorithms::run_distributed_pagerank(cluster, g, part, o);
+
+  EXPECT_GE(rec.stats().crashes, 1u);
+  EXPECT_GT(*std::max_element(probe.in_flight_at_seal.begin(),
+                              probe.in_flight_at_seal.end()),
+            0u);
+  std::vector<std::uint8_t> per_section[4];
+  for (const std::vector<std::uint64_t>& sections : probe.section_hashes) {
+    ASSERT_EQ(sections.size(), 4u);  // core, heap, host, net
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(&sections[i]);
+      per_section[i].insert(per_section[i].end(), p, p + 8);
+    }
+  }
+  EXPECT_EQ(probe.section_hashes.size(), 40u);
+  EXPECT_EQ(fnv1a(per_section[0]), 8091091902831228573ULL) << "core";
+  EXPECT_EQ(fnv1a(per_section[1]), 1757212868833830719ULL) << "heap";
+  EXPECT_EQ(fnv1a(per_section[2]), 16132722918318978443ULL) << "host";
+  EXPECT_EQ(fnv1a(per_section[3]), 3402997053438032300ULL) << "net";
 }
 
 // ---------------------------------------------------------------------------
