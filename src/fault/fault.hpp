@@ -149,7 +149,7 @@ class FaultInjector final : public htm::FaultHook, public net::NetFaultHook {
   // Crash scenarios force the reliable-delivery protocol on even with no
   // wire faults configured: every in-flight message then has a sender-side
   // pending entry the recovery manager can replay from, so nothing is
-  // silently lost when a crash drops the machine's callbacks.
+  // silently lost when a crash drops the machine's pending events.
   bool net_active() const override {
     return plan_.net_active() || plan_.crash_active();
   }

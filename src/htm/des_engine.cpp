@@ -224,8 +224,7 @@ void DesMachine::barrier_release(double barrier_cost_ns) {
   for (std::uint32_t t = 0; t < threads_.size(); ++t) wake(t);
 }
 
-void DesMachine::schedule_callback_impl(double t, std::function<void()> fn,
-                                        bool generic) {
+void DesMachine::schedule_callback(double t, std::function<void()> fn) {
   std::size_t slot;
   if (!callback_free_.empty()) {
     slot = callback_free_.back();
@@ -235,21 +234,13 @@ void DesMachine::schedule_callback_impl(double t, std::function<void()> fn,
     slot = callbacks_.size();
     callbacks_.push_back(std::move(fn));
   }
-  std::uint64_t payload = slot;
-  if (generic) {
-    payload |= kGenericCallbackBit;
-    ++generic_callbacks_pending_;
-  }
-  queue_.push(std::max(t, now_), 0, kCallback, payload);
+  queue_.push(std::max(t, now_), 0, kCallback, slot);
 }
 
-void DesMachine::schedule_callback(double t, std::function<void()> fn) {
-  schedule_callback_impl(t, std::move(fn), /*generic=*/true);
-}
-
-void DesMachine::schedule_callback_droppable(double t,
-                                             std::function<void()> fn) {
-  schedule_callback_impl(t, std::move(fn), /*generic=*/false);
+void DesMachine::schedule_droppable(double t, std::uint64_t payload) {
+  // Thread 0, like a callback: the crash injector consulted after the
+  // event sees the same thread id either way.
+  queue_.push(std::max(t, now_), 0, kDroppable, payload);
 }
 
 void DesMachine::enter_run() {
@@ -342,6 +333,7 @@ sim::ChoiceKind DesMachine::classify_choice(const sim::Event& e) const {
     case kSerialCommit:
       return sim::ChoiceKind::kSerialCommit;
     case kCallback:
+    case kDroppable:
       return sim::ChoiceKind::kCallback;
   }
   AAM_CHECK_MSG(false, "unclassifiable event kind");
@@ -455,17 +447,17 @@ void DesMachine::dispatch(const sim::Event& e) {
       on_serial_commit(e.thread);
       break;
     case kCallback: {
-      const std::size_t slot =
-          static_cast<std::size_t>(e.payload & ~kGenericCallbackBit);
-      if ((e.payload & kGenericCallbackBit) != 0) {
-        --generic_callbacks_pending_;
-      }
+      const auto slot = static_cast<std::size_t>(e.payload);
       std::function<void()> fn = std::move(callbacks_[slot]);
       callbacks_[slot] = nullptr;
       callback_free_.push_back(slot);
       fn();
       break;
     }
+    case kDroppable:
+      AAM_DCHECK(droppable_sink_ != nullptr);
+      droppable_sink_->on_droppable(e.payload);
+      break;
   }
 }
 
@@ -823,11 +815,11 @@ void DesMachine::finish_txn(std::uint32_t tid, bool serialized,
 // positions, conflict stamps and stripe metadata over the *used* heap
 // prefix (units beyond the bump pointer are never touched), domain timing
 // gates, statistics (so post-restore accounting matches a crash-free run
-// of the same prefix), and every pending non-callback event in (time, seq)
+// of the same prefix), and every other pending event in (time, seq)
 // order. Deliberately volatile — not saved, reconstructed or irrelevant:
-//   * kCallback events: generic ones are required to be zero (safety
-//     predicate); droppable ones are re-derived by the network layer from
-//     its own checkpointed protocol state.
+//   * kCallback events: required to be zero (safety predicate).
+//   * kDroppable events: re-derived by their sink (the network layer)
+//     from its own checkpointed protocol state.
 //   * EventQueue::next_seq_ and events_processed_: only the *relative*
 //     order of re-pushed events matters; both keep counting up.
 //   * In-flight transaction scratch (write logs, trackers, the footprint
@@ -880,7 +872,7 @@ void DesMachine::durable(util::BlobIo& io) {
   std::vector<sim::Event> pending;
   if (io.saving()) {
     queue_.for_each([&pending](const sim::Event& e) {
-      if (e.kind != kCallback) pending.push_back(e);
+      if (e.kind != kCallback && e.kind != kDroppable) pending.push_back(e);
     });
     std::sort(pending.begin(), pending.end(),
               [](const sim::Event& a, const sim::Event& b) {
@@ -916,15 +908,16 @@ void DesMachine::drop_volatile_and_requeue(
   }
   inflight_txns_ = 0;
 
-  // Drop every pending event and scheduled callback, then re-push the
-  // saved events in (time, seq) order: fresh sequence numbers ascend in
-  // the same relative order, so the replayed schedule is bit-identical.
+  // Drop every pending event, scheduled callback and droppable event,
+  // then re-push the saved events in (time, seq) order: fresh sequence
+  // numbers ascend in the same relative order, so the replayed schedule is
+  // bit-identical.
   queue_.clear();
   callbacks_.clear();
   callback_free_.clear();
-  generic_callbacks_pending_ = 0;
   for (const sim::Event& e : pending) {
-    AAM_CHECK_MSG(e.kind != kCallback, "callback event in a core snapshot");
+    AAM_CHECK_MSG(e.kind < kCallback,
+                  "callback or droppable event in a core snapshot");
     queue_.push(e.time, e.thread, e.kind, e.payload);
   }
 }

@@ -330,26 +330,33 @@ class DesMachine {
   void barrier_release(double barrier_cost_ns);
 
   /// Schedule an arbitrary callback at virtual time `t` (used by the
-  /// network layer for message deliveries).
+  /// network layer for message deliveries). A pending callback blocks
+  /// checkpoints: the engine cannot re-create an opaque std::function
+  /// after a restore dropped it.
   void schedule_callback(double t, std::function<void()> fn);
 
-  /// Like schedule_callback, but the callback is *droppable*: losing it in
-  /// a crash-restore is safe because the scheduling subsystem re-derives
-  /// it from its own checkpointed state (the reliable-delivery protocol's
-  /// deliveries, acks and retransmit timers — all reconstructible from the
-  /// pending-send maps). Droppable callbacks do not block checkpoints;
-  /// generic ones do, because the engine cannot re-create an opaque
-  /// std::function after dropping it.
-  void schedule_callback_droppable(double t, std::function<void()> fn);
+  /// Schedules a *droppable* event at virtual time `t`: at dispatch the
+  /// registered DroppableSink receives `payload`. Losing the event in a
+  /// crash-restore is safe because the sink re-derives it from its own
+  /// checkpointed state (the reliable-delivery protocol's deliveries, acks
+  /// and retransmit timers, all reconstructible from the pending-send
+  /// windows), so droppable events do not block checkpoints. Costs no host
+  /// allocation.
+  void schedule_droppable(double t, std::uint64_t payload);
+
+  /// Registers (or clears, with nullptr) the one sink of droppable events.
+  /// Not owned; must outlive every droppable event it is sent.
+  void set_droppable_sink(DroppableSink* sink) { droppable_sink_ = sink; }
 
   // --- crash-stop recovery (src/recovery/) --------------------------------
   //
   // A RecoveryClient observes the engine at safe checkpoint instants (no
-  // transaction in flight, no generic callback pending, uncontrolled) and
+  // transaction in flight, no callback pending, uncontrolled) and
   // restores the whole machine after FaultHook::inject_crash fires. The
   // engine serializes its own durable core — virtual clocks, RNG streams,
-  // conflict stamps, stripe metadata, and every pending non-callback
-  // event — so a restore replays the exact schedule from the checkpoint.
+  // conflict stamps, stripe metadata, and every pending event that is
+  // neither a callback nor droppable — so a restore replays the exact
+  // schedule from the checkpoint.
 
   /// Registers (or clears, with nullptr) the recovery client. Not owned;
   /// must outlive run(). When unset the engine takes no recovery branches.
@@ -360,16 +367,16 @@ class DesMachine {
   /// machine state.
   bool checkpoint_safe() const {
     return !controlled_ && inflight_txns_ == 0 &&
-           generic_callbacks_pending_ == 0;
+           callback_free_.size() == callbacks_.size();
   }
 
   /// Saves or restores the durable core. Saving must happen at a safe
   /// instant (checkpoint_safe()); it aborts otherwise. Restoring needs
   /// the same machine and heap layout, and drops all volatile state:
-  /// in-flight transactions, pending events and every scheduled callback.
-  /// Pending non-callback events are re-pushed in saved (time, seq)
-  /// order, so the post-restore schedule is bit-identical to the
-  /// checkpoint's future.
+  /// in-flight transactions, pending events, every scheduled callback and
+  /// every droppable event. The other pending events are re-pushed in
+  /// saved (time, seq) order, so the post-restore schedule is
+  /// bit-identical to the checkpoint's future.
   void durable(util::BlobIo& io);
 
   // --- introspection -------------------------------------------------------
@@ -439,7 +446,14 @@ class DesMachine {
   friend class Txn;
   friend class ThreadCtx;
 
-  enum EventKind : std::uint32_t { kNext, kCommit, kRetry, kSerialCommit, kCallback };
+  enum EventKind : std::uint32_t {
+    kNext,
+    kCommit,
+    kRetry,
+    kSerialCommit,
+    kCallback,
+    kDroppable
+  };
 
   /// Entry protocol shared by run() and run_controlled(): observer
   /// notification, progress stamp, waking every worker.
@@ -569,12 +583,7 @@ class DesMachine {
   mem::WriteObserver* write_observer_ = nullptr;
   FaultHook* fault_hook_ = nullptr;
   RecoveryClient* recovery_ = nullptr;
-  /// kCallback payload bit distinguishing generic callbacks (bit set;
-  /// opaque, block checkpoints) from droppable ones (reconstructible).
-  static constexpr std::uint64_t kGenericCallbackBit = 1ULL << 63;
-  int generic_callbacks_pending_ = 0;
-  void schedule_callback_impl(double t, std::function<void()> fn,
-                              bool generic);
+  DroppableSink* droppable_sink_ = nullptr;
   ResilienceConfig resilience_;
   /// Virtual time of the last activity completion; with inflight_txns_ > 0
   /// and no completion for watchdog_ns, dispatch() throws StallError.

@@ -135,6 +135,17 @@ class CrashError : public std::runtime_error {
 /// in registration order in both directions.
 using HostState = std::function<void(util::BlobIo&)>;
 
+/// Receiver of droppable events (DesMachine::schedule_droppable): events
+/// whose loss in a crash-restore is safe because the sink re-derives them
+/// from its own checkpointed state. Implemented by net::Cluster, whose
+/// reliable-delivery protocol schedules its deliveries, acks and
+/// retransmit timers this way; the payload is the sink's own encoding.
+class DroppableSink {
+ public:
+  virtual ~DroppableSink() = default;
+  virtual void on_droppable(std::uint64_t payload) = 0;
+};
+
 /// The engine's view of the recovery subsystem (implemented by
 /// recovery::RecoveryManager). The DesMachine calls the checkpoint hooks
 /// at safe instants and on_crash when a FaultHook kills the machine; the
@@ -151,7 +162,7 @@ class RecoveryClient {
   virtual void on_quiescence(DesMachine& machine) = 0;
 
   /// step() is at an event boundary and the machine reports it safe
-  /// (no in-flight txns, no generic callbacks pending).
+  /// (no in-flight txns, no callbacks pending).
   virtual void on_event_boundary(DesMachine& machine) = 0;
 
   /// A crash fired. Return true after restoring the machine from the last

@@ -1,6 +1,7 @@
 #include "net/cluster.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -15,6 +16,7 @@ Cluster::Cluster(const model::MachineConfig& config, model::HtmKind kind,
       threads_per_node_(threads_per_node),
       queues_(static_cast<std::size_t>(num_nodes)) {
   AAM_CHECK(num_nodes >= 1 && threads_per_node >= 1);
+  machine_.set_droppable_sink(this);
 }
 
 std::uint32_t Cluster::register_handler(AmHandler handler) {
@@ -29,6 +31,8 @@ void Cluster::set_fault_hook(NetFaultHook* hook) {
   if (hook != nullptr && send_channels_.empty()) {
     const std::size_t pairs = static_cast<std::size_t>(num_nodes_) *
                               static_cast<std::size_t>(num_nodes_);
+    AAM_CHECK_MSG(pairs <= (std::size_t{1} << kChannelBits),
+                  "too many nodes for the reliable-delivery protocol");
     send_channels_.resize(pairs);
     recv_channels_.resize(pairs);
   }
@@ -62,16 +66,20 @@ void Cluster::send(htm::ThreadCtx& ctx, int dst_node, std::uint32_t handler,
   ++in_flight_;
 
   if (protocol_active()) {
-    // Reliable delivery: tag with the channel's next sequence number,
-    // retain a copy for retransmission, and arm the timeout. The message
-    // stays in flight until its first (deduplicated) arrival.
-    SendChannel& ch = send_channel(src, dst_node);
-    msg.seq = ch.next_seq++;
-    ch.pending.emplace(msg.seq,
-                       PendingSend{msg, net_hook_->initial_rto_ns()});
+    // Reliable delivery: tag with the channel's next sequence number, move
+    // the message into its pending entry (the retained copy for
+    // retransmission), and arm the timeout. The message stays in flight
+    // until its first (deduplicated) arrival.
+    const std::uint64_t channel = channel_of(src, dst_node);
+    SendChannel& ch = send_channels_[channel];
+    const std::uint64_t seq = ch.next_seq++;
+    AAM_CHECK_MSG(seq < kMaxSeq, "channel sequence numbers exhausted");
+    msg.seq = seq;
+    ch.push(seq, PendingSend{std::move(msg), net_hook_->initial_rto_ns(),
+                             /*live=*/true});
     const double at = ctx.now();
-    transmit(msg, at, /*retransmit=*/false);
-    arm_retransmit(src, dst_node, msg.seq, at);
+    transmit(channel, seq, ch.window.back().msg, at, /*retransmit=*/false);
+    arm_retransmit(channel, seq, at);
     return;
   }
 
@@ -88,78 +96,163 @@ void Cluster::send(htm::ThreadCtx& ctx, int dst_node, std::uint32_t handler,
   });
 }
 
-void Cluster::transmit(const Message& msg, double at, bool retransmit) {
+void Cluster::on_droppable(std::uint64_t payload) {
+  const auto event = static_cast<ProtocolEvent>(
+      payload & ((std::uint64_t{1} << kEventBits) - 1));
+  const std::uint64_t channel =
+      (payload >> kEventBits) & ((std::uint64_t{1} << kChannelBits) - 1);
+  const std::uint64_t seq = payload >> (kEventBits + kChannelBits);
+  switch (event) {
+    case kDeliver:
+      deliver(channel, seq);
+      break;
+    case kAck:
+      on_ack(channel, seq);
+      break;
+    case kRetransmit:
+      on_retransmit(channel, seq);
+      break;
+  }
+}
+
+void Cluster::transmit(std::uint64_t channel, std::uint64_t seq,
+                       const Message& msg, double at, bool retransmit) {
   const auto& n = config().net;
   if (retransmit) ++stats_.retransmitted;
   const MessageFate fate = net_hook_->fate(msg, retransmit);
   const double arrival =
       at + n.latency_ns + static_cast<double>(msg.wire_bytes()) * n.byte_ns +
       fate.extra_delay_ns;
-  // Protocol deliveries are droppable callbacks: a crash-restore loses the
+  // Protocol deliveries are droppable events: a crash-restore loses the
   // in-flight copy, but the sender's checkpointed pending entry re-arms a
   // retransmit timer, so the message still arrives exactly once.
   if (fate.drop) {
     ++stats_.dropped;
   } else {
-    machine_.schedule_callback_droppable(arrival, [this, m = msg]() mutable {
-      deliver(std::move(m));
-    });
+    schedule(kDeliver, channel, seq, arrival);
   }
   if (fate.duplicate) {
     ++stats_.duplicated;
-    machine_.schedule_callback_droppable(arrival + fate.duplicate_delay_ns,
-                                         [this, m = msg]() mutable {
-                                           deliver(std::move(m));
-                                         });
+    schedule(kDeliver, channel, seq, arrival + fate.duplicate_delay_ns);
   }
 }
 
-void Cluster::arm_retransmit(int src, int dst, std::uint64_t seq, double at) {
-  SendChannel& ch = send_channel(src, dst);
-  const auto it = ch.pending.find(seq);
-  if (it == ch.pending.end()) return;  // already acked
-  machine_.schedule_callback_droppable(
-      at + it->second.rto_ns, [this, src, dst, seq] {
-        SendChannel& c = send_channel(src, dst);
-        const auto p = c.pending.find(seq);
-        if (p == c.pending.end()) return;  // ack landed in the meantime
-        // Exponential backoff with a cap, then go again: retransmission is
-        // NIC-side (the sending thread is not re-charged the overhead o).
-        p->second.rto_ns = std::min(p->second.rto_ns * 2.0,
-                                    net_hook_->rto_cap_ns());
-        const double now = machine_.now();
-        transmit(p->second.msg, now, /*retransmit=*/true);
-        arm_retransmit(src, dst, seq, now);
-      });
+void Cluster::arm_retransmit(std::uint64_t channel, std::uint64_t seq,
+                             double at) {
+  const PendingSend* p = send_channels_[channel].find(seq);
+  if (p == nullptr) return;  // already acked
+  schedule(kRetransmit, channel, seq, at + p->rto_ns);
 }
 
-void Cluster::deliver(Message m) {
+void Cluster::on_retransmit(std::uint64_t channel, std::uint64_t seq) {
+  PendingSend* p = send_channels_[channel].find(seq);
+  if (p == nullptr) return;  // ack landed in the meantime
+  // Exponential backoff with a cap, then go again: retransmission is
+  // NIC-side (the sending thread is not re-charged the overhead o).
+  p->rto_ns = std::min(p->rto_ns * 2.0, net_hook_->rto_cap_ns());
+  const double now = machine_.now();
+  transmit(channel, seq, p->msg, now, /*retransmit=*/true);
+  arm_retransmit(channel, seq, now);
+}
+
+void Cluster::deliver(std::uint64_t channel, std::uint64_t seq) {
   // Ack every arriving copy (the copy whose ack got outrun by a timeout
   // just re-acks a no-longer-pending seq, which is a no-op), then discard
   // duplicates before they reach the node's queue: exactly-once delivery.
-  send_ack(m.src_node, m.dst_node, m.seq, machine_.now());
-  RecvChannel& rc = recv_channel(m.src_node, m.dst_node);
-  if (!rc.accept(m.seq)) {
+  schedule(kAck, channel, seq, machine_.now() + config().net.latency_ns);
+  if (!recv_channels_[channel].accept(seq)) {
     ++stats_.dedup_discarded;
     return;
   }
-  const int node = m.dst_node;
-  queues_[node].push_back(std::move(m));
+  // A first arrival precedes its ack, so its pending entry still holds
+  // the message; only duplicates can outlive the entry.
+  const PendingSend* p = send_channels_[channel].find(seq);
+  AAM_CHECK_MSG(p != nullptr, "a new arrival has no pending send");
+  const int node = p->msg.dst_node;
+  queues_[node].push_back(p->msg);
   --in_flight_;
   for (int t = 0; t < threads_per_node_; ++t) {
     machine_.wake(thread_of(node, t));
   }
 }
 
-void Cluster::send_ack(int src, int dst, std::uint64_t seq, double at) {
-  machine_.schedule_callback_droppable(
-      at + config().net.latency_ns, [this, src, dst, seq] {
-        SendChannel& ch = send_channel(src, dst);
-        const auto it = ch.pending.find(seq);
-        if (it == ch.pending.end()) return;
-        ch.pending.erase(it);
-        ++stats_.acked;
-      });
+void Cluster::on_ack(std::uint64_t channel, std::uint64_t seq) {
+  SendChannel& ch = send_channels_[channel];
+  PendingSend* p = ch.find(seq);
+  if (p == nullptr) return;
+  ch.erase(*p);
+  ++stats_.acked;
+}
+
+void Cluster::SendChannel::push(std::uint64_t seq, PendingSend p) {
+  if (window.empty()) base = seq;
+  AAM_CHECK_MSG(seq >= base + window.size(), "pending sends out of order");
+  while (base + window.size() < seq) window.emplace_back();  // dead gap
+  window.push_back(std::move(p));
+}
+
+void Cluster::SendChannel::erase(PendingSend& p) {
+  p.live = false;
+  while (!window.empty() && !window.front().live) {
+    window.pop_front();
+    ++base;
+  }
+}
+
+void Cluster::SendChannel::durable(util::BlobIo& io) {
+  io(next_seq);
+  std::uint64_t live = 0;
+  for (const PendingSend& p : window) live += p.live ? 1 : 0;
+  io(live);
+  if (io.saving()) {
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      if (!window[i].live) continue;
+      std::uint64_t seq = base + i;
+      io(seq, window[i]);
+    }
+    return;
+  }
+  window.clear();
+  for (std::uint64_t i = 0; i < live; ++i) {
+    std::uint64_t seq = 0;
+    PendingSend p;
+    io(seq, p);
+    AAM_CHECK_MSG(seq < next_seq, "pending send beyond the channel's seq");
+    p.live = true;
+    push(seq, std::move(p));
+  }
+}
+
+void Cluster::RecvChannel::durable(util::BlobIo& io) {
+  io(next_expected, seen_ahead);
+  if (io.restoring()) {
+    AAM_CHECK_MSG(seen_ahead.empty() ||
+                      (seen_ahead.front() > next_expected &&
+                       std::adjacent_find(seen_ahead.begin(), seen_ahead.end(),
+                                          std::greater_equal<>()) ==
+                           seen_ahead.end()),
+                  "net snapshot receive window out of order");
+  }
+}
+
+bool Cluster::RecvChannel::accept(std::uint64_t seq) {
+  if (seq == next_expected && seen_ahead.empty()) {  // in order
+    ++next_expected;
+    return true;
+  }
+  if (seq < next_expected) return false;
+  const auto it = std::lower_bound(seen_ahead.begin(), seen_ahead.end(), seq);
+  if (it != seen_ahead.end() && *it == seq) return false;
+  seen_ahead.insert(it, seq);
+  std::size_t accepted = 0;
+  while (accepted < seen_ahead.size() &&
+         seen_ahead[accepted] == next_expected) {
+    ++accepted;
+    ++next_expected;
+  }
+  seen_ahead.erase(seen_ahead.begin(),
+                   seen_ahead.begin() + static_cast<std::ptrdiff_t>(accepted));
+  return true;
 }
 
 void Cluster::durable(util::BlobIo& io) {
@@ -177,13 +270,13 @@ std::uint64_t Cluster::replay_pending_sends() {
   // checkpoint and only the ack was in flight).
   std::uint64_t replayed = 0;
   const double now = machine_.now();
-  for (int src = 0; src < num_nodes_; ++src) {
-    for (int dst = 0; dst < num_nodes_; ++dst) {
-      if (send_channels_.empty()) continue;
-      for (const auto& [seq, p] : send_channel(src, dst).pending) {
-        arm_retransmit(src, dst, seq, now);
-        ++replayed;
-      }
+  for (std::uint64_t channel = 0; channel < send_channels_.size();
+       ++channel) {
+    const SendChannel& ch = send_channels_[channel];
+    for (std::size_t i = 0; i < ch.window.size(); ++i) {
+      if (!ch.window[i].live) continue;
+      arm_retransmit(channel, ch.base + i, now);
+      ++replayed;
     }
   }
   return replayed;

@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "htm/des_engine.hpp"
@@ -95,7 +93,7 @@ struct NetStats {
   std::uint64_t dedup_discarded = 0;  ///< receiver-side duplicate discards
 };
 
-class Cluster {
+class Cluster final : private htm::DroppableSink {
  public:
   /// `config` must outlive the cluster (its DesMachine keeps a
   /// reference); the deleted overload rejects a temporary.
@@ -158,15 +156,15 @@ class Cluster {
 
   /// Saves or restores the cluster's durable network state: statistics,
   /// the in-flight count, per-node receive queues, and the
-  /// reliable-delivery channel state (sender pending maps with their
+  /// reliable-delivery channel state (sender pending windows with their
   /// current RTOs, receiver watermarks and out-of-order sets).
   void durable(util::BlobIo& io);
 
   /// The restore-only step after durable(): re-arms a retransmit timer
-  /// for every still-pending send. In-flight wire copies and timer
-  /// callbacks lost in the crash are re-derived from the pending maps —
-  /// the receiver-side dedup path discards anything already accepted.
-  /// Must run after the engine's restore (which drops all callbacks).
+  /// for every still-pending send. In-flight wire copies and timers lost
+  /// in the crash are re-derived from the pending windows — the
+  /// receiver-side dedup path discards anything already accepted. Must
+  /// run after the engine's restore (which drops all droppable events).
   /// Returns the number of pending sends whose replay was re-armed.
   std::uint64_t replay_pending_sends();
 
@@ -175,59 +173,84 @@ class Cluster {
     return net_hook_ != nullptr && net_hook_->net_active();
   }
 
-  /// One wire transmission of a sequenced message at virtual time `at`:
+  // Reliable-delivery protocol events. Each is one droppable engine event
+  // whose payload packs (seq, channel, type); the message itself stays in
+  // the sender's pending window, its only retained copy.
+  enum ProtocolEvent : std::uint64_t { kDeliver, kAck, kRetransmit };
+  static constexpr unsigned kEventBits = 2;
+  static constexpr unsigned kChannelBits = 24;  ///< src * nodes + dst
+  static constexpr std::uint64_t kMaxSeq =
+      std::uint64_t{1} << (64 - kEventBits - kChannelBits);
+  std::uint64_t channel_of(int src, int dst) const {
+    return static_cast<std::uint64_t>(src) *
+               static_cast<std::uint64_t>(num_nodes_) +
+           static_cast<std::uint64_t>(dst);
+  }
+  void schedule(ProtocolEvent event, std::uint64_t channel, std::uint64_t seq,
+                double at) {
+    machine_.schedule_droppable(
+        at, seq << (kEventBits + kChannelBits) | channel << kEventBits |
+                event);
+  }
+  void on_droppable(std::uint64_t payload) override;
+
+  /// One wire transmission of pending message `seq` at virtual time `at`:
   /// consults the fault hook, schedules arrival(s), and counts.
-  void transmit(const Message& msg, double at, bool retransmit);
-  /// Arms the sender-side timeout for pending message `seq`; fires at
-  /// `at` + the pending entry's current RTO, doubles it (capped), and
-  /// retransmits unless the ack landed first.
-  void arm_retransmit(int src, int dst, std::uint64_t seq, double at);
+  void transmit(std::uint64_t channel, std::uint64_t seq, const Message& msg,
+                double at, bool retransmit);
+  /// Arms the sender-side timeout for pending message `seq` at `at` + the
+  /// pending entry's current RTO, unless its ack already landed.
+  void arm_retransmit(std::uint64_t channel, std::uint64_t seq, double at);
+  /// The timeout fired: doubles the RTO (capped), retransmits and re-arms,
+  /// unless the ack landed first.
+  void on_retransmit(std::uint64_t channel, std::uint64_t seq);
   /// Receiver-side arrival of one wire copy: acks, dedups, enqueues.
-  void deliver(Message m);
-  /// NIC-side ack from `dst` back to `src` for `seq` (control plane:
-  /// header-only, modelled reliable).
-  void send_ack(int src, int dst, std::uint64_t seq, double at);
+  void deliver(std::uint64_t channel, std::uint64_t seq);
+  /// NIC-side ack arriving back at the sender (control plane:
+  /// header-only, modelled reliable): retires the pending entry.
+  void on_ack(std::uint64_t channel, std::uint64_t seq);
 
   /// Sender book-keeping for one unacked sequenced message.
   struct PendingSend {
     Message msg;        ///< retained copy for retransmission
     double rto_ns = 0;  ///< current timeout (doubles per retransmit)
+    bool live = false;  ///< false once acked (or a gap in a restored window)
 
     void durable(util::BlobIo& io) { io(rto_ns, msg); }
   };
+  /// Sender side of one channel. The unacked sends form a window indexed
+  /// by sequence number: entry i holds seq `base + i`, the front entry is
+  /// always live, and an entry acked out of order stays behind as a dead
+  /// slot until the sends before it are acked too.
   struct SendChannel {
     std::uint64_t next_seq = 1;
-    std::map<std::uint64_t, PendingSend> pending;
+    std::uint64_t base = 1;  ///< seq of window.front()
+    std::deque<PendingSend> window;
 
-    void durable(util::BlobIo& io) { io(next_seq, pending); }
+    /// The live pending entry for `seq`, or nullptr once it was acked.
+    PendingSend* find(std::uint64_t seq) {
+      if (seq < base || seq - base >= window.size()) return nullptr;
+      PendingSend& p = window[seq - base];
+      return p.live ? &p : nullptr;
+    }
+    void push(std::uint64_t seq, PendingSend p);
+    void erase(PendingSend& p);
+    /// The bytes a std::map<seq, PendingSend> of the live entries would
+    /// store: a count, then each (seq, entry) in seq order.
+    void durable(util::BlobIo& io);
   };
+  /// Receiver side of one channel.
   struct RecvChannel {
     std::uint64_t next_expected = 1;  ///< all seq below this were accepted
-    std::set<std::uint64_t> seen_ahead;
+    /// Accepted seqs above the watermark, ascending: a flat set, since
+    /// arrivals past a lost copy mostly append and the watermark erases a
+    /// prefix. Stored like the std::set it replaces: a count, then each.
+    std::vector<std::uint64_t> seen_ahead;
 
-    void durable(util::BlobIo& io) { io(next_expected, seen_ahead); }
-
+    void durable(util::BlobIo& io);
     /// True if `seq` is new (advances the watermark); false = duplicate.
-    bool accept(std::uint64_t seq) {
-      if (seq < next_expected) return false;
-      if (!seen_ahead.insert(seq).second) return false;
-      while (!seen_ahead.empty() && *seen_ahead.begin() == next_expected) {
-        seen_ahead.erase(seen_ahead.begin());
-        ++next_expected;
-      }
-      return true;
-    }
+    bool accept(std::uint64_t seq);
   };
-  SendChannel& send_channel(int src, int dst) {
-    return send_channels_[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(num_nodes_) +
-                          static_cast<std::size_t>(dst)];
-  }
-  RecvChannel& recv_channel(int src, int dst) {
-    return recv_channels_[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(num_nodes_) +
-                          static_cast<std::size_t>(dst)];
-  }
 
   htm::DesMachine machine_;
   int num_nodes_;

@@ -116,10 +116,11 @@ void RecoveryManager::take_checkpoint(htm::DesMachine& machine) {
 }
 
 void RecoveryManager::apply(const Snapshot& snap) {
-  // Order matters: core first (drops every pending callback and resets
-  // volatile engine state), heap bytes next, then host components (they
-  // may consult restored heap contents), then net (its replay re-arms
-  // droppable retransmit callbacks on the freshly restored engine clock).
+  // Order matters: core first (drops every pending callback and droppable
+  // event and resets volatile engine state), heap bytes next, then host
+  // components (they may consult restored heap contents), then net (its
+  // replay re-arms droppable retransmit timers on the freshly restored
+  // engine clock).
   const std::vector<std::uint8_t>* core = snap.find(Snapshot::kCore);
   AAM_CHECK_MSG(core != nullptr, "snapshot missing core section");
   from_bytes(*core, [&](util::BlobIo& io) { machine_.durable(io); },

@@ -4,24 +4,25 @@
 // (optionally wrapped in a net::Cluster).
 //
 // Checkpoints are taken only at *safe instants* (DesMachine::checkpoint_safe:
-// no controlled section, no in-flight transactions, no generic host
-// callbacks pending), at three opportunities wired through
-// htm::RecoveryClient: run entry, quiescence boundaries, and — gated by
-// Options::ckpt_interval_ns — mid-run event boundaries. A checkpoint
-// serializes the engine core (clock, commit stamp, unit stamps, stripe
-// table, per-thread RNG/clock/stats, pending non-callback events), the raw
-// heap bytes, every registered host-side component blob, and the cluster's
+// no controlled section, no in-flight transactions, no host callbacks
+// pending), at three opportunities wired through htm::RecoveryClient: run
+// entry, quiescence boundaries, and — gated by Options::ckpt_interval_ns —
+// mid-run event boundaries. A checkpoint serializes the engine core (clock,
+// commit stamp, unit stamps, stripe table, per-thread RNG/clock/stats, the
+// pending events that are neither callbacks nor droppable), the raw heap
+// bytes, every registered host-side component blob, and the cluster's
 // reliable-delivery protocol state, sealed with a chained digest
 // (recovery::Snapshot).
 //
 // A crash (htm::CrashError out of the engine) rolls the whole system back
-// to the last sealed snapshot: volatile engine state and all in-sim
-// callbacks are dropped, host components rewind through the same
-// durable() field lists that saved them, and the network layer re-arms a retransmit timer for every
-// send that was unacked at the checkpoint — peers replay those messages
-// and the receiver's sequence dedup discards the ones it had already
-// applied. Crash draws live in the FaultInjector (the external world) and
-// are never rolled back, so recovery terminates.
+// to the last sealed snapshot: volatile engine state, all in-sim callbacks
+// and droppable protocol events are dropped, host components rewind
+// through the same durable() field lists that saved them, and the network
+// layer re-arms a retransmit timer for every send that was unacked at the
+// checkpoint — peers replay those messages and the receiver's sequence
+// dedup discards the ones it had already applied. Crash draws live in the
+// FaultInjector (the external world) and are never rolled back, so
+// recovery terminates.
 //
 // Snapshots are double-buffered: the previous sealed snapshot is kept
 // until the next one seals, so a crash *during* checkpointing (torn

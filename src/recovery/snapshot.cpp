@@ -1,30 +1,54 @@
 #include "recovery/snapshot.hpp"
 
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace aam::recovery {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x61616d2d636b7074ULL;  // "aam-ckpt"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
-void fold(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+/// One digest step: FNV-1a's xor-then-multiply over a whole word, with a
+/// rotation between so high bits reach the low ones. For a fixed word each
+/// step is a bijection of the state, and for a fixed state a bijection of
+/// the word, so a change to any one word of the input changes the digest.
+std::uint64_t step(std::uint64_t h, std::uint64_t word) {
+  return std::rotl(h ^ word, 29) * kFnvPrime;
 }
 
+/// Folds `len` bytes into the running digest: each 8-byte word (native
+/// byte order), then the tail of fewer than 8 bytes zero-extended into one
+/// more word. The byte counts come before the bytes in every snapshot, so
+/// the zero extension cannot alias a longer input.
+void fold(std::uint64_t& h, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t acc = h;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    acc = step(acc, word);
+  }
+  if (i < len) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, len - i);
+    acc = step(acc, word);
+  }
+  h = acc;
+}
+
+/// Writes `v` at `pos` of the pre-sized `out` and folds it into the digest.
 template <typename T>
-void append(std::vector<std::uint8_t>& out, std::uint64_t& h, const T& v) {
+void put(std::uint8_t* out, std::size_t& pos, std::uint64_t& h, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-  fold(h, p, sizeof(T));
+  std::memcpy(out + pos, &v, sizeof(T));
+  fold(h, &v, sizeof(T));
+  pos += sizeof(T);
 }
 
 /// Reads a T at `pos`, folding it into the running digest. Returns false
@@ -58,27 +82,38 @@ const std::vector<std::uint8_t>* Snapshot::find(std::uint32_t tag) const {
 
 std::vector<std::uint8_t> Snapshot::seal(std::uint64_t checkpoint_id,
                                          double now_ns) const {
-  std::vector<std::uint8_t> out;
-  std::uint64_t h = kFnvOffset;
-  append(out, h, kMagic);
-  append(out, h, kVersion);
-  append(out, h, checkpoint_id);
-  append(out, h, now_ns);
-  append(out, h, static_cast<std::uint64_t>(sections_.size()));
+  // Size the buffer first, so each section is written into it once.
+  std::size_t size = sizeof(kMagic) + sizeof(kVersion) +
+                     sizeof(checkpoint_id) + sizeof(now_ns) +
+                     sizeof(std::uint64_t) + sizeof(std::uint64_t);
   for (const Section& s : sections_) {
-    append(out, h, s.tag);
-    append(out, h, static_cast<std::uint64_t>(s.bytes.size()));
-    out.insert(out.end(), s.bytes.begin(), s.bytes.end());
+    size += sizeof(s.tag) + sizeof(std::uint64_t) + s.bytes.size() +
+            sizeof(std::uint64_t);
+  }
+  std::vector<std::uint8_t> out(size);
+  std::uint8_t* o = out.data();
+  std::size_t pos = 0;
+  std::uint64_t h = kFnvOffset;
+  put(o, pos, h, kMagic);
+  put(o, pos, h, kVersion);
+  put(o, pos, h, checkpoint_id);
+  put(o, pos, h, now_ns);
+  put(o, pos, h, static_cast<std::uint64_t>(sections_.size()));
+  for (const Section& s : sections_) {
+    put(o, pos, h, s.tag);
+    put(o, pos, h, static_cast<std::uint64_t>(s.bytes.size()));
+    if (!s.bytes.empty()) std::memcpy(o + pos, s.bytes.data(), s.bytes.size());
     fold(h, s.bytes.data(), s.bytes.size());
+    pos += s.bytes.size();
     // Running digest value after this section: lets open() report *which*
     // section a torn snapshot died in, and chains each section's check to
-    // everything before it. Copied first — append folds the value into `h`
-    // byte-by-byte, and folding `h` into itself would corrupt the chain.
+    // everything before it. Copied first — put folds the value into `h`,
+    // and folding `h` into itself would corrupt the chain.
     const std::uint64_t section_digest = h;
-    append(out, h, section_digest);
+    put(o, pos, h, section_digest);
   }
   const std::uint64_t final_digest = h;  // over the whole buffer
-  append(out, h, final_digest);
+  put(o, pos, h, final_digest);
   return out;
 }
 

@@ -6,6 +6,12 @@
 // host allocation per committed activity: staged transaction closures are
 // held inline (htm::TxnBody / TxnDone), batch item buffers are recycled by
 // the runtime, and the coalescers keep their buffers' capacity.
+//
+// A second case runs the same PageRank under lossy-net faults, so every
+// message takes the reliable-delivery protocol (sequence numbers, acks,
+// retransmit timers, receiver dedup). Its warm run must stay within a few
+// host allocations per logical message: protocol events carry no heap
+// closure and the pending-send window holds no tree nodes.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +22,7 @@
 #include <new>
 
 #include "algorithms/pagerank_dist.hpp"
+#include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "mem/sim_heap.hpp"
@@ -115,6 +122,41 @@ TEST(AllocationGuard, WarmDistributedPagerankStaysUnderOnePerActivity) {
   EXPECT_LT(per_activity, 1.0)
       << allocations << " allocations for " << activities
       << " committed activities";
+}
+
+TEST(AllocationGuard, WarmLossyDistributedPagerankStaysUnderThreePerMessage) {
+  util::Rng rng(5);
+  graph::KroneckerParams params;
+  params.scale = 11;
+  params.edge_factor = 8;
+  const graph::Graph g = graph::kronecker(params, rng);
+  const graph::Block1D part(g.num_vertices(), 4);
+  mem::SimHeap heap;
+  net::Cluster cluster(model::bgq(), model::HtmKind::kBgqShort, 4, 4, heap);
+  fault::FaultInjector injector(
+      fault::parse("lossy-net", model::bgq().fault), 5, 16, 4);
+  injector.attach(cluster);
+  algorithms::DistPrOptions options;
+  options.iterations = 3;
+
+  const auto cold = algorithms::run_distributed_pagerank(cluster, g, part,
+                                                         options);
+  const std::uint64_t before = g_allocations.load();
+  const auto warm = algorithms::run_distributed_pagerank(cluster, g, part,
+                                                         options);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  ASSERT_GT(warm.net.retransmitted, cold.net.retransmitted);
+  const std::uint64_t messages =
+      warm.net.messages_sent - cold.net.messages_sent;
+  ASSERT_GT(messages, 1000u);
+  const double per_message =
+      static_cast<double>(allocations) / static_cast<double>(messages);
+  std::printf("alloc_test: %llu allocations / %llu messages = %.3f\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(messages), per_message);
+  EXPECT_LE(per_message, 3.0)
+      << allocations << " allocations for " << messages << " messages";
 }
 
 }  // namespace

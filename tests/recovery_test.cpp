@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -405,6 +406,45 @@ TEST(Recovery, TornSnapshotIsRejectedWithoutTouchingTheMachine) {
   // The intact buffer still restores after all the rejected attempts.
   ASSERT_TRUE(rec.restore_from_bytes(intact, &err)) << err;
   EXPECT_EQ(counters[0], 8u);
+}
+
+// Every single-byte change to a sealed snapshot is refused: the digest
+// folds whole words, and each fold step is a bijection, so no change to
+// one byte (header, section bytes, a word tail or a recorded digest) can
+// leave the chain unchanged.
+TEST(Recovery, EverySingleByteFlipIsRejected) {
+  Snapshot snap;
+  snap.add_section(Snapshot::kCore, {1, 2, 3});
+  snap.add_section(Snapshot::kHeap, {});
+  snap.add_section(Snapshot::kHost, std::vector<std::uint8_t>(13, 0xAA));
+  snap.add_section(Snapshot::kNet, std::vector<std::uint8_t>(16, 0x00));
+  const std::vector<std::uint8_t> sealed = snap.seal(7, 1234.5);
+  std::string err;
+  const auto intact = Snapshot::open(sealed, &err);
+  ASSERT_TRUE(intact.has_value()) << err;
+  EXPECT_EQ(intact->checkpoint_id(), 7u);
+  EXPECT_EQ(intact->sections().size(), 4u);
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    for (const std::uint8_t flip : {0x01, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> torn = sealed;
+      torn[i] ^= flip;
+      EXPECT_FALSE(Snapshot::open(torn, &err).has_value())
+          << "byte " << i << " ^ " << int{flip};
+    }
+  }
+}
+
+// A buffer in the format-1 layout (byte-wise digest) is refused by its
+// version field before any digest is checked.
+TEST(Recovery, VersionOneSnapshotIsRejected) {
+  Snapshot snap;
+  snap.add_section(Snapshot::kCore, {1, 2, 3});
+  std::vector<std::uint8_t> sealed = snap.seal(1, 0.0);
+  const std::uint32_t v1 = 1;
+  std::memcpy(sealed.data() + sizeof(std::uint64_t), &v1, sizeof(v1));
+  std::string err;
+  EXPECT_FALSE(Snapshot::open(sealed, &err).has_value());
+  EXPECT_EQ(err, "snapshot version mismatch");
 }
 
 // ---------------------------------------------------------------------------
