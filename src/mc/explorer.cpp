@@ -71,7 +71,7 @@ class Explorer {
     bool exhausted_space = false;
     while (!exhausted_space) {
       if (out.stats.runs >= config_.max_runs ||
-          out.stats.steps >= config_.max_steps) {
+          out.stats.steps >= kMaxExploreSteps) {
         out.stats.budget_exhausted = true;
         break;
       }

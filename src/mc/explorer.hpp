@@ -33,11 +33,13 @@
 
 namespace aam::mc {
 
+/// Total dispatched choices one exploration may spend.
+inline constexpr std::uint64_t kMaxExploreSteps = 20'000'000;
+
 struct ExploreConfig {
   bool sleep_sets = true;     ///< conflict-based POR on static footprints
   int preemption_bound = -1;  ///< max involuntary switches; -1 = unbounded
   std::uint64_t max_runs = 200000;       ///< machine executions
-  std::uint64_t max_steps = 20'000'000;  ///< total dispatched choices
   bool stop_at_first_violation = false;
 };
 

@@ -113,16 +113,12 @@ class McWorker final : public htm::Worker {
 class RecordingController final : public sim::ScheduleController {
  public:
   RecordingController(const PickFn& pick, htm::DesMachine& machine,
-                      std::uint64_t max_steps,
                       std::vector<ViolationInfo>& violations)
-      : pick_(pick),
-        machine_(machine),
-        max_steps_(max_steps),
-        violations_(violations) {}
+      : pick_(pick), machine_(machine), violations_(violations) {}
 
   std::size_t choose(std::span<const sim::Choice> ready) override {
     resolve_pending();
-    if (trace_.size() >= max_steps_) {
+    if (trace_.size() >= kMaxRunSteps) {
       stopped_ = true;
       return kStopRun;
     }
@@ -173,7 +169,6 @@ class RecordingController final : public sim::ScheduleController {
 
   const PickFn& pick_;
   htm::DesMachine& machine_;
-  std::uint64_t max_steps_;
   std::vector<ViolationInfo>& violations_;
   Trace trace_;
   bool stopped_ = false;
@@ -258,8 +253,7 @@ RunResult Runner::run(const PickFn& pick) {
     machine.set_worker(static_cast<std::uint32_t>(t), workers.back().get());
   }
 
-  RecordingController controller(pick, machine, config_.max_steps,
-                                 result.violations);
+  RecordingController controller(pick, machine, result.violations);
   machine.run_controlled(controller);
   controller.finish();
 

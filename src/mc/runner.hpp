@@ -54,10 +54,11 @@ struct RunConfig {
   /// Livelock watermark override (0 = engine default): small values make
   /// the escalated htm -> serial-lock path reachable within tiny runs.
   int livelock_watermark = 0;
-  /// Hard per-run dispatch cap; exceeding it stops the run without
-  /// quiescence (a diverging schedule, counted as budget-pruned).
-  std::uint64_t max_steps = 1 << 20;
 };
+
+/// Hard per-run dispatch cap; exceeding it stops the run without
+/// quiescence (a diverging schedule, counted as budget-pruned).
+inline constexpr std::uint64_t kMaxRunSteps = 1 << 20;
 
 struct ViolationInfo {
   enum class Kind : std::uint8_t {
