@@ -235,8 +235,7 @@ class Cluster final : private htm::DroppableSink {
     }
     void push(std::uint64_t seq, PendingSend p);
     void erase(PendingSend& p);
-    /// The bytes a std::map<seq, PendingSend> of the live entries would
-    /// store: a count, then each (seq, entry) in seq order.
+    /// A count, then each live (seq, entry) in seq order.
     void durable(util::BlobIo& io);
   };
   /// Receiver side of one channel.
@@ -244,7 +243,7 @@ class Cluster final : private htm::DroppableSink {
     std::uint64_t next_expected = 1;  ///< all seq below this were accepted
     /// Accepted seqs above the watermark, ascending: a flat set, since
     /// arrivals past a lost copy mostly append and the watermark erases a
-    /// prefix. Stored like the std::set it replaces: a count, then each.
+    /// prefix.
     std::vector<std::uint64_t> seen_ahead;
 
     void durable(util::BlobIo& io);

@@ -42,13 +42,12 @@ void fold(std::uint64_t& h, const void* data, std::size_t len) {
   h = acc;
 }
 
-/// Writes `v` at `pos` of the pre-sized `out` and folds it into the digest.
 template <typename T>
-void put(std::uint8_t* out, std::size_t& pos, std::uint64_t& h, const T& v) {
+void append(std::vector<std::uint8_t>& out, std::uint64_t& h, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  std::memcpy(out + pos, &v, sizeof(T));
-  fold(h, &v, sizeof(T));
-  pos += sizeof(T);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+  out.insert(out.end(), p, p + sizeof(T));
+  fold(h, p, sizeof(T));
 }
 
 /// Reads a T at `pos`, folding it into the running digest. Returns false
@@ -82,38 +81,35 @@ const std::vector<std::uint8_t>* Snapshot::find(std::uint32_t tag) const {
 
 std::vector<std::uint8_t> Snapshot::seal(std::uint64_t checkpoint_id,
                                          double now_ns) const {
-  // Size the buffer first, so each section is written into it once.
+  // Reserve the whole buffer first, so each section is written once.
   std::size_t size = sizeof(kMagic) + sizeof(kVersion) +
                      sizeof(checkpoint_id) + sizeof(now_ns) +
-                     sizeof(std::uint64_t) + sizeof(std::uint64_t);
+                     2 * sizeof(std::uint64_t);
   for (const Section& s : sections_) {
-    size += sizeof(s.tag) + sizeof(std::uint64_t) + s.bytes.size() +
-            sizeof(std::uint64_t);
+    size += sizeof(s.tag) + 2 * sizeof(std::uint64_t) + s.bytes.size();
   }
-  std::vector<std::uint8_t> out(size);
-  std::uint8_t* o = out.data();
-  std::size_t pos = 0;
+  std::vector<std::uint8_t> out;
+  out.reserve(size);
   std::uint64_t h = kFnvOffset;
-  put(o, pos, h, kMagic);
-  put(o, pos, h, kVersion);
-  put(o, pos, h, checkpoint_id);
-  put(o, pos, h, now_ns);
-  put(o, pos, h, static_cast<std::uint64_t>(sections_.size()));
+  append(out, h, kMagic);
+  append(out, h, kVersion);
+  append(out, h, checkpoint_id);
+  append(out, h, now_ns);
+  append(out, h, static_cast<std::uint64_t>(sections_.size()));
   for (const Section& s : sections_) {
-    put(o, pos, h, s.tag);
-    put(o, pos, h, static_cast<std::uint64_t>(s.bytes.size()));
-    if (!s.bytes.empty()) std::memcpy(o + pos, s.bytes.data(), s.bytes.size());
+    append(out, h, s.tag);
+    append(out, h, static_cast<std::uint64_t>(s.bytes.size()));
+    out.insert(out.end(), s.bytes.begin(), s.bytes.end());
     fold(h, s.bytes.data(), s.bytes.size());
-    pos += s.bytes.size();
     // Running digest value after this section: lets open() report *which*
     // section a torn snapshot died in, and chains each section's check to
-    // everything before it. Copied first — put folds the value into `h`,
-    // and folding `h` into itself would corrupt the chain.
+    // everything before it. Copied first — append folds the value into
+    // `h`, and folding `h` into itself would corrupt the chain.
     const std::uint64_t section_digest = h;
-    put(o, pos, h, section_digest);
+    append(out, h, section_digest);
   }
   const std::uint64_t final_digest = h;  // over the whole buffer
-  put(o, pos, h, final_digest);
+  append(out, h, final_digest);
   return out;
 }
 

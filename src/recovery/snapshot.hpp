@@ -6,9 +6,8 @@
 // host-side component state, network protocol state) sealed into one byte
 // buffer. The seal appends a chained digest folded over the header and
 // every section in order — FNV-1a's xor-multiply step taken a 64-bit word
-// at a time (format version 2; version 1 folded single bytes) — and each
-// section records its own running digest value, so verification
-// pinpoints *where* a snapshot was torn:
+// at a time — and each section records its own running digest value, so
+// verification pinpoints *where* a snapshot was torn:
 // any truncation, bit flip, or reordering fails open() before a single
 // byte is applied to the machine. Recovery therefore either restores a
 // bit-exact checkpoint or refuses loudly — never a half-applied one.
