@@ -78,7 +78,7 @@ void Cluster::send(htm::ThreadCtx& ctx, int dst_node, std::uint32_t handler,
     ch.push(seq, PendingSend{std::move(msg), net_hook_->initial_rto_ns(),
                              /*live=*/true});
     const double at = ctx.now();
-    transmit(channel, seq, ch.window.back().msg, at, /*retransmit=*/false);
+    transmit(channel, ch.window.back().msg, at, /*retransmit=*/false);
     arm_retransmit(channel, seq, at);
     return;
   }
@@ -115,8 +115,8 @@ void Cluster::on_droppable(std::uint64_t payload) {
   }
 }
 
-void Cluster::transmit(std::uint64_t channel, std::uint64_t seq,
-                       const Message& msg, double at, bool retransmit) {
+void Cluster::transmit(std::uint64_t channel, const Message& msg, double at,
+                       bool retransmit) {
   const auto& n = config().net;
   if (retransmit) ++stats_.retransmitted;
   const MessageFate fate = net_hook_->fate(msg, retransmit);
@@ -129,11 +129,11 @@ void Cluster::transmit(std::uint64_t channel, std::uint64_t seq,
   if (fate.drop) {
     ++stats_.dropped;
   } else {
-    schedule(kDeliver, channel, seq, arrival);
+    schedule(kDeliver, channel, msg.seq, arrival);
   }
   if (fate.duplicate) {
     ++stats_.duplicated;
-    schedule(kDeliver, channel, seq, arrival + fate.duplicate_delay_ns);
+    schedule(kDeliver, channel, msg.seq, arrival + fate.duplicate_delay_ns);
   }
 }
 
@@ -151,7 +151,7 @@ void Cluster::on_retransmit(std::uint64_t channel, std::uint64_t seq) {
   // NIC-side (the sending thread is not re-charged the overhead o).
   p->rto_ns = std::min(p->rto_ns * 2.0, net_hook_->rto_cap_ns());
   const double now = machine_.now();
-  transmit(channel, seq, p->msg, now, /*retransmit=*/true);
+  transmit(channel, p->msg, now, /*retransmit=*/true);
   arm_retransmit(channel, seq, now);
 }
 

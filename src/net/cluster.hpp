@@ -194,10 +194,10 @@ class Cluster final : private htm::DroppableSink {
   }
   void on_droppable(std::uint64_t payload) override;
 
-  /// One wire transmission of pending message `seq` at virtual time `at`:
+  /// One wire transmission of pending message `msg` at virtual time `at`:
   /// consults the fault hook, schedules arrival(s), and counts.
-  void transmit(std::uint64_t channel, std::uint64_t seq, const Message& msg,
-                double at, bool retransmit);
+  void transmit(std::uint64_t channel, const Message& msg, double at,
+                bool retransmit);
   /// Arms the sender-side timeout for pending message `seq` at `at` + the
   /// pending entry's current RTO, unless its ack already landed.
   void arm_retransmit(std::uint64_t channel, std::uint64_t seq, double at);
