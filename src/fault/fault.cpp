@@ -303,8 +303,6 @@ void FaultInjector::attach(htm::DesMachine& machine) {
 
 void FaultInjector::attach(net::Cluster& cluster) {
   attach(cluster.machine());
-  // net_active() (the virtual) includes crash scenarios: they force the
-  // reliable-delivery protocol on so in-flight messages are replayable.
   if (net_active()) cluster.set_fault_hook(this);
 }
 

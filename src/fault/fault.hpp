@@ -144,15 +144,15 @@ class FaultInjector final : public htm::FaultHook, public net::NetFaultHook {
   double slowdown(std::uint32_t tid, double now_ns) override;
   bool inject_crash(std::uint32_t tid, double now_ns) override;
 
-  // net::NetFaultHook
-  //
-  // Crash scenarios force the reliable-delivery protocol on even with no
-  // wire faults configured: every in-flight message then has a sender-side
-  // pending entry the recovery manager can replay from, so nothing is
-  // silently lost when a crash drops the machine's pending events.
-  bool net_active() const override {
+  /// True if attach(Cluster&) installs the network hook, which turns the
+  /// reliable-delivery protocol on. Crash scenarios force it on even with
+  /// no wire faults configured, so their simulated runs keep the acks and
+  /// retransmit timers they were recorded with.
+  bool net_active() const {
     return plan_.net_active() || plan_.crash_active();
   }
+
+  // net::NetFaultHook
   net::MessageFate fate(const net::Message& msg, bool retransmit) override;
   double initial_rto_ns() const override { return plan_.net_rto_ns; }
   double rto_cap_ns() const override { return plan_.net_rto_cap_ns; }

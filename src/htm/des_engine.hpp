@@ -329,17 +329,18 @@ class DesMachine {
   /// a synchronization barrier. Typically used from the quiescence hook.
   void barrier_release(double barrier_cost_ns);
 
-  /// Schedule an arbitrary callback at virtual time `t` (used by the
-  /// network layer for message deliveries). A pending callback blocks
-  /// checkpoints: the engine cannot re-create an opaque std::function
-  /// after a restore dropped it.
+  /// Schedule an arbitrary callback at virtual time `t` (used by
+  /// net::RemoteAtomics and core::OwnershipProtocol; message deliveries
+  /// are droppable events). A pending callback blocks checkpoints: the
+  /// engine cannot re-create an opaque std::function after a restore
+  /// dropped it.
   void schedule_callback(double t, std::function<void()> fn);
 
   /// Schedules a *droppable* event at virtual time `t`: at dispatch the
   /// registered DroppableSink receives `payload`. Losing the event in a
   /// crash-restore is safe because the sink re-derives it from its own
-  /// checkpointed state (the reliable-delivery protocol's deliveries, acks
-  /// and retransmit timers, all reconstructible from the pending-send
+  /// checkpointed state (the cluster's message deliveries, acks and
+  /// retransmit timers, all reconstructible from the pending-send
   /// windows), so droppable events do not block checkpoints. Costs no host
   /// allocation.
   void schedule_droppable(double t, std::uint64_t payload);

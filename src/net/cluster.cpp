@@ -16,6 +16,12 @@ Cluster::Cluster(const model::MachineConfig& config, model::HtmKind kind,
       threads_per_node_(threads_per_node),
       queues_(static_cast<std::size_t>(num_nodes)) {
   AAM_CHECK(num_nodes >= 1 && threads_per_node >= 1);
+  const std::size_t pairs = static_cast<std::size_t>(num_nodes) *
+                            static_cast<std::size_t>(num_nodes);
+  AAM_CHECK_MSG(pairs <= (std::size_t{1} << kChannelBits),
+                "too many nodes for the network's channel encoding");
+  send_channels_.resize(pairs);
+  recv_channels_.resize(pairs);
   machine_.set_droppable_sink(this);
 }
 
@@ -25,17 +31,11 @@ std::uint32_t Cluster::register_handler(AmHandler handler) {
 }
 
 void Cluster::set_fault_hook(NetFaultHook* hook) {
-  AAM_CHECK_MSG(in_flight_ == 0,
-                "fault hook must be (un)installed with no messages in flight");
-  net_hook_ = hook;
-  if (hook != nullptr && send_channels_.empty()) {
-    const std::size_t pairs = static_cast<std::size_t>(num_nodes_) *
-                              static_cast<std::size_t>(num_nodes_);
-    AAM_CHECK_MSG(pairs <= (std::size_t{1} << kChannelBits),
-                  "too many nodes for the reliable-delivery protocol");
-    send_channels_.resize(pairs);
-    recv_channels_.resize(pairs);
+  for (const SendChannel& ch : send_channels_) {
+    AAM_CHECK_MSG(ch.window.empty(),
+                  "fault hook must be (un)installed with no sends pending");
   }
+  net_hook_ = hook;
 }
 
 void Cluster::send(htm::ThreadCtx& ctx, int dst_node, std::uint32_t handler,
@@ -45,55 +45,32 @@ void Cluster::send(htm::ThreadCtx& ctx, int dst_node, std::uint32_t handler,
   AAM_CHECK(handler < handlers_.size());
   const int src = node_of_thread(ctx.thread_id());
 
-  Message msg;
-  msg.src_node = src;
-  msg.dst_node = dst_node;
-  msg.handler = handler;
-  msg.arg0 = arg0;
-  msg.arg1 = arg1;
-  msg.payload = std::move(payload);
+  // Tag the message with the channel's next sequence number and move it
+  // into its pending entry, its only retained copy. The message stays in
+  // flight until its first (deduplicated) arrival.
+  const std::uint64_t channel = channel_of(src, dst_node);
+  SendChannel& ch = send_channels_[channel];
+  const std::uint64_t seq = ch.next_seq++;
+  AAM_CHECK_MSG(seq < kMaxSeq, "channel sequence numbers exhausted");
+  ch.push(seq, PendingSend{Message{src, dst_node, handler, arg0, arg1, seq,
+                                   std::move(payload)},
+                           protocol_active() ? net_hook_->initial_rto_ns() : 0,
+                           /*live=*/true});
+  const Message& msg = ch.window.back().msg;
 
-  const auto& n = config().net;
-  const std::size_t bytes = msg.wire_bytes();
   ++stats_.messages_sent;
-  stats_.bytes_sent += bytes;
+  stats_.bytes_sent += msg.wire_bytes();
   stats_.items_sent += msg.payload.size();
 
   // Sender CPU overhead o (plus serialization of the payload onto the
   // wire; the byte cost is charged to the wire, not the sender, as NICs
   // stream from memory).
-  ctx.compute(n.overhead_ns);
+  ctx.compute(config().net.overhead_ns);
   ++in_flight_;
 
-  if (protocol_active()) {
-    // Reliable delivery: tag with the channel's next sequence number, move
-    // the message into its pending entry (the retained copy for
-    // retransmission), and arm the timeout. The message stays in flight
-    // until its first (deduplicated) arrival.
-    const std::uint64_t channel = channel_of(src, dst_node);
-    SendChannel& ch = send_channels_[channel];
-    const std::uint64_t seq = ch.next_seq++;
-    AAM_CHECK_MSG(seq < kMaxSeq, "channel sequence numbers exhausted");
-    msg.seq = seq;
-    ch.push(seq, PendingSend{std::move(msg), net_hook_->initial_rto_ns(),
-                             /*live=*/true});
-    const double at = ctx.now();
-    transmit(channel, ch.window.back().msg, at, /*retransmit=*/false);
-    arm_retransmit(channel, seq, at);
-    return;
-  }
-
-  const double arrival = ctx.now() + n.latency_ns +
-                         static_cast<double>(bytes) * n.byte_ns;
-  machine_.schedule_callback(arrival, [this, m = std::move(msg)]() mutable {
-    const int node = m.dst_node;
-    queues_[node].push_back(std::move(m));
-    --in_flight_;
-    // Wake the node's threads; pollers drain the queue.
-    for (int t = 0; t < threads_per_node_; ++t) {
-      machine_.wake(thread_of(node, t));
-    }
-  });
+  const double at = ctx.now();
+  transmit(channel, msg, at, /*retransmit=*/false);
+  if (protocol_active()) arm_retransmit(channel, seq, at);
 }
 
 void Cluster::on_droppable(std::uint64_t payload) {
@@ -118,14 +95,17 @@ void Cluster::on_droppable(std::uint64_t payload) {
 void Cluster::transmit(std::uint64_t channel, const Message& msg, double at,
                        bool retransmit) {
   const auto& n = config().net;
-  if (retransmit) ++stats_.retransmitted;
-  const MessageFate fate = net_hook_->fate(msg, retransmit);
+  MessageFate fate;
+  if (protocol_active()) {
+    if (retransmit) ++stats_.retransmitted;
+    fate = net_hook_->fate(msg, retransmit);
+  }
   const double arrival =
       at + n.latency_ns + static_cast<double>(msg.wire_bytes()) * n.byte_ns +
       fate.extra_delay_ns;
-  // Protocol deliveries are droppable events: a crash-restore loses the
-  // in-flight copy, but the sender's checkpointed pending entry re-arms a
-  // retransmit timer, so the message still arrives exactly once.
+  // Deliveries are droppable events: a crash-restore loses the in-flight
+  // copy, but the sender's checkpointed pending entry replays it, so the
+  // message still arrives exactly once.
   if (fate.drop) {
     ++stats_.dropped;
   } else {
@@ -156,20 +136,30 @@ void Cluster::on_retransmit(std::uint64_t channel, std::uint64_t seq) {
 }
 
 void Cluster::deliver(std::uint64_t channel, std::uint64_t seq) {
-  // Ack every arriving copy (the copy whose ack got outrun by a timeout
-  // just re-acks a no-longer-pending seq, which is a no-op), then discard
-  // duplicates before they reach the node's queue: exactly-once delivery.
-  schedule(kAck, channel, seq, machine_.now() + config().net.latency_ns);
+  // With the protocol on, ack every arriving copy (the copy whose ack got
+  // outrun by a timeout just re-acks a no-longer-pending seq, which is a
+  // no-op). Then discard duplicates before they reach the node's queue:
+  // exactly-once delivery.
+  if (protocol_active()) {
+    schedule(kAck, channel, seq, machine_.now() + config().net.latency_ns);
+  }
   if (!recv_channels_[channel].accept(seq)) {
     ++stats_.dedup_discarded;
     return;
   }
   // A first arrival precedes its ack, so its pending entry still holds
   // the message; only duplicates can outlive the entry.
-  const PendingSend* p = send_channels_[channel].find(seq);
+  SendChannel& ch = send_channels_[channel];
+  PendingSend* p = ch.find(seq);
   AAM_CHECK_MSG(p != nullptr, "a new arrival has no pending send");
   const int node = p->msg.dst_node;
-  queues_[node].push_back(p->msg);
+  if (protocol_active()) {
+    queues_[node].push_back(p->msg);
+  } else {
+    // No ack will come: the arrival retires the entry.
+    queues_[node].push_back(std::move(p->msg));
+    ch.erase(*p);
+  }
   --in_flight_;
   for (int t = 0; t < threads_per_node_; ++t) {
     machine_.wake(thread_of(node, t));
@@ -263,19 +253,25 @@ void Cluster::durable(util::BlobIo& io) {
 }
 
 std::uint64_t Cluster::replay_pending_sends() {
-  // Peer-assisted replay: each still-pending (unacked) send gets a fresh
-  // timeout anchored at the restore instant. Its first fire retransmits
-  // the retained copy; the receiver either applies it (the original copy
-  // died with the crash) or dedup-discards it (it was accepted before the
-  // checkpoint and only the ack was in flight).
+  // Peer-assisted replay: each still-pending send gets a fresh timeout
+  // anchored at the restore instant. Its first fire retransmits the
+  // retained copy; the receiver either applies it (the original copy died
+  // with the crash) or dedup-discards it (it was accepted before the
+  // checkpoint and only the ack was in flight). With the protocol off a
+  // pending entry is an undelivered message, so it re-transmits at once.
   std::uint64_t replayed = 0;
   const double now = machine_.now();
   for (std::uint64_t channel = 0; channel < send_channels_.size();
        ++channel) {
     const SendChannel& ch = send_channels_[channel];
     for (std::size_t i = 0; i < ch.window.size(); ++i) {
-      if (!ch.window[i].live) continue;
-      arm_retransmit(channel, ch.base + i, now);
+      const PendingSend& p = ch.window[i];
+      if (!p.live) continue;
+      if (protocol_active()) {
+        arm_retransmit(channel, ch.base + i, now);
+      } else {
+        transmit(channel, p.msg, now, /*retransmit=*/true);
+      }
       ++replayed;
     }
   }

@@ -38,8 +38,8 @@ struct Message {
   std::uint32_t handler = 0;
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
-  /// Per-(src,dst) channel sequence number; 0 = unsequenced (the reliable-
-  /// delivery protocol is off). Fits in the fixed header below.
+  /// Per-(src,dst) channel sequence number, from 1 (set by send()). Fits
+  /// in the fixed header below.
   std::uint64_t seq = 0;
   std::vector<std::uint64_t> payload;  ///< coalesced items
 
@@ -65,14 +65,13 @@ struct MessageFate {
 
 /// Network fault-injection seam (Cluster::set_fault_hook). Implemented by
 /// fault::FaultInjector; decisions must be drawn from streams forked off
-/// the simulation seed. While `net_active()` is true the cluster runs the
-/// reliable-delivery protocol (sequence numbers, receiver dedup, sender
-/// ack/timeout/retransmit); when false, sends take the original
-/// zero-overhead path and are bit-identical to a hook-free build.
+/// the simulation seed. Every message is sequenced and held in its
+/// sender's pending window either way; while a hook is installed the
+/// cluster also runs the reliable-delivery protocol on top (a fate per
+/// wire copy, acks, receiver dedup, sender timeout/retransmit).
 class NetFaultHook {
  public:
   virtual ~NetFaultHook() = default;
-  virtual bool net_active() const = 0;
   /// Consulted once per wire transmission (retransmissions included).
   virtual MessageFate fate(const Message& msg, bool retransmit) = 0;
   /// Initial sender retransmit timeout and its exponential-backoff cap.
@@ -85,7 +84,7 @@ struct NetStats {
   std::uint64_t bytes_sent = 0;     ///< wire bytes of logical sends
   std::uint64_t items_sent = 0;   ///< payload items (coalescing numerator)
   std::uint64_t remote_atomics = 0;
-  // Reliable-delivery protocol counters (all zero with the protocol off).
+  // Reliable-delivery protocol counters (all zero with no fault hook).
   std::uint64_t dropped = 0;          ///< wire copies lost to injection
   std::uint64_t duplicated = 0;       ///< injected duplicate wire copies
   std::uint64_t retransmitted = 0;    ///< sender timeout retransmissions
@@ -147,8 +146,9 @@ class Cluster final : private htm::DroppableSink {
   NetStats& stats_mutable() { return stats_; }
 
   /// Installs (or clears, with nullptr) the network fault hook. Not owned;
-  /// must outlive the cluster's traffic. Must be called while nothing is
-  /// in flight — the delivery guarantee is per-message, not retrofittable.
+  /// must outlive the cluster's traffic. Must be called while every
+  /// pending window is empty (nothing in flight, every send acked): the
+  /// delivery guarantee is per-message, not retrofittable.
   void set_fault_hook(NetFaultHook* hook);
   NetFaultHook* fault_hook() const { return net_hook_; }
 
@@ -161,21 +161,21 @@ class Cluster final : private htm::DroppableSink {
   void durable(util::BlobIo& io);
 
   /// The restore-only step after durable(): re-arms a retransmit timer
-  /// for every still-pending send. In-flight wire copies and timers lost
+  /// for every still-pending send (with no fault hook, re-transmits it
+  /// once, at the restore instant). In-flight wire copies and timers lost
   /// in the crash are re-derived from the pending windows — the
   /// receiver-side dedup path discards anything already accepted. Must
   /// run after the engine's restore (which drops all droppable events).
-  /// Returns the number of pending sends whose replay was re-armed.
+  /// Returns the number of pending sends replayed.
   std::uint64_t replay_pending_sends();
 
  private:
-  bool protocol_active() const {
-    return net_hook_ != nullptr && net_hook_->net_active();
-  }
+  bool protocol_active() const { return net_hook_ != nullptr; }
 
-  // Reliable-delivery protocol events. Each is one droppable engine event
-  // whose payload packs (seq, channel, type); the message itself stays in
-  // the sender's pending window, its only retained copy.
+  // Network events. Each is one droppable engine event whose payload
+  // packs (seq, channel, type); the message itself stays in the sender's
+  // pending window, its only retained copy. Acks and retransmit timers
+  // exist only while the protocol is active.
   enum ProtocolEvent : std::uint64_t { kDeliver, kAck, kRetransmit };
   static constexpr unsigned kEventBits = 2;
   static constexpr unsigned kChannelBits = 24;  ///< src * nodes + dst
@@ -195,7 +195,7 @@ class Cluster final : private htm::DroppableSink {
   void on_droppable(std::uint64_t payload) override;
 
   /// One wire transmission of pending message `msg` at virtual time `at`:
-  /// consults the fault hook, schedules arrival(s), and counts.
+  /// consults the fault hook (if any), schedules arrival(s), and counts.
   void transmit(std::uint64_t channel, const Message& msg, double at,
                 bool retransmit);
   /// Arms the sender-side timeout for pending message `seq` at `at` + the
@@ -204,30 +204,31 @@ class Cluster final : private htm::DroppableSink {
   /// The timeout fired: doubles the RTO (capped), retransmits and re-arms,
   /// unless the ack landed first.
   void on_retransmit(std::uint64_t channel, std::uint64_t seq);
-  /// Receiver-side arrival of one wire copy: acks, dedups, enqueues.
+  /// Receiver-side arrival of one wire copy: acks, dedups, enqueues; with
+  /// the protocol off, the arrival also retires the pending entry.
   void deliver(std::uint64_t channel, std::uint64_t seq);
   /// NIC-side ack arriving back at the sender (control plane:
   /// header-only, modelled reliable): retires the pending entry.
   void on_ack(std::uint64_t channel, std::uint64_t seq);
 
-  /// Sender book-keeping for one unacked sequenced message.
+  /// Sender book-keeping for one undelivered or unacked message.
   struct PendingSend {
-    Message msg;        ///< retained copy for retransmission
+    Message msg;        ///< retained copy for (re)transmission
     double rto_ns = 0;  ///< current timeout (doubles per retransmit)
-    bool live = false;  ///< false once acked (or a gap in a restored window)
+    bool live = false;  ///< false once retired (or a gap in a restored window)
 
     void durable(util::BlobIo& io) { io(rto_ns, msg); }
   };
-  /// Sender side of one channel. The unacked sends form a window indexed
+  /// Sender side of one channel. The pending sends form a window indexed
   /// by sequence number: entry i holds seq `base + i`, the front entry is
-  /// always live, and an entry acked out of order stays behind as a dead
-  /// slot until the sends before it are acked too.
+  /// always live, and an entry retired out of order stays behind as a dead
+  /// slot until the sends before it are retired too.
   struct SendChannel {
     std::uint64_t next_seq = 1;
     std::uint64_t base = 1;  ///< seq of window.front()
     std::deque<PendingSend> window;
 
-    /// The live pending entry for `seq`, or nullptr once it was acked.
+    /// The live pending entry for `seq`, or nullptr once it was retired.
     PendingSend* find(std::uint64_t seq) {
       if (seq < base || seq - base >= window.size()) return nullptr;
       PendingSend& p = window[seq - base];
@@ -259,7 +260,7 @@ class Cluster final : private htm::DroppableSink {
   NetStats stats_;
   std::uint64_t in_flight_ = 0;
   NetFaultHook* net_hook_ = nullptr;
-  std::vector<SendChannel> send_channels_;  // lazily sized on hook install
+  std::vector<SendChannel> send_channels_;  // one per (src, dst) channel
   std::vector<RecvChannel> recv_channels_;
 };
 

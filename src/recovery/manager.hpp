@@ -11,16 +11,16 @@
 // commit stamp, unit stamps, stripe table, per-thread RNG/clock/stats, the
 // pending events that are neither callbacks nor droppable), the raw heap
 // bytes, every registered host-side component blob, and the cluster's
-// reliable-delivery protocol state, sealed with a chained digest
-// (recovery::Snapshot).
+// network state (its pending-send windows included), sealed with a
+// chained digest (recovery::Snapshot).
 //
 // A crash (htm::CrashError out of the engine) rolls the whole system back
 // to the last sealed snapshot: volatile engine state, all in-sim callbacks
-// and droppable protocol events are dropped, host components rewind
+// and droppable network events are dropped, host components rewind
 // through the same durable() field lists that saved them, and the network
-// layer re-arms a retransmit timer for every send that was unacked at the
-// checkpoint — peers replay those messages and the receiver's sequence
-// dedup discards the ones it had already applied. Crash draws live in the
+// layer replays every send still pending at the checkpoint — peers resend
+// those messages and the receiver's sequence dedup discards the ones it
+// had already applied. Crash draws live in the
 // FaultInjector (the external world) and are never rolled back, so
 // recovery terminates.
 //
@@ -44,7 +44,7 @@ namespace aam::recovery {
 struct RecoveryStats {
   std::uint64_t checkpoints = 0;     ///< snapshots sealed
   std::uint64_t crashes = 0;         ///< crash-stops recovered from
-  std::uint64_t replayed_sends = 0;  ///< unacked sends re-armed at restores
+  std::uint64_t replayed_sends = 0;  ///< pending sends replayed at restores
   double lost_work_ns = 0;       ///< Σ simulated ns rolled back per crash
   std::uint64_t snapshot_bytes = 0;  ///< size of the last sealed snapshot
   // NetStats counter deltas erased by rollbacks. Restoring stats_ to its
@@ -70,8 +70,8 @@ class RecoveryManager final : public htm::RecoveryClient {
 
   /// Machine-only recovery (no network section in snapshots).
   explicit RecoveryManager(htm::DesMachine& machine, Options options = {});
-  /// Cluster recovery: snapshots include protocol state, restores re-arm
-  /// retransmissions for unacked sends.
+  /// Cluster recovery: snapshots include network state, restores replay
+  /// pending sends.
   explicit RecoveryManager(net::Cluster& cluster, Options options = {});
   ~RecoveryManager() override;
 

@@ -2,10 +2,12 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions and runs a fault-free distributed PageRank (4 nodes x 4
-// threads) twice on one cluster. The second, warm run must stay below one
-// host allocation per committed activity: staged transaction closures are
-// held inline (htm::TxnBody / TxnDone), batch item buffers are recycled by
-// the runtime, and the coalescers keep their buffers' capacity.
+// threads) twice on one cluster. The second, warm run must stay at or
+// below half a host allocation per committed activity: staged transaction
+// closures are held inline (htm::TxnBody / TxnDone), batch item buffers
+// are recycled by the runtime, the coalescers keep their buffers'
+// capacity, and a message's delivery is a droppable event, not a heap
+// closure (the warm run reads 0.43; a closure per message reads 0.65).
 //
 // A second case runs the same PageRank under lossy-net faults, so every
 // message takes the reliable-delivery protocol (sequence numbers, acks,
@@ -119,7 +121,7 @@ TEST(AllocationGuard, WarmDistributedPagerankStaysUnderOnePerActivity) {
   std::printf("alloc_test: %llu allocations / %llu activities = %.3f\n",
               static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(activities), per_activity);
-  EXPECT_LT(per_activity, 1.0)
+  EXPECT_LE(per_activity, 0.5)
       << allocations << " allocations for " << activities
       << " committed activities";
 }

@@ -363,6 +363,76 @@ TEST(FaultInjector, LossyNetworkDeliversExactlyOnce) {
   EXPECT_EQ(s.acked, s.messages_sent);
 }
 
+// A hook installed between runs takes over channels that fault-free
+// traffic already used: the sequence numbers carry on, so the receiver's
+// watermark must have followed the fault-free sends too.
+TEST(FaultInjector, LossyHookInstalledBetweenRunsDeliversExactlyOnce) {
+  mem::SimHeap heap;
+  net::Cluster cluster(model::has_p(), HtmKind::kRtm, 2, 1, heap, /*seed=*/2);
+  const auto net_bytes = [&] {
+    util::BlobWriter w;
+    util::BlobIo io(w);
+    cluster.durable(io);
+    return w.take().size();
+  };
+  const std::size_t fresh_bytes = net_bytes();
+
+  const int n = 200;
+  std::uint64_t delivered = 0;
+  std::uint64_t arg_sum = 0;
+  const auto h = cluster.register_handler(
+      [&](htm::ThreadCtx&, const net::Message& msg) {
+        ++delivered;
+        arg_sum += msg.arg0;
+      });
+  const auto send_all = [&] {
+    SendOnceWorker sender(cluster, [&](htm::ThreadCtx& ctx) {
+      for (int i = 0; i < n; ++i) {
+        cluster.send(ctx, 1, h, static_cast<std::uint64_t>(i));
+      }
+    });
+    PollWorker receiver(cluster);
+    cluster.machine().set_worker(0, &sender);
+    cluster.machine().set_worker(1, &receiver);
+    cluster.machine().run();
+  };
+
+  send_all();
+  ASSERT_EQ(delivered, static_cast<std::uint64_t>(n));
+  const net::NetStats& s = cluster.stats();
+  EXPECT_EQ(s.dropped + s.duplicated + s.retransmitted + s.acked +
+                s.dedup_discarded,
+            0u);
+
+  const FaultPlan plan = parse(
+      "lossy-net,net.drop=0.3,net.dup=0.25,net.reorder=0.5",
+      cluster.config().fault);
+  FaultInjector injector(plan, /*seed=*/2, cluster.machine().num_threads(),
+                         cluster.threads_per_node());
+  injector.attach(cluster);
+  send_all();
+
+  // Exactly-once delivery of both runs' sends, and exact accounting of
+  // the lossy run: only its sends were acked.
+  const std::uint64_t sum = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  EXPECT_EQ(delivered, 2 * static_cast<std::uint64_t>(n));
+  EXPECT_EQ(arg_sum, 2 * sum);
+  EXPECT_EQ(cluster.in_flight(), 0u);
+  const auto& injected = injector.injected();
+  EXPECT_EQ(s.messages_sent, 2 * static_cast<std::uint64_t>(n));
+  EXPECT_EQ(s.dropped, injected.net_dropped);
+  EXPECT_EQ(s.duplicated, injected.net_duplicated);
+  EXPECT_GT(s.dropped, 0u);
+  EXPECT_GT(s.duplicated, 0u);
+  EXPECT_GT(s.retransmitted, 0u);
+  EXPECT_GT(s.dedup_discarded, 0u);
+  EXPECT_EQ(s.acked, static_cast<std::uint64_t>(n));
+  // The network state is a fresh cluster's but for counter values: no
+  // pending send, queued message or out-of-order seq is left behind.
+  EXPECT_EQ(net_bytes(), fresh_bytes);
+  cluster.set_fault_hook(nullptr);
+}
+
 TEST(FaultInjector, NetFaultsAreSeedDeterministic) {
   auto run_once = [] {
     mem::SimHeap heap;

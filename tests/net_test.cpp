@@ -126,6 +126,38 @@ TEST(Cluster, PayloadRoundTrips) {
   EXPECT_EQ(cluster.stats().bytes_sent, 32u + 24u);
 }
 
+/// The reliable-delivery protocol over a wire that loses nothing.
+class PerfectWire final : public NetFaultHook {
+ public:
+  MessageFate fate(const Message&, bool) override { return {}; }
+  double initial_rto_ns() const override { return 1.0e5; }
+  double rto_cap_ns() const override { return 1.0e5; }
+};
+
+// A delivered message whose ack is still on its way back is no longer in
+// flight, but its retransmit timer still consults the hook: changing the
+// hook then must die, not leave the timer a null hook.
+TEST(ClusterDeathTest, HookChangeWithAnUnackedSendDies) {
+  EXPECT_DEATH(
+      {
+        mem::SimHeap heap;
+        Cluster cluster(model::has_p(), HtmKind::kRtm, 2, 1, heap);
+        PerfectWire wire;
+        cluster.set_fault_hook(&wire);
+        const auto h = cluster.register_handler(
+            [&](htm::ThreadCtx&, const Message&) {
+              if (cluster.in_flight() == 0) cluster.set_fault_hook(nullptr);
+            });
+        SendThenPollWorker sender(
+            cluster, [&](htm::ThreadCtx& ctx) { cluster.send(ctx, 1, h, 1); });
+        PollWorker receiver(cluster);
+        cluster.machine().set_worker(0, &sender);
+        cluster.machine().set_worker(1, &receiver);
+        cluster.machine().run();
+      },
+      "no sends pending");
+}
+
 TEST(Coalescer, FlushesAtBatchBoundary) {
   mem::SimHeap heap;
   Cluster cluster(model::bgq(), HtmKind::kBgqShort, 2, 1, heap);

@@ -616,7 +616,8 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
 /// Forwards to a RecoveryManager and records the simulated instants of
 /// quiescences, of sealed checkpoints and of the checkpoint each crash
 /// restores, a hash of every sealed snapshot, and per snapshot the hash
-/// of each section payload and the messages in flight when it sealed.
+/// of each section payload, its seal instant and the messages in flight
+/// when it sealed.
 class RecoveryProbe final : public htm::RecoveryClient {
  public:
   RecoveryProbe(htm::DesMachine& machine, RecoveryManager& inner)
@@ -629,6 +630,7 @@ class RecoveryProbe final : public htm::RecoveryClient {
   std::vector<double> restored_checkpoints;
   std::vector<std::uint64_t> sealed_hashes;  ///< FNV-1a of each snapshot
   std::vector<std::vector<std::uint64_t>> section_hashes;
+  std::vector<double> sealed_at;
   std::vector<std::uint64_t> in_flight_at_seal;
 
   void on_run_entry(htm::DesMachine& m) override {
@@ -675,6 +677,7 @@ class RecoveryProbe final : public htm::RecoveryClient {
         sections.push_back(fnv1a(s.bytes));
       }
       section_hashes.push_back(std::move(sections));
+      sealed_at.push_back(m.now());
       in_flight_at_seal.push_back(inner_.inflight_messages());
     }
   }
@@ -873,6 +876,140 @@ TEST(Recovery, DistributedCheckpointPayloadsArePinned) {
 }
 
 // ---------------------------------------------------------------------------
+// Replay of in-flight sends: a crash restores a checkpoint sealed while
+// messages were on the wire, so the restore must re-send them from the
+// pending windows. With the protocol on (crash-restart's network hook)
+// each pending send re-arms a retransmit timer; with it off (a crash-only
+// engine hook and no network hook) each re-transmits at the restore
+// instant. Either way every message is handled exactly once.
+
+/// Crashes once, `delay_ns` after the probe saw a checkpoint sealed with
+/// messages in flight, so the deliveries made since are rolled back.
+class CrashAfterInFlightSeal final : public htm::FaultHook {
+ public:
+  CrashAfterInFlightSeal(const RecoveryProbe& probe, double delay_ns)
+      : probe_(probe), delay_ns_(delay_ns) {}
+
+  bool inject_other_abort(std::uint32_t, double, double, double&) override {
+    return false;
+  }
+  double slowdown(std::uint32_t, double) override { return 1.0; }
+  bool inject_crash(std::uint32_t, double now_ns) override {
+    if (fired || probe_.in_flight_at_seal.empty() ||
+        probe_.in_flight_at_seal.back() == 0 ||
+        now_ns < probe_.sealed_at.back() + delay_ns_) {
+      return false;
+    }
+    fired = true;
+    return true;
+  }
+
+  bool fired = false;
+
+ private:
+  const RecoveryProbe& probe_;
+  double delay_ns_;
+};
+
+/// Sends `count` messages to the next node, one per dispatch, then polls.
+/// Message i of thread t carries id t * count + i.
+class MessageSender final : public htm::Worker {
+ public:
+  MessageSender(net::Cluster& cluster, std::uint32_t handler,
+                std::uint32_t tid, std::uint64_t count)
+      : cluster_(cluster), handler_(handler), tid_(tid), count_(count) {}
+
+  bool next(htm::ThreadCtx& ctx) override {
+    if (sent_ == count_) return cluster_.poll_and_handle(ctx);
+    const int dst =
+        (cluster_.node_of_thread(tid_) + 1) % cluster_.num_nodes();
+    cluster_.send(ctx, dst, handler_, tid_ * count_ + sent_, 0, {1, 2, 3, 4});
+    ++sent_;
+    return true;
+  }
+  void durable(util::BlobIo& io) { io(sent_); }
+
+ private:
+  net::Cluster& cluster_;
+  std::uint32_t handler_;
+  std::uint32_t tid_;
+  std::uint64_t count_;
+  std::uint64_t sent_ = 0;
+};
+
+class InFlightReplay : public ::testing::TestWithParam<bool> {};
+
+TEST_P(InFlightReplay, HandlesEachMessageExactlyOnce) {
+  const bool protocol = GetParam();
+  const std::uint64_t seed = 3;
+  const int nodes = 2;
+  const int threads = 2;
+  const std::uint64_t per_thread = 64;
+  const model::MachineConfig& config = model::has_p();
+  const fault::FaultPlan plan = fault::parse("crash-restart", config.fault);
+
+  // One run; with `crash`, a recovery manager restores the checkpoint.
+  const auto run = [&](bool crash) {
+    mem::SimHeap heap;
+    net::Cluster cluster(config, model::HtmKind::kRtm, nodes, threads, heap,
+                         seed);
+    fault::FaultInjector inj(plan, seed, nodes * threads, threads);
+    if (protocol) cluster.set_fault_hook(&inj);  // its network side only
+    auto handled = heap.alloc<std::uint64_t>(nodes * threads * per_thread,
+                                             "handled");
+    std::fill(handled.begin(), handled.end(), 0);
+    const auto h = cluster.register_handler(
+        [&](htm::ThreadCtx&, const net::Message& msg) {
+          ++handled[msg.arg0];
+        });
+    std::vector<MessageSender> senders;
+    senders.reserve(nodes * threads);
+    for (std::uint32_t t = 0; t < nodes * threads; ++t) {
+      senders.emplace_back(cluster, h, t, per_thread);
+      cluster.machine().set_worker(t, &senders.back());
+    }
+    std::vector<std::uint64_t> words;
+    if (!crash) {
+      cluster.machine().run();
+      words.assign(handled.begin(), handled.end());
+      return words;
+    }
+    RecoveryManager rec(cluster, RecoveryOptions{4 * config.net.latency_ns});
+    RecoveryProbe probe(cluster.machine(), rec);
+    CrashAfterInFlightSeal crasher(probe, 2 * config.net.latency_ns);
+    cluster.machine().set_fault_hook(&crasher);
+    {
+      htm::ScopedHostState ckpt(cluster.machine().recovery_client(),
+                                [&](util::BlobIo& io) {
+                                  for (MessageSender& s : senders) io(s);
+                                });
+      cluster.machine().run();
+    }
+    cluster.machine().set_fault_hook(nullptr);
+    EXPECT_TRUE(crasher.fired);
+    EXPECT_EQ(rec.stats().crashes, 1u);
+    EXPECT_GT(rec.stats().replayed_sends, 0u);
+    EXPECT_EQ(cluster.in_flight(), 0u);
+    EXPECT_EQ(cluster.stats().retransmitted > 0, protocol);
+    words.assign(handled.begin(), handled.end());
+    return words;
+  };
+
+  const std::vector<std::uint64_t> want = run(false);
+  const std::vector<std::uint64_t> got = run(true);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], 1u) << "message " << i;
+  }
+  EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Recovery, InFlightReplay,
+                         ::testing::Values(true, false),
+                         [](const auto& info) {
+                           return info.param ? "protocol_on" : "protocol_off";
+                         });
+
+// ---------------------------------------------------------------------------
 // RTO backoff regression: the sender's retransmit timeout doubles per
 // retransmission and plateaus exactly at the hook's cap — never past it.
 
@@ -881,7 +1018,6 @@ class DropFirstNHook final : public net::NetFaultHook {
   DropFirstNHook(htm::DesMachine& machine, int drops)
       : machine_(machine), drops_(drops) {}
 
-  bool net_active() const override { return true; }
   net::MessageFate fate(const net::Message&, bool retransmit) override {
     if (retransmit) retransmit_times.push_back(machine_.now());
     ++calls_;
